@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <functional>
 
 #include "base/check.h"
@@ -365,10 +364,11 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
           hashes[row], marker, [&](uint32_t candidate) {
             if (candidate & kBatchRowBit) {
               const uint32_t other = candidate & ~kBatchRowBit;
+              // std::equal, not memcmp: an arity-0 row's terms pointer
+              // may be null, which memcmp does not allow even for 0 bytes.
               return block.predicates[other] == p &&
                      block.Arity(other) == arity &&
-                     std::memcmp(block.Terms(other), terms,
-                                 arity * sizeof(TermId)) == 0;
+                     std::equal(terms, terms + arity, block.Terms(other));
             }
             return RowMatches(candidate, p, terms, seg);
           });
@@ -620,21 +620,17 @@ size_t FactSet::InsertAll(const FactSet& other) {
 }
 
 const std::vector<uint32_t>& FactSet::ByPredicate(PredicateId p) const {
-  auto it = predicates_.find(p);
-  if (it == predicates_.end()) return EmptyIndex();
-  return it->second.atom_ids;
+  const PredicateIndex* pidx = Predicate(p);
+  return pidx == nullptr ? EmptyIndex() : pidx->atom_ids;
 }
 
 PostingList FactSet::ByPredicatePositionTerm(PredicateId p, uint32_t position,
                                              TermId t) const {
-  auto it = predicates_.find(p);
-  if (it == predicates_.end() || position >= it->second.by_position.size()) {
+  const PredicateIndex* pidx = Predicate(p);
+  if (pidx == nullptr || position >= pidx->by_position.size()) {
     return PostingList();
   }
-  const PositionIndex& pi = it->second.by_position[position];
-  const PostingMap::Entry* e = pi.map.Find(t);
-  if (e == nullptr) return PostingList();
-  return PostingList(&pi.pool, e->head, e->count);
+  return pidx->by_position[position].Lookup(t);
 }
 
 bool FactSet::IsSubsetOf(const FactSet& other) const {

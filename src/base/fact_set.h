@@ -194,9 +194,8 @@ class FactSet {
   /// that predicate has been inserted.  Row `LocalRow(i)` of the segment
   /// holds the terms of `atoms()[i]`.
   const ColumnarSegment* Segment(PredicateId p) const {
-    auto it = predicates_.find(p);
-    if (it == predicates_.end()) return nullptr;
-    return &it->second.segment;
+    const PredicateIndex* pidx = Predicate(p);
+    return pidx == nullptr ? nullptr : &pidx->segment;
   }
 
   /// Row of `atoms()[index]` within its predicate's segment.
@@ -210,6 +209,43 @@ class FactSet {
   /// insert.
   PostingList ByPredicatePositionTerm(PredicateId p, uint32_t position,
                                       TermId t) const;
+
+  /// The access path of one argument position: term -> posting list.
+  /// Each position owns its posting map *and* its chunk pool, so the
+  /// parallel commit's per-(predicate, position) index tasks never share an
+  /// allocator.
+  struct PositionIndex {
+    PostingMap map;
+    PostingPool pool;
+
+    /// `ByPredicatePositionTerm` for this position.
+    PostingList Lookup(TermId t) const {
+      const PostingMap::Entry* e = map.Find(t);
+      if (e == nullptr) return PostingList();
+      return PostingList(&pool, e->head, e->count);
+    }
+  };
+
+  /// Everything keyed by one predicate, in one struct, so an insert
+  /// resolves the predicate once and then touches only TermId-keyed
+  /// per-position maps — no composite (predicate, position, term) keys.
+  struct PredicateIndex {
+    explicit PredicateIndex(uint32_t arity)
+        : segment(arity), by_position(arity) {}
+    ColumnarSegment segment;
+    std::vector<uint32_t> atom_ids;  // indices into atoms_, in order
+    std::vector<PositionIndex> by_position;  // one per argument position
+  };
+
+  /// The access paths of `p`, or nullptr when no atom of `p` has been
+  /// inserted.  A caller that probes one predicate many times (the
+  /// matcher) resolves it once instead of paying the predicate lookup
+  /// that `Segment`, `ByPredicate` and `ByPredicatePositionTerm` each pay.
+  /// Valid until the next insert.
+  const PredicateIndex* Predicate(PredicateId p) const {
+    auto it = predicates_.find(p);
+    return it == predicates_.end() ? nullptr : &it->second;
+  }
 
   /// The active domain: every term occurring in some atom, in first-seen
   /// order.
@@ -256,25 +292,6 @@ class FactSet {
   void AccountLedger(MemLedger& ledger, MemAccounting mode) const;
 
  private:
-  // Everything keyed by predicate lives in one struct, so an insert
-  // resolves the predicate once and then touches only TermId-keyed
-  // per-position maps — no composite (predicate, position, term) keys.
-  //
-  // Each argument position owns its posting map *and* its chunk pool, so
-  // the parallel commit's per-(predicate, position) index tasks never
-  // share an allocator.
-  struct PositionIndex {
-    PostingMap map;
-    PostingPool pool;
-  };
-  struct PredicateIndex {
-    explicit PredicateIndex(uint32_t arity)
-        : segment(arity), by_position(arity) {}
-    ColumnarSegment segment;
-    std::vector<uint32_t> atom_ids;  // indices into atoms_, in order
-    std::vector<PositionIndex> by_position;  // one per argument position
-  };
-
   // One dedup shard: the (hash, atom id) table for rows whose
   // (predicate, first ground term) hashes here, plus the mutex the
   // parallel commit's shard tasks hold while mutating it.

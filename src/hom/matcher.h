@@ -8,6 +8,7 @@
 
 #include "base/fact_set.h"
 #include "base/vocabulary.h"
+#include "hom/answer_table.h"
 #include "tgd/substitution.h"
 
 namespace frontiers {
@@ -26,14 +27,24 @@ namespace frontiers {
 /// non-fixed domain elements, etc.  Terms outside `mappable` are rigid and
 /// must match themselves.
 ///
-/// The search picks, at every step, the pattern atom with the fewest
-/// candidate target atoms (using the per-(predicate,position,term) index
-/// for selectivity), which is the classic fail-first heuristic.
+/// Every call first compiles its pattern: each argument becomes either a
+/// dense variable slot or a fixed term (a rigid term, or one bound by
+/// `initial`), and each atom resolves its predicate's columns and posting
+/// maps once.  The search then binds slots in a flat array; nothing in its
+/// loop hashes or allocates.  At every step it picks the unmatched atom
+/// with the fewest candidate target atoms (the most selective posting list
+/// of a fixed or bound position, the first such position on ties), the
+/// classic fail-first heuristic, and tries the candidates in posting-list
+/// order.  That order is a contract: the chase stages applications in the
+/// order `ForEach` emits them, so the emitted sequence is a function of the
+/// pattern, `initial` and the target alone.
 ///
-/// A Matcher holds no mutable state (each enumeration builds its own search
-/// state), so one instance may be shared by concurrent readers as long as
-/// nobody mutates the underlying fact set or vocabulary meanwhile — the
-/// contract the chase's parallel match phase relies on.
+/// A Matcher holds no mutable state (each call compiles its own search), so
+/// one instance may be shared by concurrent readers as long as nobody
+/// mutates the underlying fact set or vocabulary meanwhile — the contract
+/// the chase's parallel match phase relies on.  Each enumeration adds its
+/// candidate and complete-match counts to `frontiers.hom.candidates` and
+/// `frontiers.hom.matches` once, when it ends.
 class Matcher {
  public:
   /// Creates a matcher over `target`.  Both references must outlive the
@@ -46,7 +57,8 @@ class Matcher {
   /// enumeration.  Returns true if the enumeration ran to completion.
   ///
   /// Every term of `pattern` that is in `mappable` and not already bound by
-  /// `initial` is assigned; all other terms are rigid.
+  /// `initial` is assigned; all other terms are rigid.  The callback sees
+  /// exactly `initial` plus the bindings of those terms.
   bool ForEach(const std::vector<Atom>& pattern,
                const std::unordered_set<TermId>& mappable,
                const Substitution& initial,
@@ -61,9 +73,23 @@ class Matcher {
   /// True if some match exists.
   bool Exists(const std::vector<Atom>& pattern,
               const std::unordered_set<TermId>& mappable,
-              const Substitution& initial = {}) const {
-    return Find(pattern, mappable, initial).has_value();
-  }
+              const Substitution& initial = {}) const;
+
+  /// Adds to `answers` every distinct projection of the matches of
+  /// `pattern` onto `terms` (`answers.width()` must be `terms.size()`); a
+  /// term that no match binds projects to itself.  Enumerates projections,
+  /// not matches:
+  ///   * each connected component (atoms linked by shared mappable terms)
+  ///     that holds none of `terms` is one existence check, and a failed
+  ///     check leaves `answers` untouched;
+  ///   * in the other atoms, atoms that bind a still-unbound projected term
+  ///     are matched first (fail-first among them);
+  ///   * once every projected term is bound, the rest of the pattern is only
+  ///     checked for some match, and not at all when the tuple is already
+  ///     in `answers`.
+  void Project(const std::vector<Atom>& pattern,
+               const std::unordered_set<TermId>& mappable,
+               const std::vector<TermId>& terms, AnswerTable& answers) const;
 
  private:
   const Vocabulary& vocab_;

@@ -1,7 +1,6 @@
 #include "hom/query_ops.h"
 
 #include <algorithm>
-#include <set>
 #include <unordered_set>
 
 #include "hom/matcher.h"
@@ -49,22 +48,19 @@ bool HoldsBoolean(const Vocabulary& vocab, const ConjunctiveQuery& query,
   return Holds(vocab, query, facts, {});
 }
 
+void CollectAnswers(const Vocabulary& vocab, const ConjunctiveQuery& query,
+                    const FactSet& facts, AnswerTable& answers) {
+  Matcher matcher(vocab, facts);
+  matcher.Project(query.atoms, MappableVars(vocab, query, true),
+                  query.answer_vars, answers);
+}
+
 std::vector<std::vector<TermId>> EvaluateQuery(const Vocabulary& vocab,
                                                const ConjunctiveQuery& query,
                                                const FactSet& facts) {
-  std::set<std::vector<TermId>> answers;
-  Matcher matcher(vocab, facts);
-  matcher.ForEach(query.atoms, MappableVars(vocab, query, true), {},
-                  [&](const Substitution& sub) {
-                    std::vector<TermId> tuple;
-                    tuple.reserve(query.answer_vars.size());
-                    for (TermId v : query.answer_vars) {
-                      tuple.push_back(Apply(sub, v));
-                    }
-                    answers.insert(std::move(tuple));
-                    return true;
-                  });
-  return {answers.begin(), answers.end()};
+  AnswerTable answers(query.answer_vars.size());
+  CollectAnswers(vocab, query, facts, answers);
+  return answers.Sorted();
 }
 
 std::optional<Substitution> QueryHomomorphism(const Vocabulary& vocab,

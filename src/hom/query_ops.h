@@ -6,6 +6,7 @@
 
 #include "base/fact_set.h"
 #include "base/vocabulary.h"
+#include "hom/answer_table.h"
 #include "tgd/conjunctive_query.h"
 #include "tgd/substitution.h"
 
@@ -22,10 +23,19 @@ bool Holds(const Vocabulary& vocab, const ConjunctiveQuery& query,
 bool HoldsBoolean(const Vocabulary& vocab, const ConjunctiveQuery& query,
                   const FactSet& facts);
 
-/// All distinct answer tuples of `query` over `facts`, sorted.
+/// All distinct answer tuples of `query` over `facts`, sorted.  Computes
+/// projections, not homomorphisms (Matcher::Project): a Boolean query or
+/// an answer-free component costs one existence check, and each answer
+/// tuple one search for its first witness.
 std::vector<std::vector<TermId>> EvaluateQuery(const Vocabulary& vocab,
                                                const ConjunctiveQuery& query,
                                                const FactSet& facts);
+
+/// Adds the answer tuples of `query` over `facts` to `answers`, whose width
+/// must be the query's answer arity; UCQ evaluation collects every
+/// disjunct into one table this way.
+void CollectAnswers(const Vocabulary& vocab, const ConjunctiveQuery& query,
+                    const FactSet& facts, AnswerTable& answers);
 
 /// A homomorphism from `from` to `to` mapping the i-th answer variable of
 /// `from` to the i-th answer variable of `to` (both queries must have the

@@ -1,7 +1,6 @@
 #include "rewriting/ucq.h"
 
 #include <algorithm>
-#include <set>
 
 #include "hom/query_ops.h"
 #include "obs/metrics.h"
@@ -40,13 +39,12 @@ std::vector<std::vector<TermId>> EvaluateUcq(const Vocabulary& vocab,
   static obs::Counter& evaluations =
       obs::DefaultRegistry().GetCounter("frontiers.ucq.evaluations");
   evaluations.Add();
-  std::set<std::vector<TermId>> answers;
+  if (ucq.disjuncts.empty()) return {};
+  AnswerTable answers(ucq.disjuncts.front().answer_vars.size());
   for (const ConjunctiveQuery& q : ucq.disjuncts) {
-    for (std::vector<TermId>& tuple : EvaluateQuery(vocab, q, facts)) {
-      answers.insert(std::move(tuple));
-    }
+    CollectAnswers(vocab, q, facts, answers);
   }
-  return {answers.begin(), answers.end()};
+  return answers.Sorted();
 }
 
 bool InsertMinimal(const Vocabulary& vocab, ConjunctiveQuery query,

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <unordered_set>
+#include <vector>
+
 #include "base/fact_set.h"
 #include "base/vocabulary.h"
 #include "hom/matcher.h"
 #include "hom/query_ops.h"
 #include "hom/structure_ops.h"
+#include "obs/metrics.h"
+#include "testing/generator.h"
 #include "tgd/parser.h"
 
 namespace frontiers {
@@ -122,6 +129,274 @@ TEST_F(HomTest, EnumerationVisitsAllMatches) {
   ConjunctiveQuery q = Query("q(x,y) :- E(x,y)");
   auto answers = EvaluateQuery(vocab_, q, facts);
   EXPECT_EQ(answers.size(), 3u);
+}
+
+TEST_F(HomTest, ProjectionTriesFewerCandidatesThanHomomorphisms) {
+  // A product: x's component has 3 distinct answers among 5 E atoms, and
+  // the answer-free F component has 4 matches, so there are 5 * 4 = 20
+  // homomorphisms.  Projection checks F once and then tries each E atom
+  // once: 1 + 5 candidates, and one complete match per check.
+  FactSet facts = Facts(
+      "E(A,B), E(A,D), E(B,D), E(D,A), E(D,B), "
+      "F(A,A), F(A,B), F(B,D), F(D,D)");
+  ConjunctiveQuery q = Query("q(x) :- E(x,y), F(z,w)");
+  std::unordered_set<TermId> vars;
+  for (TermId v : QueryVariables(vocab_, q)) vars.insert(v);
+  uint64_t homomorphisms = 0;
+  Matcher(vocab_, facts).ForEach(q.atoms, vars, {}, [&](const Substitution&) {
+    ++homomorphisms;
+    return true;
+  });
+  ASSERT_EQ(homomorphisms, 20u);
+
+  auto counter = [](const char* name) {
+    obs::MetricsSnapshot snapshot = obs::DefaultRegistry().Snapshot();
+    auto it = snapshot.counters.find(name);
+    return it == snapshot.counters.end() ? uint64_t{0} : it->second;
+  };
+  const uint64_t candidates_before = counter("frontiers.hom.candidates");
+  const uint64_t matches_before = counter("frontiers.hom.matches");
+  auto answers = EvaluateQuery(vocab_, q, facts);
+  const uint64_t candidates = counter("frontiers.hom.candidates") -
+                              candidates_before;
+  const uint64_t matches = counter("frontiers.hom.matches") - matches_before;
+  EXPECT_EQ(answers.size(), 3u);
+  EXPECT_LT(candidates, homomorphisms);
+  EXPECT_EQ(candidates, 6u);
+  EXPECT_EQ(matches, 1u + answers.size());
+}
+
+// ----------------------------------------------------- Enumeration order --
+
+// The search as it stood before patterns were compiled into slots, kept as
+// a test-only reference: substitutions in an unordered_map, fail-first
+// atom choice over the same access paths.  The chase stages applications
+// in the order Matcher::ForEach emits them, so ForEach must emit exactly
+// this sequence.
+struct ReferenceSearch {
+  const FactSet& target;
+  const std::vector<Atom>& pattern;
+  const std::unordered_set<TermId>& mappable;
+  Substitution sub;
+  std::vector<bool> done;
+  const std::function<bool(const Substitution&)>& callback;
+
+  PostingList CandidatesFor(size_t i) const {
+    const Atom& atom = pattern[i];
+    PostingList best;
+    bool constrained = false;
+    size_t size = SIZE_MAX;
+    for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
+      TermId t = atom.args[pos];
+      auto bound = sub.find(t);
+      TermId value;
+      if (bound != sub.end()) {
+        value = bound->second;
+      } else if (mappable.count(t) == 0) {
+        value = t;
+      } else {
+        continue;
+      }
+      PostingList list =
+          target.ByPredicatePositionTerm(atom.predicate, pos, value);
+      if (list.size() < size) {
+        size = list.size();
+        best = list;
+        constrained = true;
+      }
+    }
+    if (!constrained) {
+      const std::vector<uint32_t>& list = target.ByPredicate(atom.predicate);
+      best = PostingList(list.data(), list.size());
+    }
+    return best;
+  }
+
+  bool Solve() {
+    size_t best_atom = SIZE_MAX;
+    PostingList best_candidates;
+    size_t best_size = SIZE_MAX;
+    for (size_t i = 0; i < pattern.size(); ++i) {
+      if (done[i]) continue;
+      PostingList candidates = CandidatesFor(i);
+      if (candidates.size() < best_size) {
+        best_size = candidates.size();
+        best_candidates = candidates;
+        best_atom = i;
+        if (best_size == 0) break;
+      }
+    }
+    if (best_atom == SIZE_MAX) return callback(sub);
+    if (best_size == 0) return true;
+    done[best_atom] = true;
+    const Atom& atom = pattern[best_atom];
+    const ColumnarSegment* seg = target.Segment(atom.predicate);
+    const size_t arity = atom.args.size();
+    if (seg == nullptr || seg->arity() != arity) {
+      done[best_atom] = false;
+      return true;
+    }
+    std::vector<TermId> bound_here;
+    for (uint32_t idx : best_candidates) {
+      const uint32_t row = target.LocalRow(idx);
+      bound_here.clear();
+      bool ok = true;
+      for (size_t pos = 0; pos < arity && ok; ++pos) {
+        TermId p = atom.args[pos];
+        TermId f = seg->Term(row, static_cast<uint32_t>(pos));
+        auto it = sub.find(p);
+        if (it != sub.end()) {
+          ok = (it->second == f);
+        } else if (mappable.count(p) > 0) {
+          sub.emplace(p, f);
+          bound_here.push_back(p);
+        } else {
+          ok = (p == f);
+        }
+      }
+      if (ok && !Solve()) {
+        done[best_atom] = false;
+        for (TermId t : bound_here) sub.erase(t);
+        return false;
+      }
+      for (TermId t : bound_here) sub.erase(t);
+    }
+    done[best_atom] = false;
+    return true;
+  }
+};
+
+// The substitutions an enumeration emits, stopping after `limit`, and
+// whether it ran to completion.
+struct Emitted {
+  std::vector<Substitution> subs;
+  bool complete = false;
+};
+
+Emitted Enumerate(const FactSet& target, const std::vector<Atom>& pattern,
+                  const std::unordered_set<TermId>& mappable,
+                  const Substitution& initial, size_t limit, bool reference,
+                  const Vocabulary& vocab) {
+  Emitted out;
+  std::function<bool(const Substitution&)> callback =
+      [&](const Substitution& sub) {
+        out.subs.push_back(sub);
+        return out.subs.size() < limit;
+      };
+  if (reference) {
+    ReferenceSearch search{target,  pattern, mappable, initial,
+                           std::vector<bool>(pattern.size(), false),
+                           callback};
+    out.complete = search.Solve();
+  } else {
+    out.complete =
+        Matcher(vocab, target).ForEach(pattern, mappable, initial, callback);
+  }
+  return out;
+}
+
+std::unordered_set<TermId> PatternVariables(const Vocabulary& vocab,
+                                            const std::vector<Atom>& atoms) {
+  std::unordered_set<TermId> vars;
+  for (const Atom& atom : atoms) {
+    for (TermId t : atom.args) {
+      if (vocab.IsVariable(t)) vars.insert(t);
+    }
+  }
+  return vars;
+}
+
+TEST(MatcherOrderTest, ForEachEmitsTheReferenceSequence) {
+  size_t enumerations = 0;
+  size_t emitted = 0;
+  size_t seeded = 0;
+  size_t stopped = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Vocabulary vocab;
+    testing::TheoryGenOptions theory_options;
+    theory_options.theory_class = testing::kAllTheoryClasses[seed % 4];
+    theory_options.num_predicates = 3;
+    Theory theory = testing::GenerateTheory(vocab, seed, theory_options);
+    const std::vector<PredicateId> signature =
+        testing::TheorySignature(theory);
+    testing::InstanceGenOptions instance_options;
+    instance_options.num_constants = 5;
+    instance_options.num_facts = 40;
+    instance_options.hub_chance = seed % 3;
+    FactSet facts =
+        testing::GenerateInstance(vocab, signature, seed, instance_options);
+    ASSERT_FALSE(facts.empty());
+
+    // Rule bodies and generated CQ bodies, plus each with its first
+    // variable replaced by a domain constant (a rigid term).
+    std::vector<std::vector<Atom>> patterns;
+    for (const Tgd& rule : theory.rules) patterns.push_back(rule.body);
+    for (uint64_t k = 0; k < 4; ++k) {
+      patterns.push_back(
+          testing::GenerateQuery(vocab, signature, seed * 31 + k).atoms);
+    }
+    const size_t plain = patterns.size();
+    for (size_t i = 0; i < plain; ++i) {
+      std::unordered_set<TermId> vars = PatternVariables(vocab, patterns[i]);
+      if (vars.empty()) continue;
+      const TermId victim = *std::min_element(vars.begin(), vars.end());
+      const Substitution rigid = {
+          {victim, facts.Domain()[seed % facts.Domain().size()]}};
+      patterns.push_back(Apply(rigid, patterns[i]));
+    }
+
+    auto expect_same = [&](const std::vector<Atom>& pattern,
+                           const std::unordered_set<TermId>& mappable,
+                           const Substitution& initial, size_t limit) {
+      Emitted want =
+          Enumerate(facts, pattern, mappable, initial, limit, true, vocab);
+      Emitted got =
+          Enumerate(facts, pattern, mappable, initial, limit, false, vocab);
+      ++enumerations;
+      emitted += got.subs.size();
+      stopped += got.complete ? 0 : 1;
+      ASSERT_EQ(got.complete, want.complete) << "seed " << seed;
+      ASSERT_EQ(got.subs.size(), want.subs.size()) << "seed " << seed;
+      for (size_t m = 0; m < want.subs.size(); ++m) {
+        ASSERT_EQ(got.subs[m], want.subs[m])
+            << "seed " << seed << ", match " << m;
+      }
+    };
+
+    for (const std::vector<Atom>& pattern : patterns) {
+      const std::unordered_set<TermId> mappable =
+          PatternVariables(vocab, pattern);
+      // Full enumeration, and early stops after 1 and 3 matches.
+      for (size_t limit : {SIZE_MAX, size_t{1}, size_t{3}}) {
+        expect_same(pattern, mappable, {}, limit);
+      }
+      // The chase's delta-unit shape: one atom unified with a fact seeds
+      // `initial`, and the rest of the pattern is enumerated from there.
+      for (size_t p = 0; p < pattern.size(); ++p) {
+        std::vector<Atom> rest;
+        for (size_t k = 0; k < pattern.size(); ++k) {
+          if (k != p) rest.push_back(pattern[k]);
+        }
+        const std::vector<uint32_t>& facts_of_p =
+            facts.ByPredicate(pattern[p].predicate);
+        for (size_t f = 0; f < facts_of_p.size(); f += 3) {
+          Substitution initial;
+          if (!UnifyAtomWithFact(pattern[p], facts.atoms()[facts_of_p[f]],
+                                 mappable, initial)) {
+            continue;
+          }
+          ++seeded;
+          expect_same(rest, mappable, initial, SIZE_MAX);
+          expect_same(rest, mappable, initial, 2);
+        }
+      }
+    }
+  }
+  // The sweep must exercise every shape, not pass vacuously.
+  EXPECT_GT(enumerations, 1000u);
+  EXPECT_GT(emitted, 10000u);
+  EXPECT_GT(seeded, 300u);
+  EXPECT_GT(stopped, 100u);
 }
 
 // ----------------------------------------------------------- Containment --

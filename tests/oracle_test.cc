@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <set>
 
@@ -63,17 +64,32 @@ TEST_P(MatcherOracleTest, EvaluateQueryMatchesBruteForce) {
   uint64_t seed = GetParam();
   Vocabulary vocab;
   FactSet facts = RandomBinaryInstance(vocab, {"E", "F"}, 4, 6, seed);
+  // The second half are the shapes EvaluateQuery's projection treats
+  // specially: products, answer-free components (one without any match,
+  // over a predicate the instance lacks), repeated answer variables,
+  // answers at both ends of a chain, and a rigid constant `k` (replaced
+  // below by an instance constant).
   const char* queries[] = {
       "q(x) :- E(x,y)",          "q(x,y) :- E(x,y), F(y,x)",
       "q(x) :- E(x,x)",          "q(x,z) :- E(x,y), E(y,z)",
       "E(x,y), E(y,z), F(z,x)",  "q(y) :- E(x,y), E(z,y)",
+      "q(x) :- E(x,y), F(z,w)",  "E(x,y), F(z,w), F(w,z)",
+      "q(x) :- E(x,y), G(z,w)",  "q(x,x) :- E(x,y), F(y,x)",
+      "q(x,w) :- E(x,y), F(y,z), E(z,w)",
+      "q(x) :- E(x,k), F(k,y)",  "q(x,y) :- E(x,k), F(y,z)",
   };
+  const Substitution rigid = {
+      {vocab.Variable("k"), facts.Domain()[seed % facts.Domain().size()]}};
   for (const char* text : queries) {
-    Result<ConjunctiveQuery> query = ParseQuery(vocab, text);
-    ASSERT_TRUE(query.ok()) << text;
-    auto fast = EvaluateQuery(vocab, query.value(), facts);
+    Result<ConjunctiveQuery> parsed = ParseQuery(vocab, text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    ConjunctiveQuery query = parsed.value();
+    query.atoms = Apply(rigid, query.atoms);
+    auto fast = EvaluateQuery(vocab, query, facts);
     std::set<std::vector<TermId>> fast_set(fast.begin(), fast.end());
-    auto slow = BruteForceAnswers(vocab, query.value(), facts);
+    EXPECT_EQ(fast.size(), fast_set.size()) << text << " seed " << seed;
+    EXPECT_TRUE(std::is_sorted(fast.begin(), fast.end()));
+    auto slow = BruteForceAnswers(vocab, query, facts);
     EXPECT_EQ(fast_set, slow) << text << " seed " << seed;
   }
 }

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "base/vocabulary.h"
+#include "hom/query_ops.h"
 #include "gaifman/dot.h"
 #include "rewriting/ucq.h"
 #include "tgd/parser.h"
@@ -44,6 +48,23 @@ TEST_F(UcqTest, EvaluateUnionsAnswers) {
   FactSet db = Facts("E(A,B), F(C,D)");
   auto answers = EvaluateUcq(vocab_, ucq, db);
   ASSERT_EQ(answers.size(), 2u);
+}
+
+TEST_F(UcqTest, EvaluateMergesOverlappingDisjunctsSortedAndDistinct) {
+  Ucq ucq;
+  ucq.disjuncts = {Query("q(x,y) :- E(x,y)"), Query("q(x,y) :- F(x,y)"),
+                   Query("q(x,y) :- E(y,x)"), Query("q(x,x) :- F(x,z)")};
+  FactSet db = Facts("E(B,A), E(A,C), F(A,C), F(C,C), F(D,A)");
+  std::set<std::vector<TermId>> expected;
+  for (const ConjunctiveQuery& q : ucq.disjuncts) {
+    for (const std::vector<TermId>& tuple : EvaluateQuery(vocab_, q, db)) {
+      expected.insert(tuple);
+    }
+  }
+  auto answers = EvaluateUcq(vocab_, ucq, db);
+  EXPECT_EQ(answers, std::vector<std::vector<TermId>>(expected.begin(),
+                                                       expected.end()));
+  EXPECT_EQ(answers.size(), 8u);
 }
 
 TEST_F(UcqTest, InsertMinimalDropsSubsumed) {
