@@ -59,7 +59,7 @@ TermId Vocabulary::Constant(std::string_view name) {
   TermId id = static_cast<TermId>(terms_.size());
   TermData data;
   data.kind = TermKind::kConstant;
-  data.name_index = static_cast<uint32_t>(names_.size());
+  data.index = static_cast<uint32_t>(names_.size());
   names_.emplace_back(name);
   terms_.push_back(std::move(data));
   constant_index_.emplace(std::string(name), id);
@@ -72,7 +72,7 @@ TermId Vocabulary::Variable(std::string_view name) {
   TermId id = static_cast<TermId>(terms_.size());
   TermData data;
   data.kind = TermKind::kVariable;
-  data.name_index = static_cast<uint32_t>(names_.size());
+  data.index = static_cast<uint32_t>(names_.size());
   names_.emplace_back(name);
   terms_.push_back(std::move(data));
   variable_index_.emplace(std::string(name), id);
@@ -95,21 +95,31 @@ TermId Vocabulary::SkolemTerm(SkolemFnId fn, const std::vector<TermId>& args) {
       "Skolem term arity mismatch for function " + skolem_fns_[fn].signature +
           ": got " + std::to_string(args.size()) + " arguments, expected " +
           std::to_string(skolem_fns_[fn].arity));
+  return InternSkolem(fn, args);
+}
+
+TermId Vocabulary::InternSkolem(SkolemFnId fn, std::span<const TermId> args) {
   uint64_t hash = HashIdSpan(fn, args.data(), args.size());
   TermId next = static_cast<TermId>(terms_.size());
   TermId id = skolem_term_index_.FindOrInsert(hash, next, [&](TermId t) {
-    return SkolemTermEquals(t, fn, args);
+    const TermData& data = terms_[t];
+    return data.kind == TermKind::kSkolem && data.fn == fn &&
+           SkolemArgsEqual(t, args);
   });
   if (id != next) return id;
+  uint32_t depth = 0;
+  for (TermId a : args) depth = std::max(depth, terms_[a].depth);
   TermData data;
   data.kind = TermKind::kSkolem;
   data.fn = fn;
-  data.args = args;
-  uint32_t depth = 0;
-  for (TermId a : args) depth = std::max(depth, terms_[a].depth);
+  data.index = static_cast<uint32_t>(skolem_args_.size());
   data.depth = depth + 1;
-  terms_.push_back(std::move(data));
-  term_args_bytes_ += static_cast<uint64_t>(args.size()) * sizeof(TermId);
+  // Growing the arena would invalidate a `SkolemArgs` span passed back in;
+  // `SkolemRow` copies such spans out before calling here.
+  FRONTIERS_CHECK(!AliasesSkolemArgs(args),
+                  "InternSkolem: args point into the Skolem argument arena");
+  skolem_args_.insert(skolem_args_.end(), args.begin(), args.end());
+  terms_.push_back(data);
   return id;
 }
 
@@ -132,19 +142,19 @@ uint32_t Vocabulary::SkolemBlock(const std::vector<SkolemFnId>& fns) {
 }
 
 const TermId* Vocabulary::SkolemRow(uint32_t block,
-                                    const std::vector<TermId>& args) {
+                                    std::span<const TermId> args) {
   const SkolemBlockData& data = skolem_blocks_[block];
   FRONTIERS_CHECK(data.arity == args.size(),
                   "Skolem row arity mismatch for block");
   // One probe keyed by (block, args).  Rows of the same block share the
   // argument tuple across all their terms, so equality checks the block id
-  // and the first term's argument vector.
+  // and the first term's arguments.
   uint64_t hash = HashIdSpan(block, args.data(), args.size());
   uint32_t next = static_cast<uint32_t>(skolem_rows_.size());
   uint32_t row = skolem_row_index_.FindOrInsert(hash, next, [&](uint32_t r) {
     const SkolemRowData& existing = skolem_rows_[r];
     return existing.block == block &&
-           terms_[skolem_row_terms_[existing.terms_offset]].args == args;
+           SkolemArgsEqual(skolem_row_terms_[existing.terms_offset], args);
   });
   if (row != next) {
     return skolem_row_terms_.data() + skolem_rows_[row].terms_offset;
@@ -152,17 +162,24 @@ const TermId* Vocabulary::SkolemRow(uint32_t block,
   // Miss: intern each null through the per-term hash-consing table, so the
   // row agrees with any prior `SkolemTerm` calls (isomorphic heads in
   // other rules may already have created some of these terms).
+  // Every `InternSkolem` below may grow `skolem_args_`, so a `SkolemArgs`
+  // span into it is copied out first.
+  std::vector<TermId> own_args;
+  if (AliasesSkolemArgs(args)) {
+    own_args.assign(args.begin(), args.end());
+    args = own_args;
+  }
   uint32_t offset = static_cast<uint32_t>(skolem_row_terms_.size());
   const SkolemFnId* fns = skolem_block_fns_.data() + data.fns_offset;
   for (uint32_t i = 0; i < data.size; ++i) {
-    skolem_row_terms_.push_back(SkolemTerm(fns[i], args));
+    skolem_row_terms_.push_back(InternSkolem(fns[i], args));
   }
   skolem_rows_.push_back({block, offset});
   return skolem_row_terms_.data() + offset;
 }
 
-const TermId* Vocabulary::FindSkolemRow(uint32_t block,
-                                        const std::vector<TermId>& args) const {
+const TermId* Vocabulary::FindSkolemRow(
+    uint32_t block, std::span<const TermId> args) const {
   const SkolemBlockData& data = skolem_blocks_[block];
   FRONTIERS_CHECK(data.arity == args.size(),
                   "Skolem row arity mismatch for block");
@@ -170,7 +187,7 @@ const TermId* Vocabulary::FindSkolemRow(uint32_t block,
   uint32_t row = skolem_row_index_.Find(hash, [&](uint32_t r) {
     const SkolemRowData& existing = skolem_rows_[r];
     return existing.block == block &&
-           terms_[skolem_row_terms_[existing.terms_offset]].args == args;
+           SkolemArgsEqual(skolem_row_terms_[existing.terms_offset], args);
   });
   if (row == IdHashSet::kNotFound) return nullptr;
   return skolem_row_terms_.data() + skolem_rows_[row].terms_offset;
@@ -194,7 +211,7 @@ SkolemFnId Vocabulary::SkolemFunction(std::string_view signature,
 }
 
 const std::string& Vocabulary::TermName(TermId t) const {
-  return names_[terms_[t].name_index];
+  return names_[terms_[t].index];
 }
 
 void Vocabulary::AccountHeap(MemTotals& totals, MemAccounting mode) const {
@@ -227,7 +244,8 @@ void Vocabulary::AccountHeap(MemTotals& totals, MemAccounting mode) const {
   totals.Add(MemComponent::kVocabTerms, terms);
 
   uint64_t skolem =
-      term_args_bytes_ + skolem_term_index_.HeapBytes(mode) +
+      VectorHeapBytes(skolem_args_, mode) +
+      skolem_term_index_.HeapBytes(mode) +
       VectorHeapBytes(skolem_fns_, mode) +
       strings(skolem_fns_, [](const SkolemFnData& f) -> const std::string& {
         return f.signature;
@@ -258,12 +276,13 @@ std::string Vocabulary::TermToString(TermId t) const {
   switch (data.kind) {
     case TermKind::kConstant:
     case TermKind::kVariable:
-      return names_[data.name_index];
+      return names_[data.index];
     case TermKind::kSkolem: {
       std::string out = "f" + std::to_string(data.fn) + "(";
-      for (size_t i = 0; i < data.args.size(); ++i) {
+      const std::span<const TermId> args = SkolemArgs(t);
+      for (size_t i = 0; i < args.size(); ++i) {
         if (i > 0) out += ",";
-        out += TermToString(data.args[i]);
+        out += TermToString(args[i]);
       }
       out += ")";
       return out;

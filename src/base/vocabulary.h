@@ -2,7 +2,9 @@
 #define FRONTIERS_BASE_VOCABULARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -139,7 +141,7 @@ class Vocabulary {
   /// `f_i` of `block`, with one probe on the hit path.  Returns a pointer
   /// to `SkolemBlockSize(block)` TermIds, valid until the next mutating
   /// call on this vocabulary — copy out what you need.
-  const TermId* SkolemRow(uint32_t block, const std::vector<TermId>& args);
+  const TermId* SkolemRow(uint32_t block, std::span<const TermId> args);
 
   /// Pure lookup twin of `SkolemRow`: returns the interned row, or nullptr
   /// if `(block, args)` was never interned.  Const, so safe to call
@@ -148,7 +150,7 @@ class Vocabulary {
   /// misses to per-thread arenas resolved by a serial renumbering pass
   /// (DESIGN.md §5, "Sharded commit pipeline").
   const TermId* FindSkolemRow(uint32_t block,
-                              const std::vector<TermId>& args) const;
+                              std::span<const TermId> args) const;
 
   /// Kind of a term.
   TermKind Kind(TermId t) const { return terms_[t].kind; }
@@ -166,9 +168,12 @@ class Vocabulary {
   /// Function symbol of a Skolem term.
   SkolemFnId SkolemFn(TermId t) const { return terms_[t].fn; }
 
-  /// Arguments of a Skolem term.
-  const std::vector<TermId>& SkolemArgs(TermId t) const {
-    return terms_[t].args;
+  /// Arguments of a Skolem term: `SkolemFnArity(SkolemFn(t))` TermIds in
+  /// the shared argument arena, valid until the next Skolem term is
+  /// interned — copy out what you keep across mutating calls.
+  std::span<const TermId> SkolemArgs(TermId t) const {
+    const TermData& data = terms_[t];
+    return {skolem_args_.data() + data.index, skolem_fns_[data.fn].arity};
   }
 
   /// Canonical signature string of a Skolem function symbol.
@@ -197,18 +202,19 @@ class Vocabulary {
 
   /// Adds the vocabulary's heap footprint into `totals`: the term table,
   /// names and name indexes under kVocabTerms, and everything the chase's
-  /// Skolem interning grows — argument vectors, hash-consing tables,
+  /// Skolem interning grows — the argument arena, hash-consing tables,
   /// blocks, rows — under kVocabSkolem.  O(predicates + named terms +
   /// skolem fns/blocks), i.e. independent of the number of Skolem terms
-  /// (their argument bytes are carried by an exact running counter).
+  /// (all their arguments live in one arena vector).
   void AccountHeap(MemTotals& totals, MemAccounting mode) const;
 
  private:
   struct TermData {
     TermKind kind;
-    uint32_t name_index = 0;  // for constants/variables: index into names_
-    SkolemFnId fn = 0;        // for Skolem terms
-    std::vector<TermId> args;
+    // Constants/variables: index into names_.  Skolem terms: offset of the
+    // arguments in skolem_args_ (their count is the function's arity).
+    uint32_t index = 0;
+    SkolemFnId fn = 0;  // for Skolem terms
     uint32_t depth = 0;
   };
   struct PredicateData {
@@ -229,12 +235,24 @@ class Vocabulary {
     uint32_t terms_offset;  // into skolem_row_terms_
   };
 
-  /// True if term `t` is the Skolem term `fn(args...)`.
-  bool SkolemTermEquals(TermId t, SkolemFnId fn,
-                        const std::vector<TermId>& args) const {
-    const TermData& data = terms_[t];
-    return data.kind == TermKind::kSkolem && data.fn == fn &&
-           data.args == args;
+  /// Interns `fn(args...)`; `SkolemTerm` and `SkolemRow` share it.
+  TermId InternSkolem(SkolemFnId fn, std::span<const TermId> args);
+
+  /// True iff `args` points into `skolem_args_` (e.g. a `SkolemArgs` span),
+  /// so appending to the arena could invalidate it.
+  bool AliasesSkolemArgs(std::span<const TermId> args) const {
+    std::less<const TermId*> before;
+    const TermId* begin = skolem_args_.data();
+    return !args.empty() && !before(args.data(), begin) &&
+           before(args.data(), begin + skolem_args_.size());
+  }
+  /// True if the arguments of Skolem term `t` are `args`.
+  bool SkolemArgsEqual(TermId t, std::span<const TermId> args) const {
+    const TermId* own = skolem_args_.data() + terms_[t].index;
+    for (size_t i = 0; i < args.size(); ++i) {
+      if (own[i] != args[i]) return false;
+    }
+    return true;
   }
 
   std::vector<PredicateData> predicates_;
@@ -242,6 +260,8 @@ class Vocabulary {
 
   std::vector<TermData> terms_;
   std::vector<std::string> names_;
+  // Arguments of every Skolem term, back to back in interning order.
+  std::vector<TermId> skolem_args_;
   std::unordered_map<std::string, TermId> constant_index_;
   std::unordered_map<std::string, TermId> variable_index_;
 
@@ -260,10 +280,6 @@ class Vocabulary {
   IdHashSet skolem_row_index_;
 
   uint64_t fresh_counter_ = 0;
-  // Exact heap bytes of all interned terms' argument vectors.  Every
-  // construction path copy-allocates the exact arity, so capacity == size
-  // and one running counter serves both accounting modes.
-  uint64_t term_args_bytes_ = 0;
 };
 
 }  // namespace frontiers

@@ -135,18 +135,11 @@ struct ChaseMetrics {
 // Every owning container self-reports exact bytes from its own bookkeeping
 // (base/mem_ledger.h); the chase rolls them up at round boundaries.  Two
 // components live outside FactSet/Vocabulary and are accounted here: the
-// frontier memo (seen_applications) and provenance.  Their *inner* heap —
-// memo key characters, Derivation::parents vectors — is carried by running
-// counters in RunState (a walk per boundary would be O(atoms)); the walks
-// below recompute them from scratch for Resume initialization and for the
-// debug-build incremental-vs-recomputed assert.
-
-uint64_t MemoKeyBytes(const std::unordered_set<std::string>& seen,
-                      MemAccounting mode) {
-  uint64_t sum = 0;
-  for (const std::string& key : seen) sum += StringHeapBytes(key, mode);
-  return sum;
-}
+// frontier memo (seen_applications), which reports its own bytes, and
+// provenance.  Provenance's *inner* heap — Derivation::parents vectors — is
+// carried by running counters in RunState (a walk per boundary would be
+// O(atoms)); the walk below recomputes it from scratch for Resume
+// initialization and for the debug-build incremental-vs-recomputed assert.
 
 uint64_t ProvInnerBytes(const ChaseResult& result, MemAccounting mode) {
   uint64_t sum = 0;
@@ -160,22 +153,17 @@ uint64_t ProvInnerBytes(const ChaseResult& result, MemAccounting mode) {
   return sum;
 }
 
-// Full ledger of a chase state, with the memo/provenance inner bytes
-// supplied by the caller (either the incremental counters or the walks
-// above).  Everything except kScratch, which belongs to an engine's
-// in-flight round.
+// Full ledger of a chase state, with the provenance inner bytes supplied
+// by the caller (either the incremental counters or the walk above).
+// Everything except kScratch, which belongs to an engine's in-flight round.
 MemTotals ChaseMemTotalsFromParts(const ChaseResult& result,
                                   const Vocabulary& vocab, MemAccounting mode,
-                                  uint64_t memo_key_bytes,
                                   uint64_t prov_inner_bytes) {
   MemTotals totals;
   result.facts.AccountHeap(totals, mode);
   vocab.AccountHeap(totals, mode);
   totals.Add(MemComponent::kFrontierMemo,
-             memo_key_bytes +
-                 UnorderedOverheadBytes(result.seen_applications.bucket_count(),
-                                        result.seen_applications.size(),
-                                        sizeof(std::string), mode));
+             result.seen_applications.HeapBytes(mode));
   totals.Add(
       MemComponent::kProvenance,
       prov_inner_bytes + VectorHeapBytes(result.depth, mode) +
@@ -200,7 +188,6 @@ MemTotals ChaseMemTotalsFromParts(const ChaseResult& result,
 MemTotals ComputeChaseMemTotals(const ChaseResult& result,
                                 const Vocabulary& vocab, MemAccounting mode) {
   return ChaseMemTotalsFromParts(result, vocab, mode,
-                                 MemoKeyBytes(result.seen_applications, mode),
                                  ProvInnerBytes(result, mode));
 }
 
@@ -565,8 +552,7 @@ ChaseEngine::ChaseEngine(Vocabulary& vocab, const Theory& theory)
   }
 }
 
-void ChaseEngine::ExpandHead(size_t rule_index,
-                             const std::vector<TermId>& bindings,
+void ChaseEngine::ExpandHead(size_t rule_index, const TermId* bindings,
                              std::vector<TermId>& fn_args_scratch,
                              RowBlock* out) const {
   const CommitLayout& layout = commit_layouts_[rule_index];
@@ -584,8 +570,7 @@ void ChaseEngine::ExpandHead(size_t rule_index,
   AppendHeadRows(rule_index, bindings, nulls, out);
 }
 
-void ChaseEngine::AppendHeadRows(size_t rule_index,
-                                 const std::vector<TermId>& bindings,
+void ChaseEngine::AppendHeadRows(size_t rule_index, const TermId* bindings,
                                  const TermId* nulls, RowBlock* out) const {
   const CommitLayout& layout = commit_layouts_[rule_index];
   for (const HeadAtomLayout& atom_layout : layout.head) {
@@ -650,43 +635,26 @@ std::vector<Atom> ChaseEngine::ApplyRule(size_t rule_index,
 
 namespace {
 
-// A staged rule application produced while scanning one round.  The head is
-// *not* yet instantiated: committing interns Skolem terms in the shared
-// Vocabulary, so it is deferred to the single-threaded commit phase (see
-// DESIGN.md, "Parallel round pipeline").  The match substitution is
-// projected onto the rule's head-universal variables (`commit_vars`) — a
-// flat tuple instead of a hash map — which is all the commit phase needs:
-// it serves the frontier key, the Skolem arguments, the head expansion,
-// and the restricted recheck.
-struct StagedApplication {
-  size_t rule_index;
+// The rule applications staged while scanning one round — per match unit,
+// then merged into one round-wide set.  The head is *not* yet instantiated:
+// committing interns Skolem terms in the shared Vocabulary, so it is
+// deferred to the single-threaded commit phase (see DESIGN.md, "Parallel
+// round pipeline").  The match substitution is projected onto the rule's
+// head-universal variables (`commit_vars`), which is all the commit phase
+// needs: the frontier memo entry, the Skolem arguments, the head expansion
+// and the restricted recheck.  Each application is three words; its
+// binding tuple and (with provenance) its body-atom parents live in two
+// flat arenas, so staging allocates nothing per application.
+struct StagedApplications {
+  struct App {
+    uint32_t rule_index;
+    uint32_t bindings;  // offset of the commit_vars values in `bindings`
+    uint32_t parents;   // offset of the body-atom indices in `parents`
+  };
+  std::vector<App> apps;
   std::vector<TermId> bindings;
   std::vector<uint32_t> parents;
-  // Identity of the application under semi-oblivious naming: the rule plus
-  // the binding tuple (equal keys produce identical head atoms).  Built in
-  // the parallel phase; the commit phase keeps only the first application
-  // per key.  Empty when dedup is off.
-  std::string frontier_key;
 };
-
-// Byte estimate of one staged application, for the mid-round budget check.
-size_t ApproxStagedBytes(const StagedApplication& app) {
-  return 96 + 8 * app.bindings.size() + 4 * app.parents.size() +
-         app.frontier_key.size();
-}
-
-// Encodes (rule, head-universal binding tuple) as raw bytes; byte-for-byte
-// the same encoding the sigma-projecting version produced, so snapshots
-// with `seen_applications` sets interoperate across engine versions.
-std::string FrontierKey(size_t rule_index,
-                        const std::vector<TermId>& bindings) {
-  std::string key;
-  key.reserve(sizeof(rule_index) + sizeof(TermId) * bindings.size());
-  key.append(reinterpret_cast<const char*>(&rule_index), sizeof(rule_index));
-  key.append(reinterpret_cast<const char*>(bindings.data()),
-             sizeof(TermId) * bindings.size());
-  return key;
-}
 
 // One unit of match-enumeration work.  Units are planned in the sequential
 // engine's staging order; concatenating their buffers in unit order
@@ -710,7 +678,7 @@ struct MatchUnit {
 
 // Output of one MatchUnit, written by exactly one worker.
 struct UnitBuffer {
-  std::vector<StagedApplication> staged;
+  StagedApplications staged;
   uint64_t matches = 0;
   // Wall time this unit's enumeration took, for the round's work/span
   // accounting (units are the match phase's parallel tasks).  Disjoint
@@ -735,13 +703,9 @@ struct ChaseEngine::RunState {
   // Capacity-mode high-water over all round boundaries of the *logical*
   // run (restored from the snapshot on resume).
   uint64_t peak_bytes = 0;
-  // Incremental inner-heap counters for the two chase-owned components,
-  // kept exactly in sync with seen_applications / the derivation vectors
-  // (asserted against full walks at every boundary in debug builds).  The
-  // memo counters need both modes: libstdc++ string reserve may round a
-  // key's capacity up, so capacity and content diverge for some keys.
-  uint64_t memo_key_capacity = 0;
-  uint64_t memo_key_content = 0;
+  // Incremental inner heap of the provenance component, kept exactly in
+  // sync with the derivation vectors (asserted against a full walk at
+  // every boundary in debug builds).
   uint64_t prov_inner_capacity = 0;
   uint64_t prov_inner_content = 0;
 };
@@ -838,24 +802,20 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
     result.birth_atom.emplace(term, atom);
   }
   for (const std::string& key : snapshot.seen_applications) {
-    result.seen_applications.insert(key);
+    result.seen_applications.InsertKey(key);
   }
   result.stats.rounds = snapshot.round_stats;
   result.stats.total_seconds = snapshot.total_seconds;
   state.round = snapshot.next_round;
 
-  // Rebuild the incremental ledger counters from the reconstructed state
-  // with one walk each (kept in sync incrementally from here on), and
+  // Rebuild the incremental provenance counters from the reconstructed
+  // state with one walk each (kept in sync incrementally from here on), and
   // restore the logical run's capacity high-water mark from the snapshot.
-  state.memo_key_capacity =
-      MemoKeyBytes(result.seen_applications, MemAccounting::kCapacity);
-  state.memo_key_content =
-      MemoKeyBytes(result.seen_applications, MemAccounting::kContent);
   state.prov_inner_capacity = ProvInnerBytes(result, MemAccounting::kCapacity);
   state.prov_inner_content = ProvInnerBytes(result, MemAccounting::kContent);
   state.live_bytes =
       ChaseMemTotalsFromParts(result, vocab_, MemAccounting::kContent,
-                              state.memo_key_content, state.prov_inner_content)
+                              state.prov_inner_content)
           .TrackedTotal();
   state.peak_bytes = snapshot.peak_bytes;
   // Content-mode accounting is a pure function of logical state, so the
@@ -875,7 +835,6 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
     result.approx_bytes = state.live_bytes;
     const uint64_t cap_total =
         ChaseMemTotalsFromParts(result, vocab_, MemAccounting::kCapacity,
-                                state.memo_key_capacity,
                                 state.prov_inner_capacity)
             .TrackedTotal();
     result.peak_bytes = std::max(state.peak_bytes, cap_total);
@@ -971,17 +930,16 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
   // ledger modes from the containers' own bookkeeping: the content total
   // becomes `live_bytes` (the byte-budget quantity — thread- and
   // resume-invariant), the capacity total feeds the peak, the
-  // `frontiers.mem.*` gauges, and the frontiers-mem-v1 stream.  The memo
-  // and provenance inner bytes come from RunState's incremental counters;
-  // debug builds assert them against full walks here (the incremental ==
+  // `frontiers.mem.*` gauges, and the frontiers-mem-v1 stream.  The
+  // provenance inner bytes come from RunState's incremental counters;
+  // debug builds assert them against a full walk here (the incremental ==
   // recomputed contract of DESIGN.md §9).
   const uint64_t mem_run =
       obs::memhooks::MemEnabled() ? obs::memhooks::BeginMemRun() : 0;
   auto account_boundary = [&](uint32_t completed_rounds,
                               bool emit_stream) -> MemTotals {
     MemTotals cap = ChaseMemTotalsFromParts(
-        result, vocab_, MemAccounting::kCapacity, state.memo_key_capacity,
-        state.prov_inner_capacity);
+        result, vocab_, MemAccounting::kCapacity, state.prov_inner_capacity);
     // The chase's own persistent scratch, on top of FactSet's batch
     // scratch (already under kScratch): thread-dependent, diagnostic only.
     cap.Add(MemComponent::kScratch,
@@ -992,8 +950,7 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
                 VectorHeapBytes(delta_atoms, MemAccounting::kCapacity) +
                 VectorHeapBytes(delta_terms, MemAccounting::kCapacity));
     const MemTotals con = ChaseMemTotalsFromParts(
-        result, vocab_, MemAccounting::kContent, state.memo_key_content,
-        state.prov_inner_content);
+        result, vocab_, MemAccounting::kContent, state.prov_inner_content);
     state.live_bytes = con.TrackedTotal();
     const uint64_t tracked = cap.TrackedTotal();
     if (tracked > state.peak_bytes) state.peak_bytes = tracked;
@@ -1345,13 +1302,15 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
             !options.filter(unit.rule_index, sigma, result.facts)) {
           return true;
         }
-        StagedApplication app;
-        app.rule_index = unit.rule_index;
+        StagedApplications& staged = out.staged;
+        const StagedApplications::App app = {
+            static_cast<uint32_t>(unit.rule_index),
+            static_cast<uint32_t>(staged.bindings.size()),
+            static_cast<uint32_t>(staged.parents.size())};
         // Project sigma onto the head-universal tuple once; everything the
-        // commit phase needs is derived from this flat vector.
-        app.bindings.reserve(layout.commit_vars.size());
+        // commit phase needs is derived from this flat tuple.
         for (TermId v : layout.commit_vars) {
-          app.bindings.push_back(Apply(sigma, v));
+          staged.bindings.push_back(Apply(sigma, v));
         }
         if (options.variant == ChaseVariant::kRestricted) {
           // Fire only when the head is not already witnessed in the stage;
@@ -1359,15 +1318,16 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
           // round can preempt later ones (the sequential-chase behaviour).
           Substitution head_initial;
           for (size_t i = 0; i < layout.commit_vars.size(); ++i) {
-            head_initial.emplace(layout.commit_vars[i], app.bindings[i]);
+            head_initial.emplace(layout.commit_vars[i],
+                                 staged.bindings[app.bindings + i]);
           }
           if (matcher.Exists(rule.head, head_existentials_[unit.rule_index],
                              head_initial)) {
+            staged.bindings.resize(app.bindings);
             return true;
           }
         }
         if (provenance) {
-          app.parents.reserve(rule.body.size());
           for (const Atom& body_atom : rule.body) {
             Atom instantiated = Apply(sigma, body_atom);
             std::optional<uint32_t> idx = result.facts.IndexOf(instantiated);
@@ -1380,17 +1340,23 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
                               "' not found in the stage while recording "
                               "provenance");
             }
-            app.parents.push_back(*idx);
+            staged.parents.push_back(*idx);
           }
         }
-        if (!options.record_all_derivations) {
-          app.frontier_key = FrontierKey(unit.rule_index, app.bindings);
-        }
         if (governed) {
-          staged_bytes.fetch_add(ApproxStagedBytes(app),
-                                 std::memory_order_relaxed);
+          // Byte estimate of one staged application, for the mid-round
+          // budget check: a fixed per-application charge, the binding and
+          // parent tuples, and the memo key in its `FrontierMemo::Key`
+          // encoding when dedup is on.
+          const size_t n = layout.commit_vars.size();
+          const size_t key_bytes =
+              options.record_all_derivations ? 0 : 8 + 4 * n;
+          staged_bytes.fetch_add(
+              96 + 8 * n + 4 * (staged.parents.size() - app.parents) +
+                  key_bytes,
+              std::memory_order_relaxed);
         }
-        out.staged.push_back(std::move(app));
+        staged.apps.push_back(app);
         return true;
       };
 
@@ -1521,20 +1487,46 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
     // Merge per-unit buffers in unit order: this is exactly the order the
     // one-thread engine stages in, so everything downstream (commit order,
     // atom indices, depths, provenance) is thread-count independent.
+    // The first staging unit's buffer is moved in; every later one is
+    // appended with its arena offsets rebased.
     phase_span.emplace("chase.merge", "chase");
-    std::vector<StagedApplication> staged;
-    size_t total_staged = 0;
+    StagedApplications staged;
+    size_t total_apps = 0;
+    size_t total_bindings = 0;
+    size_t total_parents = 0;
     for (const UnitBuffer& buffer : buffers) {
-      total_staged += buffer.staged.size();
       round_stats.matches += buffer.matches;
+      total_apps += buffer.staged.apps.size();
+      total_bindings += buffer.staged.bindings.size();
+      total_parents += buffer.staged.parents.size();
     }
-    staged.reserve(total_staged);
+    FRONTIERS_CHECK(total_bindings < UINT32_MAX && total_parents < UINT32_MAX,
+                    "chase: one round staged more than 2^32 arena words");
     for (UnitBuffer& buffer : buffers) {
-      for (StagedApplication& app : buffer.staged) {
-        staged.push_back(std::move(app));
+      if (buffer.staged.apps.empty()) continue;
+      if (staged.apps.empty()) {
+        staged = std::move(buffer.staged);
+        staged.apps.reserve(total_apps);
+        staged.bindings.reserve(total_bindings);
+        staged.parents.reserve(total_parents);
+        continue;
       }
+      const uint32_t binding_base =
+          static_cast<uint32_t>(staged.bindings.size());
+      const uint32_t parent_base = static_cast<uint32_t>(staged.parents.size());
+      for (const StagedApplications::App& app : buffer.staged.apps) {
+        staged.apps.push_back({app.rule_index, app.bindings + binding_base,
+                               app.parents + parent_base});
+      }
+      staged.bindings.insert(staged.bindings.end(),
+                             buffer.staged.bindings.begin(),
+                             buffer.staged.bindings.end());
+      staged.parents.insert(staged.parents.end(),
+                            buffer.staged.parents.begin(),
+                            buffer.staged.parents.end());
     }
-    round_stats.staged = staged.size();
+    buffers.clear();
+    round_stats.staged = staged.apps.size();
     round_stats.match_seconds = Seconds(Clock::now() - match_start);
 
     // ---- Commit the round (sequential) ----------------------------------
@@ -1558,8 +1550,8 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
       // may witness an existential head and preempt a fresh term - the
       // standard restricted-chase preference that lets e.g. symmetry
       // rules terminate successor rules.
-      std::stable_partition(staged.begin(), staged.end(),
-                            [this](const StagedApplication& app) {
+      std::stable_partition(staged.apps.begin(), staged.apps.end(),
+                            [this](const StagedApplications::App& app) {
                               return IsDatalogRule(
                                   theory_.rules[app.rule_index]);
                             });
@@ -1571,9 +1563,18 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
     // Bookkeeping for one head row's insert outcome — depth, delta,
     // provenance, births — shared by the bulk (semi-oblivious) and
     // per-application (restricted) commit paths.
-    auto record_row = [&](const StagedApplication& app, size_t head_atom,
+    auto record_row = [&](const StagedApplications::App& app, size_t head_atom,
                           FactSet::InsertOutcome out, const TermId* terms,
                           uint32_t arity) {
+      // The application's body-atom parents (empty without provenance).
+      const uint32_t* parents = staged.parents.data() + app.parents;
+      const size_t parent_count =
+          provenance ? theory_.rules[app.rule_index].body.size() : 0;
+      auto derivation = [&] {
+        return Derivation{app.rule_index,
+                          std::vector<uint32_t>(parents,
+                                                parents + parent_count)};
+      };
       if (out.inserted) {
         ++round_stats.atoms_inserted;
         result.depth.push_back(round + 1);
@@ -1582,15 +1583,14 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
         // vector at exactly its size, so one figure serves both ledger
         // modes (the row/store bytes are recomputed at the boundary).
         const uint64_t parent_bytes =
-            static_cast<uint64_t>(app.parents.size()) * sizeof(uint32_t);
+            static_cast<uint64_t>(parent_count) * sizeof(uint32_t);
         if (provenance) {
-          Derivation d{app.rule_index, app.parents};
           state.prov_inner_capacity += parent_bytes;
           state.prov_inner_content += parent_bytes;
-          result.first_derivation.push_back(std::move(d));
+          result.first_derivation.push_back(derivation());
         }
         if (options.record_all_derivations) {
-          Derivation d{app.rule_index, app.parents};
+          Derivation d = derivation();
           // The init-list push below copies `d` into a fresh inner vector
           // of size == capacity == 1.
           state.prov_inner_capacity += sizeof(Derivation) + parent_bytes;
@@ -1606,21 +1606,21 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
           }
         }
       } else if (options.record_all_derivations) {
-        Derivation d{app.rule_index, app.parents};
         std::vector<Derivation>& list = result.all_derivations[out.index];
         bool duplicate = false;
         for (const Derivation& existing : list) {
-          if (existing.rule_index == d.rule_index &&
-              existing.parents == d.parents) {
+          if (existing.rule_index == app.rule_index &&
+              std::equal(existing.parents.begin(), existing.parents.end(),
+                         parents, parents + parent_count)) {
             duplicate = true;
             break;
           }
         }
         if (!duplicate) {
           const uint64_t parent_bytes =
-              static_cast<uint64_t>(d.parents.size()) * sizeof(uint32_t);
+              static_cast<uint64_t>(parent_count) * sizeof(uint32_t);
           const size_t cap_before = list.capacity();
-          list.push_back(std::move(d));
+          list.push_back(derivation());
           // Content grows by one element; capacity by the geometric step
           // the push actually took (zero on a non-growing push).
           state.prov_inner_capacity +=
@@ -1640,30 +1640,19 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
       Matcher commit_matcher(vocab_, result.facts);
       RowBlock app_rows;
       Substitution head_initial;
-      if (!options.record_all_derivations) {
-        result.seen_applications.reserve(result.seen_applications.size() +
-                                         staged.size());
-      }
-      for (StagedApplication& app : staged) {
-        if (!options.record_all_derivations) {
-          // Measured before the move (the set takes the string's buffer,
-          // capacity and all, so the figures survive the insert intact).
-          const uint64_t key_cap =
-              StringHeapBytes(app.frontier_key, MemAccounting::kCapacity);
-          const uint64_t key_content =
-              StringHeapBytes(app.frontier_key, MemAccounting::kContent);
-          if (!result.seen_applications.insert(std::move(app.frontier_key))
-                   .second) {
-            ++round_stats.deduped;
-            continue;
-          }
-          state.memo_key_capacity += key_cap;
-          state.memo_key_content += key_content;
-        }
+      for (const StagedApplications::App& app : staged.apps) {
         const CommitLayout& layout = commit_layouts_[app.rule_index];
+        const TermId* bindings = staged.bindings.data() + app.bindings;
+        if (!options.record_all_derivations &&
+            !result.seen_applications.Insert(
+                app.rule_index, bindings,
+                static_cast<uint32_t>(layout.commit_vars.size()))) {
+          ++round_stats.deduped;
+          continue;
+        }
         head_initial.clear();
         for (size_t i = 0; i < layout.commit_vars.size(); ++i) {
-          head_initial.emplace(layout.commit_vars[i], app.bindings[i]);
+          head_initial.emplace(layout.commit_vars[i], bindings[i]);
         }
         if (commit_matcher.Exists(theory_.rules[app.rule_index].head,
                                   head_existentials_[app.rule_index],
@@ -1674,7 +1663,7 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
         }
         ++round_stats.committed;
         app_rows.Clear();
-        ExpandHead(app.rule_index, app.bindings, fn_args_scratch, &app_rows);
+        ExpandHead(app.rule_index, bindings, fn_args_scratch, &app_rows);
         for (size_t a = 0; a < app_rows.rows(); ++a) {
           const TermId* terms = app_rows.Terms(a);
           const uint32_t arity = app_rows.Arity(a);
@@ -1714,25 +1703,19 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
       commit_sub_span.emplace("chase.commit.expand", "chase");
       pending.Clear();
       surviving.clear();
-      surviving.reserve(staged.size());
-      if (!options.record_all_derivations) {
-        result.seen_applications.reserve(result.seen_applications.size() +
-                                         staged.size());
-      }
-      for (uint32_t s = 0; s < staged.size(); ++s) {
-        StagedApplication& app = staged[s];
-        if (!options.record_all_derivations) {
-          const uint64_t key_cap =
-              StringHeapBytes(app.frontier_key, MemAccounting::kCapacity);
-          const uint64_t key_content =
-              StringHeapBytes(app.frontier_key, MemAccounting::kContent);
-          if (!result.seen_applications.insert(std::move(app.frontier_key))
-                   .second) {
-            ++round_stats.deduped;
-            continue;
-          }
-          state.memo_key_capacity += key_cap;
-          state.memo_key_content += key_content;
+      surviving.reserve(staged.apps.size());
+      // The memo's size before this round's inserts: a faulted batch
+      // truncates back to it.
+      const size_t memo_before = result.seen_applications.size();
+      for (uint32_t s = 0; s < staged.apps.size(); ++s) {
+        const StagedApplications::App& app = staged.apps[s];
+        if (!options.record_all_derivations &&
+            !result.seen_applications.Insert(
+                app.rule_index, staged.bindings.data() + app.bindings,
+                static_cast<uint32_t>(
+                    commit_layouts_[app.rule_index].commit_vars.size()))) {
+          ++round_stats.deduped;
+          continue;
         }
         surviving.push_back(s);
       }
@@ -1744,7 +1727,8 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
                                    vocab_.NumTerms() < kLocalTermBit;
       if (!parallel_expand) {
         for (uint32_t s : surviving) {
-          ExpandHead(staged[s].rule_index, staged[s].bindings,
+          const StagedApplications::App& app = staged.apps[s];
+          ExpandHead(app.rule_index, staged.bindings.data() + app.bindings,
                      fn_args_scratch, &pending);
         }
       } else {
@@ -1754,10 +1738,15 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
         // chunk's arena.  Nothing mutates the vocabulary until the serial
         // renumbering pass below.
         struct ExpandChunk {
+          struct Miss {
+            uint32_t block;        // Skolem block
+            uint32_t args;         // offset of its fn args in `miss_args`
+            uint32_t arity;        // number of fn args
+            uint32_t placeholder;  // placeholder base
+          };
           RowBlock rows;
-          std::vector<uint32_t> miss_blocks;           // Skolem block per miss
-          std::vector<std::vector<TermId>> miss_args;  // fn args per miss
-          std::vector<uint32_t> miss_offsets;  // placeholder base per miss
+          std::vector<Miss> misses;
+          std::vector<TermId> miss_args;
           uint32_t placeholder_count = 0;
         };
         const size_t chunk_size = std::max<size_t>(
@@ -1778,21 +1767,26 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
           const size_t begin = c * chunk_size;
           const size_t end = std::min(surviving.size(), begin + chunk_size);
           for (size_t k = begin; k < end; ++k) {
-            const StagedApplication& app = staged[surviving[k]];
+            const StagedApplications::App& app = staged.apps[surviving[k]];
+            const TermId* bindings = staged.bindings.data() + app.bindings;
             const CommitLayout& layout = commit_layouts_[app.rule_index];
             const TermId* nulls = nullptr;
             if (layout.skolem_block != kNoSkolemBlock) {
               fn_args.clear();
               for (uint32_t slot : layout.fn_arg_slots) {
-                fn_args.push_back(app.bindings[slot]);
+                fn_args.push_back(bindings[slot]);
               }
               nulls = vocab_.FindSkolemRow(layout.skolem_block, fn_args);
               if (nulls == nullptr) {
                 const uint32_t size =
                     vocab_.SkolemBlockSize(layout.skolem_block);
-                chunk.miss_blocks.push_back(layout.skolem_block);
-                chunk.miss_args.push_back(fn_args);
-                chunk.miss_offsets.push_back(chunk.placeholder_count);
+                chunk.misses.push_back(
+                    {layout.skolem_block,
+                     static_cast<uint32_t>(chunk.miss_args.size()),
+                     static_cast<uint32_t>(fn_args.size()),
+                     chunk.placeholder_count});
+                chunk.miss_args.insert(chunk.miss_args.end(), fn_args.begin(),
+                                       fn_args.end());
                 placeholder_row.clear();
                 for (uint32_t i = 0; i < size; ++i) {
                   placeholder_row.push_back(kLocalTermBit |
@@ -1802,7 +1796,7 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
                 nulls = placeholder_row.data();
               }
             }
-            AppendHeadRows(app.rule_index, app.bindings, nulls, &chunk.rows);
+            AppendHeadRows(app.rule_index, bindings, nulls, &chunk.rows);
           }
           chunk_busy_ns[c] = obs::internal::NowNanos() - chunk_start_ns;
         });
@@ -1825,13 +1819,14 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
         // its first staged occurrence.)
         for (ExpandChunk& chunk : chunks) {
           std::vector<TermId> resolved(chunk.placeholder_count);
-          for (size_t m = 0; m < chunk.miss_blocks.size(); ++m) {
-            const TermId* row =
-                vocab_.SkolemRow(chunk.miss_blocks[m], chunk.miss_args[m]);
-            const uint32_t size =
-                vocab_.SkolemBlockSize(chunk.miss_blocks[m]);
+          for (const ExpandChunk::Miss& miss : chunk.misses) {
+            const TermId* row = vocab_.SkolemRow(
+                miss.block, std::span<const TermId>(
+                                chunk.miss_args.data() + miss.args,
+                                miss.arity));
+            const uint32_t size = vocab_.SkolemBlockSize(miss.block);
             for (uint32_t i = 0; i < size; ++i) {
-              resolved[chunk.miss_offsets[m] + i] = row[i];
+              resolved[miss.placeholder + i] = row[i];
             }
           }
           for (TermId& t : chunk.rows.terms) {
@@ -1913,25 +1908,9 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
         // Roll back phase 1's dedup-memo inserts so the state is exactly
         // the previous round boundary.  (Skolem rows interned by ExpandHead
         // stay in the vocabulary; hash-consing re-interns them to identical
-        // TermIds on resume, so they are harmless.)  The keys were moved
-        // into the memo, but FrontierKey reproduces the same bytes from the
-        // surviving applications' bindings.
-        for (uint32_t s : surviving) {
-          const StagedApplication& app = staged[s];
-          const std::string key = FrontierKey(app.rule_index, app.bindings);
-          if (result.seen_applications.erase(key) > 0) {
-            // FrontierKey reproduces the removed key's construction, hence
-            // its exact capacity, so the decrements mirror the inserts.
-            // The memo's bucket array keeps its grown size — the boundary
-            // recompute in finish() reads bucket_count() directly, so the
-            // retained-capacity bytes stay accounted (the historical
-            // under-count this replaces).
-            state.memo_key_capacity -=
-                StringHeapBytes(key, MemAccounting::kCapacity);
-            state.memo_key_content -=
-                StringHeapBytes(key, MemAccounting::kContent);
-          }
-        }
+        // TermIds on resume, so they are harmless.)  The memo keeps its
+        // grown arena and table capacity, which finish() accounts.
+        result.seen_applications.Truncate(memo_before);
         return finish(ChaseStop::kInjectedFault, round);
       }
       result.depth.reserve(result.depth.size() + added);
@@ -1942,7 +1921,7 @@ ChaseResult ChaseEngine::RunFromState(RunState state,
       // per-atom loop, which incremented `committed` before inserting).
       size_t cursor = 0;
       for (uint32_t s : surviving) {
-        const StagedApplication& app = staged[s];
+        const StagedApplications::App& app = staged.apps[s];
         ++round_stats.committed;
         const size_t head_size = commit_layouts_[app.rule_index].head.size();
         for (size_t a = 0; a < head_size; ++a, ++cursor) {

@@ -14,6 +14,7 @@
 #include "base/fact_set.h"
 #include "base/mem_ledger.h"
 #include "base/vocabulary.h"
+#include "chase/frontier_memo.h"
 #include "tgd/substitution.h"
 #include "tgd/tgd.h"
 
@@ -320,7 +321,8 @@ struct ChaseOptions {
   /// byte-identical full run.
   double deadline_seconds = 0.0;
   /// Approximate live-memory budget in bytes over the chase's own state
-  /// (atoms, derivations, dedup keys, staged applications).  0 disables it.
+  /// (atoms, derivations, frontier memo, staged applications).  0 disables
+  /// it.
   /// Enforced at deterministic points only, so a given (db, theory, options)
   /// triple trips at the same round at every thread count.  The commit phase
   /// of a round is never interrupted, so the budget can be overshot by at
@@ -379,12 +381,12 @@ struct ChaseResult {
   /// snapshots so a resumed run reports the peak of the whole logical
   /// run, not just the tail.
   size_t peak_bytes = 0;
-  /// The semi-oblivious dedup memo: frontier keys (rule index + head-
-  /// universal projection) of every application committed so far.  Carried
-  /// in the result so snapshots can resume with identical per-round
+  /// The semi-oblivious dedup memo: (rule index, head-universal
+  /// projection) of every application committed so far.  Carried in the
+  /// result so snapshots can resume with identical per-round
   /// `deduped`/`committed` counters.  Empty when record_all_derivations
   /// disabled the memo.
-  std::unordered_set<std::string> seen_applications;
+  FrontierMemo seen_applications;
 
   /// True iff the chase reached a fixpoint, i.e. the (semi-oblivious) chase
   /// of this instance terminates: Ch(T,D) = Ch_{complete_rounds}(T,D).
@@ -401,10 +403,12 @@ struct ChaseResult {
 /// Recomputes the full memory ledger of a chase state from scratch: the
 /// fact store, the vocabulary, provenance, and the frontier memo (every
 /// component except kScratch, which belongs to an engine's in-flight
-/// round).  This is the slow, authoritative walk the engine's incremental
-/// round-boundary accounting is asserted against in debug builds; tests
-/// and tools use it to audit `ChaseResult::approx_bytes` (content mode)
-/// and the stream's totals (capacity mode).
+/// round).  Each container reports its own bytes (`FrontierMemo::HeapBytes`,
+/// `Vocabulary::AccountHeap`, ...); only provenance's inner vectors need a
+/// walk.  This is the slow, authoritative recompute the engine's
+/// incremental round-boundary accounting is asserted against in debug
+/// builds; tests and tools use it to audit `ChaseResult::approx_bytes`
+/// (content mode) and the stream's totals (capacity mode).
 MemTotals ComputeChaseMemTotals(const ChaseResult& result,
                                 const Vocabulary& vocab, MemAccounting mode);
 
@@ -479,7 +483,7 @@ class ChaseEngine {
   };
   struct CommitLayout {
     // The binding tuple order: the rule's head-universal variables.  This
-    // matches the frontier-key projection, so one tuple serves dedup, the
+    // is the frontier memo's projection, so one tuple serves dedup, the
     // restricted recheck, Skolem arguments, and head expansion.
     std::vector<TermId> commit_vars;
     // Skolem argument positions within `commit_vars` (sh.fn_args order).
@@ -496,7 +500,7 @@ class ChaseEngine {
   /// (values of the rule's `commit_vars`) to `out`, interning the
   /// application's Skolem nulls as one block row.  `fn_args_scratch` is
   /// caller-provided scratch to keep the hot path allocation-free.
-  void ExpandHead(size_t rule_index, const std::vector<TermId>& bindings,
+  void ExpandHead(size_t rule_index, const TermId* bindings,
                   std::vector<TermId>& fn_args_scratch, RowBlock* out) const;
 
   /// The pure-layout tail of ExpandHead: appends the head rows with the
@@ -505,7 +509,7 @@ class ChaseEngine {
   /// a row found via the const `Vocabulary::FindSkolemRow` probe or a
   /// per-chunk arena placeholder row, then renumbers placeholders in a
   /// serial pass (DESIGN.md §5, "Sharded commit pipeline").
-  void AppendHeadRows(size_t rule_index, const std::vector<TermId>& bindings,
+  void AppendHeadRows(size_t rule_index, const TermId* bindings,
                       const TermId* nulls, RowBlock* out) const;
 
   Vocabulary& vocab_;

@@ -15,12 +15,15 @@ namespace frontiers {
 namespace {
 
 constexpr char kMagic[4] = {'F', 'R', 'S', 'N'};
-// v2 added the content-mode ledger total (approx_bytes).  Capacity-mode
-// figures (per-round MemTotals, peak_bytes) are deliberately absent: they
-// depend on the shard count, so serializing them would break the format's
-// canonicality over logical chase state.  Older snapshots are rejected
-// (the codec has no compatibility promise yet; see tests/corpus).
-constexpr uint16_t kVersion = 2;
+// v2 added the content-mode ledger total (approx_bytes).  v3 keeps the wire
+// layout but meters that total over the flat frontier memo and the Skolem
+// argument arena, so a v2 total no longer matches what Resume
+// reconstructs.  Capacity-mode figures (per-round MemTotals, peak_bytes)
+// are deliberately absent: they depend on the shard count, so serializing
+// them would break the format's canonicality over logical chase state.
+// Older snapshots are rejected (the codec has no compatibility promise
+// yet; see tests/corpus).
+constexpr uint16_t kVersion = 3;
 
 // --- Little-endian encode helpers -----------------------------------------
 
@@ -196,7 +199,8 @@ Result<ChaseSnapshot> MakeSnapshot(const Vocabulary& vocab,
     entry.kind = vocab.Kind(t);
     if (entry.kind == TermKind::kSkolem) {
       entry.fn = vocab.SkolemFn(t);
-      entry.args = vocab.SkolemArgs(t);
+      const std::span<const TermId> args = vocab.SkolemArgs(t);
+      entry.args.assign(args.begin(), args.end());
     } else {
       entry.name = vocab.TermName(t);
     }
@@ -211,8 +215,10 @@ Result<ChaseSnapshot> MakeSnapshot(const Vocabulary& vocab,
   snap.all_derivations = result.all_derivations;
   snap.birth_atoms.assign(result.birth_atom.begin(), result.birth_atom.end());
   std::sort(snap.birth_atoms.begin(), snap.birth_atoms.end());
-  snap.seen_applications.assign(result.seen_applications.begin(),
-                                result.seen_applications.end());
+  snap.seen_applications.reserve(result.seen_applications.size());
+  result.seen_applications.ForEach([&](FrontierMemo::Entry e) {
+    snap.seen_applications.push_back(result.seen_applications.Key(e));
+  });
   std::sort(snap.seen_applications.begin(), snap.seen_applications.end());
   snap.round_stats = result.stats.rounds;
   snap.total_seconds = result.stats.total_seconds;
@@ -510,7 +516,13 @@ Result<ChaseSnapshot> DecodeSnapshot(std::string_view bytes) {
   const uint32_t num_keys = in.Count(4);
   snap.seen_applications.reserve(num_keys);
   for (uint32_t i = 0; i < num_keys && !in.failed; ++i) {
-    snap.seen_applications.push_back(in.String());
+    std::string key = in.String();
+    if (!in.failed && !FrontierMemo::WellFormedKey(key)) {
+      in.Fail("snapshot frontier memo key " + std::to_string(i) +
+              " is malformed");
+      break;
+    }
+    snap.seen_applications.push_back(std::move(key));
   }
   const uint32_t num_rounds = in.Count(64);
   snap.round_stats.reserve(num_rounds);
@@ -618,7 +630,8 @@ Status ApplySnapshotVocabulary(const ChaseSnapshot& snapshot,
                              std::to_string(i) + " has a different kind");
       }
       if (entry.kind == TermKind::kSkolem) {
-        if (vocab.SkolemFn(i) != entry.fn || vocab.SkolemArgs(i) != entry.args) {
+        if (vocab.SkolemFn(i) != entry.fn ||
+            !std::ranges::equal(vocab.SkolemArgs(i), entry.args)) {
           return Status::Error("vocabulary diverges from snapshot: skolem "
                                "term " + std::to_string(i) +
                                " has different structure");

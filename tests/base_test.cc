@@ -140,6 +140,41 @@ TEST(VocabularyTest, SkolemTermsAreHashConsed) {
   EXPECT_EQ(vocab.SkolemArgs(fa1)[0], a);
 }
 
+// `SkolemArgs` spans point into the vocabulary's argument arena, which
+// `SkolemRow` grows; passing one back must still intern the right row.
+TEST(VocabularyTest, SkolemRowAcceptsSkolemArgsSpan) {
+  Vocabulary vocab;
+  SkolemFnId g = vocab.SkolemFunction("g", 2);
+  SkolemFnId f1 = vocab.SkolemFunction("f1", 2);
+  SkolemFnId f2 = vocab.SkolemFunction("f2", 2);
+  uint32_t block = vocab.SkolemBlock({f1, f2});
+  std::vector<TermId> constants;
+  for (int i = 0; i < 40; ++i) {
+    constants.push_back(vocab.Constant("c" + std::to_string(i)));
+  }
+  for (int i = 0; i + 1 < 40; ++i) {
+    const TermId x = constants[i];
+    const TermId y = constants[i + 1];
+    const TermId t = vocab.SkolemTerm(g, {x, y});
+    const TermId* row = vocab.SkolemRow(block, vocab.SkolemArgs(t));
+    const TermId r0 = row[0];
+    const TermId r1 = row[1];
+    for (TermId r : {r0, r1}) {
+      ASSERT_EQ(vocab.SkolemArgs(r).size(), 2u);
+      EXPECT_EQ(vocab.SkolemArgs(r)[0], x);
+      EXPECT_EQ(vocab.SkolemArgs(r)[1], y);
+      EXPECT_EQ(vocab.TermDepth(r), 1u);
+    }
+    EXPECT_EQ(vocab.SkolemTerm(f1, {x, y}), r0);
+    EXPECT_EQ(vocab.SkolemTerm(f2, {x, y}), r1);
+    const TermId* found = vocab.FindSkolemRow(block, vocab.SkolemArgs(t));
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found[0], r0);
+    // A hit through an aliasing span returns the same row.
+    EXPECT_EQ(vocab.SkolemRow(block, vocab.SkolemArgs(r1))[0], r0);
+  }
+}
+
 TEST(VocabularyTest, SkolemFunctionInterningBySignature) {
   Vocabulary vocab;
   SkolemFnId f1 = vocab.SkolemFunction("sig", 2);

@@ -1,0 +1,141 @@
+// Tests for the chase's flat frontier memo (chase/frontier_memo.h): set
+// semantics, suffix truncation (the fault rollback), the snapshot key
+// encoding, and insertion-order independence of equality and content bytes
+// (which resume relies on).
+
+#include "chase/frontier_memo.h"
+
+#include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
+
+namespace frontiers {
+namespace {
+
+struct Application {
+  uint32_t rule;
+  std::vector<TermId> bindings;
+};
+
+bool Insert(FrontierMemo& memo, const Application& app) {
+  return memo.Insert(app.rule, app.bindings.data(),
+                     static_cast<uint32_t>(app.bindings.size()));
+}
+
+bool Contains(const FrontierMemo& memo, const Application& app) {
+  return memo.Contains(app.rule, app.bindings.data(),
+                       static_cast<uint32_t>(app.bindings.size()));
+}
+
+// A few hundred distinct applications over three rules of different
+// frontier widths (including a Boolean frontier), enough to grow the index
+// past its initial table.
+std::vector<Application> Applications() {
+  std::vector<Application> apps;
+  apps.push_back({7, {}});
+  for (TermId a = 0; a < 20; ++a) {
+    apps.push_back({0, {a}});
+    for (TermId b = 0; b < 10; ++b) apps.push_back({1, {a, b}});
+  }
+  for (TermId a = 0; a < 30; ++a) apps.push_back({2, {a, a + 1, a + 2}});
+  return apps;
+}
+
+TEST(FrontierMemoTest, DuplicateInsertReturnsFalse) {
+  FrontierMemo memo;
+  const Application app{3, {10, 11}};
+  EXPECT_TRUE(Insert(memo, app));
+  EXPECT_FALSE(Insert(memo, app));
+  EXPECT_EQ(memo.size(), 1u);
+  EXPECT_TRUE(Contains(memo, app));
+  // Same bindings under another rule, or a prefix, are other entries.
+  EXPECT_FALSE(Contains(memo, {4, {10, 11}}));
+  EXPECT_FALSE(Contains(memo, {3, {10}}));
+  EXPECT_TRUE(Insert(memo, {4, {10, 11}}));
+  EXPECT_TRUE(Insert(memo, {3, {10}}));
+  EXPECT_EQ(memo.size(), 3u);
+}
+
+TEST(FrontierMemoTest, TruncateRestoresSizeLookupsAndContentBytes) {
+  const std::vector<Application> apps = Applications();
+  const size_t half = apps.size() / 2;
+  FrontierMemo memo;
+  for (size_t i = 0; i < half; ++i) ASSERT_TRUE(Insert(memo, apps[i]));
+  const uint64_t bytes_at_half = memo.HeapBytes(MemAccounting::kContent);
+  for (size_t i = half; i < apps.size(); ++i) ASSERT_TRUE(Insert(memo, apps[i]));
+  ASSERT_EQ(memo.size(), apps.size());
+
+  memo.Truncate(half);
+  EXPECT_EQ(memo.size(), half);
+  EXPECT_EQ(memo.HeapBytes(MemAccounting::kContent), bytes_at_half);
+  for (size_t i = 0; i < apps.size(); ++i) {
+    EXPECT_EQ(Contains(memo, apps[i]), i < half) << i;
+  }
+  // The dropped suffix can be inserted again, and lands where it was.
+  for (size_t i = half; i < apps.size(); ++i) EXPECT_TRUE(Insert(memo, apps[i]));
+  FrontierMemo reference;
+  for (const Application& app : apps) Insert(reference, app);
+  EXPECT_EQ(memo, reference);
+
+  memo.Truncate(0);
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_EQ(memo.HeapBytes(MemAccounting::kContent),
+            FrontierMemo().HeapBytes(MemAccounting::kContent));
+  memo.Truncate(5);  // past the end: a no-op
+  EXPECT_EQ(memo.size(), 0u);
+}
+
+TEST(FrontierMemoTest, KeyUsesTheSnapshotEncodingAndRoundTrips) {
+  FrontierMemo memo;
+  ASSERT_TRUE(Insert(memo, {5, {0x01020304u, 42}}));
+  ASSERT_TRUE(Insert(memo, {9, {}}));
+  std::vector<std::string> keys;
+  memo.ForEach([&](FrontierMemo::Entry e) { keys.push_back(memo.Key(e)); });
+  ASSERT_EQ(keys.size(), 2u);
+
+  // 8-byte rule index, then the TermIds, all in native byte order.
+  std::string expected;
+  const size_t rule = 5;
+  const TermId terms[] = {0x01020304u, 42};
+  expected.append(reinterpret_cast<const char*>(&rule), sizeof(rule));
+  expected.append(reinterpret_cast<const char*>(terms), sizeof(terms));
+  EXPECT_EQ(keys[0], expected);
+  EXPECT_EQ(keys[1].size(), 8u);
+
+  FrontierMemo rebuilt;
+  for (const std::string& key : keys) EXPECT_TRUE(rebuilt.InsertKey(key));
+  EXPECT_FALSE(rebuilt.InsertKey(keys[0]));
+  EXPECT_EQ(rebuilt, memo);
+  std::vector<std::string> rekeyed;
+  rebuilt.ForEach(
+      [&](FrontierMemo::Entry e) { rekeyed.push_back(rebuilt.Key(e)); });
+  EXPECT_EQ(rekeyed, keys);
+
+  EXPECT_TRUE(FrontierMemo::WellFormedKey(expected));
+  EXPECT_FALSE(FrontierMemo::WellFormedKey(expected.substr(0, 7)));
+  EXPECT_FALSE(FrontierMemo::WellFormedKey(expected.substr(0, 10)));
+  std::string huge_rule(8, '\xff');
+  EXPECT_FALSE(FrontierMemo::WellFormedKey(huge_rule));
+}
+
+TEST(FrontierMemoTest, EqualityAndContentBytesIgnoreInsertionOrder) {
+  const std::vector<Application> apps = Applications();
+  FrontierMemo forward;
+  FrontierMemo backward;
+  for (const Application& app : apps) Insert(forward, app);
+  for (auto it = apps.rbegin(); it != apps.rend(); ++it) Insert(backward, *it);
+  EXPECT_EQ(forward, backward);
+  EXPECT_EQ(forward.HeapBytes(MemAccounting::kContent),
+            backward.HeapBytes(MemAccounting::kContent));
+
+  // Same size, different entry: not equal.
+  FrontierMemo other;
+  for (size_t i = 0; i + 1 < apps.size(); ++i) Insert(other, apps[i]);
+  Insert(other, {99, {1, 2, 3}});
+  EXPECT_EQ(other.size(), forward.size());
+  EXPECT_FALSE(other == forward);
+}
+
+}  // namespace
+}  // namespace frontiers

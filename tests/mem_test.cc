@@ -32,6 +32,7 @@
 #include "chase/chase.h"
 #include "chase/snapshot.h"
 #include "obs/mem_stream.h"
+#include "tgd/parser.h"
 
 // Binary-wide allocator instrumentation, mirroring tests/obs_test.cc: the
 // replaced operator new counts allocations while `g_count_allocations` is
@@ -424,6 +425,64 @@ TEST(MemRegression, InjectedCommitFaultLeavesTheLedgerConsistent) {
   EXPECT_EQ(result.approx_bytes,
             ComputeChaseMemTotals(result, w.vocab, MemAccounting::kContent)
                 .TrackedTotal());
+}
+
+// --- allocation regressions --------------------------------------------------
+
+// Heap allocations per staged application over one whole `Run`.  Staging
+// writes into per-unit arenas and the frontier memo appends to one word
+// arena, so what remains is per-round and per-seed overhead, not
+// per-application objects.
+struct AllocationsPerStaged {
+  double ratio = 0;
+  ChaseResult result;
+};
+
+AllocationsPerStaged MeasureRun(Vocabulary& vocab, const Theory& theory,
+                                const FactSet& db,
+                                const ChaseOptions& options) {
+  ChaseEngine engine(vocab, theory);
+  AllocationsPerStaged out;
+  g_allocation_count.store(0);
+  g_count_allocations.store(true);
+  out.result = engine.Run(db, options);
+  g_count_allocations.store(false);
+  const uint64_t staged = out.result.stats.TotalStaged();
+  out.ratio = staged == 0 ? 0.0
+                          : static_cast<double>(g_allocation_count.load()) /
+                                static_cast<double>(staged);
+  ::testing::Test::RecordProperty("allocations_per_staged",
+                                  std::to_string(out.ratio));
+  return out;
+}
+
+TEST(AllocationRegression, DatalogCycleStagesWithoutPerApplicationHeap) {
+  Vocabulary vocab;
+  Result<Theory> theory = ParseTheory(vocab, "E(x,y), E(y,z) -> E(x,z)");
+  ASSERT_TRUE(theory.ok()) << theory.status().message();
+  const FactSet db = EdgeCycle(vocab, "E", 60);
+  ChaseOptions options;
+  options.threads = 1;
+  const AllocationsPerStaged run =
+      MeasureRun(vocab, theory.value(), db, options);
+  ASSERT_EQ(run.result.stop, ChaseStop::kFixpoint);
+  EXPECT_EQ(run.result.stats.TotalStaged(), 283'500u);
+  EXPECT_EQ(run.result.stats.TotalDeduped(), 279'900u);
+  // Three heap objects per staged application (binding vector, memo key
+  // string, memo node) would put this well above 2.
+  EXPECT_LE(run.ratio, 0.5) << "allocations per staged application";
+}
+
+TEST(AllocationRegression, Example39StarStagesWithLittlePerApplicationHeap) {
+  Vocabulary vocab;
+  const Theory theory = StickyExample39Theory(vocab);
+  const FactSet db = Star39Instance(vocab, 10);
+  ChaseOptions options;
+  options.threads = 1;
+  options.max_rounds = 4;
+  const AllocationsPerStaged run = MeasureRun(vocab, theory, db, options);
+  ASSERT_GT(run.result.stats.TotalStaged(), 0u);
+  EXPECT_LE(run.ratio, 6.0) << "allocations per staged application";
 }
 
 }  // namespace

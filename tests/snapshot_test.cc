@@ -130,6 +130,24 @@ TEST(SnapshotTest, EncodeDecodeRoundTripPreservesEveryField) {
   ExpectSnapshotsEqual(original, decoded.value());
 }
 
+// Version 3 meters approx_bytes over the flat frontier memo and the Skolem
+// argument arena; a version-2 snapshot's total would no longer match what
+// Resume reconstructs, so the decoder refuses it with a Status instead of
+// letting Resume abort on the mismatch.
+TEST(SnapshotTest, VersionTwoHeaderIsRejectedWithAStatus) {
+  Workload w;
+  std::string wire = EncodeSnapshot(InterruptedSnapshot(w));
+  ASSERT_GE(wire.size(), 6u);
+  EXPECT_EQ(static_cast<uint8_t>(wire[4]), 3u);
+  EXPECT_EQ(static_cast<uint8_t>(wire[5]), 0u);
+  wire[4] = '\x02';
+  Result<ChaseSnapshot> decoded = DecodeSnapshot(wire);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.message().find("unsupported snapshot version 2"),
+            std::string::npos)
+      << decoded.message();
+}
+
 TEST(SnapshotTest, EveryTruncationIsRejectedWithoutCrashing) {
   Workload w;
   const std::string wire = EncodeSnapshot(InterruptedSnapshot(w));
