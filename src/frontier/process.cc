@@ -5,6 +5,7 @@
 
 #include "frontier/ranks.h"
 #include "hom/query_ops.h"
+#include "rewriting/ucq.h"
 
 namespace frontiers {
 
@@ -81,27 +82,11 @@ TdProcessResult RunTdProcess(Vocabulary& vocab, const TdContext& ctx,
 
   // Minimize and prune the collected disjuncts to a pairwise-incomparable
   // set (Theorem 1's shape).
-  std::vector<ConjunctiveQuery> pruned;
+  Ucq pruned;
   for (const ConjunctiveQuery& q : collected) {
-    ConjunctiveQuery minimized = MinimizeQuery(vocab, q);
-    bool subsumed = false;
-    for (const ConjunctiveQuery& existing : pruned) {
-      if (Contains(vocab, existing, minimized)) {
-        subsumed = true;
-        break;
-      }
-    }
-    if (subsumed) continue;
-    std::vector<ConjunctiveQuery> kept;
-    for (ConjunctiveQuery& existing : pruned) {
-      if (!Contains(vocab, minimized, existing)) {
-        kept.push_back(std::move(existing));
-      }
-    }
-    kept.push_back(std::move(minimized));
-    pruned = std::move(kept);
+    InsertMinimal(vocab, MinimizeQuery(vocab, q), &pruned);
   }
-  result.rewriting = std::move(pruned);
+  result.rewriting = std::move(pruned.disjuncts);
   return result;
 }
 

@@ -10,6 +10,7 @@
 #include "base/check.h"
 #include "frontier/operations.h"
 #include "hom/query_ops.h"
+#include "rewriting/ucq.h"
 
 namespace frontiers {
 
@@ -438,27 +439,11 @@ TdKProcessResult RunTdKProcess(Vocabulary& vocab, const TdKContext& ctx,
   }
   result.completed = worklist.empty();
 
-  std::vector<ConjunctiveQuery> pruned;
+  Ucq pruned;
   for (const ConjunctiveQuery& q : collected) {
-    ConjunctiveQuery minimized = MinimizeQuery(vocab, q);
-    bool subsumed = false;
-    for (const ConjunctiveQuery& existing : pruned) {
-      if (Contains(vocab, existing, minimized)) {
-        subsumed = true;
-        break;
-      }
-    }
-    if (subsumed) continue;
-    std::vector<ConjunctiveQuery> kept;
-    for (ConjunctiveQuery& existing : pruned) {
-      if (!Contains(vocab, minimized, existing)) {
-        kept.push_back(std::move(existing));
-      }
-    }
-    kept.push_back(std::move(minimized));
-    pruned = std::move(kept);
+    InsertMinimal(vocab, MinimizeQuery(vocab, q), &pruned);
   }
-  result.rewriting = std::move(pruned);
+  result.rewriting = std::move(pruned.disjuncts);
   return result;
 }
 

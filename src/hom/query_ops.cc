@@ -1,6 +1,7 @@
 #include "hom/query_ops.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <unordered_set>
 
 #include "hom/matcher.h"
@@ -18,6 +19,36 @@ std::unordered_set<TermId> MappableVars(const Vocabulary& vocab,
     for (TermId v : query.answer_vars) mappable.erase(v);
   }
   return mappable;
+}
+
+// True if `atom` could land on some atom of `targets` other than
+// `targets[skip]` under a homomorphism extending `initial`: one with the
+// same predicate and arity that agrees with it at every rigid position (a
+// constant, or a variable `initial` binds).  This is the compiled search's
+// dead-atom test, run before any target is built; a false answer means no
+// homomorphism exists.
+bool HasImage(const Vocabulary& vocab, const Atom& atom,
+              const Substitution& initial, const std::vector<Atom>& targets,
+              size_t skip = SIZE_MAX) {
+  for (size_t i = 0; i < targets.size(); ++i) {
+    const Atom& target = targets[i];
+    if (i == skip || target.predicate != atom.predicate ||
+        target.args.size() != atom.args.size()) {
+      continue;
+    }
+    bool agrees = true;
+    for (size_t pos = 0; pos < atom.args.size() && agrees; ++pos) {
+      const TermId t = atom.args[pos];
+      auto bound = initial.find(t);
+      if (bound != initial.end()) {
+        agrees = target.args[pos] == bound->second;
+      } else if (!vocab.IsVariable(t)) {
+        agrees = target.args[pos] == t;
+      }
+    }
+    if (agrees) return true;
+  }
+  return false;
 }
 
 }  // namespace
@@ -81,6 +112,9 @@ std::optional<Substitution> QueryHomomorphism(const Vocabulary& vocab,
     if (it != initial.end() && it->second != t) return std::nullopt;
     initial.emplace(f, t);
   }
+  for (const Atom& atom : from.atoms) {
+    if (!HasImage(vocab, atom, initial, to.atoms)) return std::nullopt;
+  }
   FactSet target = QueryAsFactSet(to);
   Matcher matcher(vocab, target);
   return matcher.Find(from.atoms, MappableVars(vocab, from, false), initial);
@@ -114,18 +148,27 @@ ConjunctiveQuery MinimizeQuery(const Vocabulary& vocab,
     if (vocab.IsVariable(v)) identity.emplace(v, v);
   }
 
+  // Variables only disappear as atoms fold, so one mappable set serves
+  // every attempt.
+  const std::unordered_set<TermId> mappable =
+      MappableVars(vocab, current, false);
   bool changed = true;
   while (changed && current.atoms.size() > 1) {
     changed = false;
     for (size_t drop = 0; drop < current.atoms.size(); ++drop) {
-      // Target: the query without atom `drop`, viewed as a structure.
-      FactSet target;
-      for (size_t i = 0; i < current.atoms.size(); ++i) {
-        if (i != drop) target.Insert(current.atoms[i]);
+      // A fold onto the query without atom `drop` sends that atom to
+      // another one agreeing with it on constants and answer variables.
+      if (!HasImage(vocab, current.atoms[drop], identity, current.atoms,
+                    drop)) {
+        continue;
       }
+      // Target: the query without atom `drop`, viewed as a structure.
+      ConjunctiveQuery rest = current;
+      rest.atoms.erase(rest.atoms.begin() + drop);
+      FactSet target = QueryAsFactSet(rest);
       Matcher matcher(vocab, target);
-      std::optional<Substitution> fold = matcher.Find(
-          current.atoms, MappableVars(vocab, current, false), identity);
+      std::optional<Substitution> fold =
+          matcher.Find(current.atoms, mappable, identity);
       if (!fold.has_value()) continue;
       // Replace the query by its homomorphic image (a subset of the target,
       // hence strictly smaller than `current`).

@@ -8,6 +8,7 @@
 #include "hom/query_ops.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rewriting/ucq.h"
 #include "tgd/substitution.h"
 
 namespace frontiers {
@@ -77,45 +78,36 @@ RewritingResult Rewriter::Rewrite(const ConjunctiveQuery& query,
     return result;
   }
 
-  struct Entry {
-    ConjunctiveQuery q;
-    bool alive = true;
-    bool expanded = false;
-  };
-  std::vector<Entry> set;
-  set.push_back({MinimizeQuery(vocab_, query), true, false});
+  // The live disjuncts, in admission order.  Survivors keep their order
+  // and admissions are appended, so the expanded ones are always the first
+  // `expanded`.
+  Ucq live;
+  live.disjuncts.push_back(MinimizeQuery(vocab_, query));
+  size_t expanded = 0;
+  size_t admitted = 1;
 
   bool truncated = false;
 
   // Admits `candidate` into the set unless it is subsumed; retires entries
-  // it subsumes.  Returns true if admitted.
+  // it subsumes.  A spent budget refuses it before anything is retired.
   auto admit = [&](const ConjunctiveQuery& raw) {
     ++result.candidates_generated;
     if (raw.atoms.empty()) {
       if (raw.answer_vars.empty()) result.always_true = true;
-      return false;
+      return;
     }
     ConjunctiveQuery candidate = MinimizeQuery(vocab_, raw);
     if (candidate.size() > options.max_atoms_per_query) {
       truncated = true;
-      return false;
+      return;
     }
-    for (const Entry& entry : set) {
-      if (entry.alive && Contains(vocab_, entry.q, candidate)) {
-        return false;  // an at-least-as-general disjunct already present
-      }
+    if (admitted >= options.max_queries) {
+      if (!SomeDisjunctContains(vocab_, live, candidate)) truncated = true;
+      return;
     }
-    for (Entry& entry : set) {
-      if (entry.alive && Contains(vocab_, candidate, entry.q)) {
-        entry.alive = false;  // candidate is strictly more general
-      }
+    if (InsertMinimal(vocab_, std::move(candidate), &live, &expanded)) {
+      ++admitted;
     }
-    if (set.size() >= options.max_queries) {
-      truncated = true;
-      return false;
-    }
-    set.push_back({std::move(candidate), true, false});
-    return true;
   };
 
   // Expands dangling answer variables (constrained only by active-domain
@@ -164,6 +156,14 @@ RewritingResult Rewriter::Rewrite(const ConjunctiveQuery& query,
   auto expand_with_rule = [&](const ConjunctiveQuery& q, const Tgd& rule) {
     const Atom& head = rule.head[0];
 
+    // Candidate piece atoms: q-atoms with the head's predicate.  Checked
+    // first, so a rule that cannot apply mints no fresh variables.
+    std::vector<size_t> candidates;
+    for (size_t i = 0; i < q.atoms.size(); ++i) {
+      if (q.atoms[i].predicate == head.predicate) candidates.push_back(i);
+    }
+    if (candidates.empty()) return;
+
     // Freshen the rule's variables so they cannot clash with q's.
     Substitution freshen;
     auto fresh = [&](TermId v) {
@@ -194,12 +194,6 @@ RewritingResult Rewriter::Rewrite(const ConjunctiveQuery& query,
       fresh_universals.insert(fresh(v));
     }
 
-    // Candidate piece atoms: q-atoms with the head's predicate.
-    std::vector<size_t> candidates;
-    for (size_t i = 0; i < q.atoms.size(); ++i) {
-      if (q.atoms[i].predicate == head.predicate) candidates.push_back(i);
-    }
-    if (candidates.empty()) return;
     // Enumerate non-empty subsets.  Queries in this codebase are small; a
     // hard cap keeps pathological inputs from exploding (the run is then
     // marked as truncated).
@@ -317,42 +311,19 @@ RewritingResult Rewriter::Rewrite(const ConjunctiveQuery& query,
     }
   };
 
-  // Saturation loop.
-  size_t cursor = 0;
-  while (result.iterations < options.max_iterations) {
-    // Find the next live, unexpanded entry.
-    while (cursor < set.size() &&
-           (!set[cursor].alive || set[cursor].expanded)) {
-      ++cursor;
-    }
-    if (cursor == set.size()) {
-      // Entries admitted earlier may sit before the cursor; rescan once.
-      bool pending = false;
-      for (size_t i = 0; i < set.size(); ++i) {
-        if (set[i].alive && !set[i].expanded) {
-          cursor = i;
-          pending = true;
-          break;
-        }
-      }
-      if (!pending) break;
-    }
-    Entry& entry = set[cursor];
-    entry.expanded = true;
+  // Saturation loop: expand the first unexpanded live disjunct.
+  while (result.iterations < options.max_iterations &&
+         expanded < live.size()) {
     ++result.iterations;
-    ConjunctiveQuery current = entry.q;  // copy: `set` may reallocate
+    // Copy: admissions during the expansion reshuffle `live`.
+    const ConjunctiveQuery current = live.disjuncts[expanded++];
     for (const Tgd& rule : theory_.rules) {
       expand_with_rule(current, rule);
     }
   }
 
-  bool drained = true;
-  for (const Entry& entry : set) {
-    if (entry.alive && !entry.expanded) drained = false;
-  }
-  for (Entry& entry : set) {
-    if (entry.alive) result.queries.push_back(std::move(entry.q));
-  }
+  const bool drained = expanded == live.size();
+  result.queries = std::move(live.disjuncts);
   result.status = (drained && !truncated) ? RewritingStatus::kConverged
                                           : RewritingStatus::kBudgetExhausted;
 

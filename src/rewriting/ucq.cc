@@ -47,20 +47,30 @@ std::vector<std::vector<TermId>> EvaluateUcq(const Vocabulary& vocab,
   return answers.Sorted();
 }
 
-bool InsertMinimal(const Vocabulary& vocab, ConjunctiveQuery query,
-                   Ucq* ucq) {
-  for (const ConjunctiveQuery& existing : ucq->disjuncts) {
-    if (Contains(vocab, existing, query)) return false;
+bool SomeDisjunctContains(const Vocabulary& vocab, const Ucq& ucq,
+                          const ConjunctiveQuery& query) {
+  for (const ConjunctiveQuery& existing : ucq.disjuncts) {
+    if (Contains(vocab, existing, query)) return true;
   }
-  std::vector<ConjunctiveQuery> kept;
-  kept.reserve(ucq->disjuncts.size() + 1);
-  for (ConjunctiveQuery& existing : ucq->disjuncts) {
-    if (!Contains(vocab, query, existing)) {
-      kept.push_back(std::move(existing));
+  return false;
+}
+
+bool InsertMinimal(const Vocabulary& vocab, ConjunctiveQuery query, Ucq* ucq,
+                   size_t* prefix) {
+  if (SomeDisjunctContains(vocab, *ucq, query)) return false;
+  std::vector<ConjunctiveQuery>& disjuncts = ucq->disjuncts;
+  const size_t old_prefix = prefix != nullptr ? *prefix : 0;
+  size_t kept = 0;
+  for (size_t i = 0; i < disjuncts.size(); ++i) {
+    if (Contains(vocab, query, disjuncts[i])) {
+      if (i < old_prefix) --*prefix;
+      continue;
     }
+    if (kept != i) disjuncts[kept] = std::move(disjuncts[i]);
+    ++kept;
   }
-  kept.push_back(std::move(query));
-  ucq->disjuncts = std::move(kept);
+  disjuncts.resize(kept);
+  disjuncts.push_back(std::move(query));
   return true;
 }
 
@@ -72,14 +82,7 @@ bool EquivalentUcqs(const Vocabulary& vocab, const Ucq& a, const Ucq& b) {
   // disjunct of b is at least as general), and vice versa.
   auto covered = [&vocab](const Ucq& fine, const Ucq& coarse) {
     for (const ConjunctiveQuery& q : fine.disjuncts) {
-      bool found = false;
-      for (const ConjunctiveQuery& general : coarse.disjuncts) {
-        if (Contains(vocab, general, q)) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) return false;
+      if (!SomeDisjunctContains(vocab, coarse, q)) return false;
     }
     return true;
   };

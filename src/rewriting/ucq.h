@@ -41,10 +41,21 @@ std::vector<std::vector<TermId>> EvaluateUcq(const Vocabulary& vocab,
                                              const Ucq& ucq,
                                              const FactSet& facts);
 
-/// Inserts `query` unless an existing disjunct contains it; removes
-/// disjuncts the new query contains (Theorem 1 minimality).  Returns true
-/// if the query was inserted.
-bool InsertMinimal(const Vocabulary& vocab, ConjunctiveQuery query, Ucq* ucq);
+/// True if some disjunct of `ucq` contains `query` (is at least as
+/// general).
+bool SomeDisjunctContains(const Vocabulary& vocab, const Ucq& ucq,
+                          const ConjunctiveQuery& query);
+
+/// Inserts `query` unless an existing disjunct contains it, and retires the
+/// disjuncts the new query contains (Theorem 1 minimality).  Survivors keep
+/// their order and `query` is appended.  Returns true if the query was
+/// inserted.
+///
+/// A caller that treats the first `*prefix` disjuncts apart (the rewriter's
+/// already-expanded ones) passes `prefix`; it shrinks by the number of
+/// retired disjuncts that lay inside it.
+bool InsertMinimal(const Vocabulary& vocab, ConjunctiveQuery query, Ucq* ucq,
+                   size_t* prefix = nullptr);
 
 /// True if the two UCQs agree on every instance, checked by mutual
 /// disjunct containment (sound and complete for UCQs).

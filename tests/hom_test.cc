@@ -423,7 +423,30 @@ TEST_F(HomTest, EquivalenceOfRenamedQueries) {
   EXPECT_TRUE(EquivalentQueries(vocab_, a, b));
 }
 
+uint64_t Enumerations() {
+  obs::MetricsSnapshot snapshot = obs::DefaultRegistry().Snapshot();
+  auto it = snapshot.counters.find("frontiers.hom.enumerations");
+  return it == snapshot.counters.end() ? uint64_t{0} : it->second;
+}
+
+TEST_F(HomTest, ContainmentOfPredicateDisjointQueriesRunsNoSearch) {
+  ConjunctiveQuery phi = Query("q(x) :- E(x,y), E(y,z)");
+  ConjunctiveQuery psi = Query("q(x) :- F(x,y), G(y,x)");
+  const uint64_t before = Enumerations();
+  EXPECT_FALSE(Contains(vocab_, phi, psi));
+  EXPECT_FALSE(Contains(vocab_, psi, phi));
+  EXPECT_EQ(Enumerations() - before, 0u);
+}
+
 // ----------------------------------------------------------- Minimization --
+
+TEST_F(HomTest, MinimizeWithDistinctPredicatesRunsNoSearch) {
+  // No atom shares a predicate with another, so none can fold away.
+  ConjunctiveQuery q = Query("q(x) :- E(x,y), F(y,z), G(z,w), H(w,x)");
+  const uint64_t before = Enumerations();
+  EXPECT_EQ(MinimizeQuery(vocab_, q).size(), 4u);
+  EXPECT_EQ(Enumerations() - before, 0u);
+}
 
 TEST_F(HomTest, MinimizeFoldsRedundantAtoms) {
   // E(x,y), E(x,z) folds to E(x,y) (z maps to y).

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <random>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "base/vocabulary.h"
 #include "catalog/instances.h"
@@ -243,6 +247,127 @@ TEST_P(MinimizeInvariantTest, MinimizationPreservesEquivalence) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MinimizeInvariantTest,
+                         ::testing::Range<uint64_t>(1, 21));
+
+// ---------------------------------------------------------------------
+// Containment and minimization against brute force.
+// ---------------------------------------------------------------------
+
+// A random CQ over E/2 and U/1 with up to 4 atoms over variables v0..v3
+// and constants A, B, and an answer tuple of `arity` positions, each a
+// body variable (repeats allowed) or a constant.
+ConjunctiveQuery RandomQuery(Vocabulary& vocab, std::mt19937_64& rng,
+                             size_t arity) {
+  const PredicateId preds[] = {vocab.AddPredicate("E", 2),
+                               vocab.AddPredicate("U", 1)};
+  auto pick = [&rng](size_t n) { return static_cast<size_t>(rng() % n); };
+  auto constant = [&]() { return vocab.Constant(pick(2) == 0 ? "A" : "B"); };
+  ConjunctiveQuery q;
+  std::vector<TermId> vars;
+  for (size_t n = 1 + pick(4); q.atoms.size() < n;) {
+    Atom atom;
+    atom.predicate = preds[pick(2)];
+    for (uint32_t i = 0; i < vocab.PredicateArity(atom.predicate); ++i) {
+      TermId t = pick(5) == 0
+                     ? constant()
+                     : vocab.Variable("v" + std::to_string(pick(4)));
+      if (vocab.IsVariable(t)) vars.push_back(t);
+      atom.args.push_back(t);
+    }
+    q.atoms.push_back(std::move(atom));
+  }
+  for (size_t i = 0; i < arity; ++i) {
+    q.answer_vars.push_back(vars.empty() || pick(4) == 0
+                                ? constant()
+                                : vars[pick(vars.size())]);
+  }
+  return q;
+}
+
+// Tries every map from `phi`'s variables to `psi`'s terms.
+bool BruteForceContains(const Vocabulary& vocab, const ConjunctiveQuery& phi,
+                        const ConjunctiveQuery& psi) {
+  if (phi.answer_vars.size() != psi.answer_vars.size()) return false;
+  const std::vector<TermId> vars = QueryVariables(vocab, phi);
+  std::vector<TermId> range = psi.answer_vars;
+  for (const Atom& atom : psi.atoms) {
+    range.insert(range.end(), atom.args.begin(), atom.args.end());
+  }
+  std::vector<size_t> choice(vars.size(), 0);
+  while (true) {
+    Substitution h;
+    for (size_t i = 0; i < vars.size(); ++i) h[vars[i]] = range[choice[i]];
+    bool maps = true;
+    for (size_t i = 0; i < phi.answer_vars.size(); ++i) {
+      maps = maps && Apply(h, phi.answer_vars[i]) == psi.answer_vars[i];
+    }
+    for (const Atom& atom : phi.atoms) {
+      maps = maps && std::find(psi.atoms.begin(), psi.atoms.end(),
+                               Apply(h, atom)) != psi.atoms.end();
+    }
+    if (maps) return true;
+    size_t i = 0;
+    while (i < choice.size() && ++choice[i] == range.size()) choice[i++] = 0;
+    if (i == choice.size()) return false;
+  }
+}
+
+class ContainmentOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ContainmentOracleTest, ContainsAgreesWithBruteForce) {
+  const uint64_t seed = GetParam();
+  std::mt19937_64 rng(seed);
+  Vocabulary vocab;
+  for (int pair = 0; pair < 100; ++pair) {
+    const size_t arity = rng() % 3;
+    ConjunctiveQuery phi = RandomQuery(vocab, rng, arity);
+    ConjunctiveQuery psi = RandomQuery(vocab, rng, arity);
+    const bool expected = BruteForceContains(vocab, phi, psi);
+    std::optional<Substitution> hom = QueryHomomorphism(vocab, phi, psi);
+    ASSERT_EQ(hom.has_value(), expected)
+        << "seed " << seed << " pair " << pair << ": "
+        << QueryToString(vocab, phi) << " into " << QueryToString(vocab, psi);
+    ASSERT_EQ(Contains(vocab, phi, psi), expected);
+    if (!hom.has_value()) continue;
+    for (const Atom& atom : phi.atoms) {
+      EXPECT_NE(std::find(psi.atoms.begin(), psi.atoms.end(),
+                          Apply(*hom, atom)),
+                psi.atoms.end());
+    }
+    for (size_t i = 0; i < arity; ++i) {
+      EXPECT_EQ(Apply(*hom, phi.answer_vars[i]), psi.answer_vars[i]);
+    }
+  }
+}
+
+TEST_P(ContainmentOracleTest, MinimizeFindsTheSmallestEquivalentSubquery) {
+  const uint64_t seed = GetParam();
+  std::mt19937_64 rng(seed);
+  Vocabulary vocab;
+  for (int round = 0; round < 50; ++round) {
+    ConjunctiveQuery q = RandomQuery(vocab, rng, rng() % 3);
+    // The core is a smallest sub-query equivalent to q.
+    size_t smallest = q.size();
+    for (size_t mask = 1; mask < (size_t{1} << q.size()); ++mask) {
+      ConjunctiveQuery sub;
+      sub.answer_vars = q.answer_vars;
+      for (size_t i = 0; i < q.size(); ++i) {
+        if (mask & (size_t{1} << i)) sub.atoms.push_back(q.atoms[i]);
+      }
+      if (sub.size() < smallest && BruteForceContains(vocab, q, sub)) {
+        smallest = sub.size();
+      }
+    }
+    ConjunctiveQuery minimized = MinimizeQuery(vocab, q);
+    EXPECT_EQ(minimized.size(), smallest)
+        << "seed " << seed << ": " << QueryToString(vocab, q) << " became "
+        << QueryToString(vocab, minimized);
+    EXPECT_TRUE(BruteForceContains(vocab, q, minimized));
+    EXPECT_TRUE(BruteForceContains(vocab, minimized, q));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ContainmentOracleTest,
                          ::testing::Range<uint64_t>(1, 21));
 
 // ---------------------------------------------------------------------

@@ -297,5 +297,36 @@ TEST_F(RewritingTest, GuardedTheoryConverges) {
   }
 }
 
+TEST_F(RewritingTest, BudgetStopKeepsTheDisjunctsItCannotReplace) {
+  // B(x) contains A(x),B(x) and would retire it, but the budget of one
+  // admitted CQ refuses B(x): the refusal must not take the query down.
+  Theory theory = ParseT("B(x) -> A(x)");
+  Rewriter rewriter(vocab_, theory);
+  ConjunctiveQuery q = Query("q(x) :- A(x), B(x)");
+  RewritingOptions options;
+  options.max_queries = 1;
+  RewritingResult rew = rewriter.Rewrite(q, options);
+  EXPECT_EQ(rew.status, RewritingStatus::kBudgetExhausted);
+  ASSERT_EQ(rew.queries.size(), 1u);
+  EXPECT_TRUE(EquivalentQueries(vocab_, rew.queries[0], q))
+      << QueryToString(vocab_, rew.queries[0]);
+}
+
+TEST_F(RewritingTest, RulesThatCannotApplyMintNoVariables) {
+  // No rule's head predicate occurs in the query, so no backward step
+  // exists and nothing is freshened.
+  Theory theory = ParseT(R"(
+    E(x,y) -> exists z . E(y,z)
+    E(x,y), E(y,z) -> F(x,z)
+  )");
+  Rewriter rewriter(vocab_, theory);
+  ConjunctiveQuery q = Query("q(x) :- G(x,y), G(y,x)");
+  const uint32_t terms_before = vocab_.NumTerms();
+  RewritingResult rew = rewriter.Rewrite(q);
+  EXPECT_EQ(rew.status, RewritingStatus::kConverged);
+  EXPECT_EQ(rew.queries.size(), 1u);
+  EXPECT_EQ(vocab_.NumTerms(), terms_before);
+}
+
 }  // namespace
 }  // namespace frontiers
