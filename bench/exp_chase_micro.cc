@@ -198,7 +198,7 @@ class JsonlReporter : public benchmark::ConsoleReporter {
 }  // namespace frontiers
 
 // Hand-expanded BENCHMARK_MAIN() routed through bench::Main so this binary
-// honors --trace=/--tasks=/--profile=/--metrics= like the table-style
+// honors --trace=/--profile=/--metrics= like the table-style
 // experiments.
 // Those flags are stripped before benchmark::Initialize, which would
 // otherwise reject them.
@@ -207,7 +207,6 @@ int main(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (i == 0 || (arg.rfind("--trace=", 0) != 0 &&
-                   arg.rfind("--tasks=", 0) != 0 &&
                    arg.rfind("--profile=", 0) != 0 &&
                    arg.rfind("--metrics=", 0) != 0)) {
       bench_argv.push_back(argv[i]);

@@ -39,12 +39,8 @@ struct SweepPoint {
   double commit_expand_seconds;
   double commit_dedup_seconds;
   double commit_index_seconds;
-  // Parallelism accounting (PR 9): total task work, critical path, the
-  // Brent-bound speedup they imply, shard-mutex contention, and the worst
-  // round's shard-row imbalance (max shard rows / mean shard rows).
-  double work_seconds;
-  double critical_path_seconds;
-  double max_speedup;
+  // Shard-mutex contention and the worst round's shard-row imbalance (max
+  // shard rows / mean shard rows).
   double shard_wait_seconds;
   double shard_hold_seconds;
   double shard_imbalance;
@@ -99,9 +95,6 @@ void Sweep(const std::string& title, Vocabulary& vocab, const Theory& theory,
                       result.stats.CommitExpandSeconds(),
                       result.stats.CommitDedupSeconds(),
                       result.stats.CommitIndexSeconds(),
-                      result.stats.WorkSeconds(),
-                      result.stats.CriticalPathSeconds(),
-                      result.stats.AchievableSpeedup(),
                       result.stats.ShardWaitSeconds(),
                       result.stats.ShardHoldSeconds(), worst_imbalance,
                       result.facts.size(), result.stats.TotalMatches(),
@@ -118,25 +111,23 @@ void Sweep(const std::string& title, Vocabulary& vocab, const Theory& theory,
     }
   }
   bench::Table table({"threads", "wall s", "match s", "commit s", "expand s",
-                      "dedup s", "index s", "work s", "critpath s",
-                      "max speedup", "shard wait s", "imbalance", "atoms",
-                      "matches", "par rounds", "speedup vs 1T", "identical"});
+                      "dedup s", "index s", "shard wait s", "imbalance",
+                      "atoms", "matches", "par rounds", "speedup vs 1T",
+                      "identical"});
   const double base_seconds = points.front().seconds;
   for (const SweepPoint& p : points) {
     table.AddRow({std::to_string(p.threads), Fmt(p.seconds),
                   Fmt(p.match_seconds), Fmt(p.commit_seconds),
                   Fmt(p.commit_expand_seconds), Fmt(p.commit_dedup_seconds),
-                  Fmt(p.commit_index_seconds), Fmt(p.work_seconds),
-                  Fmt(p.critical_path_seconds), Fmt(p.max_speedup),
-                  Fmt(p.shard_wait_seconds), Fmt(p.shard_imbalance),
-                  std::to_string(p.atoms), std::to_string(p.matches),
+                  Fmt(p.commit_index_seconds), Fmt(p.shard_wait_seconds),
+                  Fmt(p.shard_imbalance), std::to_string(p.atoms),
+                  std::to_string(p.matches),
                   std::to_string(p.parallel_rounds),
                   Fmt(base_seconds / p.seconds), "yes"});
     // Structured twin of the table row, with typed fields (the table's
     // auto-emitted row carries strings only).  The commit sub-phases let
     // bench_diff attribute commit-phase movement to expansion, shard
-    // dedup, or index maintenance; the work/span/contention fields let
-    // par_report compare its prediction against the observed sweep.
+    // dedup, or index maintenance.
     bench::JsonRow()
         .Param("threads", uint64_t{p.threads})
         .Counter("atoms", p.atoms)
@@ -150,14 +141,12 @@ void Sweep(const std::string& title, Vocabulary& vocab, const Theory& theory,
         .Seconds("commit_expand", p.commit_expand_seconds)
         .Seconds("commit_dedup", p.commit_dedup_seconds)
         .Seconds("commit_index", p.commit_index_seconds)
-        .Seconds("work", p.work_seconds)
-        .Seconds("critical_path", p.critical_path_seconds)
         .Seconds("shard_wait", p.shard_wait_seconds)
         .Seconds("shard_hold", p.shard_hold_seconds)
         .Emit();
-    // max_speedup / shard_imbalance are run-varying, so they ride in the
-    // table auto-row (string params, never joined) — putting them in the
-    // typed row's params would make its bench_diff join key unstable.
+    // shard_imbalance is run-varying, so it rides in the table auto-row
+    // (string params, never joined) — putting it in the typed row's
+    // params would make its bench_diff join key unstable.
   }
   table.Print();
   std::printf("1-thread run: %s\n\n", baseline.stats.Summary().c_str());

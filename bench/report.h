@@ -15,7 +15,6 @@
 #include "obs/mem_stream.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/task_stream.h"
 #include "obs/trace.h"
 
 /// Build identifier stamped into every machine-readable bench row.  The
@@ -387,11 +386,9 @@ inline std::string ExperimentName(const char* argv0) {
 ///   }
 ///
 /// Names the JSON sink after the binary, honors `--trace=<file.json>` by
-/// wrapping the whole run in an obs::TraceSession, `--tasks=<file.jsonl>`
-/// by wrapping it in an obs::TaskStreamSession (worker-pool task and shard
-/// contention records, joinable with the trace through par_report),
-/// `--mem=<file.jsonl>` by wrapping it in an obs::MemStreamSession (the
-/// round-boundary memory ledger, rendered by tools/mem_report),
+/// wrapping the whole run in an obs::TraceSession, `--mem=<file.jsonl>`
+/// by wrapping it in an obs::MemStreamSession (the round-boundary memory
+/// ledger, rendered by tools/mem_report),
 /// `--profile=<file>` by wrapping it in an obs::ProfileSession (the report
 /// goes to `<file>`, its folded-stack flamegraph form to `<file>.folded`),
 /// and `--metrics=<file>` by dumping the default metrics registry as JSON
@@ -403,14 +400,12 @@ template <typename RunFn>
 int Main(int argc, char** argv, RunFn run) {
   JsonSink::Instance().SetExperiment(ExperimentName(argc > 0 ? argv[0] : ""));
   const char* trace_path = nullptr;
-  const char* tasks_path = nullptr;
   const char* mem_path = nullptr;
   const char* profile_path = nullptr;
   const char* metrics_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (arg.rfind("--trace=", 0) == 0) trace_path = argv[i] + 8;
-    if (arg.rfind("--tasks=", 0) == 0) tasks_path = argv[i] + 8;
     if (arg.rfind("--mem=", 0) == 0) mem_path = argv[i] + 6;
     if (arg.rfind("--profile=", 0) == 0) profile_path = argv[i] + 10;
     if (arg.rfind("--metrics=", 0) == 0) metrics_path = argv[i] + 10;
@@ -423,15 +418,6 @@ int Main(int argc, char** argv, RunFn run) {
     }
   } else {
     trace_path = nullptr;
-  }
-  if (tasks_path != nullptr && *tasks_path != '\0') {
-    Status started = obs::TaskStreamSession::Start(tasks_path);
-    if (!started.ok()) {
-      std::fprintf(stderr, "[tasks] %s\n", started.message().c_str());
-      tasks_path = nullptr;
-    }
-  } else {
-    tasks_path = nullptr;
   }
   if (mem_path != nullptr && *mem_path != '\0') {
     Status started = obs::MemStreamSession::Start(mem_path);
@@ -484,14 +470,6 @@ int Main(int argc, char** argv, RunFn run) {
       std::printf("[mem] wrote %s\n", mem_path);
     } else {
       std::fprintf(stderr, "[mem] %s\n", stopped.message().c_str());
-    }
-  }
-  if (tasks_path != nullptr) {
-    Status stopped = obs::TaskStreamSession::Stop();
-    if (stopped.ok()) {
-      std::printf("[tasks] wrote %s\n", tasks_path);
-    } else {
-      std::fprintf(stderr, "[tasks] %s\n", stopped.message().c_str());
     }
   }
   if (trace_path != nullptr) {

@@ -227,25 +227,10 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
   const uint32_t num_shards = shard_count();
   const size_t num_threads =
       pool != nullptr ? std::max<size_t>(1, pool->threads()) : 1;
-  // Contention/critical-path timing: needed whenever the caller wants
-  // BatchStats (the chase always does) or a task-stream session is live.
-  // Cost is a handful of clock reads per *task* (tasks are shard- or
-  // column-sized, never row-sized), all landing in disjoint scratch slots.
-  const bool timed = stats != nullptr || obs::taskhooks::TasksEnabled();
-  const uint64_t batch_id =
-      obs::taskhooks::TasksEnabled() ? obs::taskhooks::NextBatchId() : 0;
-  const auto region_stats = [](const std::vector<uint64_t>& busy_ns,
-                               double wall_seconds,
-                               BatchStats::ParallelRegion* region) {
-    uint64_t total = 0, longest = 0;
-    for (uint64_t ns : busy_ns) {
-      total += ns;
-      longest = std::max(longest, ns);
-    }
-    region->wall_seconds += wall_seconds;
-    region->work_seconds += static_cast<double>(total) * 1e-9;
-    region->longest_seconds += static_cast<double>(longest) * 1e-9;
-  };
+  // Shard contention timing, only when the caller wants BatchStats (the
+  // chase always does).  Cost is a few clock reads per shard task, all
+  // landing in disjoint scratch slots.
+  const bool timed = stats != nullptr;
   // Generic over the task body: the inline (single-thread) branch calls it
   // directly, so only the pool branch pays a std::function conversion.
   const auto run = [&](size_t count, const auto& fn) {
@@ -273,7 +258,6 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
   s.tasks.clear();
 
   // --- Phase A0: per-row hashing + shard routing (embarrassingly parallel).
-  BatchStats::ParallelRegion hash_region, dedup_region, index_region;
   std::vector<uint64_t>& hashes = s.hashes;
   std::vector<uint32_t>& shard_of = s.shard_of;
   hashes.resize(rows);
@@ -281,11 +265,7 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
   {
     const size_t chunk = (rows + num_threads - 1) / num_threads;
     const size_t chunks = (rows + chunk - 1) / chunk;
-    if (timed) s.task_busy_ns.assign(chunks, 0);
-    const Clock::time_point region_start = Clock::now();
     run(chunks, [&](size_t c) {
-      const uint64_t task_start =
-          timed ? obs::internal::NowNanos() : 0;
       const size_t begin = c * chunk;
       const size_t end = std::min(rows, begin + chunk);
       for (size_t row = begin; row < end; ++row) {
@@ -295,11 +275,7 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
         hashes[row] = HashRow(p, terms, arity);
         shard_of[row] = DedupShardOf(p, terms, arity);
       }
-      if (timed) s.task_busy_ns[c] = obs::internal::NowNanos() - task_start;
     });
-    if (timed) {
-      region_stats(s.task_busy_ns, SecondsSince(region_start), &hash_region);
-    }
   }
 
   // --- Serial prep: resolve predicates (the map may gain entries, which
@@ -336,7 +312,6 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
     s.shard_hold_ns.assign(num_shards, 0);
   }
   std::atomic<bool> faulted{false};
-  const Clock::time_point dedup_region_start = Clock::now();
   run(active_shards.size(), [&](size_t task) {
     const uint32_t sh = active_shards[task];
     // Wait vs hold: the gap between requesting and acquiring the shard
@@ -380,15 +355,6 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
       s.shard_hold_ns[sh] = obs::internal::NowNanos() - lock_acquired;
     }
   });
-  if (timed) {
-    // The dedup region's "work" is lock-hold time (all task work runs
-    // under the shard mutex); wait time is accounted separately as
-    // contention.
-    s.task_busy_ns.assign(num_shards, 0);
-    for (uint32_t sh : active_shards) s.task_busy_ns[sh] = s.shard_hold_ns[sh];
-    region_stats(s.task_busy_ns, SecondsSince(dedup_region_start),
-                 &dedup_region);
-  }
 
   if (faulted.load(std::memory_order_relaxed)) {
     // Roll every provisional entry back out (backward-shift erase), leaving
@@ -510,10 +476,7 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
     }
   }
   if (!new_rows.empty()) tasks.push_back({kDomain, 0, 0});
-  if (timed) s.task_busy_ns.assign(tasks.size(), 0);
-  const Clock::time_point index_region_start = Clock::now();
   run(tasks.size(), [&](size_t t) {
-    const uint64_t task_start = timed ? obs::internal::NowNanos() : 0;
     const IndexTask& task = tasks[t];
     switch (task.kind) {
       case kFixup: {
@@ -576,12 +539,7 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
         break;
       }
     }
-    if (timed) s.task_busy_ns[t] = obs::internal::NowNanos() - task_start;
   });
-  if (timed) {
-    region_stats(s.task_busy_ns, SecondsSince(index_region_start),
-                 &index_region);
-  }
   if (timings != nullptr) timings->index_seconds += SecondsSince(index_start);
   if (stats != nullptr) {
     stats->new_atoms = added;
@@ -597,15 +555,6 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
       stats->shard_hold_ns += s.shard_hold_ns[sh];
       stats->max_shard_wait_ns =
           std::max(stats->max_shard_wait_ns, s.shard_wait_ns[sh]);
-    }
-    stats->hash = hash_region;
-    stats->dedup = dedup_region;
-    stats->index = index_region;
-  }
-  if (timed && obs::taskhooks::TasksEnabled()) {
-    for (uint32_t sh : active_shards) {
-      obs::taskhooks::EmitShard({batch_id, sh, shard_rows[sh].size(),
-                                 s.shard_wait_ns[sh], s.shard_hold_ns[sh]});
     }
   }
   return added;
@@ -734,7 +683,6 @@ uint64_t FactSet::ScratchHeapBytes() const {
       VectorHeapBytes(s.active_shards, mode) +
       VectorHeapBytes(s.new_rows, mode) + VectorHeapBytes(s.plans, mode) +
       VectorHeapBytes(s.plan_rows, mode) + VectorHeapBytes(s.tasks, mode) +
-      VectorHeapBytes(s.task_busy_ns, mode) +
       VectorHeapBytes(s.shard_wait_ns, mode) +
       VectorHeapBytes(s.shard_hold_ns, mode) +
       UnorderedOverheadBytes(s.plan_of.bucket_count(), s.plan_of.size(),

@@ -114,7 +114,7 @@ class FactSet {
   };
 
   /// Per-batch shard occupancy and contention, for the obs layer's
-  /// metrics and the chase's parallelism accounting.  All timing fields
+  /// metrics and the chase's round record.  All timing fields
   /// are pure observation: they are filled from per-task clock reads into
   /// disjoint scratch slots and never influence the committed state.
   struct BatchStats {
@@ -127,18 +127,6 @@ class FactSet {
     uint64_t shard_wait_ns = 0;
     uint64_t shard_hold_ns = 0;
     uint64_t max_shard_wait_ns = 0;  ///< worst single shard's wait
-    /// One parallel region of the batch pipeline: region wall time, total
-    /// task work inside it, and the longest single task (the region's
-    /// critical path — with perfect scheduling the region can't finish
-    /// faster than this).
-    struct ParallelRegion {
-      double wall_seconds = 0.0;
-      double work_seconds = 0.0;
-      double longest_seconds = 0.0;
-    };
-    ParallelRegion hash;   ///< Phase A0: per-chunk hashing + routing.
-    ParallelRegion dedup;  ///< Phase A: per-shard dedup (work = lock hold).
-    ParallelRegion index;  ///< Phase B: index-fill tasks.
   };
 
   /// The pipelined twin of `InsertBatch`: byte-identical outcomes and
@@ -342,10 +330,9 @@ class FactSet {
       uint32_t b;
     };
     std::vector<IndexTask> tasks;
-    // Per-task timing slots (BatchStats).  Disjoint by construction — each
-    // task writes exactly its own index — so recording them is race-free
-    // and cannot perturb results.
-    std::vector<uint64_t> task_busy_ns;   // per task of the current region
+    // Per-shard contention slots (BatchStats).  Disjoint by construction —
+    // each shard's dedup and fix-up tasks write exactly its own index — so
+    // recording them is race-free and cannot perturb results.
     std::vector<uint64_t> shard_wait_ns;  // per shard, dedup + fix-up
     std::vector<uint64_t> shard_hold_ns;  // per shard, dedup + fix-up
   };

@@ -13,13 +13,6 @@ uint64_t NowNanos() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-}  // namespace internal
-
-namespace taskhooks {
-
-std::atomic<TaskFn> g_task_fn{nullptr};
-std::atomic<BatchFn> g_batch_fn{nullptr};
-std::atomic<ShardFn> g_shard_fn{nullptr};
 
 namespace {
 // Fixed slots instead of a vector: exit hooks run on worker threads while
@@ -28,17 +21,6 @@ namespace {
 constexpr size_t kMaxExitHooks = 4;
 std::atomic<ThreadExitFn> g_exit_hooks[kMaxExitHooks] = {};
 }  // namespace
-
-void SetTaskHooks(TaskFn task_fn, BatchFn batch_fn, ShardFn shard_fn) {
-  g_task_fn.store(task_fn, std::memory_order_release);
-  g_batch_fn.store(batch_fn, std::memory_order_release);
-  g_shard_fn.store(shard_fn, std::memory_order_release);
-}
-
-uint64_t NextBatchId() {
-  static std::atomic<uint64_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 void RegisterThreadExitHook(ThreadExitFn fn) {
   if (fn == nullptr) return;
@@ -62,8 +44,7 @@ void NotifyWorkerThreadExit() {
     }
   }
 }
-
-}  // namespace taskhooks
+}  // namespace internal
 
 namespace memhooks {
 

@@ -6,16 +6,18 @@
 
 /// Base-layer observability hooks.
 ///
-/// The trace/profile/task consumers live in src/obs, which links *against*
+/// The trace/profile/mem consumers live in src/obs, which links *against*
 /// frontiers_base — so base code (WorkerPool, FactSet) cannot call them
-/// directly.  This header holds the two pieces both sides share:
+/// directly.  This header holds the pieces both sides share:
 ///
 ///   * the process-wide span mask (one word; a disabled probe is exactly
 ///     one relaxed load of it, the overhead budget DESIGN.md §7 commits
-///     to), historically defined in obs/trace.cc and moved here so base
-///     code can test the same word instead of paying a second load;
-///   * `taskhooks`: POD records plus atomic function-pointer slots the
-///     task-stream session (obs/task_stream.h) installs at Start().  The
+///     to), defined here so base code can test the same word instead of
+///     paying a second load;
+///   * the worker-thread exit hooks, through which the trace layer drains
+///     a pool thread's span buffer before the pool joins it;
+///   * `memhooks`: POD records plus atomic function-pointer slots the
+///     mem-stream session (obs/mem_stream.h) installs at Start().  The
 ///     pointers are set with release semantics *before* the mask bit is
 ///     published and are never cleared, so an emitter that saw the bit is
 ///     guaranteed a valid target with an acquire load.
@@ -31,107 +33,28 @@ namespace internal {
 /// costs exactly one relaxed load of this plus a branch — the overhead
 /// budget the chase's parity guarantees are measured against (DESIGN.md
 /// §7).  Sharing one word between the trace layer, the profiler, and the
-/// task stream keeps that guarantee as consumers are added: the disabled
+/// mem stream keeps that guarantee as consumers are added: the disabled
 /// path never pays a second load.
 inline constexpr uint32_t kSpanTrace = 1u << 0;    ///< TraceSession active.
 inline constexpr uint32_t kSpanProfile = 1u << 1;  ///< ProfileSession active.
-inline constexpr uint32_t kSpanTasks = 1u << 2;    ///< TaskStreamSession.
-inline constexpr uint32_t kSpanMem = 1u << 3;      ///< MemStreamSession.
+inline constexpr uint32_t kSpanMem = 1u << 2;      ///< MemStreamSession.
 extern std::atomic<uint32_t> g_span_mask;
 
-/// Monotonic nanoseconds (steady clock).  Only meaningful as differences —
-/// except that every telemetry stream of one process shares this clock, so
-/// tools/par_report can join trace events and task records by timestamp.
+/// Monotonic nanoseconds (steady clock).  Only meaningful as differences.
 uint64_t NowNanos();
-}  // namespace internal
 
-namespace taskhooks {
-
-/// One claimed task inside a WorkerPool batch.  `enqueue_ns` is the batch
-/// publication time (tasks are claimed off a counter, not queued
-/// individually), `queue_depth` the number of still-unclaimed tasks right
-/// after this claim.
-struct TaskRecord {
-  uint64_t batch;       ///< Process-unique batch id (NextBatchId()).
-  uint64_t task;        ///< Task index within the batch.
-  uint32_t worker;      ///< 0 = the Run() caller, w+1 = background worker w.
-  uint32_t queue_depth;
-  uint64_t enqueue_ns;
-  uint64_t start_ns;
-  uint64_t finish_ns;
-};
-
-/// One WorkerPool::Run() batch, emitted after the batch quiesced.
-struct BatchRecord {
-  uint64_t batch;
-  uint64_t count;    ///< Tasks in the batch.
-  uint32_t threads;  ///< Workers that could claim (caller included).
-  uint64_t enqueue_ns;
-  uint64_t done_ns;
-};
-
-/// Per-shard contention summary for one FactSet batch insert: how long the
-/// shard's committing task waited for vs held the shard mutex, and how many
-/// rows it routed.
-struct ShardRecord {
-  uint64_t batch;  ///< Process-unique batch id (NextBatchId()).
-  uint32_t shard;
-  uint64_t rows;
-  uint64_t wait_ns;
-  uint64_t hold_ns;
-};
-
-using TaskFn = void (*)(const TaskRecord&);
-using BatchFn = void (*)(const BatchRecord&);
-using ShardFn = void (*)(const ShardRecord&);
 using ThreadExitFn = void (*)();
-
-extern std::atomic<TaskFn> g_task_fn;
-extern std::atomic<BatchFn> g_batch_fn;
-extern std::atomic<ShardFn> g_shard_fn;
-
-/// Installs a hook; each slot is written at most once per process (the
-/// sessions in src/obs are process-global singletons) with release order,
-/// before the kSpanTasks bit is raised.
-void SetTaskHooks(TaskFn task_fn, BatchFn batch_fn, ShardFn shard_fn);
-
-/// Returns the next process-wide batch id (1-based, monotone).  WorkerPool
-/// batches and FactSet batch inserts draw from the same counter so that
-/// records from different pool/FactSet instances — e.g. successive runs of
-/// one bench sweep — never collide in a `frontiers-tasks-v1` stream, which
-/// keeps (batch, task) a sortable unique key across a whole process.
-uint64_t NextBatchId();
 
 /// Registers `fn` to run on every pool worker thread right before it
 /// exits, so per-thread telemetry buffers are drained before the pool
 /// joins the thread.  Idempotent per function pointer; at most a handful
-/// of consumers (trace + task stream) register.
+/// of consumers register.
 void RegisterThreadExitHook(ThreadExitFn fn);
-
-/// True while a TaskStreamSession is active.  One relaxed load — the whole
-/// disabled cost of the task telemetry.
-inline bool TasksEnabled() {
-  return (internal::g_span_mask.load(std::memory_order_relaxed) &
-          internal::kSpanTasks) != 0;
-}
-
-inline void EmitTask(const TaskRecord& record) {
-  if (TaskFn fn = g_task_fn.load(std::memory_order_acquire)) fn(record);
-}
-
-inline void EmitBatch(const BatchRecord& record) {
-  if (BatchFn fn = g_batch_fn.load(std::memory_order_acquire)) fn(record);
-}
-
-inline void EmitShard(const ShardRecord& record) {
-  if (ShardFn fn = g_shard_fn.load(std::memory_order_acquire)) fn(record);
-}
 
 /// Called by WorkerPool threads on their way out (before the join in the
 /// pool destructor); runs every registered exit hook.
 void NotifyWorkerThreadExit();
-
-}  // namespace taskhooks
+}  // namespace internal
 
 namespace memhooks {
 
@@ -172,7 +95,7 @@ extern std::atomic<MemRowFn> g_mem_row_fn;
 extern std::atomic<MemRoundFn> g_mem_round_fn;
 
 /// Installs the mem hooks; written with release order before the
-/// kSpanMem bit is raised, mirroring SetTaskHooks.
+/// kSpanMem bit is raised.
 void SetMemHooks(MemRunFn run_fn, MemRowFn row_fn, MemRoundFn round_fn);
 
 /// True while a MemStreamSession is active.  One relaxed load — the whole
@@ -183,11 +106,10 @@ inline bool MemEnabled() {
 }
 
 /// Claims a run ordinal from the active session.  Session-local (resets
-/// at Start()) rather than taskhooks::NextBatchId on purpose: batch ids
-/// advance with every pool batch, and batch *counts* vary with the
-/// thread count, which would leak into the stream and break its
-/// byte-identical-across-threads contract.  Returns 0 when no session is
-/// active.
+/// at Start()) and advanced once per chase run, never per pool batch:
+/// batch counts vary with the thread count, which would leak into the
+/// stream and break its byte-identical-across-threads contract.  Returns
+/// 0 when no session is active.
 inline uint64_t BeginMemRun() {
   if (MemRunFn fn = g_mem_run_fn.load(std::memory_order_acquire)) return fn();
   return 0;

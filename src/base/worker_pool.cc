@@ -1,20 +1,13 @@
 #include "base/worker_pool.h"
 
+#include "base/obs_hooks.h"
+
 namespace frontiers {
-
-namespace {
-
-uint32_t QueueDepthAfterClaim(size_t count, size_t claimed) {
-  const size_t depth = count - claimed - 1;
-  return depth > UINT32_MAX ? UINT32_MAX : static_cast<uint32_t>(depth);
-}
-
-}  // namespace
 
 WorkerPool::WorkerPool(uint32_t threads) : threads_(threads < 1 ? 1 : threads) {
   workers_.reserve(threads_ - 1);
   for (uint32_t w = 0; w + 1 < threads_; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w + 1); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -27,11 +20,7 @@ WorkerPool::~WorkerPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void WorkerPool::DrainBatch(uint32_t worker) {
-  // One relaxed load per drain, not per task: a batch is the unit a worker
-  // participates in, and a session starting mid-batch only misses that
-  // batch's remainder (benign — sessions start at phase boundaries).
-  const bool telemetry = obs::taskhooks::TasksEnabled();
+void WorkerPool::DrainBatch() {
   // Claim tasks until the counter runs dry or a sibling failed.  A failed
   // batch stops dispatching new tasks but still drains the claimed ones,
   // so Run() can safely report completion before rethrowing.
@@ -39,8 +28,6 @@ void WorkerPool::DrainBatch(uint32_t worker) {
     if (failed_.load(std::memory_order_relaxed)) return;
     const size_t i = next_task_.fetch_add(1, std::memory_order_relaxed);
     if (i >= count_) return;
-    uint64_t start_ns = 0;
-    if (telemetry) start_ns = obs::internal::NowNanos();
     try {
       (*fn_)(i);
     } catch (...) {
@@ -49,16 +36,10 @@ void WorkerPool::DrainBatch(uint32_t worker) {
       failed_.store(true, std::memory_order_relaxed);
       return;
     }
-    if (telemetry) {
-      obs::taskhooks::EmitTask({batch_seq_, i, worker,
-                                QueueDepthAfterClaim(count_, i),
-                                batch_enqueue_ns_, start_ns,
-                                obs::internal::NowNanos()});
-    }
   }
 }
 
-void WorkerPool::WorkerLoop(uint32_t worker) {
+void WorkerPool::WorkerLoop() {
   uint64_t seen_generation = 0;
   for (;;) {
     {
@@ -69,38 +50,24 @@ void WorkerPool::WorkerLoop(uint32_t worker) {
       if (shutdown_) break;
       seen_generation = generation_;
     }
-    DrainBatch(worker);
+    DrainBatch();
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++active_;  // repurposed as "workers done with this generation"
     }
     batch_done_.notify_all();
   }
-  // Drain this thread's buffered telemetry (trace spans, task records)
-  // before the destructor joins us: a session stopped after the pool died
-  // must still see complete per-thread streams.
-  obs::taskhooks::NotifyWorkerThreadExit();
+  // Drain this thread's buffered trace spans before the destructor joins
+  // us: a session stopped after the pool died must still see complete
+  // per-thread streams.
+  obs::internal::NotifyWorkerThreadExit();
 }
 
 void WorkerPool::Run(size_t count, const std::function<void(size_t)>& fn) {
   if (count == 0) return;
   if (workers_.empty()) {
-    if (!obs::taskhooks::TasksEnabled()) {
-      // Inline execution: same semantics, no synchronization.
-      for (size_t i = 0; i < count; ++i) fn(i);
-      return;
-    }
-    const uint64_t batch = obs::taskhooks::NextBatchId();
-    const uint64_t enqueue_ns = obs::internal::NowNanos();
-    for (size_t i = 0; i < count; ++i) {
-      const uint64_t start_ns = obs::internal::NowNanos();
-      fn(i);
-      obs::taskhooks::EmitTask({batch, i, /*worker=*/0,
-                                QueueDepthAfterClaim(count, i), enqueue_ns,
-                                start_ns, obs::internal::NowNanos()});
-    }
-    obs::taskhooks::EmitBatch(
-        {batch, count, /*threads=*/1, enqueue_ns, obs::internal::NowNanos()});
+    // Inline execution: same semantics, no synchronization.
+    for (size_t i = 0; i < count; ++i) fn(i);
     return;
   }
   {
@@ -115,12 +82,9 @@ void WorkerPool::Run(size_t count, const std::function<void(size_t)>& fn) {
     first_error_ = nullptr;
     active_ = 0;
     ++generation_;
-    batch_seq_ = obs::taskhooks::NextBatchId();
-    batch_enqueue_ns_ =
-        obs::taskhooks::TasksEnabled() ? obs::internal::NowNanos() : 0;
   }
   work_ready_.notify_all();
-  DrainBatch(/*worker=*/0);  // the calling thread participates
+  DrainBatch();  // the calling thread participates
   // Wait until EVERY background worker has finished this generation (not
   // merely until the task counter drained): a worker that woke late could
   // otherwise still be inside DrainBatch while the next batch replaces
@@ -129,18 +93,11 @@ void WorkerPool::Run(size_t count, const std::function<void(size_t)>& fn) {
   batch_done_.wait(lock,
                    [&] { return active_ == workers_.size(); });
   fn_ = nullptr;
-  const uint64_t batch = batch_seq_;
-  const uint64_t enqueue_ns = batch_enqueue_ns_;
   if (first_error_) {
     std::exception_ptr err = first_error_;
     first_error_ = nullptr;
     lock.unlock();
     std::rethrow_exception(err);
-  }
-  lock.unlock();
-  if (obs::taskhooks::TasksEnabled()) {
-    obs::taskhooks::EmitBatch(
-        {batch, count, threads_, enqueue_ns, obs::internal::NowNanos()});
   }
 }
 

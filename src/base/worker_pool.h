@@ -11,8 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "base/obs_hooks.h"
-
 namespace frontiers {
 
 /// A persistent pool of worker threads executing indexed task batches.
@@ -37,13 +35,6 @@ namespace frontiers {
 /// disjoint output slot (indexed by task id) and merge in task order, which
 /// is exactly how the chase's match buffers and the fact store's per-shard
 /// commit use it.
-///
-/// Task telemetry: while a TaskStreamSession (obs/task_stream.h) is active
-/// the pool records every claimed task (enqueue/start/finish, claiming
-/// worker, queue depth at claim) and every batch through the taskhooks in
-/// base/obs_hooks.h.  Telemetry is pure observation — it never affects
-/// claiming order semantics — and when disabled costs one relaxed load of
-/// the shared span mask per worker per batch.
 class WorkerPool {
  public:
   /// `threads` is the total worker count including the calling thread;
@@ -63,10 +54,8 @@ class WorkerPool {
   void Run(size_t count, const std::function<void(size_t)>& fn);
 
  private:
-  // `worker` is a stable telemetry id: 0 for the Run() caller, w+1 for
-  // background worker w.
-  void WorkerLoop(uint32_t worker);
-  void DrainBatch(uint32_t worker);
+  void WorkerLoop();
+  void DrainBatch();
 
   const uint32_t threads_;
   std::vector<std::thread> workers_;
@@ -79,12 +68,6 @@ class WorkerPool {
   const std::function<void(size_t)>* fn_ = nullptr;
   size_t count_ = 0;
   uint64_t generation_ = 0;
-  // Telemetry identity of the current batch (a process-unique id from
-  // obs::taskhooks::NextBatchId()), published with fn_/count_ (and
-  // therefore ordered the same way); read by workers only while the batch
-  // is live.  enqueue is 0 when no task stream was active at publication.
-  uint64_t batch_seq_ = 0;
-  uint64_t batch_enqueue_ns_ = 0;
   // Background workers that finished the current generation; Run returns
   // only once every worker acknowledged, so no straggler can outlive a
   // batch into the next one.

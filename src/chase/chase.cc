@@ -9,6 +9,8 @@
 #include <mutex>
 #include <thread>
 #include <unordered_set>
+#include <utility>
+#include <variant>
 
 #include "base/check.h"
 #include "base/failpoint.h"
@@ -24,7 +26,9 @@ namespace frontiers {
 
 namespace {
 
-double Seconds(std::chrono::steady_clock::duration d) {
+using Clock = std::chrono::steady_clock;
+
+double Seconds(Clock::duration d) {
   return std::chrono::duration_cast<std::chrono::duration<double>>(d).count();
 }
 
@@ -238,13 +242,6 @@ std::string ChaseHeartbeat::ToJsonLine() const {
   } else {
     line += ",\"eta_seconds\":null";
   }
-  if (max_speedup >= 0) {
-    std::snprintf(buffer, sizeof(buffer), ",\"max_speedup\":%.6g",
-                  max_speedup);
-    line += buffer;
-  } else {
-    line += ",\"max_speedup\":null";
-  }
   if (stop != nullptr) {
     // Stop names are fixed lowercase literals (ChaseStopName); no escaping.
     line += ",\"stop\":\"";
@@ -268,111 +265,10 @@ uint32_t ResolveWorkerCount(uint32_t requested) {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-uint64_t ChaseStats::TotalMatches() const {
-  uint64_t total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.matches;
-  return total;
-}
-
-uint64_t ChaseStats::TotalStaged() const {
-  uint64_t total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.staged;
-  return total;
-}
-
-uint64_t ChaseStats::TotalCommitted() const {
-  uint64_t total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.committed;
-  return total;
-}
-
-uint64_t ChaseStats::TotalPreempted() const {
-  uint64_t total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.preempted;
-  return total;
-}
-
-uint64_t ChaseStats::TotalDeduped() const {
-  uint64_t total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.deduped;
-  return total;
-}
-
-double ChaseStats::MatchSeconds() const {
-  double total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.match_seconds;
-  return total;
-}
-
-double ChaseStats::CommitSeconds() const {
-  double total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.commit_seconds;
-  return total;
-}
-
-double ChaseStats::CommitExpandSeconds() const {
-  double total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.commit_expand_seconds;
-  return total;
-}
-
-double ChaseStats::CommitDedupSeconds() const {
-  double total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.commit_dedup_seconds;
-  return total;
-}
-
-double ChaseStats::CommitIndexSeconds() const {
-  double total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.commit_index_seconds;
-  return total;
-}
-
 uint64_t ChaseStats::ParallelRounds() const {
-  uint64_t total = 0;
-  for (const ChaseRoundStats& r : rounds) {
-    if (r.used_threads > 1) ++total;
-  }
-  return total;
-}
-
-uint64_t ChaseStats::TotalInserted() const {
-  uint64_t total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.atoms_inserted;
-  return total;
-}
-
-double ChaseStats::WorkSeconds() const {
-  double total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.work_seconds;
-  return total;
-}
-
-double ChaseStats::CriticalPathSeconds() const {
-  double total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.critical_path_seconds;
-  return total;
-}
-
-double ChaseStats::ShardWaitSeconds() const {
-  double total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.shard_wait_seconds;
-  return total;
-}
-
-double ChaseStats::ShardHoldSeconds() const {
-  double total = 0;
-  for (const ChaseRoundStats& r : rounds) total += r.shard_hold_seconds;
-  return total;
-}
-
-double ChaseStats::AchievableSpeedup() const {
-  const double work = WorkSeconds();
-  const double span = CriticalPathSeconds();
-  if (work <= 0.0 || span <= 0.0) return 1.0;
-  // The critical path is a lower bound on wall time, so work/span >= 1 up
-  // to measurement noise on degenerate (near-empty) rounds.
-  return std::max(1.0, work / span);
+  return static_cast<uint64_t>(std::count_if(
+      rounds.begin(), rounds.end(),
+      [](const ChaseRoundStats& r) { return r.used_threads > 1; }));
 }
 
 double ChaseStats::TotalSeconds() const {
@@ -399,8 +295,7 @@ std::string ChaseStats::Summary() const {
       buffer, sizeof(buffer),
       "rounds=%zu matches=%llu staged=%llu deduped=%llu committed=%llu "
       "preempted=%llu inserted=%llu match=%.3fs commit=%.3fs "
-      "(expand=%.3fs dedup=%.3fs index=%.3fs) other=%.3fs total=%.3fs "
-      "work=%.3fs critpath=%.3fs max_speedup=%.2fx",
+      "(expand=%.3fs dedup=%.3fs index=%.3fs) other=%.3fs total=%.3fs",
       rounds.size(), static_cast<unsigned long long>(TotalMatches()),
       static_cast<unsigned long long>(TotalStaged()),
       static_cast<unsigned long long>(TotalDeduped()),
@@ -408,7 +303,7 @@ std::string ChaseStats::Summary() const {
       static_cast<unsigned long long>(TotalPreempted()),
       static_cast<unsigned long long>(TotalInserted()), match, commit,
       CommitExpandSeconds(), CommitDedupSeconds(), CommitIndexSeconds(), other,
-      total, WorkSeconds(), CriticalPathSeconds(), AchievableSpeedup());
+      total);
   std::string out = buffer;
   if (!rounds.empty()) {
     // Ledger figures (capacity mode, DESIGN.md §9): the last boundary's
@@ -680,11 +575,11 @@ struct MatchUnit {
 struct UnitBuffer {
   StagedApplications staged;
   uint64_t matches = 0;
-  // Wall time this unit's enumeration took, for the round's work/span
-  // accounting (units are the match phase's parallel tasks).  Disjoint
-  // slot per unit, so recording it is race-free.
-  uint64_t busy_ns = 0;
 };
+
+// Placeholder TermIds for Skolem rows not yet interned during a parallel
+// head expansion live above this bit; real ids stay below it.
+constexpr uint32_t kLocalTermBit = 0x80000000u;
 
 }  // namespace
 
@@ -860,1157 +755,1159 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
   return RunFromState(std::move(state), options);
 }
 
-ChaseResult ChaseEngine::RunFromState(RunState state,
-                                      const ChaseOptions& options) const {
-  using Clock = std::chrono::steady_clock;
-  // Tracing and metrics are pure observation: workers never publish spans
-  // into shared chase state and the registry is write-only here, so the
-  // byte-identity guarantees across thread counts are untouched (asserted
-  // by tests/obs_test.cc).
-  obs::Span run_span("chase.run", "chase");
-  ChaseMetrics& metrics = ChaseMetrics::Get();
-  metrics.runs.Add();
-  const Clock::time_point run_start = Clock::now();
-  const Clock::time_point deadline_point =
-      options.deadline_seconds > 0
-          ? run_start + std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double>(
-                                options.deadline_seconds))
-          : Clock::time_point::max();
+// The round loop of one Run/Resume call.  RunFromState drives the phases
+// of DESIGN.md §5 — PlanUnits, MatchRound, CommitSemiOblivious or
+// CommitRestricted, CloseRound — once per round; everything runs on the
+// calling thread except the match units and commit tasks handed to the
+// pool.  The round boundary is the only place that reports a round:
+// CloseRound appends the round's record to ChaseStats and feeds the same
+// record to the registry, the mem stream and the periodic heartbeat, and
+// Finish reuses the boundary accounting (without a record) for the state
+// the run returns.
+//
+// Tracing and metrics are pure observation: workers never publish spans
+// into shared chase state and the registry is write-only here, so the
+// byte-identity guarantees across thread counts are untouched (asserted
+// by tests/obs_test.cc).
+class ChaseEngine::RoundLoop {
+ public:
+  RoundLoop(const ChaseEngine& engine, RunState state,
+            const ChaseOptions& options);
 
-  ChaseResult& result = state.result;
-  std::vector<uint32_t>& delta_atoms = state.delta_atoms;
-  std::vector<TermId>& delta_terms = state.delta_terms;
-  size_t& live_bytes = state.live_bytes;
-  const bool provenance =
-      options.track_provenance || options.record_all_derivations;
-  const uint32_t num_threads = ResolveWorkerCount(options.threads);
-  // One persistent worker pool per run (not per round): spawning threads
-  // every round cost more than the match work itself on thin-round
-  // workloads (the E17a 2-thread regression), so workers now park on a
-  // condition variable between rounds.  The pool executes both the match
-  // units and the commit pipeline's shard/index tasks.
-  std::optional<WorkerPool> pool_storage;
-  if (num_threads > 1) pool_storage.emplace(num_threads);
-  WorkerPool* pool = pool_storage.has_value() ? &*pool_storage : nullptr;
+  RoundLoop(const RoundLoop&) = delete;
+  RoundLoop& operator=(const RoundLoop&) = delete;
+
+  /// The next round to execute (= complete rounds so far).
+  uint32_t round() const { return state_.round; }
+
+  /// Workers the next round uses: the small-round serial fallback keeps a
+  /// thin round on the calling thread, because dispatching it to the pool
+  /// costs more than the round itself.
+  uint32_t RoundThreads() const {
+    return num_threads_ > 1 && work_hint_ < options_.serial_round_threshold
+               ? 1
+               : num_threads_;
+  }
+
+  /// Budget and cancellation checks at a round boundary, in fixed priority
+  /// order.  The byte check reads only `live_bytes`, a deterministic
+  /// function of the committed state, so byte-budget trips land on the
+  /// same round at every thread count.
+  std::optional<ChaseStop> BoundaryStop() const;
+
+  /// Plan: the round's match units, in the sequential engine's staging
+  /// order.
+  std::vector<MatchUnit> PlanUnits(uint32_t round_threads);
+
+  /// Match: enumerates every unit (on the pool when the round is wide) and
+  /// merges the per-unit buffers in unit order.  Returns the stop of a
+  /// mid-round budget or cancellation trip instead; the round is then
+  /// abandoned whole.
+  std::variant<StagedApplications, ChaseStop> MatchRound(
+      const std::vector<MatchUnit>& units, ChaseRoundStats& record);
+
+  /// Commit, one per variant.  Both return nullopt for a complete round,
+  /// kAtomBudget for a round truncated by the atom budget (it still
+  /// closes), or kInjectedFault for a faulted round the caller must
+  /// abandon (the state is left at the previous round boundary).
+  std::optional<ChaseStop> CommitSemiOblivious(const StagedApplications& staged,
+                                               ChaseRoundStats& record);
+  std::optional<ChaseStop> CommitRestricted(StagedApplications& staged,
+                                            ChaseRoundStats& record);
+
+  /// Close: the round boundary.  Accounts the ledger, appends `record`,
+  /// publishes it, and either returns the stop the round ended in
+  /// (kAtomBudget, kFixpoint) or advances to the next round and decides
+  /// the periodic heartbeat.
+  std::optional<ChaseStop> CloseRound(ChaseRoundStats& record,
+                                      bool atom_budget_hit);
+
+  /// Stops the run at the current round boundary and returns its result.
+  ChaseResult Finish(ChaseStop stop);
+
+ private:
+  // Boundary accounting: recomputes both ledger modes from the containers'
+  // own bookkeeping, refreshes live_bytes, the peak and the
+  // `frontiers.mem.*` gauges, and (with `emit_mem_rows`) writes the
+  // boundary's frontiers-mem-v1 rows.  Returns the capacity-mode totals.
+  MemTotals AccountBoundary(uint32_t completed_rounds, bool emit_mem_rows);
+  void PublishRound(const ChaseRoundStats& record);
+  void EmitHeartbeat(uint32_t completed_rounds, const char* stop_name);
+
+  // One match unit, run by exactly one worker into its own buffer.
+  void RunUnit(const MatchUnit& unit, const Matcher& matcher,
+               const std::unordered_set<TermId>& new_terms, UnitBuffer& out);
+  // Parallel head expansion of the surviving applications into `pending_`.
+  void ExpandParallel(const StagedApplications& staged,
+                      uint32_t round_threads);
+  // Bookkeeping for one head row's insert outcome — depth, delta,
+  // provenance, births — shared by both commit paths.
+  void RecordRow(const StagedApplications& staged,
+                 const StagedApplications::App& app, size_t head_atom,
+                 FactSet::InsertOutcome out, const TermId* terms,
+                 uint32_t arity, ChaseRoundStats& record);
+
+  // Mid-round governance.  Workers poll cooperatively; the first trip wins
+  // the CAS and every worker drains at its next poll.  An aborted round is
+  // discarded *whole* — staged buffers and this round's counters are
+  // dropped, leaving the result at the previous round boundary — so a
+  // mid-match trip and a boundary trip produce the same result, which
+  // keeps budget stops deterministic across thread counts: a partial
+  // staged-bytes sum over the budget implies the full (thread-count-
+  // independent) sum is over it too.
+  bool Aborting() const {
+    return abort_reason_.load(std::memory_order_relaxed) != -1;
+  }
+  void RequestAbort(ChaseStop stop) {
+    int expected = -1;
+    abort_reason_.compare_exchange_strong(expected, static_cast<int>(stop),
+                                          std::memory_order_relaxed);
+  }
+  void PollGovernor();
+
+  const ChaseEngine& engine_;
+  const ChaseOptions& options_;
+  RunState state_;
+  ChaseMetrics& metrics_;
+  const Clock::time_point run_start_;
+  const Clock::time_point deadline_;
+  const bool provenance_;
   // Governance (budget/cancellation checks) is off the hot path entirely
   // when no budget is installed.
-  const bool governed = options.deadline_seconds > 0 ||
-                        options.max_bytes > 0 || options.cancel != nullptr;
-
-#ifndef NDEBUG
-  // Registry-vs-stats consistency: everything this call adds to the
-  // `frontiers.chase.*` counters must equal what it appends to
-  // `result.stats` — the two reporting paths promise the same numbers
-  // (DESIGN.md §7), and this check makes a silent divergence (a counter
-  // bumped without its stats twin, or vice versa) a debug-build abort.
-  struct PublishedTotals {
-    uint64_t rounds = 0, matches = 0, staged = 0, committed = 0,
-             preempted = 0, deduped = 0, inserted = 0;
-  } published;
-  const PublishedTotals stats_base = {result.stats.rounds.size(),
-                                      result.stats.TotalMatches(),
-                                      result.stats.TotalStaged(),
-                                      result.stats.TotalCommitted(),
-                                      result.stats.TotalPreempted(),
-                                      result.stats.TotalDeduped(),
-                                      result.stats.TotalInserted()};
-#endif
-
-  // Commit-phase scratch, reused across rounds so big rounds don't pay a
-  // fresh geometric-growth allocation chain every round.  Declared before
-  // the boundary accounting below, which reports it under kScratch.
-  RowBlock pending;
-  std::vector<uint32_t> surviving;
-  std::vector<FactSet::InsertOutcome> outcomes;
-  std::vector<TermId> fn_args_scratch;
-
-  // --- Ledger round-boundary accounting ------------------------------------
-  // At every round boundary (and once on entry) the chase recomputes both
-  // ledger modes from the containers' own bookkeeping: the content total
-  // becomes `live_bytes` (the byte-budget quantity — thread- and
-  // resume-invariant), the capacity total feeds the peak, the
-  // `frontiers.mem.*` gauges, and the frontiers-mem-v1 stream.  The
-  // provenance inner bytes come from RunState's incremental counters;
-  // debug builds assert them against a full walk here (the incremental ==
-  // recomputed contract of DESIGN.md §9).
-  const uint64_t mem_run =
-      obs::memhooks::MemEnabled() ? obs::memhooks::BeginMemRun() : 0;
-  auto account_boundary = [&](uint32_t completed_rounds,
-                              bool emit_stream) -> MemTotals {
-    MemTotals cap = ChaseMemTotalsFromParts(
-        result, vocab_, MemAccounting::kCapacity, state.prov_inner_capacity);
-    // The chase's own persistent scratch, on top of FactSet's batch
-    // scratch (already under kScratch): thread-dependent, diagnostic only.
-    cap.Add(MemComponent::kScratch,
-            pending.HeapBytes(MemAccounting::kCapacity) +
-                VectorHeapBytes(surviving, MemAccounting::kCapacity) +
-                VectorHeapBytes(outcomes, MemAccounting::kCapacity) +
-                VectorHeapBytes(fn_args_scratch, MemAccounting::kCapacity) +
-                VectorHeapBytes(delta_atoms, MemAccounting::kCapacity) +
-                VectorHeapBytes(delta_terms, MemAccounting::kCapacity));
-    const MemTotals con = ChaseMemTotalsFromParts(
-        result, vocab_, MemAccounting::kContent, state.prov_inner_content);
-    state.live_bytes = con.TrackedTotal();
-    const uint64_t tracked = cap.TrackedTotal();
-    if (tracked > state.peak_bytes) state.peak_bytes = tracked;
-#ifndef NDEBUG
-    // Incremental-vs-recomputed: the counters RunState carries must agree
-    // with a from-scratch walk of the same state, component by component,
-    // in both modes (kScratch excluded — the walk cannot see round-local
-    // buffers).
-    const MemTotals cap_walk =
-        ComputeChaseMemTotals(result, vocab_, MemAccounting::kCapacity);
-    const MemTotals con_walk =
-        ComputeChaseMemTotals(result, vocab_, MemAccounting::kContent);
-    for (size_t c = 0; c < kMemComponentCount; ++c) {
-      if (c == static_cast<size_t>(MemComponent::kScratch)) continue;
-      FRONTIERS_CHECK(
-          cap.bytes[c] == cap_walk.bytes[c] &&
-              con.bytes[c] == con_walk.bytes[c],
-          std::string("chase mem ledger diverged from a full recompute for "
-                      "component '") +
-              MemComponentName(static_cast<MemComponent>(c)) + "'");
-    }
-#endif
-    metrics.mem_total_bytes.Set(static_cast<double>(tracked));
-    metrics.mem_peak_bytes.Set(static_cast<double>(state.peak_bytes));
-    for (size_t c = 0; c < kMemComponentCount; ++c) {
-      metrics.mem_components[c]->Set(static_cast<double>(cap.bytes[c]));
-    }
-    if (emit_stream && mem_run != 0 && obs::memhooks::MemEnabled()) {
-      // Per-predicate attribution rows (component-major, predicate-id
-      // order), then the global components in fixed order — deterministic
-      // values only, so the stream is byte-identical across thread counts.
-      MemLedger ledger;
-      result.facts.AccountLedger(ledger, MemAccounting::kCapacity);
-      for (const MemLedgerRow& row : ledger.rows) {
-        obs::memhooks::EmitMemRow(
-            {mem_run, completed_rounds, MemComponentName(row.component),
-             row.predicate == UINT32_MAX
-                 ? ""
-                 : vocab_.PredicateName(row.predicate).c_str(),
-             row.bytes});
-      }
-      for (MemComponent c :
-           {MemComponent::kVocabTerms, MemComponent::kVocabSkolem,
-            MemComponent::kProvenance, MemComponent::kFrontierMemo}) {
-        if (cap.Get(c) != 0) {
-          obs::memhooks::EmitMemRow(
-              {mem_run, completed_rounds, MemComponentName(c), "",
-               cap.Get(c)});
-        }
-      }
-      obs::memhooks::EmitMemRound({mem_run, completed_rounds,
-                                   result.facts.size(), tracked,
-                                   state.peak_bytes,
-                                   cap.Get(MemComponent::kScratch)});
-    }
-    return cap;
-  };
-  // Initial boundary: the state this call starts from (the input database
-  // for Run, the reconstructed stage for Resume).
-  account_boundary(state.round, true);
-
-  // --- Heartbeat plumbing --------------------------------------------------
-  // Heartbeats run on the calling thread at round boundaries only, reading
-  // committed state; they are pure observation like tracing and profiling.
-  const bool heartbeat_on = options.heartbeat_seconds > 0;
-  const Clock::duration heartbeat_interval =
-      heartbeat_on ? std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(
-                             options.heartbeat_seconds))
-                   : Clock::duration::zero();
-  Clock::time_point next_heartbeat = run_start + heartbeat_interval;
-  Clock::time_point last_heartbeat_time = run_start;
-  uint64_t last_heartbeat_facts = result.facts.size();
-  uint64_t last_heartbeat_bytes = live_bytes;
-  auto emit_heartbeat = [&](uint32_t completed_rounds,
-                            const char* stop_name) {
-    const Clock::time_point now = Clock::now();
-    ChaseHeartbeat hb;
-    hb.round = completed_rounds;
-    hb.facts = result.facts.size();
-    const double dt = Seconds(now - last_heartbeat_time);
-    hb.facts_per_second =
-        dt > 0 ? static_cast<double>(hb.facts - last_heartbeat_facts) / dt
-               : 0.0;
-    hb.bytes = live_bytes;
-    hb.peak_bytes = state.peak_bytes;
-    hb.elapsed_seconds = Seconds(now - run_start);
-    if (options.deadline_seconds > 0) {
-      hb.budget_remaining_seconds =
-          std::max(0.0, options.deadline_seconds - hb.elapsed_seconds);
-    }
-    // ETA: the minimum over every *active* budget's projection — atom
-    // budget at the current fact rate, deadline remaining, byte budget at
-    // the current byte rate.  Stays null only when no budget gives a
-    // basis (e.g. a fixpoint-bound run with no observed progress).
-    auto consider_eta = [&hb](double candidate) {
-      if (candidate >= 0 && (hb.eta_seconds < 0 || candidate < hb.eta_seconds)) {
-        hb.eta_seconds = candidate;
-      }
-    };
-    if (hb.facts_per_second > 0 && options.max_atoms > hb.facts) {
-      consider_eta(static_cast<double>(options.max_atoms - hb.facts) /
-                   hb.facts_per_second);
-    }
-    if (options.deadline_seconds > 0) {
-      consider_eta(hb.budget_remaining_seconds);
-    }
-    if (options.max_bytes > 0) {
-      if (live_bytes >= options.max_bytes) {
-        consider_eta(0.0);
-      } else if (dt > 0 && live_bytes > last_heartbeat_bytes) {
-        const double bytes_per_second =
-            static_cast<double>(live_bytes - last_heartbeat_bytes) / dt;
-        consider_eta(static_cast<double>(options.max_bytes - live_bytes) /
-                     bytes_per_second);
-      }
-    }
-    // Brent-bound achievable speedup over the rounds committed so far;
-    // stays null until the first round's accounting lands.
-    if (result.stats.WorkSeconds() > 0) {
-      hb.max_speedup = result.stats.AchievableSpeedup();
-    }
-    hb.stop = stop_name;
-    if (options.heartbeat_sink) {
-      options.heartbeat_sink(hb);
-    } else {
-      std::fprintf(stderr, "%s\n", hb.ToJsonLine().c_str());
-    }
-    last_heartbeat_time = now;
-    last_heartbeat_facts = hb.facts;
-    last_heartbeat_bytes = live_bytes;
-  };
-
-  auto finish = [&](ChaseStop stop, uint32_t complete_rounds) {
-    result.stop = stop;
-    result.complete_rounds = complete_rounds;
-    // Recompute the boundary totals unconditionally: an injected-fault
-    // rollback mutates the memo after the last per-round boundary, and the
-    // final figures must describe the state actually returned (asserted
-    // equal to a fresh recompute by tests/mem_test.cc).  No stream row —
-    // the state is the last emitted boundary's.
-    account_boundary(complete_rounds, false);
-    result.approx_bytes = live_bytes;
-    result.peak_bytes = state.peak_bytes;
-    const double elapsed = Seconds(Clock::now() - run_start);
-    result.stats.total_seconds += elapsed;
-    metrics.run_seconds.Observe(elapsed);
-    metrics.live_bytes.Set(static_cast<double>(live_bytes));
-    if (stop != ChaseStop::kFixpoint && stop != ChaseStop::kRoundBudget) {
-      metrics.budget_stops.Add();
-      obs::TraceInstant(ChaseStopName(stop), "chase");
-    }
-    if (heartbeat_on) emit_heartbeat(complete_rounds, ChaseStopName(stop));
-#ifndef NDEBUG
-    FRONTIERS_CHECK(
-        published.rounds == result.stats.rounds.size() - stats_base.rounds &&
-            published.matches ==
-                result.stats.TotalMatches() - stats_base.matches &&
-            published.staged ==
-                result.stats.TotalStaged() - stats_base.staged &&
-            published.committed ==
-                result.stats.TotalCommitted() - stats_base.committed &&
-            published.preempted ==
-                result.stats.TotalPreempted() - stats_base.preempted &&
-            published.deduped ==
-                result.stats.TotalDeduped() - stats_base.deduped &&
-            published.inserted ==
-                result.stats.TotalInserted() - stats_base.inserted,
-        "frontiers.chase.* registry counters diverged from ChaseStats: the "
-        "per-round publication and the per-run stats no longer agree");
-#endif
-    return std::move(result);
-  };
-
-  // Stop checks at a round boundary, in fixed priority order.  The byte
-  // check reads only `live_bytes`, which is a deterministic function of the
-  // committed state, so byte-budget trips land on the same round at every
-  // thread count.
-  auto boundary_stop = [&]() -> std::optional<ChaseStop> {
-    if (options.cancel && options.cancel->Cancelled()) {
-      return ChaseStop::kCancelled;
-    }
-    if (Clock::now() >= deadline_point) return ChaseStop::kDeadline;
-    if (options.max_bytes > 0 && live_bytes > options.max_bytes) {
-      return ChaseStop::kByteBudget;
-    }
-    return std::nullopt;
-  };
-
-  uint32_t round = state.round;
-  bool atom_budget_hit = false;
+  const bool governed_;
+  const uint32_t num_threads_;
+  // One persistent worker pool per run (not per round): spawning threads
+  // every round cost more than the match work itself on thin-round
+  // workloads (the E17a 2-thread regression), so workers park on a
+  // condition variable between rounds.  The pool executes both the match
+  // units and the commit pipeline's shard/index tasks.
+  std::optional<WorkerPool> pool_;
+  const uint64_t mem_run_;
   // Work hint for the small-round serial fallback: the input delta for the
   // first round, then the previous round's matches + staged applications.
   // A pure execution heuristic — it gates *who* computes, never what.
-  uint64_t work_hint = delta_atoms.size();
-  while (round < options.max_rounds && !atom_budget_hit) {
-    if (governed) {
-      if (std::optional<ChaseStop> stop = boundary_stop()) {
-        return finish(*stop, round);
+  uint64_t work_hint_;
+
+  // Per-round state.  The delta atoms grouped by predicate (order-
+  // preserving; the planned units point into it), the domain size before
+  // commit, the atoms this round inserted, and the governance flags.
+  std::unordered_map<PredicateId, std::vector<uint32_t>> delta_by_pred_;
+  size_t domain_before_ = 0;
+  std::vector<uint32_t> next_delta_atoms_;
+  std::atomic<int> abort_reason_{-1};
+  std::atomic<size_t> staged_bytes_{0};
+
+  // Commit-phase scratch, reused across rounds so big rounds don't pay a
+  // fresh geometric-growth allocation chain every round.  Reported under
+  // kScratch at every boundary.
+  RowBlock pending_;
+  std::vector<uint32_t> surviving_;
+  std::vector<FactSet::InsertOutcome> outcomes_;
+  std::vector<TermId> fn_args_scratch_;
+
+  // Heartbeats run on the calling thread at round boundaries only, reading
+  // committed state; they are pure observation like tracing and profiling.
+  const bool heartbeat_on_;
+  const Clock::duration heartbeat_interval_;
+  Clock::time_point next_heartbeat_;
+  Clock::time_point last_heartbeat_time_;
+  uint64_t last_heartbeat_facts_ = 0;
+  uint64_t last_heartbeat_bytes_ = 0;
+};
+
+ChaseEngine::RoundLoop::RoundLoop(const ChaseEngine& engine, RunState state,
+                                  const ChaseOptions& options)
+    : engine_(engine),
+      options_(options),
+      state_(std::move(state)),
+      metrics_(ChaseMetrics::Get()),
+      run_start_(Clock::now()),
+      deadline_(options.deadline_seconds > 0
+                    ? run_start_ + std::chrono::duration_cast<Clock::duration>(
+                                       std::chrono::duration<double>(
+                                           options.deadline_seconds))
+                    : Clock::time_point::max()),
+      provenance_(options.track_provenance || options.record_all_derivations),
+      governed_(options.deadline_seconds > 0 || options.max_bytes > 0 ||
+                options.cancel != nullptr),
+      num_threads_(ResolveWorkerCount(options.threads)),
+      mem_run_(obs::memhooks::MemEnabled() ? obs::memhooks::BeginMemRun()
+                                           : 0),
+      work_hint_(state_.delta_atoms.size()),
+      heartbeat_on_(options.heartbeat_seconds > 0),
+      heartbeat_interval_(
+          heartbeat_on_ ? std::chrono::duration_cast<Clock::duration>(
+                              std::chrono::duration<double>(
+                                  options.heartbeat_seconds))
+                        : Clock::duration::zero()),
+      next_heartbeat_(run_start_ + heartbeat_interval_),
+      last_heartbeat_time_(run_start_) {
+  metrics_.runs.Add();
+  if (num_threads_ > 1) pool_.emplace(num_threads_);
+  // Initial boundary: the state this call starts from (the input database
+  // for Run, the reconstructed stage for Resume).
+  AccountBoundary(state_.round, /*emit_mem_rows=*/true);
+  last_heartbeat_facts_ = state_.result.facts.size();
+  last_heartbeat_bytes_ = state_.live_bytes;
+}
+
+MemTotals ChaseEngine::RoundLoop::AccountBoundary(uint32_t completed_rounds,
+                                                  bool emit_mem_rows) {
+  // The content total becomes `live_bytes` (the byte-budget quantity —
+  // thread- and resume-invariant), the capacity total feeds the peak, the
+  // gauges and the stream.  The provenance inner bytes come from
+  // RunState's incremental counters; debug builds assert them against a
+  // full walk here (the incremental == recomputed contract of DESIGN.md
+  // §9).
+  const ChaseResult& result = state_.result;
+  const Vocabulary& vocab = engine_.vocab_;
+  MemTotals cap = ChaseMemTotalsFromParts(
+      result, vocab, MemAccounting::kCapacity, state_.prov_inner_capacity);
+  // The chase's own persistent scratch, on top of FactSet's batch scratch
+  // (already under kScratch): thread-dependent, diagnostic only.
+  cap.Add(MemComponent::kScratch,
+          pending_.HeapBytes(MemAccounting::kCapacity) +
+              VectorHeapBytes(surviving_, MemAccounting::kCapacity) +
+              VectorHeapBytes(outcomes_, MemAccounting::kCapacity) +
+              VectorHeapBytes(fn_args_scratch_, MemAccounting::kCapacity) +
+              VectorHeapBytes(state_.delta_atoms, MemAccounting::kCapacity) +
+              VectorHeapBytes(state_.delta_terms, MemAccounting::kCapacity));
+  const MemTotals con = ChaseMemTotalsFromParts(
+      result, vocab, MemAccounting::kContent, state_.prov_inner_content);
+  state_.live_bytes = con.TrackedTotal();
+  const uint64_t tracked = cap.TrackedTotal();
+  if (tracked > state_.peak_bytes) state_.peak_bytes = tracked;
+#ifndef NDEBUG
+  // Incremental-vs-recomputed: the counters RunState carries must agree
+  // with a from-scratch walk of the same state, component by component, in
+  // both modes (kScratch excluded — the walk cannot see round-local
+  // buffers).
+  const MemTotals cap_walk =
+      ComputeChaseMemTotals(result, vocab, MemAccounting::kCapacity);
+  const MemTotals con_walk =
+      ComputeChaseMemTotals(result, vocab, MemAccounting::kContent);
+  for (size_t c = 0; c < kMemComponentCount; ++c) {
+    if (c == static_cast<size_t>(MemComponent::kScratch)) continue;
+    FRONTIERS_CHECK(
+        cap.bytes[c] == cap_walk.bytes[c] && con.bytes[c] == con_walk.bytes[c],
+        std::string("chase mem ledger diverged from a full recompute for "
+                    "component '") +
+            MemComponentName(static_cast<MemComponent>(c)) + "'");
+  }
+#endif
+  metrics_.mem_total_bytes.Set(static_cast<double>(tracked));
+  metrics_.mem_peak_bytes.Set(static_cast<double>(state_.peak_bytes));
+  for (size_t c = 0; c < kMemComponentCount; ++c) {
+    metrics_.mem_components[c]->Set(static_cast<double>(cap.bytes[c]));
+  }
+  if (emit_mem_rows && mem_run_ != 0 && obs::memhooks::MemEnabled()) {
+    // Per-predicate attribution rows (component-major, predicate-id
+    // order), then the global components in fixed order — deterministic
+    // values only, so the stream is byte-identical across thread counts.
+    MemLedger ledger;
+    result.facts.AccountLedger(ledger, MemAccounting::kCapacity);
+    for (const MemLedgerRow& row : ledger.rows) {
+      obs::memhooks::EmitMemRow(
+          {mem_run_, completed_rounds, MemComponentName(row.component),
+           row.predicate == UINT32_MAX
+               ? ""
+               : vocab.PredicateName(row.predicate).c_str(),
+           row.bytes});
+    }
+    for (MemComponent c :
+         {MemComponent::kVocabTerms, MemComponent::kVocabSkolem,
+          MemComponent::kProvenance, MemComponent::kFrontierMemo}) {
+      if (cap.Get(c) != 0) {
+        obs::memhooks::EmitMemRow(
+            {mem_run_, completed_rounds, MemComponentName(c), "", cap.Get(c)});
       }
     }
-    if (heartbeat_on && Clock::now() >= next_heartbeat) {
-      emit_heartbeat(round, nullptr);
-      next_heartbeat = Clock::now() + heartbeat_interval;
+    obs::memhooks::EmitMemRound({mem_run_, completed_rounds,
+                                 result.facts.size(), tracked,
+                                 state_.peak_bytes,
+                                 cap.Get(MemComponent::kScratch)});
+  }
+  return cap;
+}
+
+void ChaseEngine::RoundLoop::PublishRound(const ChaseRoundStats& record) {
+  metrics_.rounds.Add();
+  metrics_.matches.Add(record.matches);
+  metrics_.staged.Add(record.staged);
+  metrics_.committed.Add(record.committed);
+  metrics_.preempted.Add(record.preempted);
+  metrics_.deduped.Add(record.deduped);
+  metrics_.atoms_inserted.Add(record.atoms_inserted);
+  metrics_.match_seconds.Observe(record.match_seconds);
+  metrics_.commit_seconds.Observe(record.commit_seconds);
+  metrics_.commit_expand_seconds.Observe(record.commit_expand_seconds);
+  metrics_.commit_dedup_seconds.Observe(record.commit_dedup_seconds);
+  metrics_.commit_index_seconds.Observe(record.commit_index_seconds);
+  if (options_.variant == ChaseVariant::kSemiOblivious) {
+    // Every semi-oblivious round commits through one batch insert.
+    metrics_.shard_commits.Add();
+    metrics_.shard_max_rows.Observe(static_cast<double>(record.shard_max_rows));
+    metrics_.shards_touched.Observe(static_cast<double>(record.shards_touched));
+    metrics_.shard_wait_seconds.Observe(record.shard_wait_seconds);
+    metrics_.shard_hold_seconds.Observe(record.shard_hold_seconds);
+    metrics_.shard_imbalance.Set(record.shard_imbalance);
+  }
+  if (num_threads_ > 1 && record.used_threads == 1) {
+    metrics_.serial_rounds.Add();
+  }
+  // Every round lands in exactly one bucket: the pair answers "did the
+  // used_threads / serial_round_threshold decision engage" without reading
+  // ChaseRoundStats.
+  if (record.used_threads > 1) {
+    metrics_.rounds_parallel.Add();
+  } else {
+    metrics_.rounds_serial.Add();
+  }
+}
+
+void ChaseEngine::RoundLoop::EmitHeartbeat(uint32_t completed_rounds,
+                                           const char* stop_name) {
+  const Clock::time_point now = Clock::now();
+  const size_t live_bytes = state_.live_bytes;
+  ChaseHeartbeat hb;
+  hb.round = completed_rounds;
+  hb.facts = state_.result.facts.size();
+  const double dt = Seconds(now - last_heartbeat_time_);
+  hb.facts_per_second =
+      dt > 0 ? static_cast<double>(hb.facts - last_heartbeat_facts_) / dt
+             : 0.0;
+  hb.bytes = live_bytes;
+  hb.peak_bytes = state_.peak_bytes;
+  hb.elapsed_seconds = Seconds(now - run_start_);
+  if (options_.deadline_seconds > 0) {
+    hb.budget_remaining_seconds =
+        std::max(0.0, options_.deadline_seconds - hb.elapsed_seconds);
+  }
+  // ETA: the minimum over every *active* budget's projection — atom budget
+  // at the current fact rate, deadline remaining, byte budget at the
+  // current byte rate.  Stays null only when no budget gives a basis (e.g.
+  // a fixpoint-bound run with no observed progress).
+  auto consider_eta = [&hb](double candidate) {
+    if (candidate >= 0 && (hb.eta_seconds < 0 || candidate < hb.eta_seconds)) {
+      hb.eta_seconds = candidate;
     }
-    obs::Span round_span("chase.round", "chase");
-    std::optional<obs::Span> phase_span;
-    phase_span.emplace("chase.match", "chase");
-    const Clock::time_point match_start = Clock::now();
-    ChaseRoundStats round_stats;
-    // Small-round serial fallback: dispatching a thin round to the pool
-    // costs more than the round itself, so it stays on the calling thread.
-    const uint32_t round_threads =
-        (num_threads > 1 && work_hint < options.serial_round_threshold)
-            ? 1
-            : num_threads;
-    round_stats.used_threads = round_threads;
-    Matcher matcher(vocab_, result.facts);
-    const std::unordered_set<TermId> new_terms(delta_terms.begin(),
-                                               delta_terms.end());
-
-    // Mid-round governance.  Workers poll cooperatively; the first trip
-    // wins the CAS and every worker drains at its next poll.  An aborted
-    // round is discarded *whole* — staged buffers and this round's counters
-    // are dropped, leaving the result at the previous round boundary — so
-    // a mid-match trip and a boundary trip produce the same result, which
-    // keeps budget stops deterministic across thread counts: a partial
-    // staged-bytes sum over the budget implies the full (thread-count-
-    // independent) sum is over it too.
-    std::atomic<int> abort_reason{-1};
-    std::atomic<size_t> staged_bytes{0};
-    auto request_abort = [&](ChaseStop stop) {
-      int expected = -1;
-      abort_reason.compare_exchange_strong(expected, static_cast<int>(stop),
-                                           std::memory_order_relaxed);
-    };
-    auto aborting = [&]() {
-      return abort_reason.load(std::memory_order_relaxed) != -1;
-    };
-    auto poll_governor = [&]() {
-      if (aborting()) return;
-      if (options.cancel && options.cancel->Cancelled()) {
-        request_abort(ChaseStop::kCancelled);
-        return;
-      }
-      if (Clock::now() >= deadline_point) {
-        request_abort(ChaseStop::kDeadline);
-        return;
-      }
-      if (options.max_bytes > 0 &&
-          live_bytes + staged_bytes.load(std::memory_order_relaxed) >
-              options.max_bytes) {
-        request_abort(ChaseStop::kByteBudget);
-      }
-    };
-
-    // ---- Plan the round's match units -----------------------------------
-    // Group the round's delta atoms by predicate once (order-preserving),
-    // so each seeded unit scans only the rows its body atom can match
-    // instead of skipping wrong-predicate atoms one by one.  Grouping
-    // preserves the per-predicate delta order, so the concatenated staging
-    // order is unchanged.
-    std::unordered_map<PredicateId, std::vector<uint32_t>> delta_by_pred;
-    if (options.semi_naive && round > 0) {
-      for (uint32_t idx : delta_atoms) {
-        delta_by_pred[result.facts.atoms()[idx].predicate].push_back(idx);
-      }
+  };
+  if (hb.facts_per_second > 0 && options_.max_atoms > hb.facts) {
+    consider_eta(static_cast<double>(options_.max_atoms - hb.facts) /
+                 hb.facts_per_second);
+  }
+  if (options_.deadline_seconds > 0) {
+    consider_eta(hb.budget_remaining_seconds);
+  }
+  if (options_.max_bytes > 0) {
+    if (live_bytes >= options_.max_bytes) {
+      consider_eta(0.0);
+    } else if (dt > 0 && live_bytes > last_heartbeat_bytes_) {
+      const double bytes_per_second =
+          static_cast<double>(live_bytes - last_heartbeat_bytes_) / dt;
+      consider_eta(static_cast<double>(options_.max_bytes - live_bytes) /
+                   bytes_per_second);
     }
-    // Chunking delta seeds bounds the serial tail; the chunk size affects
-    // only unit *boundaries*, never the concatenated staging order.
-    std::vector<MatchUnit> units;
-    for (size_t r = 0; r < theory_.rules.size(); ++r) {
-      const Tgd& rule = theory_.rules[r];
-      // Stage-dependent filters can start accepting an application that
-      // they rejected in an earlier round; delta evaluation would never
-      // re-offer it.  Domain-variable rules (pins) are therefore
-      // re-enumerated naively whenever a filter is installed (they are
-      // cheap: one candidate per domain tuple).  Body-match rules stay
-      // delta-driven; filters must be monotone-accepting for them (all
-      // catalog strategies decide body rules statically).
-      const bool filter_forces_naive =
-          options.filter && rule.body.empty() && !rule.domain_vars.empty();
-      const bool use_delta = options.semi_naive && round > 0 &&
-                             !needs_naive_[r] && !filter_forces_naive;
+  }
+  hb.stop = stop_name;
+  if (options_.heartbeat_sink) {
+    options_.heartbeat_sink(hb);
+  } else {
+    std::fprintf(stderr, "%s\n", hb.ToJsonLine().c_str());
+  }
+  last_heartbeat_time_ = now;
+  last_heartbeat_facts_ = hb.facts;
+  last_heartbeat_bytes_ = live_bytes;
+}
 
-      MatchUnit unit;
-      unit.rule_index = r;
-      if (rule.body.empty()) {
-        if (rule.domain_vars.empty()) {
-          // Fires identically in every round; once is enough.
-          if (round > 0) continue;
-        }
-        unit.kind = MatchUnit::kDomain;
-        unit.use_delta = use_delta;
+std::optional<ChaseStop> ChaseEngine::RoundLoop::BoundaryStop() const {
+  if (!governed_) return std::nullopt;
+  if (options_.cancel && options_.cancel->Cancelled()) {
+    return ChaseStop::kCancelled;
+  }
+  if (Clock::now() >= deadline_) return ChaseStop::kDeadline;
+  if (options_.max_bytes > 0 && state_.live_bytes > options_.max_bytes) {
+    return ChaseStop::kByteBudget;
+  }
+  return std::nullopt;
+}
+
+void ChaseEngine::RoundLoop::PollGovernor() {
+  if (Aborting()) return;
+  if (options_.cancel && options_.cancel->Cancelled()) {
+    RequestAbort(ChaseStop::kCancelled);
+    return;
+  }
+  if (Clock::now() >= deadline_) {
+    RequestAbort(ChaseStop::kDeadline);
+    return;
+  }
+  if (options_.max_bytes > 0 &&
+      state_.live_bytes + staged_bytes_.load(std::memory_order_relaxed) >
+          options_.max_bytes) {
+    RequestAbort(ChaseStop::kByteBudget);
+  }
+}
+
+std::vector<MatchUnit> ChaseEngine::RoundLoop::PlanUnits(
+    uint32_t round_threads) {
+  const ChaseResult& result = state_.result;
+  const uint32_t round = state_.round;
+  // Group the round's delta atoms by predicate once (order-preserving), so
+  // each seeded unit scans only the rows its body atom can match instead
+  // of skipping wrong-predicate atoms one by one.  Grouping preserves the
+  // per-predicate delta order, so the concatenated staging order is
+  // unchanged.
+  delta_by_pred_.clear();
+  if (options_.semi_naive && round > 0) {
+    for (uint32_t idx : state_.delta_atoms) {
+      delta_by_pred_[result.facts.atoms()[idx].predicate].push_back(idx);
+    }
+  }
+  // Chunking delta seeds bounds the serial tail; the chunk size affects
+  // only unit *boundaries*, never the concatenated staging order.
+  std::vector<MatchUnit> units;
+  for (size_t r = 0; r < engine_.theory_.rules.size(); ++r) {
+    const Tgd& rule = engine_.theory_.rules[r];
+    // Stage-dependent filters can start accepting an application that they
+    // rejected in an earlier round; delta evaluation would never re-offer
+    // it.  Domain-variable rules (pins) are therefore re-enumerated naively
+    // whenever a filter is installed (they are cheap: one candidate per
+    // domain tuple).  Body-match rules stay delta-driven; filters must be
+    // monotone-accepting for them (all catalog strategies decide body
+    // rules statically).
+    const bool filter_forces_naive =
+        options_.filter && rule.body.empty() && !rule.domain_vars.empty();
+    const bool use_delta = options_.semi_naive && round > 0 &&
+                           !engine_.needs_naive_[r] && !filter_forces_naive;
+
+    MatchUnit unit;
+    unit.rule_index = r;
+    if (rule.body.empty()) {
+      if (rule.domain_vars.empty()) {
+        // Fires identically in every round; once is enough.
+        if (round > 0) continue;
+      }
+      unit.kind = MatchUnit::kDomain;
+      unit.use_delta = use_delta;
+      units.push_back(unit);
+      continue;
+    }
+    if (!use_delta) {
+      unit.kind = MatchUnit::kNaive;
+      units.push_back(unit);
+      continue;
+    }
+    // Semi-naive: seed each body atom with each delta atom of its predicate
+    // in turn, then complete the match against the full current stage.
+    // Matches seen through several seeds stage duplicate applications,
+    // which collapse at insertion.
+    unit.kind = MatchUnit::kDelta;
+    for (size_t j = 0; j < rule.body.size(); ++j) {
+      auto seeds = delta_by_pred_.find(rule.body[j].predicate);
+      if (seeds == delta_by_pred_.end()) continue;
+      const std::vector<uint32_t>& seed_list = seeds->second;
+      const size_t chunk =
+          round_threads > 1
+              ? std::max<size_t>(1, (seed_list.size() + round_threads * 4 - 1) /
+                                        (round_threads * 4))
+              : seed_list.size();
+      unit.seed_pos = j;
+      unit.seed_list = &seed_list;
+      for (size_t begin = 0; begin < seed_list.size(); begin += chunk) {
+        unit.delta_begin = begin;
+        unit.delta_end = std::min(begin + chunk, seed_list.size());
         units.push_back(unit);
-        continue;
-      }
-      if (!use_delta) {
-        unit.kind = MatchUnit::kNaive;
-        units.push_back(unit);
-        continue;
-      }
-      // Semi-naive: seed each body atom with each delta atom of its
-      // predicate in turn, then complete the match against the full
-      // current stage.  Matches seen through several seeds stage duplicate
-      // applications, which collapse at insertion.
-      unit.kind = MatchUnit::kDelta;
-      for (size_t j = 0; j < rule.body.size(); ++j) {
-        auto seeds = delta_by_pred.find(rule.body[j].predicate);
-        if (seeds == delta_by_pred.end()) continue;
-        const std::vector<uint32_t>& seed_list = seeds->second;
-        const size_t chunk =
-            round_threads > 1
-                ? std::max<size_t>(1, (seed_list.size() + round_threads * 4 -
-                                       1) /
-                                          (round_threads * 4))
-                : seed_list.size();
-        unit.seed_pos = j;
-        unit.seed_list = &seed_list;
-        for (size_t begin = 0; begin < seed_list.size(); begin += chunk) {
-          unit.delta_begin = begin;
-          unit.delta_end = std::min(begin + chunk, seed_list.size());
-          units.push_back(unit);
-        }
       }
     }
+  }
+  return units;
+}
 
-    // ---- Enumerate matches (the parallel phase) -------------------------
-    // Workers only read: the stage, the vocabulary, the delta, and the
-    // shared Matcher are all frozen until commit.  Each unit writes to its
-    // own buffer, so no synchronization beyond the unit counter is needed.
-    auto run_unit = [&](const MatchUnit& unit, UnitBuffer& out) {
-      // Per-unit span, recorded into the worker's own trace buffer.
-      obs::Span unit_span("chase.unit", "chase");
-      const uint64_t unit_start_ns = obs::internal::NowNanos();
-      const Tgd& rule = theory_.rules[unit.rule_index];
-      const CommitLayout& layout = commit_layouts_[unit.rule_index];
-      uint64_t poll_counter = 0;
-      // Returns false to stop the enumeration early (budget trip or
-      // cancellation); the partially filled buffer is discarded with the
-      // round, so early exits never affect the committed state.
-      auto stage_match = [&](const Substitution& sigma) -> bool {
-        if (governed) {
-          if ((++poll_counter & 0x1FF) == 0) poll_governor();
-          if (aborting()) return false;
+void ChaseEngine::RoundLoop::RunUnit(
+    const MatchUnit& unit, const Matcher& matcher,
+    const std::unordered_set<TermId>& new_terms, UnitBuffer& out) {
+  // Per-unit span, recorded into the worker's own trace buffer.
+  obs::Span unit_span("chase.unit", "chase");
+  const ChaseResult& result = state_.result;
+  const Tgd& rule = engine_.theory_.rules[unit.rule_index];
+  const CommitLayout& layout = engine_.commit_layouts_[unit.rule_index];
+  uint64_t poll_counter = 0;
+  // Returns false to stop the enumeration early (budget trip or
+  // cancellation); the partially filled buffer is discarded with the
+  // round, so early exits never affect the committed state.
+  auto stage_match = [&](const Substitution& sigma) -> bool {
+    if (governed_) {
+      if ((++poll_counter & 0x1FF) == 0) PollGovernor();
+      if (Aborting()) return false;
+    }
+    ++out.matches;
+    if (options_.filter &&
+        !options_.filter(unit.rule_index, sigma, result.facts)) {
+      return true;
+    }
+    StagedApplications& staged = out.staged;
+    const StagedApplications::App app = {
+        static_cast<uint32_t>(unit.rule_index),
+        static_cast<uint32_t>(staged.bindings.size()),
+        static_cast<uint32_t>(staged.parents.size())};
+    // Project sigma onto the head-universal tuple once; everything the
+    // commit phase needs is derived from this flat tuple.
+    for (TermId v : layout.commit_vars) {
+      staged.bindings.push_back(Apply(sigma, v));
+    }
+    if (options_.variant == ChaseVariant::kRestricted) {
+      // Fire only when the head is not already witnessed in the stage;
+      // re-checked at commit time so applications earlier in the same
+      // round can preempt later ones (the sequential-chase behaviour).
+      Substitution head_initial;
+      for (size_t i = 0; i < layout.commit_vars.size(); ++i) {
+        head_initial.emplace(layout.commit_vars[i],
+                             staged.bindings[app.bindings + i]);
+      }
+      if (matcher.Exists(rule.head, engine_.head_existentials_[unit.rule_index],
+                         head_initial)) {
+        staged.bindings.resize(app.bindings);
+        return true;
+      }
+    }
+    if (provenance_) {
+      for (const Atom& body_atom : rule.body) {
+        Atom instantiated = Apply(sigma, body_atom);
+        std::optional<uint32_t> idx = result.facts.IndexOf(instantiated);
+        if (!idx.has_value()) {
+          // A body match maps every body atom to a stage fact by
+          // construction; a miss would silently truncate
+          // Derivation::parents and corrupt ancestor reconstruction
+          // (Section 13), so it is a fatal engine bug.
+          FRONTIERS_FATAL("instantiated body atom of rule '" + rule.name +
+                          "' not found in the stage while recording "
+                          "provenance");
         }
-        ++out.matches;
-        if (options.filter &&
-            !options.filter(unit.rule_index, sigma, result.facts)) {
+        staged.parents.push_back(*idx);
+      }
+    }
+    if (governed_) {
+      // Byte estimate of one staged application, for the mid-round budget
+      // check: a fixed per-application charge, the binding and parent
+      // tuples, and the memo key in its `FrontierMemo::Key` encoding when
+      // dedup is on.
+      const size_t n = layout.commit_vars.size();
+      const size_t key_bytes =
+          options_.record_all_derivations ? 0 : 8 + 4 * n;
+      staged_bytes_.fetch_add(
+          96 + 8 * n + 4 * (staged.parents.size() - app.parents) + key_bytes,
+          std::memory_order_relaxed);
+    }
+    staged.apps.push_back(app);
+    return true;
+  };
+
+  switch (unit.kind) {
+    case MatchUnit::kDomain: {
+      // Pins-style rule: enumerate domain-variable assignments.  Under
+      // delta evaluation only tuples touching a new term are fresh.
+      const std::vector<TermId>& full_domain = result.facts.Domain();
+      std::function<bool(Substitution&, size_t, bool)> enumerate =
+          [&](Substitution& sub, size_t i, bool used_new) -> bool {
+        if (i == rule.domain_vars.size()) {
+          if (!unit.use_delta || used_new) return stage_match(sub);
           return true;
         }
-        StagedApplications& staged = out.staged;
-        const StagedApplications::App app = {
-            static_cast<uint32_t>(unit.rule_index),
-            static_cast<uint32_t>(staged.bindings.size()),
-            static_cast<uint32_t>(staged.parents.size())};
-        // Project sigma onto the head-universal tuple once; everything the
-        // commit phase needs is derived from this flat tuple.
-        for (TermId v : layout.commit_vars) {
-          staged.bindings.push_back(Apply(sigma, v));
-        }
-        if (options.variant == ChaseVariant::kRestricted) {
-          // Fire only when the head is not already witnessed in the stage;
-          // re-checked at commit time so applications earlier in the same
-          // round can preempt later ones (the sequential-chase behaviour).
-          Substitution head_initial;
-          for (size_t i = 0; i < layout.commit_vars.size(); ++i) {
-            head_initial.emplace(layout.commit_vars[i],
-                                 staged.bindings[app.bindings + i]);
-          }
-          if (matcher.Exists(rule.head, head_existentials_[unit.rule_index],
-                             head_initial)) {
-            staged.bindings.resize(app.bindings);
-            return true;
+        for (TermId t : full_domain) {
+          sub[rule.domain_vars[i]] = t;
+          const bool keep = enumerate(
+              sub, i + 1,
+              used_new || (unit.use_delta && new_terms.count(t) > 0));
+          if (!keep) {
+            sub.erase(rule.domain_vars[i]);
+            return false;
           }
         }
-        if (provenance) {
-          for (const Atom& body_atom : rule.body) {
-            Atom instantiated = Apply(sigma, body_atom);
-            std::optional<uint32_t> idx = result.facts.IndexOf(instantiated);
-            if (!idx.has_value()) {
-              // A body match maps every body atom to a stage fact by
-              // construction; a miss would silently truncate
-              // Derivation::parents and corrupt ancestor reconstruction
-              // (Section 13), so it is a fatal engine bug.
-              FRONTIERS_FATAL("instantiated body atom of rule '" + rule.name +
-                              "' not found in the stage while recording "
-                              "provenance");
-            }
-            staged.parents.push_back(*idx);
-          }
-        }
-        if (governed) {
-          // Byte estimate of one staged application, for the mid-round
-          // budget check: a fixed per-application charge, the binding and
-          // parent tuples, and the memo key in its `FrontierMemo::Key`
-          // encoding when dedup is on.
-          const size_t n = layout.commit_vars.size();
-          const size_t key_bytes =
-              options.record_all_derivations ? 0 : 8 + 4 * n;
-          staged_bytes.fetch_add(
-              96 + 8 * n + 4 * (staged.parents.size() - app.parents) +
-                  key_bytes,
-              std::memory_order_relaxed);
-        }
-        staged.apps.push_back(app);
+        sub.erase(rule.domain_vars[i]);
         return true;
       };
-
-      switch (unit.kind) {
-        case MatchUnit::kDomain: {
-          // Pins-style rule: enumerate domain-variable assignments.  Under
-          // delta evaluation only tuples touching a new term are fresh.
-          const std::vector<TermId>& full_domain = result.facts.Domain();
-          std::function<bool(Substitution&, size_t, bool)> enumerate =
-              [&](Substitution& sub, size_t i, bool used_new) -> bool {
-            if (i == rule.domain_vars.size()) {
-              if (!unit.use_delta || used_new) return stage_match(sub);
-              return true;
-            }
-            for (TermId t : full_domain) {
-              sub[rule.domain_vars[i]] = t;
-              const bool keep =
-                  enumerate(sub, i + 1,
-                            used_new ||
-                                (unit.use_delta && new_terms.count(t) > 0));
-              if (!keep) {
-                sub.erase(rule.domain_vars[i]);
-                return false;
-              }
-            }
-            sub.erase(rule.domain_vars[i]);
-            return true;
-          };
-          Substitution sub;
-          enumerate(sub, 0, false);
-          break;
+      Substitution sub;
+      enumerate(sub, 0, false);
+      break;
+    }
+    case MatchUnit::kNaive: {
+      ForEachBodyMatch(engine_.vocab_, rule, result.facts,
+                       [&](const Substitution& sigma) {
+                         return stage_match(sigma);
+                       });
+      break;
+    }
+    case MatchUnit::kDelta: {
+      const std::unordered_set<TermId> mappable(rule.body_vars.begin(),
+                                                rule.body_vars.end());
+      std::vector<Atom> rest;
+      rest.reserve(rule.body.size() - 1);
+      for (size_t k = 0; k < rule.body.size(); ++k) {
+        if (k != unit.seed_pos) rest.push_back(rule.body[k]);
+      }
+      for (size_t di = unit.delta_begin; di < unit.delta_end; ++di) {
+        if (governed_ && Aborting()) break;
+        // seed_list holds only atoms of the seed's predicate.
+        const Atom& fact = result.facts.atoms()[(*unit.seed_list)[di]];
+        Substitution seed;
+        if (!UnifyAtomWithFact(rule.body[unit.seed_pos], fact, mappable,
+                               seed)) {
+          continue;
         }
-        case MatchUnit::kNaive: {
-          ForEachBodyMatch(vocab_, rule, result.facts,
-                           [&](const Substitution& sigma) {
-                             return stage_match(sigma);
-                           });
-          break;
-        }
-        case MatchUnit::kDelta: {
-          const std::unordered_set<TermId> mappable(rule.body_vars.begin(),
-                                                    rule.body_vars.end());
-          std::vector<Atom> rest;
-          rest.reserve(rule.body.size() - 1);
-          for (size_t k = 0; k < rule.body.size(); ++k) {
-            if (k != unit.seed_pos) rest.push_back(rule.body[k]);
-          }
-          for (size_t di = unit.delta_begin; di < unit.delta_end; ++di) {
-            if (governed && aborting()) break;
-            // seed_list holds only atoms of the seed's predicate.
-            const Atom& fact = result.facts.atoms()[(*unit.seed_list)[di]];
-            Substitution seed;
-            if (!UnifyAtomWithFact(rule.body[unit.seed_pos], fact, mappable,
-                                   seed)) {
-              continue;
-            }
-            matcher.ForEach(rest, mappable, seed,
-                            [&](const Substitution& sigma) {
-                              return stage_match(sigma);
-                            });
-          }
-          break;
-        }
+        matcher.ForEach(rest, mappable, seed, [&](const Substitution& sigma) {
+          return stage_match(sigma);
+        });
       }
-      out.busy_ns = obs::internal::NowNanos() - unit_start_ns;
-    };
+      break;
+    }
+  }
+}
 
-    // Parallelism accounting for this round (ChaseRoundStats work/span,
-    // DESIGN.md §7).  Each parallel region contributes its wall-clock span,
-    // its total task work, and its longest single task; whatever the round
-    // wall does not spend inside a region is serial by definition.  Pure
-    // diagnostics — excluded from snapshots and parity comparisons.
-    double par_wall = 0.0;
-    double par_work = 0.0;
-    double par_longest = 0.0;
-    auto add_region = [&](double wall, double work, double longest) {
-      par_wall += wall;
-      par_work += work;
-      par_longest += longest;
-    };
+std::variant<StagedApplications, ChaseStop> ChaseEngine::RoundLoop::MatchRound(
+    const std::vector<MatchUnit>& units, ChaseRoundStats& record) {
+  const ChaseResult& result = state_.result;
+  // Workers only read: the stage, the vocabulary, the delta, and the shared
+  // Matcher are all frozen until commit.  Each unit writes to its own
+  // buffer, so no synchronization beyond the unit counter is needed.
+  domain_before_ = result.facts.Domain().size();
+  const Matcher matcher(engine_.vocab_, result.facts);
+  const std::unordered_set<TermId> new_terms(state_.delta_terms.begin(),
+                                             state_.delta_terms.end());
+  abort_reason_.store(-1, std::memory_order_relaxed);
+  staged_bytes_.store(0, std::memory_order_relaxed);
 
-    std::vector<UnitBuffer> buffers(units.size());
-    const size_t workers = std::min<size_t>(round_threads, units.size());
-    const Clock::time_point units_start = Clock::now();
-    if (workers > 1 && pool != nullptr) {
-      // The persistent pool claims units off an atomic counter; each unit's
-      // buffer is written by exactly one worker, and Run rethrows the first
-      // worker exception after every thread quiesced.
-      pool->Run(units.size(), [&](size_t i) {
-        if (governed && aborting()) return;
-        run_unit(units[i], buffers[i]);
-      });
-    } else {
-      for (size_t i = 0; i < units.size(); ++i) {
-        if (governed && aborting()) break;
-        run_unit(units[i], buffers[i]);
+  std::vector<UnitBuffer> buffers(units.size());
+  const size_t workers = std::min<size_t>(record.used_threads, units.size());
+  if (workers > 1 && pool_.has_value()) {
+    // The persistent pool claims units off an atomic counter; each unit's
+    // buffer is written by exactly one worker, and Run rethrows the first
+    // worker exception after every thread quiesced.
+    pool_->Run(units.size(), [&](size_t i) {
+      if (governed_ && Aborting()) return;
+      RunUnit(units[i], matcher, new_terms, buffers[i]);
+    });
+  } else {
+    for (size_t i = 0; i < units.size(); ++i) {
+      if (governed_ && Aborting()) break;
+      RunUnit(units[i], matcher, new_terms, buffers[i]);
+    }
+  }
+  if (governed_) {
+    // Final deterministic check: all workers have quiesced, so for a run
+    // that finished the match phase `staged_bytes_` is the full staged
+    // total — identical at every thread count.
+    PollGovernor();
+    if (Aborting()) {
+      return static_cast<ChaseStop>(
+          abort_reason_.load(std::memory_order_relaxed));
+    }
+  }
+
+  // Merge per-unit buffers in unit order: this is exactly the order the
+  // one-thread engine stages in, so everything downstream (commit order,
+  // atom indices, depths, provenance) is thread-count independent.  The
+  // first staging unit's buffer is moved in; every later one is appended
+  // with its arena offsets rebased.
+  obs::Span merge_span("chase.merge", "chase");
+  StagedApplications staged;
+  size_t total_apps = 0;
+  size_t total_bindings = 0;
+  size_t total_parents = 0;
+  for (const UnitBuffer& buffer : buffers) {
+    record.matches += buffer.matches;
+    total_apps += buffer.staged.apps.size();
+    total_bindings += buffer.staged.bindings.size();
+    total_parents += buffer.staged.parents.size();
+  }
+  FRONTIERS_CHECK(total_bindings < UINT32_MAX && total_parents < UINT32_MAX,
+                  "chase: one round staged more than 2^32 arena words");
+  for (UnitBuffer& buffer : buffers) {
+    if (buffer.staged.apps.empty()) continue;
+    if (staged.apps.empty()) {
+      staged = std::move(buffer.staged);
+      staged.apps.reserve(total_apps);
+      staged.bindings.reserve(total_bindings);
+      staged.parents.reserve(total_parents);
+      continue;
+    }
+    const uint32_t binding_base = static_cast<uint32_t>(staged.bindings.size());
+    const uint32_t parent_base = static_cast<uint32_t>(staged.parents.size());
+    for (const StagedApplications::App& app : buffer.staged.apps) {
+      staged.apps.push_back({app.rule_index, app.bindings + binding_base,
+                             app.parents + parent_base});
+    }
+    staged.bindings.insert(staged.bindings.end(),
+                           buffer.staged.bindings.begin(),
+                           buffer.staged.bindings.end());
+    staged.parents.insert(staged.parents.end(), buffer.staged.parents.begin(),
+                          buffer.staged.parents.end());
+  }
+  record.staged = staged.apps.size();
+  return staged;
+}
+
+void ChaseEngine::RoundLoop::RecordRow(const StagedApplications& staged,
+                                       const StagedApplications::App& app,
+                                       size_t head_atom,
+                                       FactSet::InsertOutcome out,
+                                       const TermId* terms, uint32_t arity,
+                                       ChaseRoundStats& record) {
+  ChaseResult& result = state_.result;
+  // The application's body-atom parents (empty without provenance).
+  const uint32_t* parents = staged.parents.data() + app.parents;
+  const size_t parent_count =
+      provenance_ ? engine_.theory_.rules[app.rule_index].body.size() : 0;
+  auto derivation = [&] {
+    return Derivation{app.rule_index,
+                      std::vector<uint32_t>(parents, parents + parent_count)};
+  };
+  if (out.inserted) {
+    ++record.atoms_inserted;
+    result.depth.push_back(state_.round + 1);
+    next_delta_atoms_.push_back(out.index);
+    // Every Derivation construction below copy-allocates the parents
+    // vector at exactly its size, so one figure serves both ledger modes
+    // (the row/store bytes are recomputed at the boundary).
+    const uint64_t parent_bytes =
+        static_cast<uint64_t>(parent_count) * sizeof(uint32_t);
+    if (provenance_) {
+      state_.prov_inner_capacity += parent_bytes;
+      state_.prov_inner_content += parent_bytes;
+      result.first_derivation.push_back(derivation());
+    }
+    if (options_.record_all_derivations) {
+      Derivation d = derivation();
+      // The init-list push below copies `d` into a fresh inner vector of
+      // size == capacity == 1.
+      state_.prov_inner_capacity += sizeof(Derivation) + parent_bytes;
+      state_.prov_inner_content += sizeof(Derivation) + parent_bytes;
+      result.all_derivations.push_back({std::move(d)});
+    }
+    const std::vector<bool>& ex =
+        engine_.existential_positions_[app.rule_index][head_atom];
+    for (uint32_t pos = 0; pos < arity; ++pos) {
+      if (ex[pos] &&
+          result.birth_atom.find(terms[pos]) == result.birth_atom.end()) {
+        result.birth_atom.emplace(terms[pos], out.index);
       }
     }
-    // The match units are the round's parallelism grain regardless of who
-    // executed them, so the region is recorded even for serial rounds —
-    // that is what makes AchievableSpeedup meaningful from a 1-thread run.
-    {
-      const double units_wall = Seconds(Clock::now() - units_start);
-      uint64_t work_ns = 0;
-      uint64_t longest_ns = 0;
-      for (const UnitBuffer& buffer : buffers) {
-        work_ns += buffer.busy_ns;
-        longest_ns = std::max(longest_ns, buffer.busy_ns);
-      }
-      add_region(units_wall, static_cast<double>(work_ns) * 1e-9,
-                 static_cast<double>(longest_ns) * 1e-9);
-    }
-
-    if (governed) {
-      // Final deterministic check: all workers have quiesced, so for a run
-      // that finished the match phase `staged_bytes` is the full staged
-      // total — identical at every thread count.
-      poll_governor();
-      if (aborting()) {
-        // Abandon the round whole: buffers and round_stats are discarded,
-        // so the result is exactly the stage after `round` rounds.
-        return finish(
-            static_cast<ChaseStop>(abort_reason.load(std::memory_order_relaxed)),
-            round);
+  } else if (options_.record_all_derivations) {
+    std::vector<Derivation>& list = result.all_derivations[out.index];
+    bool duplicate = false;
+    for (const Derivation& existing : list) {
+      if (existing.rule_index == app.rule_index &&
+          std::equal(existing.parents.begin(), existing.parents.end(), parents,
+                     parents + parent_count)) {
+        duplicate = true;
+        break;
       }
     }
-
-    // Merge per-unit buffers in unit order: this is exactly the order the
-    // one-thread engine stages in, so everything downstream (commit order,
-    // atom indices, depths, provenance) is thread-count independent.
-    // The first staging unit's buffer is moved in; every later one is
-    // appended with its arena offsets rebased.
-    phase_span.emplace("chase.merge", "chase");
-    StagedApplications staged;
-    size_t total_apps = 0;
-    size_t total_bindings = 0;
-    size_t total_parents = 0;
-    for (const UnitBuffer& buffer : buffers) {
-      round_stats.matches += buffer.matches;
-      total_apps += buffer.staged.apps.size();
-      total_bindings += buffer.staged.bindings.size();
-      total_parents += buffer.staged.parents.size();
+    if (!duplicate) {
+      const uint64_t parent_bytes =
+          static_cast<uint64_t>(parent_count) * sizeof(uint32_t);
+      const size_t cap_before = list.capacity();
+      list.push_back(derivation());
+      // Content grows by one element; capacity by the geometric step the
+      // push actually took (zero on a non-growing push).
+      state_.prov_inner_capacity +=
+          static_cast<uint64_t>(list.capacity() - cap_before) *
+              sizeof(Derivation) +
+          parent_bytes;
+      state_.prov_inner_content += sizeof(Derivation) + parent_bytes;
     }
-    FRONTIERS_CHECK(total_bindings < UINT32_MAX && total_parents < UINT32_MAX,
-                    "chase: one round staged more than 2^32 arena words");
-    for (UnitBuffer& buffer : buffers) {
-      if (buffer.staged.apps.empty()) continue;
-      if (staged.apps.empty()) {
-        staged = std::move(buffer.staged);
-        staged.apps.reserve(total_apps);
-        staged.bindings.reserve(total_bindings);
-        staged.parents.reserve(total_parents);
+  }
+}
+
+std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitRestricted(
+    StagedApplications& staged, ChaseRoundStats& record) {
+  ChaseResult& result = state_.result;
+  // Commit non-inventing (Datalog) applications first: a Datalog atom may
+  // witness an existential head and preempt a fresh term - the standard
+  // restricted-chase preference that lets e.g. symmetry rules terminate
+  // successor rules.
+  std::stable_partition(staged.apps.begin(), staged.apps.end(),
+                        [this](const StagedApplications::App& app) {
+                          return IsDatalogRule(
+                              engine_.theory_.rules[app.rule_index]);
+                        });
+  // The restricted recheck needs every earlier application of this round
+  // already inserted, so commits stay one application at a time.  One
+  // matcher for every recheck: FactSet keeps its indexes incrementally up
+  // to date and the matcher reads them live.
+  const Matcher commit_matcher(engine_.vocab_, result.facts);
+  RowBlock app_rows;
+  Substitution head_initial;
+  for (const StagedApplications::App& app : staged.apps) {
+    const CommitLayout& layout = engine_.commit_layouts_[app.rule_index];
+    const TermId* bindings = staged.bindings.data() + app.bindings;
+    if (!options_.record_all_derivations &&
+        !result.seen_applications.Insert(
+            app.rule_index, bindings,
+            static_cast<uint32_t>(layout.commit_vars.size()))) {
+      ++record.deduped;
+      continue;
+    }
+    head_initial.clear();
+    for (size_t i = 0; i < layout.commit_vars.size(); ++i) {
+      head_initial.emplace(layout.commit_vars[i], bindings[i]);
+    }
+    if (commit_matcher.Exists(engine_.theory_.rules[app.rule_index].head,
+                              engine_.head_existentials_[app.rule_index],
+                              head_initial)) {
+      // An earlier application this round satisfied the head.
+      ++record.preempted;
+      continue;
+    }
+    ++record.committed;
+    app_rows.Clear();
+    engine_.ExpandHead(app.rule_index, bindings, fn_args_scratch_, &app_rows);
+    for (size_t a = 0; a < app_rows.rows(); ++a) {
+      const TermId* terms = app_rows.Terms(a);
+      const uint32_t arity = app_rows.Arity(a);
+      const PredicateId pred = app_rows.predicates[a];
+      // Enforce the atom budget per inserted atom, not per application:
+      // the result never exceeds max_atoms, even mid-head.
+      if (result.facts.size() >= options_.max_atoms) {
+        std::optional<uint32_t> existing =
+            result.facts.FindRow(pred, terms, arity);
+        if (!existing.has_value()) return ChaseStop::kAtomBudget;
+        RecordRow(staged, app, a, {*existing, false}, terms, arity, record);
         continue;
       }
-      const uint32_t binding_base =
-          static_cast<uint32_t>(staged.bindings.size());
-      const uint32_t parent_base = static_cast<uint32_t>(staged.parents.size());
-      for (const StagedApplications::App& app : buffer.staged.apps) {
-        staged.apps.push_back({app.rule_index, app.bindings + binding_base,
-                               app.parents + parent_base});
-      }
-      staged.bindings.insert(staged.bindings.end(),
-                             buffer.staged.bindings.begin(),
-                             buffer.staged.bindings.end());
-      staged.parents.insert(staged.parents.end(),
-                            buffer.staged.parents.begin(),
-                            buffer.staged.parents.end());
+      RecordRow(staged, app, a, result.facts.InsertRow(pred, terms, arity),
+                terms, arity, record);
     }
-    buffers.clear();
-    round_stats.staged = staged.apps.size();
-    round_stats.match_seconds = Seconds(Clock::now() - match_start);
+  }
+  return std::nullopt;
+}
 
-    // ---- Commit the round (sequential) ----------------------------------
+void ChaseEngine::RoundLoop::ExpandParallel(const StagedApplications& staged,
+                                            uint32_t round_threads) {
+  const Vocabulary& vocab = engine_.vocab_;
+  // Workers expand contiguous chunks of the surviving order with the const
+  // Skolem-row probe; an application tuple never interned before gets a
+  // chunk-local placeholder row recorded in the chunk's arena.  Nothing
+  // mutates the vocabulary until the serial renumbering pass below.
+  struct ExpandChunk {
+    struct Miss {
+      uint32_t block;        // Skolem block
+      uint32_t args;         // offset of its fn args in `miss_args`
+      uint32_t arity;        // number of fn args
+      uint32_t placeholder;  // placeholder base
+    };
+    RowBlock rows;
+    std::vector<Miss> misses;
+    std::vector<TermId> miss_args;
+    uint32_t placeholder_count = 0;
+  };
+  const size_t chunk_size = std::max<size_t>(
+      1, (surviving_.size() + round_threads * 4 - 1) / (round_threads * 4));
+  const size_t num_chunks = (surviving_.size() + chunk_size - 1) / chunk_size;
+  std::vector<ExpandChunk> chunks(num_chunks);
+  pool_->Run(num_chunks, [&](size_t c) {
+    ExpandChunk& chunk = chunks[c];
+    std::vector<TermId> fn_args;
+    std::vector<TermId> placeholder_row;
+    const size_t begin = c * chunk_size;
+    const size_t end = std::min(surviving_.size(), begin + chunk_size);
+    for (size_t k = begin; k < end; ++k) {
+      const StagedApplications::App& app = staged.apps[surviving_[k]];
+      const TermId* bindings = staged.bindings.data() + app.bindings;
+      const CommitLayout& layout = engine_.commit_layouts_[app.rule_index];
+      const TermId* nulls = nullptr;
+      if (layout.skolem_block != kNoSkolemBlock) {
+        fn_args.clear();
+        for (uint32_t slot : layout.fn_arg_slots) {
+          fn_args.push_back(bindings[slot]);
+        }
+        nulls = vocab.FindSkolemRow(layout.skolem_block, fn_args);
+        if (nulls == nullptr) {
+          const uint32_t size = vocab.SkolemBlockSize(layout.skolem_block);
+          chunk.misses.push_back(
+              {layout.skolem_block,
+               static_cast<uint32_t>(chunk.miss_args.size()),
+               static_cast<uint32_t>(fn_args.size()),
+               chunk.placeholder_count});
+          chunk.miss_args.insert(chunk.miss_args.end(), fn_args.begin(),
+                                 fn_args.end());
+          placeholder_row.clear();
+          for (uint32_t i = 0; i < size; ++i) {
+            placeholder_row.push_back(kLocalTermBit |
+                                      (chunk.placeholder_count + i));
+          }
+          chunk.placeholder_count += size;
+          nulls = placeholder_row.data();
+        }
+      }
+      engine_.AppendHeadRows(app.rule_index, bindings, nulls, &chunk.rows);
+    }
+  });
+  // Serial renumbering: chunks partition the staged order contiguously, so
+  // interning each chunk's misses in chunk order reproduces exactly the
+  // lazy intern order of the serial engine — identical TermIds at every
+  // thread count.  (SkolemRow is idempotent, so a tuple missed by several
+  // chunks interns once, at its first staged occurrence.)
+  for (ExpandChunk& chunk : chunks) {
+    std::vector<TermId> resolved(chunk.placeholder_count);
+    for (const ExpandChunk::Miss& miss : chunk.misses) {
+      const TermId* row = engine_.vocab_.SkolemRow(
+          miss.block, std::span<const TermId>(
+                          chunk.miss_args.data() + miss.args, miss.arity));
+      const uint32_t size = vocab.SkolemBlockSize(miss.block);
+      for (uint32_t i = 0; i < size; ++i) {
+        resolved[miss.placeholder + i] = row[i];
+      }
+    }
+    for (TermId& t : chunk.rows.terms) {
+      if (t & kLocalTermBit) t = resolved[t & ~kLocalTermBit];
+    }
+    if (pending_.offsets.empty()) pending_.offsets.push_back(0);
+    const uint32_t term_base = static_cast<uint32_t>(pending_.terms.size());
+    pending_.predicates.insert(pending_.predicates.end(),
+                               chunk.rows.predicates.begin(),
+                               chunk.rows.predicates.end());
+    pending_.terms.insert(pending_.terms.end(), chunk.rows.terms.begin(),
+                          chunk.rows.terms.end());
+    for (size_t r = 1; r < chunk.rows.offsets.size(); ++r) {
+      pending_.offsets.push_back(term_base + chunk.rows.offsets[r]);
+    }
+  }
+  FRONTIERS_CHECK(vocab.NumTerms() < kLocalTermBit,
+                  "chase: TermId space reached the placeholder bit");
+}
+
+std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitSemiOblivious(
+    const StagedApplications& staged, ChaseRoundStats& record) {
+  // Set-at-a-time, pipelined (DESIGN.md §5, "Sharded commit pipeline").
+  // Phase 1a (serial) walks the merged staging order through the frontier
+  // memo; phase 1b expands surviving applications into one columnar
+  // pending block — in parallel chunks when the round is wide, probing
+  // interned Skolem rows through the const lookup and renumbering misses
+  // serially so TermId assignment stays in staged order; phase 2
+  // bulk-inserts the block through the sharded parallel commit; phase 3
+  // replays the per-row outcomes for depth/provenance/birth bookkeeping.
+  // Every phase preserves the merged staging order, so the result is
+  // byte-identical to committing one atom at a time, at every thread and
+  // shard count.
+  ChaseResult& result = state_.result;
+  const uint32_t round_threads = record.used_threads;
+  WorkerPool* pool = round_threads > 1 && pool_.has_value() ? &*pool_ : nullptr;
+  const Clock::time_point expand_start = Clock::now();
+  std::optional<obs::Span> commit_sub_span;
+  commit_sub_span.emplace("chase.commit.expand", "chase");
+  pending_.Clear();
+  surviving_.clear();
+  surviving_.reserve(staged.apps.size());
+  // The memo's size before this round's inserts: a faulted batch truncates
+  // back to it.
+  const size_t memo_before = result.seen_applications.size();
+  for (uint32_t s = 0; s < staged.apps.size(); ++s) {
+    const StagedApplications::App& app = staged.apps[s];
+    if (!options_.record_all_derivations &&
+        !result.seen_applications.Insert(
+            app.rule_index, staged.bindings.data() + app.bindings,
+            static_cast<uint32_t>(
+                engine_.commit_layouts_[app.rule_index].commit_vars.size()))) {
+      ++record.deduped;
+      continue;
+    }
+    surviving_.push_back(s);
+  }
+  if (pool != nullptr && surviving_.size() >= 512 &&
+      engine_.vocab_.NumTerms() < kLocalTermBit) {
+    ExpandParallel(staged, round_threads);
+  } else {
+    for (uint32_t s : surviving_) {
+      const StagedApplications::App& app = staged.apps[s];
+      engine_.ExpandHead(app.rule_index, staged.bindings.data() + app.bindings,
+                         fn_args_scratch_, &pending_);
+    }
+  }
+  record.commit_expand_seconds = Seconds(Clock::now() - expand_start);
+
+  outcomes_.clear();
+  // A fired `fact_set.insert_batch` failpoint makes the batch insert refuse
+  // the whole batch (store untouched, outcomes empty) — which would
+  // otherwise be indistinguishable from an atom-budget truncation at row
+  // zero; `fact_set.shard_commit` aborts the batch from inside a shard task
+  // with the same contract (provisional dedup entries rolled back).  Detect
+  // both by their fired-count deltas and classify the stop as a resumable
+  // injected fault instead of kAtomBudget.  The EverArmed() guard keeps
+  // unarmed runs at one relaxed load.
+  const bool fault_detect = failpoint::EverArmed();
+  const uint64_t batch_fired_before =
+      fault_detect ? failpoint::FiredCount("fact_set.insert_batch") : 0;
+  const uint64_t shard_fired_before =
+      fault_detect ? failpoint::FiredCount("fact_set.shard_commit") : 0;
+  commit_sub_span.emplace("chase.commit.insert", "chase");
+  FactSet::BatchTimings batch_timings;
+  FactSet::BatchStats batch_stats;
+  const size_t added = result.facts.InsertBatchParallel(
+      pending_, &outcomes_, pool, options_.max_atoms, &batch_timings,
+      &batch_stats);
+  commit_sub_span.reset();
+  record.commit_dedup_seconds = batch_timings.dedup_seconds;
+  record.commit_index_seconds = batch_timings.index_seconds;
+  record.shards_touched = batch_stats.shards_touched;
+  record.shard_max_rows = batch_stats.max_shard_rows;
+  record.shard_wait_seconds =
+      static_cast<double>(batch_stats.shard_wait_ns) * 1e-9;
+  record.shard_hold_seconds =
+      static_cast<double>(batch_stats.shard_hold_ns) * 1e-9;
+  if (batch_stats.rows > 0 && batch_stats.shards_touched > 0) {
+    record.shard_imbalance =
+        static_cast<double>(batch_stats.max_shard_rows) /
+        (static_cast<double>(batch_stats.rows) /
+         static_cast<double>(batch_stats.shards_touched));
+  }
+  if (fault_detect &&
+      (failpoint::FiredCount("fact_set.insert_batch") != batch_fired_before ||
+       failpoint::FiredCount("fact_set.shard_commit") != shard_fired_before)) {
+    // Roll back phase 1's dedup-memo inserts so the state is exactly the
+    // previous round boundary.  (Skolem rows interned by ExpandHead stay in
+    // the vocabulary; hash-consing re-interns them to identical TermIds on
+    // resume, so they are harmless.)  The memo keeps its grown arena and
+    // table capacity, which Finish accounts.
+    result.seen_applications.Truncate(memo_before);
+    return ChaseStop::kInjectedFault;
+  }
+  result.depth.reserve(result.depth.size() + added);
+  next_delta_atoms_.reserve(added);
+  // Replay outcomes app by app.  `outcomes_` is truncated exactly at the
+  // first new atom past the budget; an application reached before the
+  // truncation point still counts as committed (mirroring the per-atom
+  // loop, which increments `committed` before inserting).
+  size_t cursor = 0;
+  for (uint32_t s : surviving_) {
+    const StagedApplications::App& app = staged.apps[s];
+    ++record.committed;
+    const size_t head_size =
+        engine_.commit_layouts_[app.rule_index].head.size();
+    for (size_t a = 0; a < head_size; ++a, ++cursor) {
+      if (cursor >= outcomes_.size()) return ChaseStop::kAtomBudget;
+      RecordRow(staged, app, a, outcomes_[cursor], pending_.Terms(cursor),
+                pending_.Arity(cursor), record);
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<ChaseStop> ChaseEngine::RoundLoop::CloseRound(
+    ChaseRoundStats& record, bool atom_budget_hit) {
+  // Runs before the stop checks below so a partial last round is
+  // accounted too.
+  record.mem = AccountBoundary(state_.round + 1, /*emit_mem_rows=*/true);
+  state_.result.stats.rounds.push_back(record);
+  PublishRound(record);
+  // A truncated last round is partial: complete_rounds stays at `round`.
+  if (atom_budget_hit) return ChaseStop::kAtomBudget;
+  if (next_delta_atoms_.empty()) return ChaseStop::kFixpoint;
+  // The active domain grows in first-occurrence order, so this round's new
+  // terms are exactly the domain suffix appended during commit — no
+  // per-round known-terms set.
+  const std::vector<TermId>& domain = state_.result.facts.Domain();
+  state_.delta_terms =
+      std::vector<TermId>(domain.begin() + domain_before_, domain.end());
+  state_.delta_atoms = std::exchange(next_delta_atoms_, {});
+  // The next round's staged volume tracks this round's match output far
+  // better than the delta size alone; both feed the serial-fallback
+  // decision (ChaseOptions::serial_round_threshold).
+  work_hint_ = record.matches + record.staged;
+  ++state_.round;
+  if (heartbeat_on_ && Clock::now() >= next_heartbeat_) {
+    EmitHeartbeat(state_.round, nullptr);
+    next_heartbeat_ = Clock::now() + heartbeat_interval_;
+  }
+  return std::nullopt;
+}
+
+ChaseResult ChaseEngine::RoundLoop::Finish(ChaseStop stop) {
+  ChaseResult& result = state_.result;
+  result.stop = stop;
+  result.complete_rounds = state_.round;
+  // Recompute the boundary totals unconditionally: an injected-fault
+  // rollback mutates the memo after the last per-round boundary, and the
+  // final figures must describe the state actually returned (asserted
+  // equal to a fresh recompute by tests/mem_test.cc).  No stream rows and
+  // no round record — the state is the last closed boundary's.
+  AccountBoundary(state_.round, /*emit_mem_rows=*/false);
+  result.approx_bytes = state_.live_bytes;
+  result.peak_bytes = state_.peak_bytes;
+  const double elapsed = Seconds(Clock::now() - run_start_);
+  result.stats.total_seconds += elapsed;
+  metrics_.run_seconds.Observe(elapsed);
+  metrics_.live_bytes.Set(static_cast<double>(state_.live_bytes));
+  if (stop != ChaseStop::kFixpoint && stop != ChaseStop::kRoundBudget) {
+    metrics_.budget_stops.Add();
+    obs::TraceInstant(ChaseStopName(stop), "chase");
+  }
+  if (heartbeat_on_) EmitHeartbeat(state_.round, ChaseStopName(stop));
+  return std::move(result);
+}
+
+ChaseResult ChaseEngine::RunFromState(RunState state,
+                                      const ChaseOptions& options) const {
+  obs::Span run_span("chase.run", "chase");
+  RoundLoop loop(*this, std::move(state), options);
+  while (loop.round() < options.max_rounds) {
+    if (std::optional<ChaseStop> stop = loop.BoundaryStop()) {
+      return loop.Finish(*stop);
+    }
+    obs::Span round_span("chase.round", "chase");
+    ChaseRoundStats record;
+    record.used_threads = loop.RoundThreads();
+
+    // ---- Plan and match (the parallel phase) ----------------------------
+    const Clock::time_point match_start = Clock::now();
+    std::variant<StagedApplications, ChaseStop> matched;
+    {
+      obs::Span match_span("chase.match", "chase");
+      matched = loop.MatchRound(loop.PlanUnits(record.used_threads), record);
+    }
+    if (const ChaseStop* stop = std::get_if<ChaseStop>(&matched)) {
+      // Abandon the round whole: the staged buffers and `record` are
+      // discarded, so the result is exactly the previous round boundary.
+      return loop.Finish(*stop);
+    }
+    StagedApplications& staged = std::get<StagedApplications>(matched);
+    record.match_seconds = Seconds(Clock::now() - match_start);
+
+    // ---- Commit (sequential order) --------------------------------------
     // Never interrupted: budgets may be overshot by at most one round's
     // insertions, in exchange for the state always being a chase stage.
-    phase_span.emplace("chase.commit", "chase");
-    const Clock::time_point commit_start = Clock::now();
-    // Torture-harness fault sites.  Both fire before any mutation of the
-    // committed state, so the round is abandoned whole — exactly like a
-    // governed abort above — and the result stays a complete chase stage
-    // (snapshot + resume reconverge to the uninterrupted run).
-    // `chase.commit` models a fault at commit entry; `chase.skolem_alloc`
-    // models Skolem block-row allocation exhaustion, checked just before
-    // the head-expansion loops start interning block rows.
-    if (FRONTIERS_FAILPOINT("chase.commit") ||
-        FRONTIERS_FAILPOINT("chase.skolem_alloc")) {
-      return finish(ChaseStop::kInjectedFault, round);
-    }
-    if (options.variant == ChaseVariant::kRestricted) {
-      // Commit non-inventing (Datalog) applications first: a Datalog atom
-      // may witness an existential head and preempt a fresh term - the
-      // standard restricted-chase preference that lets e.g. symmetry
-      // rules terminate successor rules.
-      std::stable_partition(staged.apps.begin(), staged.apps.end(),
-                            [this](const StagedApplications::App& app) {
-                              return IsDatalogRule(
-                                  theory_.rules[app.rule_index]);
-                            });
-    }
-
-    std::vector<uint32_t> new_delta_atoms;
-    const size_t domain_before = result.facts.Domain().size();
-
-    // Bookkeeping for one head row's insert outcome — depth, delta,
-    // provenance, births — shared by the bulk (semi-oblivious) and
-    // per-application (restricted) commit paths.
-    auto record_row = [&](const StagedApplications::App& app, size_t head_atom,
-                          FactSet::InsertOutcome out, const TermId* terms,
-                          uint32_t arity) {
-      // The application's body-atom parents (empty without provenance).
-      const uint32_t* parents = staged.parents.data() + app.parents;
-      const size_t parent_count =
-          provenance ? theory_.rules[app.rule_index].body.size() : 0;
-      auto derivation = [&] {
-        return Derivation{app.rule_index,
-                          std::vector<uint32_t>(parents,
-                                                parents + parent_count)};
-      };
-      if (out.inserted) {
-        ++round_stats.atoms_inserted;
-        result.depth.push_back(round + 1);
-        new_delta_atoms.push_back(out.index);
-        // Every Derivation construction below copy-allocates the parents
-        // vector at exactly its size, so one figure serves both ledger
-        // modes (the row/store bytes are recomputed at the boundary).
-        const uint64_t parent_bytes =
-            static_cast<uint64_t>(parent_count) * sizeof(uint32_t);
-        if (provenance) {
-          state.prov_inner_capacity += parent_bytes;
-          state.prov_inner_content += parent_bytes;
-          result.first_derivation.push_back(derivation());
-        }
-        if (options.record_all_derivations) {
-          Derivation d = derivation();
-          // The init-list push below copies `d` into a fresh inner vector
-          // of size == capacity == 1.
-          state.prov_inner_capacity += sizeof(Derivation) + parent_bytes;
-          state.prov_inner_content += sizeof(Derivation) + parent_bytes;
-          result.all_derivations.push_back({std::move(d)});
-        }
-        const std::vector<bool>& ex =
-            existential_positions_[app.rule_index][head_atom];
-        for (uint32_t pos = 0; pos < arity; ++pos) {
-          if (ex[pos] && result.birth_atom.find(terms[pos]) ==
-                             result.birth_atom.end()) {
-            result.birth_atom.emplace(terms[pos], out.index);
-          }
-        }
-      } else if (options.record_all_derivations) {
-        std::vector<Derivation>& list = result.all_derivations[out.index];
-        bool duplicate = false;
-        for (const Derivation& existing : list) {
-          if (existing.rule_index == app.rule_index &&
-              std::equal(existing.parents.begin(), existing.parents.end(),
-                         parents, parents + parent_count)) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (!duplicate) {
-          const uint64_t parent_bytes =
-              static_cast<uint64_t>(parent_count) * sizeof(uint32_t);
-          const size_t cap_before = list.capacity();
-          list.push_back(derivation());
-          // Content grows by one element; capacity by the geometric step
-          // the push actually took (zero on a non-growing push).
-          state.prov_inner_capacity +=
-              static_cast<uint64_t>(list.capacity() - cap_before) *
-                  sizeof(Derivation) +
-              parent_bytes;
-          state.prov_inner_content += sizeof(Derivation) + parent_bytes;
-        }
-      }
-    };
-
-    if (options.variant == ChaseVariant::kRestricted) {
-      // The restricted recheck needs every earlier application of this
-      // round already inserted, so commits stay one application at a time.
-      // One matcher for every recheck: FactSet keeps its indexes
-      // incrementally up to date and the matcher reads them live.
-      Matcher commit_matcher(vocab_, result.facts);
-      RowBlock app_rows;
-      Substitution head_initial;
-      for (const StagedApplications::App& app : staged.apps) {
-        const CommitLayout& layout = commit_layouts_[app.rule_index];
-        const TermId* bindings = staged.bindings.data() + app.bindings;
-        if (!options.record_all_derivations &&
-            !result.seen_applications.Insert(
-                app.rule_index, bindings,
-                static_cast<uint32_t>(layout.commit_vars.size()))) {
-          ++round_stats.deduped;
-          continue;
-        }
-        head_initial.clear();
-        for (size_t i = 0; i < layout.commit_vars.size(); ++i) {
-          head_initial.emplace(layout.commit_vars[i], bindings[i]);
-        }
-        if (commit_matcher.Exists(theory_.rules[app.rule_index].head,
-                                  head_existentials_[app.rule_index],
-                                  head_initial)) {
-          // An earlier application this round satisfied the head.
-          ++round_stats.preempted;
-          continue;
-        }
-        ++round_stats.committed;
-        app_rows.Clear();
-        ExpandHead(app.rule_index, bindings, fn_args_scratch, &app_rows);
-        for (size_t a = 0; a < app_rows.rows(); ++a) {
-          const TermId* terms = app_rows.Terms(a);
-          const uint32_t arity = app_rows.Arity(a);
-          const PredicateId pred = app_rows.predicates[a];
-          // Enforce the atom budget per inserted atom, not per
-          // application: the result never exceeds max_atoms, even
-          // mid-head.
-          if (result.facts.size() >= options.max_atoms) {
-            std::optional<uint32_t> existing =
-                result.facts.FindRow(pred, terms, arity);
-            if (!existing.has_value()) {
-              atom_budget_hit = true;
-              break;
-            }
-            record_row(app, a, {*existing, false}, terms, arity);
-            continue;
-          }
-          record_row(app, a, result.facts.InsertRow(pred, terms, arity),
-                     terms, arity);
-        }
-        if (atom_budget_hit) break;
-      }
-    } else {
-      // Semi-oblivious: set-at-a-time, pipelined (DESIGN.md §5, "Sharded
-      // commit pipeline").  Phase 1a (serial) walks the merged staging
-      // order through the frontier memo; phase 1b expands surviving
-      // applications into one columnar pending block — in parallel chunks
-      // when the round is wide, probing interned Skolem rows through the
-      // const lookup and renumbering misses serially so TermId assignment
-      // stays in staged order; phase 2 bulk-inserts the block through the
-      // sharded parallel commit; phase 3 replays the per-row outcomes for
-      // depth/provenance/birth bookkeeping.  Every phase preserves the
-      // merged staging order, so the result is byte-identical to
-      // committing one atom at a time, at every thread and shard count.
-      const Clock::time_point expand_start = Clock::now();
-      std::optional<obs::Span> commit_sub_span;
-      commit_sub_span.emplace("chase.commit.expand", "chase");
-      pending.Clear();
-      surviving.clear();
-      surviving.reserve(staged.apps.size());
-      // The memo's size before this round's inserts: a faulted batch
-      // truncates back to it.
-      const size_t memo_before = result.seen_applications.size();
-      for (uint32_t s = 0; s < staged.apps.size(); ++s) {
-        const StagedApplications::App& app = staged.apps[s];
-        if (!options.record_all_derivations &&
-            !result.seen_applications.Insert(
-                app.rule_index, staged.bindings.data() + app.bindings,
-                static_cast<uint32_t>(
-                    commit_layouts_[app.rule_index].commit_vars.size()))) {
-          ++round_stats.deduped;
-          continue;
-        }
-        surviving.push_back(s);
-      }
-      // Placeholder TermIds for Skolem rows not yet interned live above
-      // this bit; real ids stay below it (guarded before going parallel).
-      constexpr uint32_t kLocalTermBit = 0x80000000u;
-      const bool parallel_expand = round_threads > 1 && pool != nullptr &&
-                                   surviving.size() >= 512 &&
-                                   vocab_.NumTerms() < kLocalTermBit;
-      if (!parallel_expand) {
-        for (uint32_t s : surviving) {
-          const StagedApplications::App& app = staged.apps[s];
-          ExpandHead(app.rule_index, staged.bindings.data() + app.bindings,
-                     fn_args_scratch, &pending);
-        }
-      } else {
-        // Workers expand contiguous chunks of the surviving order with the
-        // const Skolem-row probe; an application tuple never interned
-        // before gets a chunk-local placeholder row recorded in the
-        // chunk's arena.  Nothing mutates the vocabulary until the serial
-        // renumbering pass below.
-        struct ExpandChunk {
-          struct Miss {
-            uint32_t block;        // Skolem block
-            uint32_t args;         // offset of its fn args in `miss_args`
-            uint32_t arity;        // number of fn args
-            uint32_t placeholder;  // placeholder base
-          };
-          RowBlock rows;
-          std::vector<Miss> misses;
-          std::vector<TermId> miss_args;
-          uint32_t placeholder_count = 0;
-        };
-        const size_t chunk_size = std::max<size_t>(
-            1, (surviving.size() + round_threads * 4 - 1) /
-                   (round_threads * 4));
-        const size_t num_chunks =
-            (surviving.size() + chunk_size - 1) / chunk_size;
-        std::vector<ExpandChunk> chunks(num_chunks);
-        // Per-chunk busy time feeds the round's work/span accounting; each
-        // chunk writes only its own slot.
-        std::vector<uint64_t> chunk_busy_ns(num_chunks, 0);
-        const Clock::time_point chunks_start = Clock::now();
-        pool->Run(num_chunks, [&](size_t c) {
-          const uint64_t chunk_start_ns = obs::internal::NowNanos();
-          ExpandChunk& chunk = chunks[c];
-          std::vector<TermId> fn_args;
-          std::vector<TermId> placeholder_row;
-          const size_t begin = c * chunk_size;
-          const size_t end = std::min(surviving.size(), begin + chunk_size);
-          for (size_t k = begin; k < end; ++k) {
-            const StagedApplications::App& app = staged.apps[surviving[k]];
-            const TermId* bindings = staged.bindings.data() + app.bindings;
-            const CommitLayout& layout = commit_layouts_[app.rule_index];
-            const TermId* nulls = nullptr;
-            if (layout.skolem_block != kNoSkolemBlock) {
-              fn_args.clear();
-              for (uint32_t slot : layout.fn_arg_slots) {
-                fn_args.push_back(bindings[slot]);
-              }
-              nulls = vocab_.FindSkolemRow(layout.skolem_block, fn_args);
-              if (nulls == nullptr) {
-                const uint32_t size =
-                    vocab_.SkolemBlockSize(layout.skolem_block);
-                chunk.misses.push_back(
-                    {layout.skolem_block,
-                     static_cast<uint32_t>(chunk.miss_args.size()),
-                     static_cast<uint32_t>(fn_args.size()),
-                     chunk.placeholder_count});
-                chunk.miss_args.insert(chunk.miss_args.end(), fn_args.begin(),
-                                       fn_args.end());
-                placeholder_row.clear();
-                for (uint32_t i = 0; i < size; ++i) {
-                  placeholder_row.push_back(kLocalTermBit |
-                                            (chunk.placeholder_count + i));
-                }
-                chunk.placeholder_count += size;
-                nulls = placeholder_row.data();
-              }
-            }
-            AppendHeadRows(app.rule_index, bindings, nulls, &chunk.rows);
-          }
-          chunk_busy_ns[c] = obs::internal::NowNanos() - chunk_start_ns;
-        });
-        {
-          const double chunks_wall = Seconds(Clock::now() - chunks_start);
-          uint64_t work_ns = 0;
-          uint64_t longest_ns = 0;
-          for (uint64_t ns : chunk_busy_ns) {
-            work_ns += ns;
-            longest_ns = std::max(longest_ns, ns);
-          }
-          add_region(chunks_wall, static_cast<double>(work_ns) * 1e-9,
-                     static_cast<double>(longest_ns) * 1e-9);
-        }
-        // Serial renumbering: chunks partition the staged order
-        // contiguously, so interning each chunk's misses in chunk order
-        // reproduces exactly the lazy intern order of the serial engine —
-        // identical TermIds at every thread count.  (SkolemRow is
-        // idempotent, so a tuple missed by several chunks interns once, at
-        // its first staged occurrence.)
-        for (ExpandChunk& chunk : chunks) {
-          std::vector<TermId> resolved(chunk.placeholder_count);
-          for (const ExpandChunk::Miss& miss : chunk.misses) {
-            const TermId* row = vocab_.SkolemRow(
-                miss.block, std::span<const TermId>(
-                                chunk.miss_args.data() + miss.args,
-                                miss.arity));
-            const uint32_t size = vocab_.SkolemBlockSize(miss.block);
-            for (uint32_t i = 0; i < size; ++i) {
-              resolved[miss.placeholder + i] = row[i];
-            }
-          }
-          for (TermId& t : chunk.rows.terms) {
-            if (t & kLocalTermBit) t = resolved[t & ~kLocalTermBit];
-          }
-          if (pending.offsets.empty()) pending.offsets.push_back(0);
-          const uint32_t term_base =
-              static_cast<uint32_t>(pending.terms.size());
-          pending.predicates.insert(pending.predicates.end(),
-                                    chunk.rows.predicates.begin(),
-                                    chunk.rows.predicates.end());
-          pending.terms.insert(pending.terms.end(), chunk.rows.terms.begin(),
-                               chunk.rows.terms.end());
-          for (size_t r = 1; r < chunk.rows.offsets.size(); ++r) {
-            pending.offsets.push_back(term_base + chunk.rows.offsets[r]);
-          }
-        }
-        FRONTIERS_CHECK(vocab_.NumTerms() < kLocalTermBit,
-                        "chase: TermId space reached the placeholder bit");
-      }
-      round_stats.commit_expand_seconds = Seconds(Clock::now() - expand_start);
-
-      outcomes.clear();
-      // A fired `fact_set.insert_batch` failpoint makes the batch insert
-      // refuse the whole batch (store untouched, outcomes empty) — which
-      // would otherwise be indistinguishable from an atom-budget truncation
-      // at row zero; `fact_set.shard_commit` aborts the batch from inside a
-      // shard task with the same contract (provisional dedup entries rolled
-      // back).  Detect both by their fired-count deltas and classify the
-      // stop as a resumable injected fault instead of kAtomBudget.  The
-      // EverArmed() guard keeps unarmed runs at one relaxed load.
-      const bool fault_detect = failpoint::EverArmed();
-      const uint64_t batch_fired_before =
-          fault_detect ? failpoint::FiredCount("fact_set.insert_batch") : 0;
-      const uint64_t shard_fired_before =
-          fault_detect ? failpoint::FiredCount("fact_set.shard_commit") : 0;
-      commit_sub_span.emplace("chase.commit.insert", "chase");
-      FactSet::BatchTimings batch_timings;
-      FactSet::BatchStats batch_stats;
-      const size_t added = result.facts.InsertBatchParallel(
-          pending, &outcomes, round_threads > 1 ? pool : nullptr,
-          options.max_atoms, &batch_timings, &batch_stats);
-      commit_sub_span.reset();
-      round_stats.commit_dedup_seconds = batch_timings.dedup_seconds;
-      round_stats.commit_index_seconds = batch_timings.index_seconds;
-      // The insert's three parallel sub-phases and their shard contention
-      // flow into the round's work/span accounting and the registry.
-      add_region(batch_stats.hash.wall_seconds, batch_stats.hash.work_seconds,
-                 batch_stats.hash.longest_seconds);
-      add_region(batch_stats.dedup.wall_seconds,
-                 batch_stats.dedup.work_seconds,
-                 batch_stats.dedup.longest_seconds);
-      add_region(batch_stats.index.wall_seconds,
-                 batch_stats.index.work_seconds,
-                 batch_stats.index.longest_seconds);
-      round_stats.shard_wait_seconds =
-          static_cast<double>(batch_stats.shard_wait_ns) * 1e-9;
-      round_stats.shard_hold_seconds =
-          static_cast<double>(batch_stats.shard_hold_ns) * 1e-9;
-      if (batch_stats.rows > 0 && batch_stats.shards_touched > 0) {
-        round_stats.shard_imbalance =
-            static_cast<double>(batch_stats.max_shard_rows) /
-            (static_cast<double>(batch_stats.rows) /
-             static_cast<double>(batch_stats.shards_touched));
-      }
-      metrics.shard_commits.Add();
-      metrics.shard_max_rows.Observe(
-          static_cast<double>(batch_stats.max_shard_rows));
-      metrics.shards_touched.Observe(
-          static_cast<double>(batch_stats.shards_touched));
-      metrics.shard_wait_seconds.Observe(round_stats.shard_wait_seconds);
-      metrics.shard_hold_seconds.Observe(round_stats.shard_hold_seconds);
-      metrics.shard_imbalance.Set(round_stats.shard_imbalance);
-      if (fault_detect &&
-          (failpoint::FiredCount("fact_set.insert_batch") !=
-               batch_fired_before ||
-           failpoint::FiredCount("fact_set.shard_commit") !=
-               shard_fired_before)) {
-        // Roll back phase 1's dedup-memo inserts so the state is exactly
-        // the previous round boundary.  (Skolem rows interned by ExpandHead
-        // stay in the vocabulary; hash-consing re-interns them to identical
-        // TermIds on resume, so they are harmless.)  The memo keeps its
-        // grown arena and table capacity, which finish() accounts.
-        result.seen_applications.Truncate(memo_before);
-        return finish(ChaseStop::kInjectedFault, round);
-      }
-      result.depth.reserve(result.depth.size() + added);
-      new_delta_atoms.reserve(added);
-      // Replay outcomes app by app.  `outcomes` is truncated exactly at
-      // the first new atom past the budget; an application reached before
-      // the truncation point still counts as committed (mirroring the
-      // per-atom loop, which incremented `committed` before inserting).
-      size_t cursor = 0;
-      for (uint32_t s : surviving) {
-        const StagedApplications::App& app = staged.apps[s];
-        ++round_stats.committed;
-        const size_t head_size = commit_layouts_[app.rule_index].head.size();
-        for (size_t a = 0; a < head_size; ++a, ++cursor) {
-          if (cursor >= outcomes.size()) {
-            atom_budget_hit = true;
-            break;
-          }
-          record_row(app, a, outcomes[cursor], pending.Terms(cursor),
-                     pending.Arity(cursor));
-        }
-        if (atom_budget_hit) break;
-      }
-    }
-
-    // The active domain grows in first-occurrence order, so this round's
-    // new terms are exactly the domain suffix appended during commit — no
-    // per-round known-terms set.
-    const std::vector<TermId>& domain_after = result.facts.Domain();
-    std::vector<TermId> new_delta_terms(domain_after.begin() + domain_before,
-                                        domain_after.end());
-    round_stats.commit_seconds = Seconds(Clock::now() - commit_start);
-    // Round work/span from the per-region accounting: whatever the round
-    // wall did not spend inside a parallel region ran serially and bounds
-    // the achievable speedup (Amdahl); the span adds each region's longest
-    // task (Brent).  Clamped at zero against clock skew between the outer
-    // wall and per-region timestamps.
+    std::optional<ChaseStop> commit_stop;
     {
-      const double round_wall =
-          round_stats.match_seconds + round_stats.commit_seconds;
-      const double serial_part = std::max(0.0, round_wall - par_wall);
-      round_stats.work_seconds = serial_part + par_work;
-      round_stats.critical_path_seconds = serial_part + par_longest;
+      obs::Span commit_span("chase.commit", "chase");
+      const Clock::time_point commit_start = Clock::now();
+      // Torture-harness fault sites.  Both fire before any mutation of the
+      // committed state, so the round is abandoned whole — exactly like a
+      // governed abort above — and the result stays a complete chase stage
+      // (snapshot + resume reconverge to the uninterrupted run).
+      // `chase.commit` models a fault at commit entry;
+      // `chase.skolem_alloc` models Skolem block-row allocation
+      // exhaustion, checked just before the head expansion starts
+      // interning block rows.
+      if (FRONTIERS_FAILPOINT("chase.commit") ||
+          FRONTIERS_FAILPOINT("chase.skolem_alloc")) {
+        return loop.Finish(ChaseStop::kInjectedFault);
+      }
+      commit_stop = options.variant == ChaseVariant::kRestricted
+                        ? loop.CommitRestricted(staged, record)
+                        : loop.CommitSemiOblivious(staged, record);
+      if (commit_stop == ChaseStop::kInjectedFault) {
+        return loop.Finish(*commit_stop);
+      }
+      record.commit_seconds = Seconds(Clock::now() - commit_start);
     }
-    phase_span.reset();
-    // Round boundary: roll up both ledger modes, refresh live_bytes/peak
-    // and the gauges, and emit this boundary's stream rows.  Runs before
-    // the atom-budget check below so a partial last round is accounted.
-    round_stats.mem = account_boundary(round + 1, true);
-    result.stats.rounds.push_back(round_stats);
 
-    // Publish the round to the registry — same numbers as the ChaseStats
-    // compatibility view, aggregated process-wide.
-    metrics.rounds.Add();
-    metrics.matches.Add(round_stats.matches);
-    metrics.staged.Add(round_stats.staged);
-    metrics.committed.Add(round_stats.committed);
-    metrics.preempted.Add(round_stats.preempted);
-    metrics.deduped.Add(round_stats.deduped);
-    metrics.atoms_inserted.Add(round_stats.atoms_inserted);
-    metrics.match_seconds.Observe(round_stats.match_seconds);
-    metrics.commit_seconds.Observe(round_stats.commit_seconds);
-    metrics.commit_expand_seconds.Observe(round_stats.commit_expand_seconds);
-    metrics.commit_dedup_seconds.Observe(round_stats.commit_dedup_seconds);
-    metrics.commit_index_seconds.Observe(round_stats.commit_index_seconds);
-    if (num_threads > 1 && round_threads == 1) metrics.serial_rounds.Add();
-    // Every round lands in exactly one bucket: the pair answers "did the
-    // used_threads / serial_round_threshold decision engage" without
-    // reading ChaseRoundStats.
-    if (round_threads > 1) {
-      metrics.rounds_parallel.Add();
-    } else {
-      metrics.rounds_serial.Add();
+    // ---- Close: the round boundary --------------------------------------
+    if (std::optional<ChaseStop> stop =
+            loop.CloseRound(record, commit_stop == ChaseStop::kAtomBudget)) {
+      return loop.Finish(*stop);
     }
-#ifndef NDEBUG
-    published.rounds += 1;
-    published.matches += round_stats.matches;
-    published.staged += round_stats.staged;
-    published.committed += round_stats.committed;
-    published.preempted += round_stats.preempted;
-    published.deduped += round_stats.deduped;
-    published.inserted += round_stats.atoms_inserted;
-#endif
-
-    if (atom_budget_hit) {
-      // The last round is partial: complete_rounds stays at `round`.
-      return finish(ChaseStop::kAtomBudget, round);
-    }
-    if (new_delta_atoms.empty()) {
-      return finish(ChaseStop::kFixpoint, round);
-    }
-    delta_atoms = std::move(new_delta_atoms);
-    delta_terms = std::move(new_delta_terms);
-    // The next round's staged volume tracks this round's match output far
-    // better than the delta size alone; both feed the serial-fallback
-    // decision (ChaseOptions::serial_round_threshold).
-    work_hint = round_stats.matches + round_stats.staged;
-    ++round;
   }
-  return finish(ChaseStop::kRoundBudget, round);
+  return loop.Finish(ChaseStop::kRoundBudget);
 }
 
 ChaseResult ChaseEngine::RunToDepth(const FactSet& db, uint32_t rounds) const {

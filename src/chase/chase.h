@@ -94,11 +94,15 @@ enum class ChaseVariant {
   kRestricted,
 };
 
-/// Per-round counters and phase timings collected by every chase run.
+/// The record of one chase round: counters and phase timings collected by
+/// every chase run.
 ///
-/// A round has two phases: *match* (enumerate body matches, stage
-/// applications — the parallelizable part) and *commit* (apply staged
-/// rules in deterministic order, intern Skolem terms, insert atoms).
+/// A round has two timed phases: *match* (plan the match units, enumerate
+/// body matches, merge the staged applications — the parallelizable part)
+/// and *commit* (apply staged rules in deterministic order, intern Skolem
+/// terms, insert atoms).  The record is completed and appended at the
+/// round boundary, the one place that also publishes it to the registry,
+/// the mem stream and the heartbeat (DESIGN.md §7).
 struct ChaseRoundStats {
   /// Body/domain matches offered to staging (before the filter and before
   /// the restricted variant's stage-time satisfaction check).
@@ -137,20 +141,13 @@ struct ChaseRoundStats {
   /// fallback engaged; see ChaseOptions::serial_round_threshold).  Purely
   /// an execution record — results are byte-identical either way.
   uint32_t used_threads = 1;
-  // Parallelism accounting (diagnostics like the sub-timings above:
-  // excluded from snapshots and parity comparisons).  The round's wall
-  // time decomposes into parallel regions (match units, commit expand
-  // chunks, batch hash/dedup/index tasks) and the serial remainder;
-  // work/critical-path are the Brent bounds over that decomposition.
-  /// Total productive time: serial remainder + every region's summed task
-  /// time.  What one thread would need (T_1).
-  double work_seconds = 0.0;
-  /// Serial remainder + every region's longest task: the floor on round
-  /// wall time at infinite parallelism (T_inf).  work/critical_path is the
-  /// round's achievable speedup.
-  double critical_path_seconds = 0.0;
-  /// Shard-mutex contention inside this round's batch insert: total time
-  /// commit tasks spent blocked on (vs holding) shard mutexes.
+  // Shard occupancy and contention of this round's batch insert
+  // (semi-oblivious variant only; diagnostics like the sub-timings above:
+  // excluded from snapshots and parity comparisons).
+  /// Shards that saw at least one row, and the rows routed to the busiest.
+  uint32_t shards_touched = 0;
+  uint64_t shard_max_rows = 0;
+  /// Total time commit tasks spent blocked on (vs holding) shard mutexes.
   double shard_wait_seconds = 0.0;
   double shard_hold_seconds = 0.0;
   /// Batch imbalance: busiest shard's rows over the mean rows per touched
@@ -164,44 +161,48 @@ struct ChaseRoundStats {
   MemTotals mem;
 };
 
-/// Aggregated statistics of a chase run (one entry per started round).
+/// Aggregated statistics of a chase run (one record per started round).
 ///
-/// This is the per-run *compatibility view* of the observability layer
-/// (DESIGN.md §7): every counter and timing here is also published to
-/// `obs::DefaultRegistry()` under `frontiers.chase.*`, where it aggregates
-/// across runs and threads; a `--trace` session additionally records the
-/// same phases as spans.  Callers that only care about one run keep using
-/// this struct unchanged.
+/// This is the per-run view of the round records; the same records are
+/// published to `obs::DefaultRegistry()` under `frontiers.chase.*`, where
+/// they aggregate across runs and threads, and a `--trace` session
+/// additionally records the same phases as spans.
 struct ChaseStats {
   std::vector<ChaseRoundStats> rounds;
   /// Wall time of the whole run.
   double total_seconds = 0.0;
 
-  uint64_t TotalMatches() const;
-  uint64_t TotalStaged() const;
-  uint64_t TotalCommitted() const;
-  uint64_t TotalPreempted() const;
-  uint64_t TotalDeduped() const;
-  double MatchSeconds() const;
-  double CommitSeconds() const;
-  /// Summed commit sub-timings (see ChaseRoundStats).
-  double CommitExpandSeconds() const;
-  double CommitDedupSeconds() const;
-  double CommitIndexSeconds() const;
+  /// Sums of the per-round fields of the same name.
+  uint64_t TotalMatches() const { return Sum(&ChaseRoundStats::matches); }
+  uint64_t TotalStaged() const { return Sum(&ChaseRoundStats::staged); }
+  uint64_t TotalCommitted() const { return Sum(&ChaseRoundStats::committed); }
+  uint64_t TotalPreempted() const { return Sum(&ChaseRoundStats::preempted); }
+  uint64_t TotalDeduped() const { return Sum(&ChaseRoundStats::deduped); }
+  uint64_t TotalInserted() const {
+    return Sum(&ChaseRoundStats::atoms_inserted);
+  }
+  double MatchSeconds() const { return Sum(&ChaseRoundStats::match_seconds); }
+  double CommitSeconds() const {
+    return Sum(&ChaseRoundStats::commit_seconds);
+  }
+  double CommitExpandSeconds() const {
+    return Sum(&ChaseRoundStats::commit_expand_seconds);
+  }
+  double CommitDedupSeconds() const {
+    return Sum(&ChaseRoundStats::commit_dedup_seconds);
+  }
+  double CommitIndexSeconds() const {
+    return Sum(&ChaseRoundStats::commit_index_seconds);
+  }
+  double ShardWaitSeconds() const {
+    return Sum(&ChaseRoundStats::shard_wait_seconds);
+  }
+  double ShardHoldSeconds() const {
+    return Sum(&ChaseRoundStats::shard_hold_seconds);
+  }
   /// Rounds that ran with more than one worker (i.e. where the small-round
   /// serial fallback did *not* engage).
   uint64_t ParallelRounds() const;
-  uint64_t TotalInserted() const;
-  /// Summed parallelism accounting (see ChaseRoundStats).
-  double WorkSeconds() const;
-  double CriticalPathSeconds() const;
-  double ShardWaitSeconds() const;
-  double ShardHoldSeconds() const;
-  /// Achievable speedup of this run by the work/span bound:
-  /// WorkSeconds() / CriticalPathSeconds() — what a perfect scheduler with
-  /// unlimited workers could reach given the run's serial sections.  1.0
-  /// when no accounting was collected (degenerate runs).
-  double AchievableSpeedup() const;
 
   /// Wall time of the whole run.  In debug builds (NDEBUG undefined) this
   /// checks the phase accounting invariant: the summed match + commit
@@ -218,6 +219,14 @@ struct ChaseStats {
   /// `rounds=3 matches=120 staged=80 deduped=10 committed=70 preempted=0
   ///  inserted=140 match=0.010s commit=0.002s other=0.001s total=0.013s`.
   std::string Summary() const;
+
+ private:
+  template <typename T>
+  T Sum(T ChaseRoundStats::*field) const {
+    T total{};
+    for (const ChaseRoundStats& r : rounds) total += r.*field;
+    return total;
+  }
 };
 
 /// One progress sample of a running chase, emitted at round boundaries
@@ -251,10 +260,6 @@ struct ChaseHeartbeat {
   /// Stop reason ("fixpoint", "deadline", ...) on the final heartbeat a
   /// run emits; nullptr on periodic ones.  Points at a string literal.
   const char* stop = nullptr;
-  /// Achievable speedup of the rounds completed so far (the work/span
-  /// bound; see ChaseStats::AchievableSpeedup).  Negative when no
-  /// accounting has been collected yet — rendered as null in JSON.
-  double max_speedup = -1.0;
 
   /// The heartbeat as one JSONL line (schema `frontiers-heartbeat-v1`,
   /// no trailing newline) — what the default sink writes and what
@@ -459,6 +464,10 @@ class ChaseEngine {
   // Mutable state threaded through the round loop; built by Run from a
   // database or by Resume from a snapshot, consumed by RunFromState.
   struct RunState;
+  // One run's round loop: the phases RunFromState drives (DESIGN.md §5,
+  // Plan → Match → Commit → Close) and the round boundary they end in.
+  // Defined in chase.cc.
+  class RoundLoop;
   ChaseResult RunFromState(RunState state, const ChaseOptions& options) const;
 
   // --- Set-at-a-time commit layout ----------------------------------------

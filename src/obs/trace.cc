@@ -9,8 +9,8 @@
 
 namespace frontiers::obs {
 
-// g_span_mask and NowNanos are defined in base/obs_hooks.cc (shared with
-// the base-layer task telemetry emitters).
+// g_span_mask, NowNanos and the thread-exit hooks are defined in
+// base/obs_hooks.cc (shared with the base-layer WorkerPool).
 
 namespace {
 
@@ -76,7 +76,7 @@ ThreadBuffer* LocalBuffer() {
 // The session's buffer list co-owns every registered buffer, so no event is
 // ever lost with its thread — but dropping the thread-local reference here
 // guarantees the buffer is quiescent before the pool joins the thread,
-// which is the ordering par_report/validate_telemetry rely on for complete
+// which is the ordering validate_telemetry relies on for complete
 // per-thread streams.
 void FlushThreadBufferOnExit() {
   t_buffer.reset();
@@ -130,7 +130,7 @@ Status TraceSession::Start(std::string path, TraceOptions options) {
   state.min_duration_ns.store(options.min_duration_us * 1000,
                               std::memory_order_relaxed);
   state.epoch.fetch_add(1, std::memory_order_release);
-  taskhooks::RegisterThreadExitHook(&FlushThreadBufferOnExit);
+  internal::RegisterThreadExitHook(&FlushThreadBufferOnExit);
   internal::g_span_mask.fetch_or(internal::kSpanTrace,
                                  std::memory_order_relaxed);
   return Status::Ok();
@@ -181,9 +181,8 @@ Status TraceSession::Stop() {
     base_ns = std::min(base_ns, flat.event.start_ns);
   }
   // `baseTimeNanos` records the un-rebased origin on the process steady
-  // clock — Chrome/Perfetto ignore unknown top-level keys, and
-  // tools/par_report uses it to join this trace with the task stream's
-  // absolute timestamps.
+  // clock (Chrome/Perfetto ignore unknown top-level keys), so absolute
+  // timestamps can be recovered from the file.
   std::fprintf(file,
                "{\"displayTimeUnit\":\"ms\",\"baseTimeNanos\":%llu,"
                "\"traceEvents\":[\n",

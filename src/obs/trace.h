@@ -11,8 +11,8 @@
 namespace frontiers::obs {
 
 // The span-mask word (g_span_mask, kSpan* bits) and NowNanos live in
-// base/obs_hooks.h so base-layer emitters (WorkerPool, FactSet) share the
-// same one-relaxed-load disabled cost without linking this library.
+// base/obs_hooks.h so base-layer code shares the same one-relaxed-load
+// disabled cost without linking this library.
 
 namespace internal {
 /// Appends a complete ('X') event to the calling thread's buffer.  `name`

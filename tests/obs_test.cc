@@ -16,20 +16,21 @@
 #include <thread>
 #include <vector>
 
+#include "base/failpoint.h"
 #include "base/vocabulary.h"
 #include "base/worker_pool.h"
 #include "catalog/instances.h"
 #include "catalog/strategies.h"
 #include "catalog/theories.h"
 #include "chase/chase.h"
+#include "chase/snapshot.h"
 #include "obs/bench_compare.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
-#include "obs/task_stream.h"
 #include "obs/trace.h"
 
-// Binary-wide allocation counter for the disabled-cost test below: the
+// Binary-wide allocation counter for the dispatch test below: the
 // replacement operator new counts while the flag is up.  Everything else
 // behaves exactly like the default allocator, so the override is inert for
 // the rest of the suite.
@@ -53,8 +54,18 @@ void* operator new(std::size_t size) {
   if (p == nullptr) throw std::bad_alloc();
   return p;
 }
+// The nothrow form (std::stable_partition's temporary buffer) must come
+// from the same malloc as the deletes below, or sanitizer builds report an
+// alloc-dealloc mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  if (g_count_allocations.load(std::memory_order_relaxed)) {
+    g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
@@ -943,14 +954,46 @@ TEST(Parity, ProfiledHeartbeatChaseIsByteIdenticalToBare) {
   }
 }
 
-// The chase publishes its per-run stats into the process-wide registry
-// (the compatibility view the REPL's `.stats` command prints).
-TEST(Parity, ChaseWorkIsVisibleInDefaultRegistry) {
-  obs::MetricsSnapshot before = obs::DefaultRegistry().Snapshot();
-  auto counter = [](const obs::MetricsSnapshot& snapshot, const char* name) {
-    auto it = snapshot.counters.find(name);
-    return it == snapshot.counters.end() ? uint64_t{0} : it->second;
+uint64_t CounterValue(const obs::MetricsSnapshot& snapshot,
+                      const char* name) {
+  auto it = snapshot.counters.find(name);
+  return it == snapshot.counters.end() ? uint64_t{0} : it->second;
+}
+
+uint64_t HistogramCount(const obs::MetricsSnapshot& snapshot,
+                        const char* name) {
+  auto it = snapshot.histograms.find(name);
+  return it == snapshot.histograms.end() ? uint64_t{0}
+                                         : it->second.total_count;
+}
+
+// The registry view of a run must be exactly its round records: each of
+// the seven per-round frontiers.chase.* counters grows by the ChaseStats
+// total of the same field between `before` and `after`.
+void ExpectRegistryMatchesStats(const obs::MetricsSnapshot& before,
+                                const obs::MetricsSnapshot& after,
+                                const ChaseStats& stats) {
+  const std::pair<const char*, uint64_t> expected[] = {
+      {"frontiers.chase.rounds", stats.rounds.size()},
+      {"frontiers.chase.matches", stats.TotalMatches()},
+      {"frontiers.chase.staged", stats.TotalStaged()},
+      {"frontiers.chase.committed", stats.TotalCommitted()},
+      {"frontiers.chase.preempted", stats.TotalPreempted()},
+      {"frontiers.chase.deduped", stats.TotalDeduped()},
+      {"frontiers.chase.atoms_inserted", stats.TotalInserted()},
   };
+  for (const auto& [name, value] : expected) {
+    EXPECT_EQ(CounterValue(after, name) - CounterValue(before, name), value)
+        << name;
+  }
+}
+
+// The chase publishes its per-run stats into the process-wide registry
+// (the view the REPL's `.stats` command prints).  Checked in every build
+// type and for every way a run can end: a plain run of each variant, a
+// resumed run, a byte-budget stop that abandons a round mid-match, and an
+// injected batch fault that abandons a round mid-commit.
+TEST(Parity, ChaseWorkIsVisibleInDefaultRegistry) {
   Vocabulary vocab;
   Theory td = TdTheory(vocab);
   FactSet db = EdgePath(vocab, "G", 6, "a");
@@ -959,34 +1002,115 @@ TEST(Parity, ChaseWorkIsVisibleInDefaultRegistry) {
   options.max_atoms = 100'000;
   options.filter = TdWitnessStrategy(vocab, td);
   ChaseEngine engine(vocab, td);
-  ChaseResult result = engine.Run(db, options);
-  obs::MetricsSnapshot after = obs::DefaultRegistry().Snapshot();
-  EXPECT_EQ(counter(after, "frontiers.chase.runs"),
-            counter(before, "frontiers.chase.runs") + 1);
-  EXPECT_EQ(counter(after, "frontiers.chase.rounds"),
-            counter(before, "frontiers.chase.rounds") + result.stats.rounds.size());
-  EXPECT_EQ(counter(after, "frontiers.chase.matches"),
-            counter(before, "frontiers.chase.matches") +
-                result.stats.TotalMatches());
-  EXPECT_EQ(counter(after, "frontiers.chase.staged"),
-            counter(before, "frontiers.chase.staged") +
-                result.stats.TotalStaged());
-  EXPECT_EQ(counter(after, "frontiers.chase.committed"),
-            counter(before, "frontiers.chase.committed") +
-                result.stats.TotalCommitted());
-  EXPECT_EQ(counter(after, "frontiers.chase.preempted"),
-            counter(before, "frontiers.chase.preempted") +
-                result.stats.TotalPreempted());
-  EXPECT_EQ(counter(after, "frontiers.chase.deduped"),
-            counter(before, "frontiers.chase.deduped") +
-                result.stats.TotalDeduped());
-  EXPECT_EQ(counter(after, "frontiers.chase.atoms_inserted"),
-            counter(before, "frontiers.chase.atoms_inserted") +
-                result.stats.TotalInserted());
-  // The phase histograms saw one run's worth of rounds.
-  auto hist = after.histograms.find("frontiers.chase.match_seconds");
-  ASSERT_NE(hist, after.histograms.end());
-  EXPECT_GE(hist->second.total_count, result.stats.rounds.size());
+
+  for (ChaseVariant variant :
+       {ChaseVariant::kSemiOblivious, ChaseVariant::kRestricted}) {
+    ChaseOptions variant_options = options;
+    variant_options.variant = variant;
+    obs::MetricsSnapshot before = obs::DefaultRegistry().Snapshot();
+    ChaseResult result = engine.Run(db, variant_options);
+    obs::MetricsSnapshot after = obs::DefaultRegistry().Snapshot();
+    SCOPED_TRACE(variant == ChaseVariant::kRestricted ? "restricted"
+                                                      : "semi-oblivious");
+    ASSERT_FALSE(result.stats.rounds.empty());
+    EXPECT_EQ(CounterValue(after, "frontiers.chase.runs"),
+              CounterValue(before, "frontiers.chase.runs") + 1);
+    ExpectRegistryMatchesStats(before, after, result.stats);
+    // The phase histograms saw one run's worth of rounds.
+    EXPECT_EQ(HistogramCount(after, "frontiers.chase.match_seconds") -
+                  HistogramCount(before, "frontiers.chase.match_seconds"),
+              result.stats.rounds.size());
+  }
+
+  {
+    // Resume from a round-budget snapshot: the resumed stats carry the
+    // snapshot's rounds, which the first run published, so the registry
+    // over both calls equals the resumed totals.
+    SCOPED_TRACE("resume");
+    ChaseOptions first_options = options;
+    first_options.max_rounds = 2;
+    obs::MetricsSnapshot before = obs::DefaultRegistry().Snapshot();
+    ChaseResult first = engine.Run(db, first_options);
+    ASSERT_EQ(first.stop, ChaseStop::kRoundBudget);
+    Result<ChaseSnapshot> snapshot =
+        MakeSnapshot(vocab, td, first, first_options);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.message();
+    ChaseResult resumed = engine.Resume(snapshot.value(), options);
+    obs::MetricsSnapshot after = obs::DefaultRegistry().Snapshot();
+    EXPECT_GT(resumed.stats.rounds.size(), first.stats.rounds.size());
+    ExpectRegistryMatchesStats(before, after, resumed.stats);
+  }
+
+  {
+    // A byte budget just above the content total after `k` rounds passes
+    // the boundary check at round k and trips while round k stages, so
+    // the round is abandoned mid-match and never published.
+    SCOPED_TRACE("byte budget");
+    const uint32_t k = 2;
+    ChaseOptions probe_options = options;
+    probe_options.max_rounds = k;
+    ChaseResult probe = engine.Run(db, probe_options);
+    ASSERT_EQ(probe.stop, ChaseStop::kRoundBudget);
+    ChaseOptions budget_options = options;
+    budget_options.max_bytes = probe.approx_bytes + 1;
+    obs::MetricsSnapshot before = obs::DefaultRegistry().Snapshot();
+    ChaseResult result = engine.Run(db, budget_options);
+    obs::MetricsSnapshot after = obs::DefaultRegistry().Snapshot();
+    ASSERT_EQ(result.stop, ChaseStop::kByteBudget);
+    EXPECT_EQ(result.complete_rounds, k);
+    EXPECT_EQ(result.stats.rounds.size(), k);
+    ExpectRegistryMatchesStats(before, after, result.stats);
+  }
+
+  {
+    // An injected batch fault abandons the round in mid-commit.
+    SCOPED_TRACE("injected fault");
+    failpoint::Arm("fact_set.insert_batch", /*fire_count=*/1, /*skip=*/2);
+    obs::MetricsSnapshot before = obs::DefaultRegistry().Snapshot();
+    ChaseResult result = engine.Run(db, options);
+    obs::MetricsSnapshot after = obs::DefaultRegistry().Snapshot();
+    failpoint::DisarmAll();
+    ASSERT_EQ(result.stop, ChaseStop::kInjectedFault);
+    ExpectRegistryMatchesStats(before, after, result.stats);
+  }
+}
+
+// A round abandoned by an injected batch fault publishes nothing, its
+// shard metrics included: with either batch failpoint firing, the batch
+// commit counter and every shard histogram count one observation per
+// round that ChaseStats kept.
+TEST(Metrics, FaultedRoundPublishesNoShardMetrics) {
+  for (const char* point : {"fact_set.insert_batch", "fact_set.shard_commit"}) {
+    SCOPED_TRACE(point);
+    Vocabulary vocab;
+    Theory td = TdTheory(vocab);
+    FactSet db = EdgePath(vocab, "G", 8, "a");
+    ChaseOptions options;
+    options.max_rounds = 16;
+    options.max_atoms = 200'000;
+    options.filter = TdWitnessStrategy(vocab, td);
+    ChaseEngine engine(vocab, td);
+    failpoint::Arm(point, /*fire_count=*/1, /*skip=*/2);
+    obs::MetricsSnapshot before = obs::DefaultRegistry().Snapshot();
+    ChaseResult result = engine.Run(db, options);
+    obs::MetricsSnapshot after = obs::DefaultRegistry().Snapshot();
+    failpoint::DisarmAll();
+    ASSERT_EQ(result.stop, ChaseStop::kInjectedFault);
+    const uint64_t rounds = result.stats.rounds.size();
+    ExpectRegistryMatchesStats(before, after, result.stats);
+    EXPECT_EQ(CounterValue(after, "frontiers.chase.shard_commits") -
+                  CounterValue(before, "frontiers.chase.shard_commits"),
+              rounds);
+    for (const char* histogram :
+         {"frontiers.chase.shard_max_rows", "frontiers.chase.shards_touched",
+          "frontiers.chase.shard_wait_seconds",
+          "frontiers.chase.shard_hold_seconds"}) {
+      EXPECT_EQ(HistogramCount(after, histogram) -
+                    HistogramCount(before, histogram),
+                rounds)
+          << histogram;
+    }
+  }
 }
 
 // ChaseStats::Summary() is the shared human-readable line (REPL + benches).
@@ -1010,128 +1134,21 @@ TEST(Parity, ChaseStatsSummaryMentionsEveryPhase) {
   EXPECT_GE(result.stats.TotalSeconds(), 0.0);
 }
 
-// --- Task stream (PR 9: parallelism observability) -------------------------
-
-// The full instrumentation stack live at once — task-stream session (which
-// also turns on the fact store's shard contention records) — must leave the
-// chase byte-identical at every thread count.  serial_round_threshold is
-// zeroed so wide-enough rounds actually dispatch to the pool, and the
-// emitted stream must be a well-formed frontiers-tasks-v1 file.
-TEST(TaskStream, InstrumentedChaseIsByteIdenticalToBare) {
-  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-    auto run = [threads](bool streamed) {
-      Vocabulary vocab;
-      Theory td = TdTheory(vocab);
-      FactSet db = EdgePath(vocab, "G", 12, "a");
-      ChaseOptions options;
-      options.max_rounds = 24;
-      options.max_atoms = 500'000;
-      options.threads = threads;
-      options.serial_round_threshold = 0;
-      options.filter = TdWitnessStrategy(vocab, td);
-      ChaseEngine engine(vocab, td);
-      const std::string path = testing::TempDir() + "obs_tasks_" +
-                               std::to_string(threads) + ".jsonl";
-      if (streamed) {
-        EXPECT_TRUE(obs::TaskStreamSession::Start(path).ok());
-        EXPECT_TRUE(obs::TaskStreamSession::Active());
-      }
-      ChaseResult result = engine.Run(db, options);
-      if (streamed) {
-        EXPECT_TRUE(obs::TaskStreamSession::Stop().ok());
-        EXPECT_FALSE(obs::taskhooks::TasksEnabled());
-        std::ifstream in(path);
-        std::string line;
-        size_t line_no = 0, task_rows = 0, batch_rows = 0;
-        while (std::getline(in, line)) {
-          ++line_no;
-          Result<obs::JsonValue> row = obs::ParseJson(line);
-          EXPECT_TRUE(row.ok()) << path << ":" << line_no;
-          if (!row.ok()) break;
-          const obs::JsonValue* kind = row.value().Find("kind");
-          EXPECT_NE(kind, nullptr);
-          if (kind == nullptr) break;
-          if (line_no == 1) {
-            EXPECT_EQ(kind->string, "meta");
-            EXPECT_EQ(row.value().Find("schema")->string,
-                      "frontiers-tasks-v1");
-          } else if (kind->string == "task") {
-            ++task_rows;
-            const double enqueue = row.value().Find("enqueue_ns")->number;
-            const double start = row.value().Find("start_ns")->number;
-            const double finish = row.value().Find("finish_ns")->number;
-            EXPECT_GE(start, enqueue) << path << ":" << line_no;
-            EXPECT_GE(finish, start) << path << ":" << line_no;
-          } else if (kind->string == "batch") {
-            ++batch_rows;
-            EXPECT_GE(row.value().Find("threads")->number, 1.0);
-          }
-        }
-        EXPECT_GE(line_no, 1u) << "stream has at least the meta row";
-        if (threads > 1) {
-          // Every pool dispatch must have been recorded.
-          EXPECT_GT(task_rows, 0u) << "threads=" << threads;
-          EXPECT_GT(batch_rows, 0u) << "threads=" << threads;
-        }
-        std::remove(path.c_str());
-      }
-      return result;
-    };
-    ChaseResult bare = run(false);
-    ChaseResult streamed = run(true);
-    ASSERT_FALSE(bare.facts.atoms().empty());
-    EXPECT_EQ(streamed.facts.atoms(), bare.facts.atoms())
-        << "threads=" << threads;
-    EXPECT_EQ(streamed.depth, bare.depth) << "threads=" << threads;
-    EXPECT_EQ(streamed.complete_rounds, bare.complete_rounds);
-    EXPECT_EQ(streamed.stop, bare.stop);
-  }
-}
-
-namespace taskhook_counters {
-std::atomic<size_t> calls{0};
-void OnTask(const obs::taskhooks::TaskRecord&) {
-  calls.fetch_add(1, std::memory_order_relaxed);
-}
-void OnBatch(const obs::taskhooks::BatchRecord&) {
-  calls.fetch_add(1, std::memory_order_relaxed);
-}
-void OnShard(const obs::taskhooks::ShardRecord&) {
-  calls.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace taskhook_counters
-
-// The disabled cost of task telemetry: with no session active the pool's
-// dispatch path performs no allocations and never reaches the hook
-// functions — the whole feature collapses to the relaxed span-mask load.
-TEST(TaskStream, DisabledTelemetryAllocatesNothingAndCallsNoHooks) {
-  ASSERT_FALSE(obs::TaskStreamSession::Active());
-  ASSERT_FALSE(obs::taskhooks::TasksEnabled());
-  // Install counting hooks WITHOUT setting the span-mask bit: if any
-  // dispatch-path branch forgets the TasksEnabled() gate, the counters
-  // catch it.
-  taskhook_counters::calls.store(0);
-  obs::taskhooks::SetTaskHooks(&taskhook_counters::OnTask,
-                               &taskhook_counters::OnBatch,
-                               &taskhook_counters::OnShard);
-  {
-    WorkerPool pool(4);
-    std::atomic<uint64_t> sum{0};
-    const std::function<void(size_t)> fn = [&sum](size_t i) {
-      sum.fetch_add(i + 1, std::memory_order_relaxed);
-    };
-    pool.Run(64, fn);  // warm-up: first-dispatch lazy init outside the count
-    g_allocation_count.store(0);
-    g_count_allocations.store(true);
-    pool.Run(64, fn);
-    g_count_allocations.store(false);
-    EXPECT_EQ(sum.load(), 2 * (64 * 65) / 2);
-  }
+// The pool's dispatch path performs no allocations once warm.
+TEST(WorkerPool, RunDispatchAllocatesNothing) {
+  WorkerPool pool(4);
+  std::atomic<uint64_t> sum{0};
+  const std::function<void(size_t)> fn = [&sum](size_t i) {
+    sum.fetch_add(i + 1, std::memory_order_relaxed);
+  };
+  pool.Run(64, fn);  // warm-up: first-dispatch lazy init outside the count
+  g_allocation_count.store(0);
+  g_count_allocations.store(true);
+  pool.Run(64, fn);
+  g_count_allocations.store(false);
+  EXPECT_EQ(sum.load(), 2 * (64 * 65) / 2);
   EXPECT_EQ(g_allocation_count.load(), 0u)
-      << "disabled task telemetry must not allocate on the dispatch path";
-  EXPECT_EQ(taskhook_counters::calls.load(), 0u)
-      << "hooks must be unreachable while the span-mask bit is down";
-  obs::taskhooks::SetTaskHooks(nullptr, nullptr, nullptr);
+      << "WorkerPool::Run must not allocate on the dispatch path";
 }
 
 // The shard contention metrics against a serial oracle: at 8 threads with
@@ -1139,11 +1156,7 @@ TEST(TaskStream, DisabledTelemetryAllocatesNothingAndCallsNoHooks) {
 // hold histograms exactly once, and the histogram sums agree with the
 // per-run ChaseStats aggregation.  The satellite rounds_parallel /
 // rounds_serial counters must partition the round count.
-TEST(TaskStream, ShardContentionMetricsMatchSerialOracle) {
-  auto counter = [](const obs::MetricsSnapshot& snapshot, const char* name) {
-    auto it = snapshot.counters.find(name);
-    return it == snapshot.counters.end() ? uint64_t{0} : it->second;
-  };
+TEST(Metrics, ShardContentionMetricsMatchSerialOracle) {
   auto histogram = [](const obs::MetricsSnapshot& snapshot, const char* name)
       -> std::pair<uint64_t, double> {
     auto it = snapshot.histograms.find(name);
@@ -1168,10 +1181,11 @@ TEST(TaskStream, ShardContentionMetricsMatchSerialOracle) {
     ASSERT_GT(rounds, 0u);
     // rounds_parallel + rounds_serial partition the rounds; with the
     // serial fallback disabled the split is decided by `threads` alone.
-    const uint64_t par = counter(after, "frontiers.chase.rounds_parallel") -
-                         counter(before, "frontiers.chase.rounds_parallel");
-    const uint64_t ser = counter(after, "frontiers.chase.rounds_serial") -
-                         counter(before, "frontiers.chase.rounds_serial");
+    const uint64_t par =
+        CounterValue(after, "frontiers.chase.rounds_parallel") -
+        CounterValue(before, "frontiers.chase.rounds_parallel");
+    const uint64_t ser = CounterValue(after, "frontiers.chase.rounds_serial") -
+                         CounterValue(before, "frontiers.chase.rounds_serial");
     EXPECT_EQ(par + ser, rounds) << "threads=" << threads;
     EXPECT_EQ(par, threads > 1 ? rounds : 0) << "threads=" << threads;
     // The wait/hold histograms observe once per semi-oblivious batch
@@ -1190,13 +1204,6 @@ TEST(TaskStream, ShardContentionMetricsMatchSerialOracle) {
     EXPECT_NEAR(wait_sum - wait_sum0, result.stats.ShardWaitSeconds(), 1e-9);
     EXPECT_NEAR(hold_sum - hold_sum0, result.stats.ShardHoldSeconds(), 1e-9);
     EXPECT_GE(result.stats.ShardWaitSeconds(), 0.0);
-    // The Brent-bound accounting is populated and sane: span <= work,
-    // speedup >= 1.
-    EXPECT_GT(result.stats.WorkSeconds(), 0.0);
-    EXPECT_GT(result.stats.CriticalPathSeconds(), 0.0);
-    EXPECT_LE(result.stats.CriticalPathSeconds(),
-              result.stats.WorkSeconds() + 1e-9);
-    EXPECT_GE(result.stats.AchievableSpeedup(), 1.0);
   }
 }
 

@@ -3,7 +3,6 @@
 // without needing a browser or an external JSON tool.
 //
 //   validate_telemetry --trace <file.json>      Chrome trace-event file
-//   validate_telemetry --tasks <file.jsonl>     worker-pool task stream
 //   validate_telemetry --mem <file.jsonl>       round-boundary memory ledger
 //   validate_telemetry --bench <file.json>      bench JSONL rows
 //   validate_telemetry --heartbeat <file.json>  chase heartbeat JSONL
@@ -132,154 +131,6 @@ int ValidateTrace(const std::string& path) {
   std::printf("trace: %s ok (%zu spans, %zu instants, %zu metadata%s)\n",
               path.c_str(), spans, instants, metadata,
               durations > 0 ? ", B/E balanced" : "");
-  return 0;
-}
-
-// --tasks: the frontiers-tasks-v1 JSONL stream a TaskStreamSession writes
-// (obs/task_stream.h).  Line 1 is the meta row carrying `base_ns`; then
-// task rows sorted by (batch, task), batch rows sorted by batch, shard
-// rows sorted by (batch, shard).  Checks: every timestamp is a
-// non-negative number, start >= enqueue and finish >= start per task, per
-// (batch, worker) the start times are non-decreasing in file order (a
-// worker claims ascending task indices), and — when the batch row exists;
-// a batch abandoned by a task exception legitimately has none — every
-// task's worker id is < the batch's thread count and no task finishes
-// after the batch's done timestamp.
-int ValidateTasks(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "tasks: cannot read %s\n", path.c_str());
-    return 1;
-  }
-  std::string line;
-  size_t line_no = 0, tasks = 0, batches = 0, shards = 0;
-  bool saw_meta = false;
-  struct TaskRow {
-    size_t line_no;
-    double batch, task, worker, finish;
-  };
-  std::vector<TaskRow> task_rows;
-  std::map<double, std::pair<double, double>> batch_rows;  // -> threads, done
-  std::map<std::pair<double, double>, double> last_start;  // (batch, worker)
-  std::pair<double, double> last_task_key{-1, -1};
-  double last_batch = -1;
-  std::pair<double, double> last_shard_key{-1, -1};
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    auto fail = [&](const std::string& what) {
-      std::fprintf(stderr, "tasks: %s:%zu: %s\n", path.c_str(), line_no,
-                   what.c_str());
-      return 1;
-    };
-    Result<obs::JsonValue> parsed = obs::ParseJson(line);
-    if (!parsed.ok()) return fail(parsed.message());
-    const obs::JsonValue& row = parsed.value();
-    if (!row.IsObject()) return fail("row is not an object");
-    const obs::JsonValue* kind = row.Find("kind");
-    if (kind == nullptr || !kind->IsString()) return fail("missing kind");
-    // Every numeric field in every row kind is a non-negative number.
-    auto numbers = [&](std::initializer_list<const char*> keys,
-                       auto&& get) -> bool {
-      for (const char* key : keys) {
-        const obs::JsonValue* value = row.Find(key);
-        if (value == nullptr || !value->IsNumber() || value->number < 0) {
-          return false;
-        }
-        get(key, value->number);
-      }
-      return true;
-    };
-    if (!saw_meta) {
-      const obs::JsonValue* schema = row.Find("schema");
-      if (schema == nullptr || !schema->IsString() ||
-          schema->string != "frontiers-tasks-v1") {
-        return fail("first row must carry schema frontiers-tasks-v1");
-      }
-      if (kind->string != "meta") return fail("first row must be the meta row");
-      if (!numbers({"base_ns"}, [](const char*, double) {})) {
-        return fail("meta row needs a non-negative numeric base_ns");
-      }
-      saw_meta = true;
-      continue;
-    }
-    if (kind->string == "task") {
-      std::map<std::string, double> f;
-      if (!numbers({"batch", "task", "worker", "queue_depth", "enqueue_ns",
-                    "start_ns", "finish_ns"},
-                   [&](const char* key, double v) { f[key] = v; })) {
-        return fail("task row needs non-negative numeric fields");
-      }
-      if (f["start_ns"] < f["enqueue_ns"]) return fail("start before enqueue");
-      if (f["finish_ns"] < f["start_ns"]) return fail("finish before start");
-      const std::pair<double, double> key{f["batch"], f["task"]};
-      if (key <= last_task_key) {
-        return fail("task rows not strictly ascending by (batch, task)");
-      }
-      last_task_key = key;
-      auto [it, first] =
-          last_start.emplace(std::make_pair(f["batch"], f["worker"]),
-                             f["start_ns"]);
-      if (!first && f["start_ns"] < it->second) {
-        return fail("worker start times go backwards within a batch");
-      }
-      it->second = f["start_ns"];
-      task_rows.push_back(
-          {line_no, f["batch"], f["task"], f["worker"], f["finish_ns"]});
-      ++tasks;
-    } else if (kind->string == "batch") {
-      std::map<std::string, double> f;
-      if (!numbers({"batch", "count", "threads", "enqueue_ns", "done_ns"},
-                   [&](const char* key, double v) { f[key] = v; })) {
-        return fail("batch row needs non-negative numeric fields");
-      }
-      if (f["threads"] < 1) return fail("batch row with zero threads");
-      if (f["batch"] <= last_batch) {
-        return fail("batch rows not strictly ascending by batch");
-      }
-      last_batch = f["batch"];
-      batch_rows[f["batch"]] = {f["threads"], f["done_ns"]};
-      ++batches;
-    } else if (kind->string == "shard") {
-      std::map<std::string, double> f;
-      if (!numbers({"batch", "shard", "rows", "wait_ns", "hold_ns"},
-                   [&](const char* key, double v) { f[key] = v; })) {
-        return fail("shard row needs non-negative numeric fields");
-      }
-      const std::pair<double, double> key{f["batch"], f["shard"]};
-      if (key <= last_shard_key) {
-        return fail("shard rows not strictly ascending by (batch, shard)");
-      }
-      last_shard_key = key;
-      ++shards;
-    } else {
-      return fail("unexpected kind (want meta, task, batch, or shard)");
-    }
-  }
-  if (!saw_meta) {
-    std::fprintf(stderr, "tasks: %s: missing meta row\n", path.c_str());
-    return 1;
-  }
-  for (const TaskRow& t : task_rows) {
-    auto batch = batch_rows.find(t.batch);
-    if (batch == batch_rows.end()) continue;
-    if (t.worker >= batch->second.first) {
-      std::fprintf(stderr,
-                   "tasks: %s:%zu: worker id %g out of range for a "
-                   "%g-thread batch\n",
-                   path.c_str(), t.line_no, t.worker, batch->second.first);
-      return 1;
-    }
-    if (t.finish > batch->second.second) {
-      std::fprintf(stderr,
-                   "tasks: %s:%zu: task finishes after its batch's done "
-                   "timestamp\n",
-                   path.c_str(), t.line_no);
-      return 1;
-    }
-  }
-  std::printf("tasks: %s ok (%zu tasks, %zu batches, %zu shard records)\n",
-              path.c_str(), tasks, batches, shards);
   return 0;
 }
 
@@ -716,7 +567,6 @@ int ValidateMem(const std::string& path) {
 int Usage() {
   std::fprintf(stderr,
                "usage: validate_telemetry --trace <file.json> ...\n"
-               "       validate_telemetry --tasks <file.jsonl> ...\n"
                "       validate_telemetry --mem <file.jsonl> ...\n"
                "       validate_telemetry --bench <file.json> ...\n"
                "       validate_telemetry --heartbeat <file.json> ...\n"
@@ -737,7 +587,6 @@ int main(int argc, char** argv) {
   int files = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--trace") == 0 ||
-        std::strcmp(argv[i], "--tasks") == 0 ||
         std::strcmp(argv[i], "--mem") == 0 ||
         std::strcmp(argv[i], "--bench") == 0 ||
         std::strcmp(argv[i], "--heartbeat") == 0 ||
@@ -751,8 +600,6 @@ int main(int argc, char** argv) {
     ++files;
     if (std::strcmp(mode, "--trace") == 0) {
       failures += frontiers::ValidateTrace(argv[i]);
-    } else if (std::strcmp(mode, "--tasks") == 0) {
-      failures += frontiers::ValidateTasks(argv[i]);
     } else if (std::strcmp(mode, "--mem") == 0) {
       failures += frontiers::ValidateMem(argv[i]);
     } else if (std::strcmp(mode, "--bench") == 0) {
