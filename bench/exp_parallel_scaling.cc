@@ -51,7 +51,7 @@ struct SweepPoint {
   // capacity-mode high-water mark.  Both are deterministic — the content
   // total is a pure function of the logical result and the peak is
   // thread-invariant — so they are safe baseline fields, unlike sampled
-  // RSS (which lives in the --mem stream's diag rows, never here).
+  // RSS (which lives in the --rounds stream's diag rows, never here).
   uint64_t mem_total_bytes;
   uint64_t mem_peak_bytes;
 };

@@ -12,9 +12,8 @@
 
 #include "chase/chase.h"
 #include "obs/json.h"
-#include "obs/mem_stream.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/round_stream.h"
 #include "obs/trace.h"
 
 /// Build identifier stamped into every machine-readable bench row.  The
@@ -265,43 +264,7 @@ inline double EnvDouble(const char* name, double fallback) {
   return end == value ? fallback : parsed;
 }
 
-// FRONTIERS_HEARTBEAT_FILE opened once in append mode, shared by every
-// sink in the process and left open for its lifetime (each line is
-// flushed).  nullptr (no variable, or unopenable) means stderr.
-inline std::FILE* HeartbeatFile() {
-  static std::FILE* file = []() -> std::FILE* {
-    const char* path = std::getenv("FRONTIERS_HEARTBEAT_FILE");
-    if (path == nullptr || *path == '\0') return nullptr;
-    std::FILE* out = std::fopen(path, "a");
-    if (out == nullptr) {
-      std::fprintf(stderr,
-                   "[heartbeat] cannot open %s; falling back to stderr\n",
-                   path);
-    }
-    return out;
-  }();
-  return file;
-}
-
 }  // namespace internal
-
-/// Installs only the FRONTIERS_HEARTBEAT_S progress heartbeat (period in
-/// seconds; unset or <= 0 leaves `options` untouched) without touching
-/// budgets.  Heartbeat lines are appended as JSONL to
-/// FRONTIERS_HEARTBEAT_FILE if set, else printed to stderr.  For
-/// experiments (E18) that manage their own deadlines but should still
-/// report progress; `BudgetGuard::Apply` calls this for everyone else.
-inline void ApplyHeartbeat(ChaseOptions& options) {
-  const double period = internal::EnvDouble("FRONTIERS_HEARTBEAT_S", 0.0);
-  if (period <= 0) return;
-  options.heartbeat_seconds = period;
-  if (std::FILE* out = internal::HeartbeatFile(); out != nullptr) {
-    options.heartbeat_sink = [out](const ChaseHeartbeat& heartbeat) {
-      std::fprintf(out, "%s\n", heartbeat.ToJsonLine().c_str());
-      std::fflush(out);  // heartbeats exist to be read mid-run
-    };
-  }
-}
 
 /// Budget harness for the experiment binaries: applies a wall-clock and
 /// byte budget (overridable via FRONTIERS_BENCH_DEADLINE_S and
@@ -320,14 +283,9 @@ class BudgetGuard {
             1024.0)) {}
 
   /// Installs the guard's budgets on top of the experiment's own options.
-  /// When FRONTIERS_HEARTBEAT_S is set (> 0), every guarded chase also
-  /// emits progress heartbeats at that period — appended as JSONL to
-  /// FRONTIERS_HEARTBEAT_FILE if set, else printed to stderr — so a CI
-  /// log shows a long chase is alive rather than hung.
   ChaseOptions Apply(ChaseOptions options) const {
     if (deadline_seconds_ > 0) options.deadline_seconds = deadline_seconds_;
     if (max_bytes_ > 0) options.max_bytes = max_bytes_;
-    ApplyHeartbeat(options);
     return options;
   }
 
@@ -386,13 +344,11 @@ inline std::string ExperimentName(const char* argv0) {
 ///   }
 ///
 /// Names the JSON sink after the binary, honors `--trace=<file.json>` by
-/// wrapping the whole run in an obs::TraceSession, `--mem=<file.jsonl>`
-/// by wrapping it in an obs::MemStreamSession (the round-boundary memory
-/// ledger, rendered by tools/mem_report),
-/// `--profile=<file>` by wrapping it in an obs::ProfileSession (the report
-/// goes to `<file>`, its folded-stack flamegraph form to `<file>.folded`),
-/// and `--metrics=<file>` by dumping the default metrics registry as JSON
-/// after the run.  Accepts both `void Run()` and `int Run()` experiment
+/// wrapping the whole run in an obs::TraceSession (tools/chase_report
+/// renders its span profile), `--rounds=<file.jsonl>` by wrapping it in an
+/// obs::RoundStreamSession (one row set per chase round boundary, also
+/// rendered by tools/chase_report), and `--metrics=<file>` by dumping the
+/// default metrics registry as JSON after the run.  Accepts both `void Run()` and `int Run()` experiment
 /// bodies.  Telemetry write errors go to stderr but do not change the exit
 /// code: a bench whose table printed fine should not fail CI because /tmp
 /// filled up.
@@ -400,14 +356,12 @@ template <typename RunFn>
 int Main(int argc, char** argv, RunFn run) {
   JsonSink::Instance().SetExperiment(ExperimentName(argc > 0 ? argv[0] : ""));
   const char* trace_path = nullptr;
-  const char* mem_path = nullptr;
-  const char* profile_path = nullptr;
+  const char* rounds_path = nullptr;
   const char* metrics_path = nullptr;
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (arg.rfind("--trace=", 0) == 0) trace_path = argv[i] + 8;
-    if (arg.rfind("--mem=", 0) == 0) mem_path = argv[i] + 6;
-    if (arg.rfind("--profile=", 0) == 0) profile_path = argv[i] + 10;
+    if (arg.rfind("--rounds=", 0) == 0) rounds_path = argv[i] + 9;
     if (arg.rfind("--metrics=", 0) == 0) metrics_path = argv[i] + 10;
   }
   if (trace_path != nullptr && *trace_path != '\0') {
@@ -419,42 +373,20 @@ int Main(int argc, char** argv, RunFn run) {
   } else {
     trace_path = nullptr;
   }
-  if (mem_path != nullptr && *mem_path != '\0') {
-    Status started = obs::MemStreamSession::Start(mem_path);
+  if (rounds_path != nullptr && *rounds_path != '\0') {
+    Status started = obs::RoundStreamSession::Start(rounds_path);
     if (!started.ok()) {
-      std::fprintf(stderr, "[mem] %s\n", started.message().c_str());
-      mem_path = nullptr;
+      std::fprintf(stderr, "[rounds] %s\n", started.message().c_str());
+      rounds_path = nullptr;
     }
   } else {
-    mem_path = nullptr;
-  }
-  if (profile_path != nullptr && *profile_path != '\0') {
-    Status started = obs::ProfileSession::Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "[profile] %s\n", started.message().c_str());
-      profile_path = nullptr;
-    }
-  } else {
-    profile_path = nullptr;
+    rounds_path = nullptr;
   }
   int code = 0;
   if constexpr (std::is_void_v<decltype(run())>) {
     run();
   } else {
     code = run();
-  }
-  if (profile_path != nullptr) {
-    Result<obs::ProfileReport> report = obs::ProfileSession::Stop();
-    if (!report.ok()) {
-      std::fprintf(stderr, "[profile] %s\n", report.message().c_str());
-    } else if (!WriteTextFile(profile_path, report.value().ToString()) ||
-               !WriteTextFile(std::string(profile_path) + ".folded",
-                              report.value().ToFolded())) {
-      std::fprintf(stderr, "[profile] cannot write %s\n", profile_path);
-    } else {
-      std::printf("[profile] wrote %s and %s.folded\n", profile_path,
-                  profile_path);
-    }
   }
   if (metrics_path != nullptr && *metrics_path != '\0') {
     const std::string json = obs::DefaultRegistry().Snapshot().ToJson();
@@ -464,12 +396,12 @@ int Main(int argc, char** argv, RunFn run) {
       std::fprintf(stderr, "[metrics] cannot write %s\n", metrics_path);
     }
   }
-  if (mem_path != nullptr) {
-    Status stopped = obs::MemStreamSession::Stop();
+  if (rounds_path != nullptr) {
+    Status stopped = obs::RoundStreamSession::Stop();
     if (stopped.ok()) {
-      std::printf("[mem] wrote %s\n", mem_path);
+      std::printf("[rounds] wrote %s\n", rounds_path);
     } else {
-      std::fprintf(stderr, "[mem] %s\n", stopped.message().c_str());
+      std::fprintf(stderr, "[rounds] %s\n", stopped.message().c_str());
     }
   }
   if (trace_path != nullptr) {

@@ -24,10 +24,8 @@
 //   --trace=<file.json>           record a Chrome trace-event/Perfetto
 //                                 trace of the whole session; written at
 //                                 quit (load in chrome://tracing or
-//                                 https://ui.perfetto.dev)
-//   --profile=<file>              profile the whole session; the report is
-//                                 written to <file> at quit, its folded-
-//                                 stack flamegraph form to <file>.folded
+//                                 https://ui.perfetto.dev, or print its
+//                                 span profile with tools/chase_report)
 
 #include <cstdio>
 #include <iostream>
@@ -40,7 +38,6 @@
 #include "chase/explain.h"
 #include "hom/query_ops.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace.h"
 #include "props/termination.h"
 #include "rewriting/rewriter.h"
@@ -191,17 +188,13 @@ void Help() {
 
 int main(int argc, char** argv) {
   std::string trace_path;
-  std::string profile_path;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--trace=", 0) == 0) {
       trace_path = arg.substr(8);
-    } else if (arg.rfind("--profile=", 0) == 0) {
-      profile_path = arg.substr(10);
     } else {
       std::fprintf(stderr,
-                   "unknown flag '%s' (supported: --trace=<file>, "
-                   "--profile=<file>)\n",
+                   "unknown flag '%s' (supported: --trace=<file>)\n",
                    arg.c_str());
       return 2;
     }
@@ -210,13 +203,6 @@ int main(int argc, char** argv) {
     Status started = obs::TraceSession::Start(trace_path);
     if (!started.ok()) {
       std::fprintf(stderr, "trace: %s\n", started.message().c_str());
-      return 2;
-    }
-  }
-  if (!profile_path.empty()) {
-    Status started = obs::ProfileSession::Start();
-    if (!started.ok()) {
-      std::fprintf(stderr, "profile: %s\n", started.message().c_str());
       return 2;
     }
   }
@@ -324,34 +310,6 @@ int main(int argc, char** argv) {
       std::printf("cleared\n");
     } else {
       std::printf("unknown command '%s'; try 'help'\n", command.c_str());
-    }
-  }
-  if (obs::ProfileSession::Active()) {
-    Result<obs::ProfileReport> report = obs::ProfileSession::Stop();
-    if (!report.ok()) {
-      std::fprintf(stderr, "profile: %s\n", report.message().c_str());
-    } else {
-      bool wrote = false;
-      if (std::FILE* out = std::fopen(profile_path.c_str(), "w")) {
-        const std::string text = report.value().ToString();
-        std::fwrite(text.data(), 1, text.size(), out);
-        wrote = std::fclose(out) == 0;
-      }
-      const std::string folded_path = profile_path + ".folded";
-      if (std::FILE* out = std::fopen(folded_path.c_str(), "w")) {
-        const std::string text = report.value().ToFolded();
-        std::fwrite(text.data(), 1, text.size(), out);
-        wrote = (std::fclose(out) == 0) && wrote;
-      } else {
-        wrote = false;
-      }
-      if (wrote) {
-        std::printf("profile written to %s and %s\n", profile_path.c_str(),
-                    folded_path.c_str());
-      } else {
-        std::fprintf(stderr, "profile: cannot write %s\n",
-                     profile_path.c_str());
-      }
     }
   }
   if (obs::TraceSession::Active()) {

@@ -12,8 +12,8 @@ namespace frontiers {
 /// engine attributes its heap bytes to exactly one of these.  The set is
 /// closed on purpose — a fixed enum keeps the always-on rollup a plain
 /// array (`MemTotals`), so accounting at a round boundary allocates
-/// nothing, and gives the `frontiers-mem-v1` stream a stable component
-/// vocabulary that tools/mem_report can rank and diff across runs.
+/// nothing, and gives the `frontiers-rounds-v1` stream a stable component
+/// vocabulary that tools/chase_report can rank and diff across runs.
 enum class MemComponent : uint32_t {
   kColumns = 0,    ///< ColumnarSegment term columns (per predicate).
   kPostings,       ///< PostingPool chunks + PostingMap slots (per predicate).
@@ -58,9 +58,9 @@ inline const char* MemComponentName(MemComponent c) {
 ///    sequence thread-count-invariant — but *not* invariant across
 ///    different reconstruction paths: a resume that replays atoms one by
 ///    one grows vectors through a different capacity schedule than the
-///    original bulk commits.  This is the mode behind the mem stream,
+///    original bulk commits.  This is the mode behind the round stream,
 ///    the `frontiers.mem.*` gauges, the peak (high-water) figure, and
-///    mem_report's coverage-vs-RSS check.
+///    chase_report's coverage-vs-RSS check.
 ///  * `kContent` — a pure function of logical state (sizes, not
 ///    capacities), so any two states with equal contents report equal
 ///    bytes regardless of how they were built.  This is the mode behind
@@ -104,7 +104,7 @@ inline uint64_t UnorderedOverheadBytes(size_t bucket_count, size_t size,
 /// Always-on rollup: bytes per component, as a fixed array.  Building one
 /// allocates nothing, which is what lets the chase account every round
 /// boundary even with telemetry disabled (the per-predicate `MemLedger`
-/// below is only populated when a mem stream is live).
+/// below is only populated when a round stream is live).
 struct MemTotals {
   uint64_t bytes[kMemComponentCount] = {};
 
@@ -147,7 +147,7 @@ struct MemLedgerRow {
   uint64_t bytes = 0;
 };
 
-/// Per-predicate ledger, populated only when a mem stream wants rows.
+/// Per-predicate ledger, populated only when a round stream wants rows.
 /// Rows are appended in component-major, predicate-id order by the
 /// accounting walks, which is the emission order the byte-identical
 /// stream contract relies on.

@@ -46,18 +46,4 @@ void NotifyWorkerThreadExit() {
 }
 }  // namespace internal
 
-namespace memhooks {
-
-std::atomic<MemRunFn> g_mem_run_fn{nullptr};
-std::atomic<MemRowFn> g_mem_row_fn{nullptr};
-std::atomic<MemRoundFn> g_mem_round_fn{nullptr};
-
-void SetMemHooks(MemRunFn run_fn, MemRowFn row_fn, MemRoundFn round_fn) {
-  g_mem_run_fn.store(run_fn, std::memory_order_release);
-  g_mem_row_fn.store(row_fn, std::memory_order_release);
-  g_mem_round_fn.store(round_fn, std::memory_order_release);
-}
-
-}  // namespace memhooks
-
 }  // namespace frontiers::obs

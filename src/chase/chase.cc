@@ -14,12 +14,12 @@
 
 #include "base/check.h"
 #include "base/failpoint.h"
-#include "base/obs_hooks.h"
 #include "base/worker_pool.h"
 #include "chase/snapshot.h"
 #include "hom/matcher.h"
 #include "hom/structure_ops.h"
 #include "obs/metrics.h"
+#include "obs/round_stream.h"
 #include "obs/trace.h"
 
 namespace frontiers {
@@ -51,8 +51,8 @@ struct ChaseMetrics {
   // shards touched — the contention picture of DESIGN.md §5).
   obs::Counter& shard_commits;
   obs::Counter& serial_rounds;
-  // Thread-usage decisions per round, so heartbeat/metrics-only consumers
-  // see the serial_round_threshold fallback engaging without reading
+  // Thread-usage decisions per round, so metrics-only consumers see the
+  // serial_round_threshold fallback engaging without reading
   // ChaseRoundStats: every round lands in exactly one of these two.
   obs::Counter& rounds_parallel;
   obs::Counter& rounds_serial;
@@ -213,45 +213,6 @@ const char* ChaseStopName(ChaseStop stop) {
       return "injected-fault";
   }
   return "?";
-}
-
-std::string ChaseHeartbeat::ToJsonLine() const {
-  char buffer[256];
-  std::string line;
-  std::snprintf(
-      buffer, sizeof(buffer),
-      "{\"schema\":\"frontiers-heartbeat-v1\",\"round\":%u,\"facts\":%llu,"
-      "\"facts_per_sec\":%.6g,\"bytes\":%llu,\"peak_bytes\":%llu,"
-      "\"elapsed_seconds\":%.6f",
-      round, static_cast<unsigned long long>(facts), facts_per_second,
-      static_cast<unsigned long long>(bytes),
-      static_cast<unsigned long long>(peak_bytes), elapsed_seconds);
-  line = buffer;
-  if (budget_remaining_seconds >= 0) {
-    std::snprintf(buffer, sizeof(buffer),
-                  ",\"budget_remaining_seconds\":%.6f",
-                  budget_remaining_seconds);
-    line += buffer;
-  } else {
-    line += ",\"budget_remaining_seconds\":null";
-  }
-  if (eta_seconds >= 0) {
-    std::snprintf(buffer, sizeof(buffer), ",\"eta_seconds\":%.6f",
-                  eta_seconds);
-    line += buffer;
-  } else {
-    line += ",\"eta_seconds\":null";
-  }
-  if (stop != nullptr) {
-    // Stop names are fixed lowercase literals (ChaseStopName); no escaping.
-    line += ",\"stop\":\"";
-    line += stop;
-    line += "\"";
-  } else {
-    line += ",\"stop\":null";
-  }
-  line += "}";
-  return line;
 }
 
 bool IsResumableStop(ChaseStop stop) {
@@ -761,9 +722,9 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
 // calling thread except the match units and commit tasks handed to the
 // pool.  The round boundary is the only place that reports a round:
 // CloseRound appends the round's record to ChaseStats and feeds the same
-// record to the registry, the mem stream and the periodic heartbeat, and
-// Finish reuses the boundary accounting (without a record) for the state
-// the run returns.
+// record to the registry and the round stream, and Finish reuses the
+// boundary accounting (without a record) for the state the run returns
+// and writes the stream's stop row.
 //
 // Tracing and metrics are pure observation: workers never publish spans
 // into shared chase state and the registry is write-only here, so the
@@ -817,8 +778,7 @@ class ChaseEngine::RoundLoop {
 
   /// Close: the round boundary.  Accounts the ledger, appends `record`,
   /// publishes it, and either returns the stop the round ended in
-  /// (kAtomBudget, kFixpoint) or advances to the next round and decides
-  /// the periodic heartbeat.
+  /// (kAtomBudget, kFixpoint) or advances to the next round.
   std::optional<ChaseStop> CloseRound(ChaseRoundStats& record,
                                       bool atom_budget_hit);
 
@@ -827,12 +787,14 @@ class ChaseEngine::RoundLoop {
 
  private:
   // Boundary accounting: recomputes both ledger modes from the containers'
-  // own bookkeeping, refreshes live_bytes, the peak and the
-  // `frontiers.mem.*` gauges, and (with `emit_mem_rows`) writes the
-  // boundary's frontiers-mem-v1 rows.  Returns the capacity-mode totals.
-  MemTotals AccountBoundary(uint32_t completed_rounds, bool emit_mem_rows);
+  // own bookkeeping and refreshes live_bytes, the peak and the
+  // `frontiers.mem.*` gauges.  Returns the capacity-mode totals.
+  MemTotals AccountBoundary();
   void PublishRound(const ChaseRoundStats& record);
-  void EmitHeartbeat(uint32_t completed_rounds, const char* stop_name);
+  // Writes the boundary's frontiers-rounds-v1 rows when this run streams:
+  // the ledger attribution, `record`'s counters and the progress figures.
+  void StreamBoundary(uint32_t completed_rounds, const MemTotals& cap,
+                      const ChaseRoundStats& record);
 
   // One match unit, run by exactly one worker into its own buffer.
   void RunUnit(const MatchUnit& unit, const Matcher& matcher,
@@ -882,7 +844,8 @@ class ChaseEngine::RoundLoop {
   // condition variable between rounds.  The pool executes both the match
   // units and the commit pipeline's shard/index tasks.
   std::optional<WorkerPool> pool_;
-  const uint64_t mem_run_;
+  // Round-stream run ordinal; 0 when no RoundStreamSession is active.
+  const uint64_t stream_run_;
   // Work hint for the small-round serial fallback: the input delta for the
   // first round, then the previous round's matches + staged applications.
   // A pure execution heuristic — it gates *who* computes, never what.
@@ -905,14 +868,10 @@ class ChaseEngine::RoundLoop {
   std::vector<FactSet::InsertOutcome> outcomes_;
   std::vector<TermId> fn_args_scratch_;
 
-  // Heartbeats run on the calling thread at round boundaries only, reading
-  // committed state; they are pure observation like tracing and profiling.
-  const bool heartbeat_on_;
-  const Clock::duration heartbeat_interval_;
-  Clock::time_point next_heartbeat_;
-  Clock::time_point last_heartbeat_time_;
-  uint64_t last_heartbeat_facts_ = 0;
-  uint64_t last_heartbeat_bytes_ = 0;
+  // The previous streamed boundary, for the diag row's rates.
+  Clock::time_point last_boundary_time_;
+  uint64_t last_boundary_atoms_ = 0;
+  uint64_t last_boundary_bytes_ = 0;
 };
 
 ChaseEngine::RoundLoop::RoundLoop(const ChaseEngine& engine, RunState state,
@@ -931,28 +890,21 @@ ChaseEngine::RoundLoop::RoundLoop(const ChaseEngine& engine, RunState state,
       governed_(options.deadline_seconds > 0 || options.max_bytes > 0 ||
                 options.cancel != nullptr),
       num_threads_(ResolveWorkerCount(options.threads)),
-      mem_run_(obs::memhooks::MemEnabled() ? obs::memhooks::BeginMemRun()
-                                           : 0),
+      stream_run_(obs::RoundStreamSession::BeginRun()),
       work_hint_(state_.delta_atoms.size()),
-      heartbeat_on_(options.heartbeat_seconds > 0),
-      heartbeat_interval_(
-          heartbeat_on_ ? std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(
-                                  options.heartbeat_seconds))
-                        : Clock::duration::zero()),
-      next_heartbeat_(run_start_ + heartbeat_interval_),
-      last_heartbeat_time_(run_start_) {
+      last_boundary_time_(run_start_) {
   metrics_.runs.Add();
   if (num_threads_ > 1) pool_.emplace(num_threads_);
-  // Initial boundary: the state this call starts from (the input database
-  // for Run, the reconstructed stage for Resume).
-  AccountBoundary(state_.round, /*emit_mem_rows=*/true);
-  last_heartbeat_facts_ = state_.result.facts.size();
-  last_heartbeat_bytes_ = state_.live_bytes;
+  // Opening boundary: the state this call starts from (the input database
+  // for Run, the reconstructed stage for Resume).  It closes no round, so
+  // its stream counters are all 0, and it has no rates yet.
+  const MemTotals cap = AccountBoundary();
+  last_boundary_atoms_ = state_.result.facts.size();
+  last_boundary_bytes_ = state_.live_bytes;
+  StreamBoundary(state_.round, cap, ChaseRoundStats{});
 }
 
-MemTotals ChaseEngine::RoundLoop::AccountBoundary(uint32_t completed_rounds,
-                                                  bool emit_mem_rows) {
+MemTotals ChaseEngine::RoundLoop::AccountBoundary() {
   // The content total becomes `live_bytes` (the byte-budget quantity —
   // thread- and resume-invariant), the capacity total feeds the peak, the
   // gauges and the stream.  The provenance inner bytes come from
@@ -1000,33 +952,6 @@ MemTotals ChaseEngine::RoundLoop::AccountBoundary(uint32_t completed_rounds,
   for (size_t c = 0; c < kMemComponentCount; ++c) {
     metrics_.mem_components[c]->Set(static_cast<double>(cap.bytes[c]));
   }
-  if (emit_mem_rows && mem_run_ != 0 && obs::memhooks::MemEnabled()) {
-    // Per-predicate attribution rows (component-major, predicate-id
-    // order), then the global components in fixed order — deterministic
-    // values only, so the stream is byte-identical across thread counts.
-    MemLedger ledger;
-    result.facts.AccountLedger(ledger, MemAccounting::kCapacity);
-    for (const MemLedgerRow& row : ledger.rows) {
-      obs::memhooks::EmitMemRow(
-          {mem_run_, completed_rounds, MemComponentName(row.component),
-           row.predicate == UINT32_MAX
-               ? ""
-               : vocab.PredicateName(row.predicate).c_str(),
-           row.bytes});
-    }
-    for (MemComponent c :
-         {MemComponent::kVocabTerms, MemComponent::kVocabSkolem,
-          MemComponent::kProvenance, MemComponent::kFrontierMemo}) {
-      if (cap.Get(c) != 0) {
-        obs::memhooks::EmitMemRow(
-            {mem_run_, completed_rounds, MemComponentName(c), "", cap.Get(c)});
-      }
-    }
-    obs::memhooks::EmitMemRound({mem_run_, completed_rounds,
-                                 result.facts.size(), tracked,
-                                 state_.peak_bytes,
-                                 cap.Get(MemComponent::kScratch)});
-  }
   return cap;
 }
 
@@ -1065,59 +990,86 @@ void ChaseEngine::RoundLoop::PublishRound(const ChaseRoundStats& record) {
   }
 }
 
-void ChaseEngine::RoundLoop::EmitHeartbeat(uint32_t completed_rounds,
-                                           const char* stop_name) {
+void ChaseEngine::RoundLoop::StreamBoundary(uint32_t completed_rounds,
+                                            const MemTotals& cap,
+                                            const ChaseRoundStats& record) {
+  if (stream_run_ == 0) return;
+  const ChaseResult& result = state_.result;
+  // Per-predicate attribution rows (component-major, predicate-id order),
+  // then the global components in fixed order — deterministic values only,
+  // so these rows are byte-identical across thread counts.
+  MemLedger ledger;
+  result.facts.AccountLedger(ledger, MemAccounting::kCapacity);
+  std::vector<obs::RoundStreamComponent> components;
+  for (const MemLedgerRow& row : ledger.rows) {
+    components.push_back(
+        {MemComponentName(row.component),
+         row.predicate == UINT32_MAX
+             ? ""
+             : engine_.vocab_.PredicateName(row.predicate).c_str(),
+         row.bytes});
+  }
+  for (MemComponent c :
+       {MemComponent::kVocabTerms, MemComponent::kVocabSkolem,
+        MemComponent::kProvenance, MemComponent::kFrontierMemo}) {
+    if (cap.Get(c) != 0) {
+      components.push_back({MemComponentName(c), "", cap.Get(c)});
+    }
+  }
+  obs::RoundStreamBoundary b;
+  b.round = completed_rounds;
+  b.atoms = result.facts.size();
+  b.total_bytes = cap.TrackedTotal();
+  b.peak_bytes = state_.peak_bytes;
+  b.live_bytes = state_.live_bytes;
+  b.matches = record.matches;
+  b.staged = record.staged;
+  b.committed = record.committed;
+  b.preempted = record.preempted;
+  b.deduped = record.deduped;
+  b.atoms_inserted = record.atoms_inserted;
+  b.scratch_bytes = cap.Get(MemComponent::kScratch);
+
+  // Progress, with rates since the previous boundary.
   const Clock::time_point now = Clock::now();
-  const size_t live_bytes = state_.live_bytes;
-  ChaseHeartbeat hb;
-  hb.round = completed_rounds;
-  hb.facts = state_.result.facts.size();
-  const double dt = Seconds(now - last_heartbeat_time_);
-  hb.facts_per_second =
-      dt > 0 ? static_cast<double>(hb.facts - last_heartbeat_facts_) / dt
-             : 0.0;
-  hb.bytes = live_bytes;
-  hb.peak_bytes = state_.peak_bytes;
-  hb.elapsed_seconds = Seconds(now - run_start_);
+  const double dt = Seconds(now - last_boundary_time_);
+  b.elapsed_seconds = Seconds(now - run_start_);
+  b.atoms_per_sec =
+      dt > 0 ? static_cast<double>(b.atoms - last_boundary_atoms_) / dt : 0.0;
   if (options_.deadline_seconds > 0) {
-    hb.budget_remaining_seconds =
-        std::max(0.0, options_.deadline_seconds - hb.elapsed_seconds);
+    b.budget_remaining_seconds =
+        std::max(0.0, options_.deadline_seconds - b.elapsed_seconds);
   }
   // ETA: the minimum over every *active* budget's projection — atom budget
-  // at the current fact rate, deadline remaining, byte budget at the
+  // at the current atom rate, deadline remaining, byte budget at the
   // current byte rate.  Stays null only when no budget gives a basis (e.g.
   // a fixpoint-bound run with no observed progress).
-  auto consider_eta = [&hb](double candidate) {
-    if (candidate >= 0 && (hb.eta_seconds < 0 || candidate < hb.eta_seconds)) {
-      hb.eta_seconds = candidate;
+  auto consider_eta = [&b](double candidate) {
+    if (candidate >= 0 && (b.eta_seconds < 0 || candidate < b.eta_seconds)) {
+      b.eta_seconds = candidate;
     }
   };
-  if (hb.facts_per_second > 0 && options_.max_atoms > hb.facts) {
-    consider_eta(static_cast<double>(options_.max_atoms - hb.facts) /
-                 hb.facts_per_second);
+  if (b.atoms_per_sec > 0 && options_.max_atoms > b.atoms) {
+    consider_eta(static_cast<double>(options_.max_atoms - b.atoms) /
+                 b.atoms_per_sec);
   }
   if (options_.deadline_seconds > 0) {
-    consider_eta(hb.budget_remaining_seconds);
+    consider_eta(b.budget_remaining_seconds);
   }
   if (options_.max_bytes > 0) {
-    if (live_bytes >= options_.max_bytes) {
+    if (b.live_bytes >= options_.max_bytes) {
       consider_eta(0.0);
-    } else if (dt > 0 && live_bytes > last_heartbeat_bytes_) {
+    } else if (dt > 0 && b.live_bytes > last_boundary_bytes_) {
       const double bytes_per_second =
-          static_cast<double>(live_bytes - last_heartbeat_bytes_) / dt;
-      consider_eta(static_cast<double>(options_.max_bytes - live_bytes) /
+          static_cast<double>(b.live_bytes - last_boundary_bytes_) / dt;
+      consider_eta(static_cast<double>(options_.max_bytes - b.live_bytes) /
                    bytes_per_second);
     }
   }
-  hb.stop = stop_name;
-  if (options_.heartbeat_sink) {
-    options_.heartbeat_sink(hb);
-  } else {
-    std::fprintf(stderr, "%s\n", hb.ToJsonLine().c_str());
-  }
-  last_heartbeat_time_ = now;
-  last_heartbeat_facts_ = hb.facts;
-  last_heartbeat_bytes_ = live_bytes;
+  obs::RoundStreamSession::WriteBoundary(stream_run_, b, components);
+  last_boundary_time_ = now;
+  last_boundary_atoms_ = b.atoms;
+  last_boundary_bytes_ = b.live_bytes;
 }
 
 std::optional<ChaseStop> ChaseEngine::RoundLoop::BoundaryStop() const {
@@ -1797,7 +1749,8 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CloseRound(
     ChaseRoundStats& record, bool atom_budget_hit) {
   // Runs before the stop checks below so a partial last round is
   // accounted too.
-  record.mem = AccountBoundary(state_.round + 1, /*emit_mem_rows=*/true);
+  record.mem = AccountBoundary();
+  StreamBoundary(state_.round + 1, record.mem, record);
   state_.result.stats.rounds.push_back(record);
   PublishRound(record);
   // A truncated last round is partial: complete_rounds stays at `round`.
@@ -1815,10 +1768,6 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CloseRound(
   // decision (ChaseOptions::serial_round_threshold).
   work_hint_ = record.matches + record.staged;
   ++state_.round;
-  if (heartbeat_on_ && Clock::now() >= next_heartbeat_) {
-    EmitHeartbeat(state_.round, nullptr);
-    next_heartbeat_ = Clock::now() + heartbeat_interval_;
-  }
   return std::nullopt;
 }
 
@@ -1829,9 +1778,9 @@ ChaseResult ChaseEngine::RoundLoop::Finish(ChaseStop stop) {
   // Recompute the boundary totals unconditionally: an injected-fault
   // rollback mutates the memo after the last per-round boundary, and the
   // final figures must describe the state actually returned (asserted
-  // equal to a fresh recompute by tests/mem_test.cc).  No stream rows and
+  // equal to a fresh recompute by tests/mem_test.cc).  No boundary rows and
   // no round record — the state is the last closed boundary's.
-  AccountBoundary(state_.round, /*emit_mem_rows=*/false);
+  AccountBoundary();
   result.approx_bytes = state_.live_bytes;
   result.peak_bytes = state_.peak_bytes;
   const double elapsed = Seconds(Clock::now() - run_start_);
@@ -1842,7 +1791,8 @@ ChaseResult ChaseEngine::RoundLoop::Finish(ChaseStop stop) {
     metrics_.budget_stops.Add();
     obs::TraceInstant(ChaseStopName(stop), "chase");
   }
-  if (heartbeat_on_) EmitHeartbeat(state_.round, ChaseStopName(stop));
+  obs::RoundStreamSession::WriteStop(stream_run_, state_.round,
+                                     ChaseStopName(stop));
   return std::move(result);
 }
 

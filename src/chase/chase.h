@@ -101,8 +101,8 @@ enum class ChaseVariant {
 /// body matches, merge the staged applications — the parallelizable part)
 /// and *commit* (apply staged rules in deterministic order, intern Skolem
 /// terms, insert atoms).  The record is completed and appended at the
-/// round boundary, the one place that also publishes it to the registry,
-/// the mem stream and the heartbeat (DESIGN.md §7).
+/// round boundary, the one place that also publishes it to the registry
+/// and the round stream (DESIGN.md §7).
 struct ChaseRoundStats {
   /// Body/domain matches offered to staging (before the filter and before
   /// the restricted variant's stage-time satisfaction check).
@@ -229,44 +229,6 @@ struct ChaseStats {
   }
 };
 
-/// One progress sample of a running chase, emitted at round boundaries
-/// when ChaseOptions::heartbeat_seconds is set.  All fields describe the
-/// committed state (a complete chase stage), so a heartbeat never observes
-/// a half-applied round.
-struct ChaseHeartbeat {
-  /// Rounds completed so far in this Run/Resume call's state.
-  uint32_t round = 0;
-  /// Atoms in the structure right now.
-  uint64_t facts = 0;
-  /// Recent insertion rate: atoms added since the previous heartbeat over
-  /// the time elapsed since it (the whole run, for the first heartbeat).
-  double facts_per_second = 0.0;
-  /// Approximate live chase-state bytes (the max_bytes quantity;
-  /// content-mode ledger total, see base/mem_ledger.h).
-  uint64_t bytes = 0;
-  /// High-water mark of the capacity-mode ledger total over all round
-  /// boundaries of the logical run so far (survives snapshot/resume).
-  uint64_t peak_bytes = 0;
-  /// Wall seconds since this Run/Resume call started.
-  double elapsed_seconds = 0.0;
-  /// Seconds left before ChaseOptions::deadline_seconds trips; negative
-  /// when no deadline is installed.
-  double budget_remaining_seconds = -1.0;
-  /// Estimated seconds until the *first* active budget trips: the minimum
-  /// over the atom budget at the recent insertion rate, the deadline's
-  /// remaining seconds, and the byte budget at the recent growth rate.
-  /// Negative when no budget is active or no rate gives an estimate.
-  double eta_seconds = -1.0;
-  /// Stop reason ("fixpoint", "deadline", ...) on the final heartbeat a
-  /// run emits; nullptr on periodic ones.  Points at a string literal.
-  const char* stop = nullptr;
-
-  /// The heartbeat as one JSONL line (schema `frontiers-heartbeat-v1`,
-  /// no trailing newline) — what the default sink writes and what
-  /// tools/validate_telemetry --heartbeat checks.
-  std::string ToJsonLine() const;
-};
-
 /// Options controlling a chase run.
 struct ChaseOptions {
   /// Chase flavour; experiments default to the paper's semi-oblivious one.
@@ -337,17 +299,6 @@ struct ChaseOptions {
   /// points as the budgets.  Cancellation stops at the next round boundary
   /// with ChaseStop::kCancelled.
   std::shared_ptr<const CancelToken> cancel;
-  /// Emit a progress heartbeat at most this often, checked at round
-  /// boundaries (plus one final heartbeat when the run stops).  <= 0
-  /// disables heartbeats entirely — the default, so normal runs pay
-  /// nothing.  Heartbeats are emitted from the calling thread only and
-  /// never read mutable worker state, so they cannot perturb results
-  /// (asserted byte-for-byte by tests/obs_test.cc).
-  double heartbeat_seconds = 0.0;
-  /// Where heartbeats go.  When null, each heartbeat's ToJsonLine() is
-  /// written to stderr; bench binaries install a file-appending sink via
-  /// FRONTIERS_HEARTBEAT_FILE (bench/report.h).
-  std::function<void(const ChaseHeartbeat&)> heartbeat_sink;
 };
 
 /// The result of a chase run: the structure plus per-atom metadata.

@@ -3,6 +3,8 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 namespace frontiers::obs {
 
@@ -282,6 +284,15 @@ std::string JsonEscape(std::string_view text) {
     }
   }
   return out;
+}
+
+bool ReadFile(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  *out = buffer.str();
+  return true;
 }
 
 }  // namespace frontiers::obs

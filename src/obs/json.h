@@ -51,6 +51,10 @@ Result<JsonValue> ParseJson(std::string_view text);
 /// included).  The emitting half shares this with bench/report.h.
 std::string JsonEscape(std::string_view text);
 
+/// Reads the whole file at `path` into `*out`; false if it cannot be opened.
+/// The telemetry tools read every input through this.
+bool ReadFile(const std::string& path, std::string* out);
+
 }  // namespace frontiers::obs
 
 #endif  // FRONTIERS_OBS_JSON_H_

@@ -1,11 +1,13 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <mutex>
 #include <vector>
+
+#include "obs/json.h"
 
 namespace frontiers::obs {
 
@@ -42,7 +44,6 @@ struct SessionState {
   // Generation counter: bumping it on Start invalidates thread-local
   // buffer pointers left over from a previous session.
   std::atomic<uint64_t> epoch{0};
-  std::atomic<uint64_t> min_duration_ns{0};
 };
 
 SessionState& State() {
@@ -101,10 +102,6 @@ namespace internal {
 
 void EmitComplete(const char* name, const char* category, uint64_t start_ns,
                   uint64_t end_ns) {
-  if (end_ns - start_ns <
-      State().min_duration_ns.load(std::memory_order_relaxed)) {
-    return;
-  }
   Append(Event{name, category, start_ns, end_ns, 'X'});
 }
 
@@ -127,8 +124,6 @@ Status TraceSession::Start(std::string path, TraceOptions options) {
   state.options = options;
   state.buffers.clear();
   state.next_tid = 1;
-  state.min_duration_ns.store(options.min_duration_us * 1000,
-                              std::memory_order_relaxed);
   state.epoch.fetch_add(1, std::memory_order_release);
   internal::RegisterThreadExitHook(&FlushThreadBufferOnExit);
   internal::g_span_mask.fetch_or(internal::kSpanTrace,
@@ -182,11 +177,12 @@ Status TraceSession::Stop() {
   }
   // `baseTimeNanos` records the un-rebased origin on the process steady
   // clock (Chrome/Perfetto ignore unknown top-level keys), so absolute
-  // timestamps can be recovered from the file.
+  // timestamps can be recovered from the file; `droppedEvents` tells an
+  // offline reader whether the buffer cap cut the trace short.
   std::fprintf(file,
                "{\"displayTimeUnit\":\"ms\",\"baseTimeNanos\":%llu,"
-               "\"traceEvents\":[\n",
-               static_cast<unsigned long long>(base_ns));
+               "\"droppedEvents\":%zu,\"traceEvents\":[\n",
+               static_cast<unsigned long long>(base_ns), dropped);
   std::fprintf(file,
                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
                "\"args\":{\"name\":\"frontiers\"}}");
@@ -211,6 +207,7 @@ Status TraceSession::Stop() {
   if (std::fclose(file) != 0 || !write_ok) {
     return Status::Error("error writing trace file '" + path + "'");
   }
+  // Viewers ignore `droppedEvents`, so a capped trace also says so here.
   if (dropped > 0) {
     std::fprintf(stderr,
                  "[obs] trace '%s': %zu event(s) dropped by the per-thread "
@@ -224,6 +221,181 @@ bool TraceSession::Active() {
   SessionState& state = State();
   std::lock_guard<std::mutex> lock(state.mu);
   return state.active;
+}
+
+// ---- Offline reader ---------------------------------------------------------
+
+namespace {
+
+// One complete event read back from a trace, in integer nanoseconds so the
+// containment tests are exact: the writer prints ts/dur as microseconds
+// with three decimals, i.e. whole nanoseconds.
+struct ReadSpan {
+  double tid;
+  int64_t start_ns;
+  int64_t end_ns;
+  const std::string* name;
+};
+
+int64_t MicrosToNanos(double us) { return std::llround(us * 1000.0); }
+
+// Appends the children of `prefix` (the root spans when empty), heaviest
+// first, each followed by its own subtree.
+void RenderTopDown(const std::map<std::string, SpanPathStats>& paths,
+                   const std::string& prefix, size_t depth, std::string& out) {
+  const std::string lead = prefix.empty() ? prefix : prefix + ";";
+  std::vector<std::pair<const std::string*, const SpanPathStats*>> children;
+  for (auto it = paths.lower_bound(lead);
+       it != paths.end() && it->first.compare(0, lead.size(), lead) == 0;
+       ++it) {
+    if (it->first.find(';', lead.size()) == std::string::npos) {
+      children.push_back({&it->first, &it->second});
+    }
+  }
+  std::sort(children.begin(), children.end(), [](const auto& a, const auto& b) {
+    if (a.second->wall_ns != b.second->wall_ns) {
+      return a.second->wall_ns > b.second->wall_ns;
+    }
+    return *a.first < *b.first;
+  });
+  for (const auto& [path, stats] : children) {
+    char line[96];
+    std::snprintf(line, sizeof(line), "%10.3f %10llu %10.3f  ",
+                  static_cast<double>(stats->wall_ns) / 1e6,
+                  static_cast<unsigned long long>(stats->count),
+                  static_cast<double>(stats->self_ns) / 1e6);
+    out += line;
+    out.append(2 * depth, ' ');
+    out.append(*path, lead.size());
+    out += '\n';
+    RenderTopDown(paths, *path, depth + 1, out);
+  }
+}
+
+}  // namespace
+
+std::string TraceProfile::ToString() const {
+  uint64_t root_wall_ns = 0;
+  for (const auto& [path, stats] : paths) {
+    if (path.find(';') == std::string::npos) root_wall_ns += stats.wall_ns;
+  }
+  char buffer[128];
+  std::snprintf(buffer, sizeof(buffer),
+                "# frontiers profile: %zu thread(s), %.3f ms wall across "
+                "roots\n",
+                threads, static_cast<double>(root_wall_ns) / 1e6);
+  std::string out = buffer;
+  if (dropped_events > 0) {
+    std::snprintf(buffer, sizeof(buffer),
+                  "# profile incomplete: %llu events dropped\n",
+                  static_cast<unsigned long long>(dropped_events));
+    out += buffer;
+  }
+  out += "#    wall_ms      count    self_ms  span\n";
+  RenderTopDown(paths, "", 0, out);
+  return out;
+}
+
+std::string TraceProfile::ToFolded() const {
+  std::string out;
+  for (const auto& [path, stats] : paths) {
+    char buffer[32];
+    std::snprintf(buffer, sizeof(buffer), " %llu\n",
+                  static_cast<unsigned long long>(stats.self_ns / 1000));
+    out += path;
+    out += buffer;
+  }
+  return out;
+}
+
+Result<TraceProfile> ReadTraceProfile(std::string_view text) {
+  Result<JsonValue> parsed = ParseJson(text);
+  if (!parsed.ok()) return Status::Error(parsed.message());
+  const JsonValue& root = parsed.value();
+  const JsonValue* events =
+      root.IsObject() ? root.Find("traceEvents") : nullptr;
+  if (events == nullptr || !events->IsArray()) {
+    return Status::Error("not a Chrome trace: no traceEvents array");
+  }
+  const JsonValue* dropped = root.Find("droppedEvents");
+  if (dropped == nullptr || !dropped->IsNumber() || dropped->number < 0) {
+    return Status::Error("droppedEvents must be a non-negative number");
+  }
+  TraceProfile profile;
+  profile.dropped_events = static_cast<uint64_t>(dropped->number);
+  std::vector<ReadSpan> spans;
+  std::map<double, int64_t> last_start_ns;  // tid -> previous 'X' start
+  for (size_t i = 0; i < events->array.size(); ++i) {
+    const JsonValue& event = events->array[i];
+    auto malformed = [i](const char* what) {
+      return Status::Error("event " + std::to_string(i) + ": " + what);
+    };
+    if (!event.IsObject()) return malformed("not an object");
+    const JsonValue* name = event.Find("name");
+    const JsonValue* ph = event.Find("ph");
+    const JsonValue* tid = event.Find("tid");
+    if (name == nullptr || !name->IsString() || ph == nullptr ||
+        !ph->IsString() || !event.Has("pid") || tid == nullptr) {
+      return malformed("needs name, ph, pid and tid");
+    }
+    if (ph->string == "M") continue;
+    const JsonValue* ts = event.Find("ts");
+    if (!tid->IsNumber() || ts == nullptr || !ts->IsNumber()) {
+      return malformed("needs a numeric tid and ts");
+    }
+    if (ph->string == "i") continue;
+    if (ph->string != "X") return malformed("unexpected ph (want X, i or M)");
+    const JsonValue* dur = event.Find("dur");
+    if (dur == nullptr || !dur->IsNumber() || dur->number < 0) {
+      return malformed("'X' needs a non-negative dur");
+    }
+    const int64_t start_ns = MicrosToNanos(ts->number);
+    auto [last, first] = last_start_ns.emplace(tid->number, start_ns);
+    if (!first && start_ns < last->second) {
+      return malformed("'X' ts goes backwards within its thread");
+    }
+    last->second = start_ns;
+    spans.push_back({tid->number, start_ns,
+                     start_ns + MicrosToNanos(dur->number), &name->string});
+  }
+  // Per thread by start; an enclosing span that starts in the same
+  // nanosecond as its child sorts first because it ends later.
+  std::sort(spans.begin(), spans.end(),
+            [](const ReadSpan& a, const ReadSpan& b) {
+              if (a.tid != b.tid) return a.tid < b.tid;
+              if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
+              return a.end_ns > b.end_ns;
+            });
+  struct OpenSpan {
+    std::string path;
+    int64_t end_ns;
+  };
+  std::vector<OpenSpan> open;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    const ReadSpan& span = spans[i];
+    if (i == 0 || span.tid != spans[i - 1].tid) {
+      open.clear();
+      ++profile.threads;
+    }
+    while (!open.empty() && span.start_ns >= open.back().end_ns) {
+      open.pop_back();
+    }
+    std::string path =
+        open.empty() ? *span.name : open.back().path + ";" + *span.name;
+    const uint64_t wall_ns = static_cast<uint64_t>(span.end_ns - span.start_ns);
+    SpanPathStats& stats = profile.paths[path];
+    ++stats.count;
+    stats.wall_ns += wall_ns;
+    stats.self_ns += wall_ns;
+    if (!open.empty()) {
+      // The parent's own wall was added first, so this never underflows
+      // for properly nested spans; the clamp guards malformed input.
+      SpanPathStats& parent = profile.paths[open.back().path];
+      parent.self_ns -= std::min(parent.self_ns, wall_ns);
+    }
+    open.push_back({std::move(path), span.end_ns});
+  }
+  return profile;
 }
 
 }  // namespace frontiers::obs

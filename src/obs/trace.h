@@ -3,7 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
+#include <string_view>
 
 #include "base/obs_hooks.h"
 #include "base/status.h"
@@ -23,12 +25,6 @@ void EmitComplete(const char* name, const char* category, uint64_t start_ns,
 
 /// Appends an instant ('i') event to the calling thread's buffer.
 void EmitInstant(const char* name, const char* category);
-
-/// Pushes/pops a frame on the calling thread's profiler call stack
-/// (defined in obs/profiler.cc).  Enter records wall + thread-CPU start
-/// times; Exit accumulates the closing frame into the thread's call tree.
-void ProfileEnter(const char* name);
-void ProfileExit();
 }  // namespace internal
 
 /// True while a TraceSession is active.  Relaxed: a span racing a session
@@ -38,20 +34,11 @@ inline bool TracingEnabled() {
           internal::kSpanTrace) != 0;
 }
 
-/// True while a ProfileSession is active (obs/profiler.h).
-inline bool ProfilingEnabled() {
-  return (internal::g_span_mask.load(std::memory_order_relaxed) &
-          internal::kSpanProfile) != 0;
-}
-
 /// Knobs for a trace session.
 struct TraceOptions {
-  /// Completed spans shorter than this are dropped at emit time.  Keeps
-  /// hot-path spans (per match-unit, per matcher enumeration) from flooding
-  /// the buffers on big workloads; 0 records everything.
-  uint64_t min_duration_us = 0;
   /// Hard cap per thread buffer; events beyond it are counted as dropped
-  /// (the count is reported on Stop) instead of growing without bound.
+  /// instead of growing without bound.  Stop() writes the count into the
+  /// file as the top-level `droppedEvents` key.
   size_t max_events_per_thread = 1u << 20;
 };
 
@@ -82,31 +69,24 @@ class TraceSession {
 };
 
 /// RAII span: construction records the start time, destruction emits a
-/// complete event covering the scope.  The same span feeds both consumers:
-/// an active TraceSession receives a Chrome trace event, an active
-/// ProfileSession (obs/profiler.h) a call-tree frame.  When both are
-/// disabled the constructor is a single relaxed atomic load and the
-/// destructor a branch on an int.  `name`/`category` must be string
+/// complete event covering the scope into the active TraceSession.  When
+/// tracing is disabled the constructor is a single relaxed atomic load and
+/// the destructor a branch on a pointer.  `name`/`category` must be string
 /// literals.
 class Span {
  public:
   Span(const char* name, const char* category) {
-    const uint32_t mask =
-        internal::g_span_mask.load(std::memory_order_relaxed);
-    if (mask == 0) return;
-    mask_ = mask;
+    if (!TracingEnabled()) return;
     name_ = name;
     category_ = category;
-    if (mask & internal::kSpanProfile) internal::ProfileEnter(name);
-    if (mask & internal::kSpanTrace) start_ns_ = internal::NowNanos();
+    start_ns_ = internal::NowNanos();
   }
 
   ~Span() {
-    if (mask_ & internal::kSpanTrace) {
+    if (name_ != nullptr) {
       internal::EmitComplete(name_, category_, start_ns_,
                              internal::NowNanos());
     }
-    if (mask_ & internal::kSpanProfile) internal::ProfileExit();
   }
 
   Span(const Span&) = delete;
@@ -116,7 +96,6 @@ class Span {
   const char* name_ = nullptr;
   const char* category_ = nullptr;
   uint64_t start_ns_ = 0;
-  uint32_t mask_ = 0;
 };
 
 /// Emits a zero-duration instant event (a vertical marker in the viewer),
@@ -124,6 +103,43 @@ class Span {
 inline void TraceInstant(const char* name, const char* category) {
   if (TracingEnabled()) internal::EmitInstant(name, category);
 }
+
+/// One stack path of a span profile: the spans that closed under exactly
+/// this chain of enclosing spans on their thread, merged across threads.
+struct SpanPathStats {
+  uint64_t count = 0;
+  uint64_t wall_ns = 0;  ///< Inclusive: covers the child spans too.
+  uint64_t self_ns = 0;  ///< Wall time not covered by any child span.
+};
+
+/// A profile rebuilt offline from a trace file: the top-down span tree,
+/// keyed by stack path ("chase.run;chase.round;chase.match").
+struct TraceProfile {
+  std::map<std::string, SpanPathStats> paths;
+  /// Threads that recorded at least one span.
+  size_t threads = 0;
+  /// The trace's `droppedEvents`: spans lost to the per-thread cap, so a
+  /// non-zero count means the profile is incomplete.
+  uint64_t dropped_events = 0;
+
+  /// Top-down report: one line per path, indented by stack depth, siblings
+  /// sorted by inclusive wall time, with wall / count / self columns.
+  std::string ToString() const;
+
+  /// Brendan-Gregg folded stacks (`a;b;c <self-wall-microseconds>` per
+  /// path), the input format of flamegraph.pl and speedscope.
+  std::string ToFolded() const;
+};
+
+/// Reads the text of a trace file written by TraceSession and rebuilds its
+/// span tree; nesting comes from interval containment per thread.  This is
+/// also the trace's checker (validate_telemetry --trace): it fails unless
+/// the text is one object with a `traceEvents` array and a non-negative
+/// `droppedEvents`, every event has name/ph/pid/tid, every non-metadata
+/// event a numeric tid and ts, the phases are the writer's ('X', 'i', 'M'),
+/// every 'X' has a non-negative dur, and each thread's 'X' starts never go
+/// backwards (the writer sorts them).
+Result<TraceProfile> ReadTraceProfile(std::string_view text);
 
 }  // namespace frontiers::obs
 

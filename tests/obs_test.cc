@@ -1,6 +1,7 @@
 // Tests for the observability subsystem (src/obs): JSON round-tripping,
-// the Chrome trace-event layer, the sharded metrics registry, and — the
-// load-bearing guarantee — that tracing a chase never changes its result.
+// the Chrome trace-event layer and its offline reader, the sharded metrics
+// registry, and — the load-bearing guarantee — that tracing or streaming a
+// chase never changes its result.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +28,7 @@
 #include "obs/bench_compare.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
+#include "obs/round_stream.h"
 #include "obs/trace.h"
 
 // Binary-wide allocation counter for the dispatch test below: the
@@ -277,228 +278,100 @@ TEST(Trace, NestedAndThreadedSpansProduceValidChromeJson) {
   std::remove(path.c_str());
 }
 
-TEST(Trace, MinDurationFilterDropsShortSpans) {
-  const std::string path = testing::TempDir() + "obs_trace_filter.json";
+// --- offline trace reader --------------------------------------------------
+
+void Spin(std::chrono::microseconds duration) {
+  const auto until = std::chrono::steady_clock::now() + duration;
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+// A known `outer;inner` nest traced on two threads reads back as one tree:
+// per-path counts merged across the threads, self time never above wall
+// time, and one folded line per path.
+TEST(TraceReader, RebuildsTheSpanTreeWithThreadsMerged) {
+  const std::string path = testing::TempDir() + "obs_trace_reader.json";
   std::remove(path.c_str());
-  obs::TraceOptions options;
-  options.min_duration_us = 60'000'000;  // one minute: drops everything
-  ASSERT_TRUE(obs::TraceSession::Start(path, options).ok());
-  for (int i = 0; i < 100; ++i) {
-    obs::Span span("short", "test");
-  }
-  obs::TraceInstant("kept", "test");  // instants bypass the filter
-  ASSERT_TRUE(obs::TraceSession::Stop().ok());
-  Result<obs::JsonValue> parsed = obs::ParseJson(ReadAll(path));
-  ASSERT_TRUE(parsed.ok()) << parsed.message();
-  size_t spans = 0, instants = 0;
-  for (const obs::JsonValue& event :
-       parsed.value().Find("traceEvents")->array) {
-    const std::string& ph = event.Find("ph")->string;
-    if (ph == "X") ++spans;
-    if (ph == "i") ++instants;
-  }
-  EXPECT_EQ(spans, 0u);
-  EXPECT_EQ(instants, 1u);
-  std::remove(path.c_str());
-}
-
-// --- profiler --------------------------------------------------------------
-
-const obs::ProfileNode* FindChild(const obs::ProfileNode& node,
-                                  const std::string& name) {
-  for (const obs::ProfileNode& child : node.children) {
-    if (child.name == name) return &child;
-  }
-  return nullptr;
-}
-
-TEST(Profiler, DisabledByDefaultAndStopWithoutStartFails) {
-  EXPECT_FALSE(obs::ProfilingEnabled());
-  EXPECT_FALSE(obs::ProfileSession::Active());
-  {
-    obs::Span span("unprofiled", "test");  // no-op, not an error
-  }
-  EXPECT_FALSE(obs::ProfileSession::Stop().ok());
-}
-
-TEST(Profiler, AggregatesSpansIntoCallTreeWithCountsAndTimes) {
-  ASSERT_TRUE(obs::ProfileSession::Start().ok());
-  EXPECT_TRUE(obs::ProfilingEnabled());
-  EXPECT_FALSE(obs::ProfileSession::Start().ok()) << "one session at a time";
-  constexpr int kInner = 5;
-  {
-    obs::Span outer("prof.outer", "test");
+  constexpr int kInner = 3;
+  ASSERT_TRUE(obs::TraceSession::Start(path).ok());
+  auto nest = [] {
+    obs::Span outer("reader.outer", "test");
+    Spin(std::chrono::microseconds(50));
     for (int i = 0; i < kInner; ++i) {
-      obs::Span inner("prof.inner", "test");
-    }
-  }
-  {
-    obs::Span outer("prof.outer", "test");  // second invocation, same path
-  }
-  Result<obs::ProfileReport> report = obs::ProfileSession::Stop();
-  ASSERT_TRUE(report.ok()) << report.message();
-  EXPECT_FALSE(obs::ProfilingEnabled());
-
-  const obs::ProfileNode& root = report.value().root;
-  EXPECT_EQ(report.value().threads, 1u);
-  const obs::ProfileNode* outer = FindChild(root, "prof.outer");
-  ASSERT_NE(outer, nullptr);
-  EXPECT_EQ(outer->count, 2u);
-  const obs::ProfileNode* inner = FindChild(*outer, "prof.inner");
-  ASSERT_NE(inner, nullptr);
-  EXPECT_EQ(inner->count, static_cast<uint64_t>(kInner));
-  // Inclusive wall time covers the children; self time is the remainder.
-  EXPECT_GE(outer->wall_ns, inner->wall_ns);
-  EXPECT_EQ(outer->SelfWallNanos(), outer->wall_ns - inner->wall_ns);
-  // The synthetic root sums its children.
-  EXPECT_GE(root.wall_ns, outer->wall_ns);
-
-  const std::string text = report.value().ToString();
-  for (const char* needle :
-       {"# frontiers profile:", "wall_ms", "prof.outer", "prof.inner"}) {
-    EXPECT_NE(text.find(needle), std::string::npos) << needle << "\n" << text;
-  }
-  // Folded output spells the stack path with ';' separators.
-  const std::string folded = report.value().ToFolded();
-  if (inner->SelfWallNanos() >= 1000) {
-    EXPECT_NE(folded.find("prof.outer;prof.inner "), std::string::npos)
-        << folded;
-  }
-}
-
-TEST(Profiler, MergesThreadsAndCountsThem) {
-  ASSERT_TRUE(obs::ProfileSession::Start().ok());
-  constexpr int kThreads = 4;
-  constexpr int kSpans = 25;
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([] {
-      for (int i = 0; i < kSpans; ++i) {
-        obs::Span span("prof.worker", "test");
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  Result<obs::ProfileReport> report = obs::ProfileSession::Stop();
-  ASSERT_TRUE(report.ok()) << report.message();
-  EXPECT_EQ(report.value().threads, static_cast<size_t>(kThreads));
-  const obs::ProfileNode* worker =
-      FindChild(report.value().root, "prof.worker");
-  ASSERT_NE(worker, nullptr);
-  EXPECT_EQ(worker->count, uint64_t{kThreads} * kSpans)
-      << "same-path frames from different threads merge into one node";
-}
-
-TEST(Profiler, DepthCapFoldsFramesButStaysBalanced) {
-  obs::ProfileOptions options;
-  options.max_depth = 2;
-  ASSERT_TRUE(obs::ProfileSession::Start(options).ok());
-  {
-    obs::Span a("prof.a", "test");
-    obs::Span b("prof.b", "test");
-    obs::Span c("prof.c", "test");  // over the cap: folded into prof.b
-    obs::Span d("prof.d", "test");  // also folded
-  }
-  {
-    obs::Span a("prof.a", "test");  // the stack unwound fully: records again
-  }
-  Result<obs::ProfileReport> report = obs::ProfileSession::Stop();
-  ASSERT_TRUE(report.ok()) << report.message();
-  EXPECT_EQ(report.value().folded_frames, 2u);
-  const obs::ProfileNode* a = FindChild(report.value().root, "prof.a");
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->count, 2u);
-  const obs::ProfileNode* b = FindChild(*a, "prof.b");
-  ASSERT_NE(b, nullptr);
-  EXPECT_EQ(FindChild(*b, "prof.c"), nullptr) << "folded frames grow no nodes";
-  const std::string text = report.value().ToString();
-  EXPECT_NE(text.find("depth-folded"), std::string::npos) << text;
-}
-
-// Structural skeleton of a top-down report: the indented span names, with
-// the (run-varying) timing columns stripped.  RenderNode's fixed-width
-// prefix is 45 characters.
-std::vector<std::string> TopDownStructure(const std::string& text) {
-  std::vector<std::string> out;
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    out.push_back(line.size() > 45 ? line.substr(45) : line);
-  }
-  return out;
-}
-
-// Stack paths of a folded report, with the sample values stripped.
-std::vector<std::string> FoldedPaths(const std::string& folded) {
-  std::vector<std::string> out;
-  std::istringstream lines(folded);
-  std::string line;
-  while (std::getline(lines, line)) {
-    size_t space = line.rfind(' ');
-    out.push_back(space == std::string::npos ? line : line.substr(0, space));
-  }
-  return out;
-}
-
-// One profiled workload for the determinism test: a single-chain call tree
-// whose leaf name arrives through two *distinct* equal-text buffers, so
-// content keying (not pointer identity) decides the tree shape.  Each
-// frame spins briefly so every node has non-zero self time and therefore a
-// line in the folded output.
-obs::ProfileReport DeterminismWorkload() {
-  auto spin = [] {
-    const auto until =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(200);
-    while (std::chrono::steady_clock::now() < until) {
+      obs::Span inner("reader.inner", "test");
+      Spin(std::chrono::microseconds(50));
     }
   };
-  static const char kLeafA[] = "prof.det.leaf";
-  static const char kLeafB[] = "prof.det.leaf";  // equal text, distinct array
-  EXPECT_TRUE(obs::ProfileSession::Start().ok());
-  {
-    obs::Span outer("prof.det.outer", "test");
-    spin();
-    obs::Span mid("prof.det.mid", "test");
-    spin();
-    {
-      obs::Span leaf(kLeafA, "test");
-      spin();
-    }
-    {
-      obs::Span leaf(kLeafB, "test");
-      spin();
-    }
-  }
-  Result<obs::ProfileReport> report = obs::ProfileSession::Stop();
-  EXPECT_TRUE(report.ok()) << report.message();
-  return report.value();
+  std::thread first(nest);
+  std::thread second(nest);
+  first.join();
+  second.join();
+  ASSERT_TRUE(obs::TraceSession::Stop().ok());
+
+  Result<obs::TraceProfile> read = obs::ReadTraceProfile(ReadAll(path));
+  ASSERT_TRUE(read.ok()) << read.message();
+  const obs::TraceProfile& profile = read.value();
+  EXPECT_EQ(profile.threads, 2u);
+  EXPECT_EQ(profile.dropped_events, 0u);
+  ASSERT_EQ(profile.paths.size(), 2u);
+  const obs::SpanPathStats& outer = profile.paths.at("reader.outer");
+  const obs::SpanPathStats& inner =
+      profile.paths.at("reader.outer;reader.inner");
+  EXPECT_EQ(outer.count, 2u) << "one per thread, merged";
+  EXPECT_EQ(inner.count, 2u * kInner);
+  EXPECT_LE(outer.self_ns, outer.wall_ns);
+  EXPECT_LE(inner.self_ns, inner.wall_ns);
+  EXPECT_EQ(inner.self_ns, inner.wall_ns) << "a leaf's time is all self";
+  EXPECT_EQ(outer.self_ns, outer.wall_ns - inner.wall_ns);
+  EXPECT_GE(outer.self_ns, 2 * 50'000u) << "each outer spun 50us itself";
+
+  EXPECT_EQ(profile.ToFolded(),
+            "reader.outer " + std::to_string(outer.self_ns / 1000) +
+                "\nreader.outer;reader.inner " +
+                std::to_string(inner.self_ns / 1000) + "\n");
+  const std::string text = profile.ToString();
+  EXPECT_NE(text.find("# frontiers profile: 2 thread(s)"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("  reader.outer\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("    reader.inner\n"), std::string::npos)
+      << "the child is indented under its parent\n"
+      << text;
+  EXPECT_EQ(text.find("incomplete"), std::string::npos) << text;
+
+  // A round stream is not a trace.
+  EXPECT_FALSE(
+      obs::ReadTraceProfile("{\"schema\":\"frontiers-rounds-v1\"}").ok());
+  std::remove(path.c_str());
 }
 
-TEST(Profiler, IdenticalRunsRenderIdenticalStructure) {
-  const obs::ProfileReport first = DeterminismWorkload();
-  const obs::ProfileReport second = DeterminismWorkload();
+// Events past the per-thread cap are counted in the file itself, and the
+// reader flags the profile as incomplete.
+TEST(TraceReader, CappedTraceRecordsItsDrops) {
+  const std::string path = testing::TempDir() + "obs_trace_capped.json";
+  std::remove(path.c_str());
+  obs::TraceOptions options;
+  options.max_events_per_thread = 3;
+  ASSERT_TRUE(obs::TraceSession::Start(path, options).ok());
+  for (int i = 0; i < 10; ++i) {
+    obs::Span span("capped", "test");
+  }
+  ASSERT_TRUE(obs::TraceSession::Stop().ok());
+  const std::string text = ReadAll(path);
+  Result<obs::JsonValue> parsed = obs::ParseJson(text);
+  ASSERT_TRUE(parsed.ok()) << parsed.message();
+  const obs::JsonValue* dropped = parsed.value().Find("droppedEvents");
+  ASSERT_NE(dropped, nullptr);
+  EXPECT_DOUBLE_EQ(dropped->number, 7.0);
 
-  // Equal-text names through different pointers land in one node.
-  const obs::ProfileNode* outer = FindChild(first.root, "prof.det.outer");
-  ASSERT_NE(outer, nullptr);
-  const obs::ProfileNode* mid = FindChild(*outer, "prof.det.mid");
-  ASSERT_NE(mid, nullptr);
-  ASSERT_EQ(mid->children.size(), 1u)
-      << "distinct buffers with equal text must share one child node";
-  EXPECT_EQ(mid->children[0].name, "prof.det.leaf");
-  EXPECT_EQ(mid->children[0].count, 2u);
-
-  // Two identical runs produce the same top-down and folded skeleton
-  // (times differ; names, nesting, and order must not).
-  EXPECT_EQ(TopDownStructure(first.ToString()),
-            TopDownStructure(second.ToString()));
-  EXPECT_EQ(FoldedPaths(first.ToFolded()), FoldedPaths(second.ToFolded()));
-  EXPECT_EQ(FoldedPaths(first.ToFolded()),
-            (std::vector<std::string>{"prof.det.outer",
-                                      "prof.det.outer;prof.det.mid",
-                                      "prof.det.outer;prof.det.mid;"
-                                      "prof.det.leaf"}));
+  Result<obs::TraceProfile> read = obs::ReadTraceProfile(text);
+  ASSERT_TRUE(read.ok()) << read.message();
+  EXPECT_EQ(read.value().dropped_events, 7u);
+  EXPECT_EQ(read.value().paths.at("capped").count, 3u);
+  EXPECT_NE(read.value().ToString().find(
+                "profile incomplete: 7 events dropped"),
+            std::string::npos)
+      << read.value().ToString();
+  std::remove(path.c_str());
 }
 
 // --- metrics registry ------------------------------------------------------
@@ -644,110 +517,6 @@ TEST(Metrics, SnapshotToJsonRoundTripsThroughOwnParser) {
   EXPECT_DOUBLE_EQ(h->Find("counts")->array[0].number, 1.0);
   EXPECT_DOUBLE_EQ(h->Find("counts")->array[1].number, 1.0);
   EXPECT_DOUBLE_EQ(h->Find("counts")->array[2].number, 1.0);
-}
-
-// --- chase heartbeat -------------------------------------------------------
-
-TEST(Heartbeat, ToJsonLineRoundTripsWithNullsAndValues) {
-  ChaseHeartbeat beat;
-  beat.round = 7;
-  beat.facts = 1234;
-  beat.facts_per_second = 100.5;
-  beat.bytes = 4096;
-  beat.elapsed_seconds = 1.25;
-  // Defaults: no budget, no ETA, no stop — all three must render as null.
-  Result<obs::JsonValue> parsed = obs::ParseJson(beat.ToJsonLine());
-  ASSERT_TRUE(parsed.ok()) << parsed.message();
-  const obs::JsonValue& root = parsed.value();
-  EXPECT_EQ(root.Find("schema")->string, "frontiers-heartbeat-v1");
-  EXPECT_DOUBLE_EQ(root.Find("round")->number, 7.0);
-  EXPECT_DOUBLE_EQ(root.Find("facts")->number, 1234.0);
-  EXPECT_DOUBLE_EQ(root.Find("facts_per_sec")->number, 100.5);
-  EXPECT_DOUBLE_EQ(root.Find("bytes")->number, 4096.0);
-  EXPECT_DOUBLE_EQ(root.Find("elapsed_seconds")->number, 1.25);
-  EXPECT_TRUE(root.Find("budget_remaining_seconds")->IsNull());
-  EXPECT_TRUE(root.Find("eta_seconds")->IsNull());
-  EXPECT_TRUE(root.Find("stop")->IsNull());
-
-  beat.budget_remaining_seconds = 10.0;
-  beat.eta_seconds = 3.5;
-  beat.stop = "fixpoint";
-  Result<obs::JsonValue> full = obs::ParseJson(beat.ToJsonLine());
-  ASSERT_TRUE(full.ok()) << full.message();
-  EXPECT_DOUBLE_EQ(full.value().Find("budget_remaining_seconds")->number,
-                   10.0);
-  EXPECT_DOUBLE_EQ(full.value().Find("eta_seconds")->number, 3.5);
-  EXPECT_EQ(full.value().Find("stop")->string, "fixpoint");
-}
-
-TEST(Heartbeat, ChaseEmitsPeriodicAndFinalHeartbeats) {
-  Vocabulary vocab;
-  Theory td = TdTheory(vocab);
-  FactSet db = EdgePath(vocab, "G", 8, "a");
-  ChaseOptions options;
-  options.max_rounds = 16;
-  options.max_atoms = 200'000;
-  options.filter = TdWitnessStrategy(vocab, td);
-  options.heartbeat_seconds = 1e-9;  // fires at every round boundary
-  std::vector<ChaseHeartbeat> beats;
-  options.heartbeat_sink = [&beats](const ChaseHeartbeat& beat) {
-    beats.push_back(beat);
-  };
-  ChaseEngine engine(vocab, td);
-  ChaseResult result = engine.Run(db, options);
-  ASSERT_GE(beats.size(), 2u) << "per-round beats plus the final one";
-  // All but the last are periodic (no stop); the last reports the stop.
-  for (size_t i = 0; i + 1 < beats.size(); ++i) {
-    EXPECT_EQ(beats[i].stop, nullptr) << "beat " << i;
-    if (i > 0) {
-      EXPECT_GE(beats[i].round, beats[i - 1].round);
-    }
-    EXPECT_GE(beats[i].elapsed_seconds, 0.0);
-  }
-  const ChaseHeartbeat& final_beat = beats.back();
-  ASSERT_NE(final_beat.stop, nullptr);
-  EXPECT_STREQ(final_beat.stop, ChaseStopName(result.stop));
-  EXPECT_EQ(final_beat.round, result.complete_rounds);
-  EXPECT_EQ(final_beat.facts, result.facts.size());
-  EXPECT_EQ(final_beat.bytes, result.approx_bytes);
-  // Every beat's JSON form parses and carries the schema tag.
-  for (const ChaseHeartbeat& beat : beats) {
-    Result<obs::JsonValue> parsed = obs::ParseJson(beat.ToJsonLine());
-    ASSERT_TRUE(parsed.ok()) << parsed.message();
-    EXPECT_EQ(parsed.value().Find("schema")->string,
-              "frontiers-heartbeat-v1");
-  }
-}
-
-TEST(Heartbeat, EtaIsMinimumOverActiveBudgets) {
-  Vocabulary vocab;
-  Theory td = TdTheory(vocab);
-  FactSet db = EdgePath(vocab, "G", 8, "a");
-  ChaseOptions options;
-  options.max_rounds = 16;
-  options.filter = TdWitnessStrategy(vocab, td);
-  options.heartbeat_seconds = 1e-9;  // fires at every round boundary
-  // A generous deadline plus a huge atom budget: the deadline's remaining
-  // time is the binding estimate, so eta_seconds must never exceed it.
-  options.deadline_seconds = 3600.0;
-  options.max_atoms = 100'000'000;
-  std::vector<ChaseHeartbeat> beats;
-  options.heartbeat_sink = [&beats](const ChaseHeartbeat& beat) {
-    beats.push_back(beat);
-  };
-  ChaseEngine engine(vocab, td);
-  engine.Run(db, options);
-  ASSERT_GE(beats.size(), 1u);
-  for (size_t i = 0; i < beats.size(); ++i) {
-    const ChaseHeartbeat& beat = beats[i];
-    ASSERT_GE(beat.budget_remaining_seconds, 0.0) << "beat " << i;
-    // The deadline is always an active budget, so an ETA exists and is
-    // bounded by the remaining deadline time (up to clock skew between
-    // the two reads).
-    ASSERT_GE(beat.eta_seconds, 0.0) << "beat " << i;
-    EXPECT_LE(beat.eta_seconds, beat.budget_remaining_seconds + 0.5)
-        << "beat " << i;
-  }
 }
 
 // --- bench comparison (tools/bench_diff's engine) --------------------------
@@ -908,11 +677,10 @@ TEST(Parity, TracedChaseIsByteIdenticalToUntraced) {
   }
 }
 
-// Same acceptance bar for the profiler and the heartbeat: with a profile
-// session active AND per-round heartbeats firing, the chase result is
-// byte-identical to a bare run at every thread count — both features are
-// pure observation.
-TEST(Parity, ProfiledHeartbeatChaseIsByteIdenticalToBare) {
+// Same acceptance bar with every per-run consumer on at once: a traced,
+// round-streamed chase is byte-identical to a bare run at every thread
+// count, and both files carry the run.
+TEST(Parity, TracedRoundStreamedChaseIsByteIdenticalToBare) {
   for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     auto run = [threads](bool observed) {
       Vocabulary vocab;
@@ -923,23 +691,28 @@ TEST(Parity, ProfiledHeartbeatChaseIsByteIdenticalToBare) {
       options.max_atoms = 500'000;
       options.threads = threads;
       options.filter = TdWitnessStrategy(vocab, td);
-      size_t beats = 0;
+      const std::string base = testing::TempDir() + "obs_observed_" +
+                               std::to_string(threads);
       if (observed) {
-        EXPECT_TRUE(obs::ProfileSession::Start().ok());
-        options.heartbeat_seconds = 1e-9;  // every round boundary
-        options.heartbeat_sink = [&beats](const ChaseHeartbeat&) { ++beats; };
+        EXPECT_TRUE(obs::TraceSession::Start(base + ".json").ok());
+        EXPECT_TRUE(obs::RoundStreamSession::Start(base + ".jsonl").ok());
       }
       ChaseEngine engine(vocab, td);
       ChaseResult result = engine.Run(db, options);
       if (observed) {
-        Result<obs::ProfileReport> report = obs::ProfileSession::Stop();
-        EXPECT_TRUE(report.ok()) << report.message();
-        if (report.ok()) {
-          EXPECT_NE(report.value().ToString().find("chase.round"),
-                    std::string::npos)
-              << "chase spans reached the profiler";
+        EXPECT_TRUE(obs::RoundStreamSession::Stop().ok());
+        EXPECT_TRUE(obs::TraceSession::Stop().ok());
+        Result<obs::TraceProfile> profile =
+            obs::ReadTraceProfile(ReadAll(base + ".json"));
+        EXPECT_TRUE(profile.ok()) << profile.message();
+        if (profile.ok()) {
+          EXPECT_EQ(profile.value().paths.count("chase.run;chase.round"), 1u)
+              << "chase spans reached the trace";
         }
-        EXPECT_GE(beats, 1u);
+        EXPECT_NE(ReadAll(base + ".jsonl").find("\"kind\":\"stop\""),
+                  std::string::npos);
+        std::remove((base + ".json").c_str());
+        std::remove((base + ".jsonl").c_str());
       }
       return result;
     };

@@ -17,26 +17,16 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/bench_compare.h"
+#include "obs/json.h"
 
 namespace frontiers {
 namespace {
 
 namespace fs = std::filesystem;
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
-}
 
 // All bench JSONL files under `path`: the file itself, or every
 // BENCH_*.json directly inside a directory (sorted, for stable errors).
@@ -73,7 +63,7 @@ int LoadRows(const std::string& path, std::vector<obs::BenchRow>* rows) {
   }
   for (const std::string& file : files) {
     std::string text;
-    if (!ReadFile(file, &text)) {
+    if (!obs::ReadFile(file, &text)) {
       std::fprintf(stderr, "bench_diff: cannot read %s\n", file.c_str());
       return 2;
     }
