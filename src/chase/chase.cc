@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -17,7 +18,6 @@
 #include "base/worker_pool.h"
 #include "chase/snapshot.h"
 #include "hom/matcher.h"
-#include "hom/structure_ops.h"
 #include "obs/metrics.h"
 #include "obs/round_stream.h"
 #include "obs/trace.h"
@@ -338,7 +338,8 @@ ChaseEngine::ChaseEngine(Vocabulary& vocab, const Theory& theory)
   skolemized_.reserve(n);
   commit_layouts_.reserve(n);
   existential_positions_.reserve(n);
-  head_existentials_.reserve(n);
+  body_vars_.reserve(n);
+  head_vars_.reserve(n);
   needs_naive_.assign(n, false);
   for (size_t r = 0; r < n; ++r) {
     const Tgd& rule = theory_.rules[r];
@@ -355,7 +356,9 @@ ChaseEngine::ChaseEngine(Vocabulary& vocab, const Theory& theory)
       per_atom.push_back(std::move(positions));
     }
     existential_positions_.push_back(std::move(per_atom));
-    head_existentials_.push_back(std::move(ex));
+    body_vars_.emplace_back(rule.body_vars.begin(), rule.body_vars.end());
+    ex.insert(rule.head_universal_vars.begin(), rule.head_universal_vars.end());
+    head_vars_.push_back(std::move(ex));
     if (!rule.body.empty() && !rule.domain_vars.empty()) {
       needs_naive_[r] = true;
     }
@@ -367,6 +370,17 @@ ChaseEngine::ChaseEngine(Vocabulary& vocab, const Theory& theory)
     std::unordered_map<TermId, uint32_t> slot_of;
     for (uint32_t i = 0; i < layout.commit_vars.size(); ++i) {
       slot_of.emplace(layout.commit_vars[i], i);
+    }
+    // A match's values: the body plan's slots, which it numbers in
+    // first-occurrence order (`body_vars`' order), then the domain
+    // variables.
+    std::vector<TermId> match_vars = rule.body_vars;
+    match_vars.insert(match_vars.end(), rule.domain_vars.begin(),
+                      rule.domain_vars.end());
+    for (TermId v : layout.commit_vars) {
+      layout.commit_sources.push_back(static_cast<uint32_t>(
+          std::find(match_vars.begin(), match_vars.end(), v) -
+          match_vars.begin()));
     }
     layout.fn_arg_slots.reserve(sh.fn_args.size());
     for (TermId v : sh.fn_args) {
@@ -797,7 +811,7 @@ class ChaseEngine::RoundLoop {
                       const ChaseRoundStats& record);
 
   // One match unit, run by exactly one worker into its own buffer.
-  void RunUnit(const MatchUnit& unit, const Matcher& matcher,
+  void RunUnit(const MatchUnit& unit,
                const std::unordered_set<TermId>& new_terms, UnitBuffer& out);
   // Parallel head expansion of the surviving applications into `pending_`.
   void ExpandParallel(const StagedApplications& staged,
@@ -1177,66 +1191,77 @@ std::vector<MatchUnit> ChaseEngine::RoundLoop::PlanUnits(
 }
 
 void ChaseEngine::RoundLoop::RunUnit(
-    const MatchUnit& unit, const Matcher& matcher,
-    const std::unordered_set<TermId>& new_terms, UnitBuffer& out) {
+    const MatchUnit& unit, const std::unordered_set<TermId>& new_terms,
+    UnitBuffer& out) {
   // Per-unit span, recorded into the worker's own trace buffer.
   obs::Span unit_span("chase.unit", "chase");
   const ChaseResult& result = state_.result;
-  const Tgd& rule = engine_.theory_.rules[unit.rule_index];
-  const CommitLayout& layout = engine_.commit_layouts_[unit.rule_index];
+  const size_t r = unit.rule_index;
+  const Tgd& rule = engine_.theory_.rules[r];
+  const CommitLayout& layout = engine_.commit_layouts_[r];
+  const size_t body_slots = rule.body_vars.size();
+  // The restricted variant's stage-time head check: one head plan per
+  // unit, its commit-var slots bound per match.
+  std::optional<MatchPlan> head_plan;
+  std::vector<uint32_t> head_slots;
+  if (options_.variant == ChaseVariant::kRestricted) {
+    head_plan.emplace(result.facts, rule.head, engine_.head_vars_[r]);
+    for (TermId v : layout.commit_vars) {
+      head_slots.push_back(head_plan->SlotOf(v));
+    }
+  }
+  Substitution sigma;  // only for options.filter
   uint64_t poll_counter = 0;
-  // Returns false to stop the enumeration early (budget trip or
-  // cancellation); the partially filled buffer is discarded with the
-  // round, so early exits never affect the committed state.
-  auto stage_match = [&](const Substitution& sigma) -> bool {
+  // Stages one match: `values` holds the body plan's slots followed by the
+  // domain variables' values, and `body` (null for a body-free rule) the
+  // fact each body atom matched.  Returns false to stop the enumeration
+  // early (budget trip or cancellation); the partially filled buffer is
+  // discarded with the round, so early exits never affect the committed
+  // state.
+  auto stage = [&](const TermId* values, const MatchPlan* body) -> bool {
     if (governed_) {
       if ((++poll_counter & 0x1FF) == 0) PollGovernor();
       if (Aborting()) return false;
     }
     ++out.matches;
-    if (options_.filter &&
-        !options_.filter(unit.rule_index, sigma, result.facts)) {
-      return true;
+    if (options_.filter) {
+      sigma.clear();
+      for (size_t i = 0; i < body_slots; ++i) {
+        sigma.emplace(rule.body_vars[i], values[i]);
+      }
+      for (size_t d = 0; d < rule.domain_vars.size(); ++d) {
+        sigma.emplace(rule.domain_vars[d], values[body_slots + d]);
+      }
+      if (!options_.filter(r, sigma, result.facts)) return true;
     }
     StagedApplications& staged = out.staged;
     const StagedApplications::App app = {
-        static_cast<uint32_t>(unit.rule_index),
+        static_cast<uint32_t>(r),
         static_cast<uint32_t>(staged.bindings.size()),
         static_cast<uint32_t>(staged.parents.size())};
-    // Project sigma onto the head-universal tuple once; everything the
-    // commit phase needs is derived from this flat tuple.
-    for (TermId v : layout.commit_vars) {
-      staged.bindings.push_back(Apply(sigma, v));
+    for (uint32_t source : layout.commit_sources) {
+      staged.bindings.push_back(values[source]);
     }
-    if (options_.variant == ChaseVariant::kRestricted) {
+    const TermId* bindings = staged.bindings.data() + app.bindings;
+    if (head_plan.has_value()) {
       // Fire only when the head is not already witnessed in the stage;
       // re-checked at commit time so applications earlier in the same
       // round can preempt later ones (the sequential-chase behaviour).
-      Substitution head_initial;
-      for (size_t i = 0; i < layout.commit_vars.size(); ++i) {
-        head_initial.emplace(layout.commit_vars[i],
-                             staged.bindings[app.bindings + i]);
+      for (size_t i = 0; i < head_slots.size(); ++i) {
+        head_plan->Bind(head_slots[i], bindings[i]);
       }
-      if (matcher.Exists(rule.head, engine_.head_existentials_[unit.rule_index],
-                         head_initial)) {
+      const bool witnessed = !head_plan->Run([] { return false; });
+      for (uint32_t slot : head_slots) head_plan->Unbind(slot);
+      if (witnessed) {
         staged.bindings.resize(app.bindings);
         return true;
       }
     }
     if (provenance_) {
-      for (const Atom& body_atom : rule.body) {
-        Atom instantiated = Apply(sigma, body_atom);
-        std::optional<uint32_t> idx = result.facts.IndexOf(instantiated);
-        if (!idx.has_value()) {
-          // A body match maps every body atom to a stage fact by
-          // construction; a miss would silently truncate
-          // Derivation::parents and corrupt ancestor reconstruction
-          // (Section 13), so it is a fatal engine bug.
-          FRONTIERS_FATAL("instantiated body atom of rule '" + rule.name +
-                          "' not found in the stage while recording "
-                          "provenance");
-        }
-        staged.parents.push_back(*idx);
+      // A body match maps every body atom to a stage fact: its parents are
+      // the facts the plan matched, in body order.
+      for (uint32_t j = 0; j < rule.body.size(); ++j) {
+        staged.parents.push_back(body->MatchedFact(j));
       }
     }
     if (governed_) {
@@ -1255,61 +1280,69 @@ void ChaseEngine::RoundLoop::RunUnit(
     return true;
   };
 
+  // Domain-variable assignments over the active domain, in odometer order
+  // (the first variable slowest), written after the body slots in `values`
+  // and staged one by one.  With `only_new`, only tuples touching a term
+  // the previous round introduced are fresh.  Returns false when staging
+  // stopped the enumeration.
+  const size_t k = rule.domain_vars.size();
+  std::vector<TermId> values(k == 0 ? 0 : body_slots + k);
+  std::vector<uint32_t> pick(k);
+  std::vector<uint8_t> is_new;
+  auto stage_domain_tuples = [&](const MatchPlan* body, bool only_new) {
+    const std::vector<TermId>& domain = result.facts.Domain();
+    if (k > 0 && domain.empty()) return true;
+    if (only_new && is_new.empty()) {
+      is_new.resize(domain.size());
+      for (size_t i = 0; i < domain.size(); ++i) {
+        is_new[i] = new_terms.count(domain[i]) > 0;
+      }
+    }
+    TermId* tuple = values.data() + body_slots;
+    std::fill(pick.begin(), pick.end(), 0);
+    while (true) {
+      bool fresh = !only_new;
+      for (size_t d = 0; d < k; ++d) {
+        tuple[d] = domain[pick[d]];
+        if (only_new) fresh |= is_new[pick[d]] != 0;
+      }
+      if (fresh && !stage(values.data(), body)) return false;
+      size_t d = k;
+      while (d > 0 && ++pick[d - 1] == domain.size()) pick[--d] = 0;
+      if (d == 0) return true;
+    }
+  };
+
   switch (unit.kind) {
-    case MatchUnit::kDomain: {
+    case MatchUnit::kDomain:
       // Pins-style rule: enumerate domain-variable assignments.  Under
       // delta evaluation only tuples touching a new term are fresh.
-      const std::vector<TermId>& full_domain = result.facts.Domain();
-      std::function<bool(Substitution&, size_t, bool)> enumerate =
-          [&](Substitution& sub, size_t i, bool used_new) -> bool {
-        if (i == rule.domain_vars.size()) {
-          if (!unit.use_delta || used_new) return stage_match(sub);
-          return true;
-        }
-        for (TermId t : full_domain) {
-          sub[rule.domain_vars[i]] = t;
-          const bool keep = enumerate(
-              sub, i + 1,
-              used_new || (unit.use_delta && new_terms.count(t) > 0));
-          if (!keep) {
-            sub.erase(rule.domain_vars[i]);
-            return false;
-          }
-        }
-        sub.erase(rule.domain_vars[i]);
-        return true;
-      };
-      Substitution sub;
-      enumerate(sub, 0, false);
+      stage_domain_tuples(nullptr, unit.use_delta);
       break;
-    }
     case MatchUnit::kNaive: {
-      ForEachBodyMatch(engine_.vocab_, rule, result.facts,
-                       [&](const Substitution& sigma) {
-                         return stage_match(sigma);
-                       });
+      MatchPlan plan(result.facts, rule.body, engine_.body_vars_[r]);
+      if (rule.domain_vars.empty()) {
+        plan.Run([&] { return stage(plan.slots(), &plan); });
+        break;
+      }
+      plan.Run([&] {
+        std::copy(plan.slots(), plan.slots() + body_slots, values.begin());
+        return stage_domain_tuples(&plan, false);
+      });
       break;
     }
     case MatchUnit::kDelta: {
-      const std::unordered_set<TermId> mappable(rule.body_vars.begin(),
-                                                rule.body_vars.end());
-      std::vector<Atom> rest;
-      rest.reserve(rule.body.size() - 1);
-      for (size_t k = 0; k < rule.body.size(); ++k) {
-        if (k != unit.seed_pos) rest.push_back(rule.body[k]);
-      }
+      // One plan for the unit; each delta fact seeds body atom `seed_pos`
+      // straight from its columns, and the search completes the match
+      // against the full current stage.
+      MatchPlan plan(result.facts, rule.body, engine_.body_vars_[r]);
+      const uint32_t seed = static_cast<uint32_t>(unit.seed_pos);
       for (size_t di = unit.delta_begin; di < unit.delta_end; ++di) {
         if (governed_ && Aborting()) break;
         // seed_list holds only atoms of the seed's predicate.
-        const Atom& fact = result.facts.atoms()[(*unit.seed_list)[di]];
-        Substitution seed;
-        if (!UnifyAtomWithFact(rule.body[unit.seed_pos], fact, mappable,
-                               seed)) {
-          continue;
-        }
-        matcher.ForEach(rest, mappable, seed, [&](const Substitution& sigma) {
-          return stage_match(sigma);
-        });
+        if (!plan.Seed(seed, (*unit.seed_list)[di])) continue;
+        plan.Run([&] { return stage(plan.slots(), &plan); });
+        plan.Unseed(seed);
       }
       break;
     }
@@ -1319,11 +1352,12 @@ void ChaseEngine::RoundLoop::RunUnit(
 std::variant<StagedApplications, ChaseStop> ChaseEngine::RoundLoop::MatchRound(
     const std::vector<MatchUnit>& units, ChaseRoundStats& record) {
   const ChaseResult& result = state_.result;
-  // Workers only read: the stage, the vocabulary, the delta, and the shared
-  // Matcher are all frozen until commit.  Each unit writes to its own
-  // buffer, so no synchronization beyond the unit counter is needed.
+  // Workers only read: the stage, the vocabulary and the delta are all
+  // frozen until commit.  Each unit compiles its own match plans against
+  // the frozen stage — plans cache posting lists and columns, so they are
+  // built here, never kept across a commit — and writes to its own buffer,
+  // so no synchronization beyond the unit counter is needed.
   domain_before_ = result.facts.Domain().size();
-  const Matcher matcher(engine_.vocab_, result.facts);
   const std::unordered_set<TermId> new_terms(state_.delta_terms.begin(),
                                              state_.delta_terms.end());
   abort_reason_.store(-1, std::memory_order_relaxed);
@@ -1337,12 +1371,12 @@ std::variant<StagedApplications, ChaseStop> ChaseEngine::RoundLoop::MatchRound(
     // worker exception after every thread quiesced.
     pool_->Run(units.size(), [&](size_t i) {
       if (governed_ && Aborting()) return;
-      RunUnit(units[i], matcher, new_terms, buffers[i]);
+      RunUnit(units[i], new_terms, buffers[i]);
     });
   } else {
     for (size_t i = 0; i < units.size(); ++i) {
       if (governed_ && Aborting()) break;
-      RunUnit(units[i], matcher, new_terms, buffers[i]);
+      RunUnit(units[i], new_terms, buffers[i]);
     }
   }
   if (governed_) {
@@ -1486,7 +1520,10 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitRestricted(
   // The restricted recheck needs every earlier application of this round
   // already inserted, so commits stay one application at a time.  One
   // matcher for every recheck: FactSet keeps its indexes incrementally up
-  // to date and the matcher reads them live.
+  // to date and the matcher reads them live.  Each recheck compiles its
+  // own search rather than reusing a head plan as the match phase does: a
+  // plan caches posting-list views and columns, and every insert between
+  // two rechecks would leave them stale.
   const Matcher commit_matcher(engine_.vocab_, result.facts);
   RowBlock app_rows;
   Substitution head_initial;
@@ -1505,7 +1542,7 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitRestricted(
       head_initial.emplace(layout.commit_vars[i], bindings[i]);
     }
     if (commit_matcher.Exists(engine_.theory_.rules[app.rule_index].head,
-                              engine_.head_existentials_[app.rule_index],
+                              engine_.head_vars_[app.rule_index],
                               head_initial)) {
       // An earlier application this round satisfied the head.
       ++record.preempted;

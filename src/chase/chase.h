@@ -236,7 +236,12 @@ struct ChaseOptions {
   /// Maximum number of complete rounds (the `i` of `Ch_i`).
   uint32_t max_rounds = 64;
   /// Safety budget on the total number of atoms.  Enforced per inserted
-  /// atom: the result never holds more than `max_atoms` atoms.
+  /// atom: the result never holds more than `max_atoms` atoms.  It does
+  /// not bound the memory one round stages: every application of a round
+  /// is matched and staged before the first of its atoms is inserted, so
+  /// a round whose matches multiply can stage far more than `max_atoms`
+  /// applications.  Use `max_bytes`, which also counts staged bytes
+  /// mid-round, to bound memory.
   size_t max_atoms = 2'000'000;
   /// Use semi-naive (delta-driven) evaluation.  Disabling re-enumerates all
   /// matches each round; exists as an ablation (see DESIGN.md).
@@ -446,6 +451,10 @@ class ChaseEngine {
     // is the frontier memo's projection, so one tuple serves dedup, the
     // restricted recheck, Skolem arguments, and head expansion.
     std::vector<TermId> commit_vars;
+    // Where a match's value of each commit var is read from: a body match
+    // plan's slot (< body_vars.size(); the plan numbers slots in
+    // `body_vars` order), or domain variable `source - body_vars.size()`.
+    std::vector<uint32_t> commit_sources;
     // Skolem argument positions within `commit_vars` (sh.fn_args order).
     std::vector<uint32_t> fn_arg_slots;
     std::vector<HeadAtomLayout> head;
@@ -479,9 +488,12 @@ class ChaseEngine {
   // Per-rule, per-head-atom: which argument positions hold existential
   // variables (freshly-invented terms after skolemization).
   std::vector<std::vector<std::vector<bool>>> existential_positions_;
-  // Per-rule: the existential head variables as a set, for the restricted
-  // variant's head-satisfaction checks (hoisted out of the per-match path).
-  std::vector<std::unordered_set<TermId>> head_existentials_;
+  // Per-rule mappable terms: the body variables, for body match plans, and
+  // every head variable, for the restricted variant's head checks (the
+  // head-universal ones are bound per application, so the search assigns
+  // only the existentials).
+  std::vector<std::unordered_set<TermId>> body_vars_;
+  std::vector<std::unordered_set<TermId>> head_vars_;
   // Rules that cannot be driven purely by atom deltas: nonempty body plus
   // domain variables.  They are re-enumerated naively every round.
   std::vector<bool> needs_naive_;

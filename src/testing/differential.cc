@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chase/chase.h"
 #include "chase/snapshot.h"
 #include "hom/query_ops.h"
 #include "rewriting/ucq.h"
+#include "testing/reference_chase.h"
 #include "tgd/classify.h"
 #include "tgd/parser.h"
 
@@ -332,6 +334,18 @@ std::vector<std::string> RunDifferentialChecks(const TortureCase& torture_case,
         }
       }
     }
+  }
+
+  // --- 6. Engine vs. the reference semi-oblivious chase -------------------
+  // Every stage the engine completed, up to the reference's atom cap (its
+  // brute-force search grows with the stage to the body size), must equal
+  // the brute-force chase of Definition 6 as a set of rendered atoms with
+  // depths.
+  constexpr size_t kReferenceAtoms = 1500;
+  for (std::string& divergence :
+       CompareWithReference(vocab, theory.value(), db.value(), reference,
+                            kReferenceAtoms)) {
+    divergences.push_back(std::move(divergence));
   }
 
   return divergences;

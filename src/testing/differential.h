@@ -46,7 +46,9 @@ struct TortureOptions {
 ///  4. restricted vs. semi-oblivious chase certain-answer agreement (when
 ///     both terminate);
 ///  5. UCQ rewriting vs. chase certain answers on single-head FUS
-///     (linear or sticky) theories whose rewriting converged.
+///     (linear or sticky) theories whose rewriting converged;
+///  6. the semi-oblivious chase vs. the brute-force reference chase of
+///     Definition 6, stage by stage.
 ///
 /// Returns one human-readable description per divergence; empty means the
 /// case passed.  Malformed case text counts as a divergence (the generator

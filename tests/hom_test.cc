@@ -40,39 +40,68 @@ class HomTest : public ::testing::Test {
 
 // --------------------------------------------------------------- Matcher --
 
-TEST_F(HomTest, UnifyAtomWithFactRollsBackPartialBindingsOnFailure) {
-  // Regression: a mid-atom mismatch used to leave the bindings made before
-  // the mismatch in `sub`, so reusing one substitution across a failing
-  // then a succeeding unification poisoned the second attempt.
-  PredicateId e = vocab_.AddPredicate("E", 2);
-  TermId x = vocab_.Variable("x");
-  TermId y = vocab_.Variable("y");
-  std::unordered_set<TermId> mappable = {x, y};
-  // Pattern E(x, x): unifying with E(A, B) binds x=A, then fails on B.
-  Atom pattern(e, {x, x});
-  Substitution sub;
-  EXPECT_FALSE(UnifyAtomWithFact(pattern, Atom(e, {C("A"), C("B")}), mappable,
-                                 sub));
-  EXPECT_TRUE(sub.empty()) << "failed unification must not leave bindings";
-  // The same substitution must now accept E(B, B) with x=B.
-  EXPECT_TRUE(UnifyAtomWithFact(pattern, Atom(e, {C("B"), C("B")}), mappable,
-                                sub));
-  ASSERT_EQ(sub.size(), 1u);
-  EXPECT_EQ(sub.at(x), C("B"));
+// The slot `x` of `plan` holds `value` (kNoTerm: unbound).
+void ExpectSlot(const MatchPlan& plan, TermId x, TermId value) {
+  const uint32_t slot = plan.SlotOf(x);
+  ASSERT_NE(slot, MatchPlan::kNoSlot);
+  EXPECT_EQ(plan.slots()[slot], value);
 }
 
-TEST_F(HomTest, UnifyAtomWithFactKeepsPreexistingBindingsOnFailure) {
-  PredicateId e = vocab_.AddPredicate("E", 2);
+TEST_F(HomTest, SeedRollsBackPartialBindingsOnFailure) {
+  // A mid-atom mismatch must not leave the bindings made before it: the
+  // chase reuses one plan across every delta fact of a unit.
+  FactSet facts = Facts("E(A,B), E(B,B)");
   TermId x = vocab_.Variable("x");
   TermId y = vocab_.Variable("y");
-  std::unordered_set<TermId> mappable = {x, y};
-  Substitution sub = {{x, C("A")}};
+  const PredicateId e = vocab_.FindPredicate("E").value();
+  MatchPlan plan(facts, {Atom(e, {x, x})}, {x, y});
+  // Pattern E(x, x): seeding with E(A, B) binds x=A, then fails on B.
+  EXPECT_FALSE(plan.Seed(0, 0));
+  ExpectSlot(plan, x, kNoTerm);
+  // The same plan must now accept E(B, B) with x=B.
+  ASSERT_TRUE(plan.Seed(0, 1));
+  ExpectSlot(plan, x, C("B"));
+  EXPECT_EQ(plan.MatchedFact(0), 1u);
+  plan.Unseed(0);
+  ExpectSlot(plan, x, kNoTerm);
+}
+
+TEST_F(HomTest, SeedKeepsEarlierBindingsOnFailure) {
+  FactSet facts = Facts("E(A,C), E(B,D)");
+  TermId x = vocab_.Variable("x");
+  TermId y = vocab_.Variable("y");
+  TermId z = vocab_.Variable("z");
+  const PredicateId e = vocab_.FindPredicate("E").value();
+  MatchPlan plan(facts, {Atom(e, {x, z}), Atom(e, {y, x})}, {x, y, z});
+  ASSERT_TRUE(plan.Seed(0, 0));  // x=A, z=C
   // E(y, x) against E(B, D): binds y=B, then x=A != D fails; the rollback
-  // must remove y's binding but keep the caller's x binding.
-  EXPECT_FALSE(UnifyAtomWithFact(Atom(e, {y, x}), Atom(e, {C("B"), C("D")}),
-                                 mappable, sub));
-  ASSERT_EQ(sub.size(), 1u);
-  EXPECT_EQ(sub.at(x), C("A"));
+  // must unbind y but keep the first seed's x and z.
+  EXPECT_FALSE(plan.Seed(1, 1));
+  ExpectSlot(plan, x, C("A"));
+  ExpectSlot(plan, y, kNoTerm);
+  ExpectSlot(plan, z, C("C"));
+  plan.Unseed(0);
+  // A slot bound by Bind is kept the same way.
+  plan.Bind(plan.SlotOf(x), C("A"));
+  EXPECT_FALSE(plan.Seed(1, 1));
+  ExpectSlot(plan, x, C("A"));
+  ExpectSlot(plan, y, kNoTerm);
+}
+
+TEST_F(HomTest, SeedChecksRepeatedVariablesAndRigidTerms) {
+  FactSet facts = Facts("E(A,B), E(D,D), E(B,A)");
+  TermId x = vocab_.Variable("x");
+  const PredicateId e = vocab_.FindPredicate("E").value();
+  MatchPlan loop(facts, {Atom(e, {x, x})}, {x});
+  EXPECT_FALSE(loop.Seed(0, 0));
+  ASSERT_TRUE(loop.Seed(0, 1));
+  ExpectSlot(loop, x, C("D"));
+  // E(A, x): the rigid first position must match itself.
+  MatchPlan rigid(facts, {Atom(e, {C("A"), x})}, {x});
+  EXPECT_FALSE(rigid.Seed(0, 2));
+  ExpectSlot(rigid, x, kNoTerm);
+  ASSERT_TRUE(rigid.Seed(0, 0));
+  ExpectSlot(rigid, x, C("B"));
 }
 
 TEST_F(HomTest, BooleanQueryOverPath) {
@@ -108,20 +137,6 @@ TEST_F(HomTest, WrongArityAnswerIsRejected) {
   FactSet facts = Facts("E(A,B)");
   ConjunctiveQuery q = Query("q(x) :- E(x,y)");
   EXPECT_FALSE(Holds(vocab_, q, facts, {C("A"), C("B")}));
-}
-
-TEST_F(HomTest, UnifyAtomWithFactBindsAndChecks) {
-  FactSet facts = Facts("E(A,B)");
-  ConjunctiveQuery q = Query("E(x,x)");
-  Substitution sub;
-  std::unordered_set<TermId> mappable = {vocab_.Variable("x")};
-  EXPECT_FALSE(
-      UnifyAtomWithFact(q.atoms[0], facts.atoms()[0], mappable, sub));
-  FactSet loop = Facts("E(D,D)");
-  Substitution sub2;
-  EXPECT_TRUE(
-      UnifyAtomWithFact(q.atoms[0], loop.atoms()[0], mappable, sub2));
-  EXPECT_EQ(Apply(sub2, vocab_.Variable("x")), C("D"));
 }
 
 TEST_F(HomTest, EnumerationVisitsAllMatches) {
@@ -164,6 +179,52 @@ TEST_F(HomTest, ProjectionTriesFewerCandidatesThanHomomorphisms) {
   EXPECT_LT(candidates, homomorphisms);
   EXPECT_EQ(candidates, 6u);
   EXPECT_EQ(matches, 1u + answers.size());
+}
+
+// One plan run N times publishes exactly the work of N one-shot ForEach
+// calls: each run is one enumeration, with its own candidate and match
+// counts.
+TEST_F(HomTest, ReusedPlanCountsLikeRepeatedForEach) {
+  FactSet facts = Facts(
+      "E(A,B), E(A,D), E(B,D), E(D,A), E(D,B), "
+      "F(A,A), F(A,B), F(B,D), F(D,D)");
+  ConjunctiveQuery q = Query("q(x) :- E(x,y), F(y,z)");
+  std::unordered_set<TermId> vars;
+  for (TermId v : QueryVariables(vocab_, q)) vars.insert(v);
+  auto counters = [] {
+    obs::MetricsSnapshot snapshot = obs::DefaultRegistry().Snapshot();
+    std::vector<uint64_t> out;
+    for (const char* name :
+         {"frontiers.hom.enumerations", "frontiers.hom.candidates",
+          "frontiers.hom.matches"}) {
+      auto it = snapshot.counters.find(name);
+      out.push_back(it == snapshot.counters.end() ? 0 : it->second);
+    }
+    return out;
+  };
+  auto delta = [](const std::vector<uint64_t>& after,
+                  const std::vector<uint64_t>& before) {
+    std::vector<uint64_t> out;
+    for (size_t i = 0; i < after.size(); ++i) {
+      out.push_back(after[i] - before[i]);
+    }
+    return out;
+  };
+  constexpr int kRuns = 5;
+  const Matcher matcher(vocab_, facts);
+  const std::vector<uint64_t> before_calls = counters();
+  for (int i = 0; i < kRuns; ++i) {
+    matcher.ForEach(q.atoms, vars, {},
+                    [](const Substitution&) { return true; });
+  }
+  const std::vector<uint64_t> calls = delta(counters(), before_calls);
+  MatchPlan plan(facts, q.atoms, vars);
+  const std::vector<uint64_t> before_runs = counters();
+  for (int i = 0; i < kRuns; ++i) plan.Run([] { return true; });
+  const std::vector<uint64_t> runs = delta(counters(), before_runs);
+  EXPECT_EQ(runs, calls);
+  EXPECT_EQ(runs[0], static_cast<uint64_t>(kRuns));
+  EXPECT_GT(runs[2], 0u);
 }
 
 // ----------------------------------------------------- Enumeration order --
@@ -306,10 +367,55 @@ std::unordered_set<TermId> PatternVariables(const Vocabulary& vocab,
   return vars;
 }
 
+// Extends `sub` so that `pattern` becomes exactly `fact`, or returns false
+// and leaves `sub` as it was: the delta-unit seed, computed the slow way.
+bool Unify(const Atom& pattern, const Atom& fact,
+           const std::unordered_set<TermId>& mappable, Substitution& sub) {
+  if (pattern.predicate != fact.predicate ||
+      pattern.args.size() != fact.args.size()) {
+    return false;
+  }
+  Substitution extended = sub;
+  for (size_t i = 0; i < pattern.args.size(); ++i) {
+    const TermId p = pattern.args[i];
+    auto bound = extended.find(p);
+    if (bound != extended.end()) {
+      if (bound->second != fact.args[i]) return false;
+    } else if (mappable.count(p) > 0) {
+      extended.emplace(p, fact.args[i]);
+    } else if (p != fact.args[i]) {
+      return false;
+    }
+  }
+  sub = std::move(extended);
+  return true;
+}
+
+// Runs `plan` under its current seeds, emitting each match as the
+// substitution of every slot, and stopping after `limit`.  Every emitted
+// match must map each pattern atom to the fact the plan reports for it.
+Emitted RunPlan(MatchPlan& plan, const FactSet& target,
+                const std::vector<Atom>& pattern, size_t limit) {
+  Emitted out;
+  out.complete = plan.Run([&] {
+    Substitution sub;
+    for (uint32_t s = 0; s < plan.slot_count(); ++s) {
+      sub.emplace(plan.SlotVar(s), plan.slots()[s]);
+    }
+    for (uint32_t j = 0; j < pattern.size(); ++j) {
+      EXPECT_EQ(target.atoms()[plan.MatchedFact(j)], Apply(sub, pattern[j]));
+    }
+    out.subs.push_back(std::move(sub));
+    return out.subs.size() < limit;
+  });
+  return out;
+}
+
 TEST(MatcherOrderTest, ForEachEmitsTheReferenceSequence) {
   size_t enumerations = 0;
   size_t emitted = 0;
   size_t seeded = 0;
+  size_t plan_runs = 0;
   size_t stopped = 0;
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     Vocabulary vocab;
@@ -371,23 +477,40 @@ TEST(MatcherOrderTest, ForEachEmitsTheReferenceSequence) {
         expect_same(pattern, mappable, {}, limit);
       }
       // The chase's delta-unit shape: one atom unified with a fact seeds
-      // `initial`, and the rest of the pattern is enumerated from there.
+      // `initial`, and the rest of the pattern is enumerated from there —
+      // by ForEach, and by one plan per seed position that is reused
+      // across every fact, seeded straight from the fact's row.
       for (size_t p = 0; p < pattern.size(); ++p) {
         std::vector<Atom> rest;
         for (size_t k = 0; k < pattern.size(); ++k) {
           if (k != p) rest.push_back(pattern[k]);
         }
+        MatchPlan plan(facts, pattern, mappable);
+        const uint32_t seed_atom = static_cast<uint32_t>(p);
         const std::vector<uint32_t>& facts_of_p =
             facts.ByPredicate(pattern[p].predicate);
         for (size_t f = 0; f < facts_of_p.size(); f += 3) {
           Substitution initial;
-          if (!UnifyAtomWithFact(pattern[p], facts.atoms()[facts_of_p[f]],
-                                 mappable, initial)) {
-            continue;
-          }
+          const bool fits = Unify(pattern[p], facts.atoms()[facts_of_p[f]],
+                                  mappable, initial);
+          ASSERT_EQ(plan.Seed(seed_atom, facts_of_p[f]), fits)
+              << "seed " << seed;
+          if (!fits) continue;
           ++seeded;
           expect_same(rest, mappable, initial, SIZE_MAX);
           expect_same(rest, mappable, initial, 2);
+          for (size_t limit : {SIZE_MAX, size_t{2}}) {
+            const Emitted want =
+                Enumerate(facts, rest, mappable, initial, limit, true, vocab);
+            const Emitted got = RunPlan(plan, facts, pattern, limit);
+            ++plan_runs;
+            ASSERT_EQ(got.complete, want.complete) << "seed " << seed;
+            ASSERT_EQ(got.subs, want.subs) << "seed " << seed;
+          }
+          plan.Unseed(seed_atom);
+          for (uint32_t s = 0; s < plan.slot_count(); ++s) {
+            ASSERT_EQ(plan.slots()[s], kNoTerm) << "seed " << seed;
+          }
         }
       }
     }
@@ -396,6 +519,7 @@ TEST(MatcherOrderTest, ForEachEmitsTheReferenceSequence) {
   EXPECT_GT(enumerations, 1000u);
   EXPECT_GT(emitted, 10000u);
   EXPECT_GT(seeded, 300u);
+  EXPECT_EQ(plan_runs, 2 * seeded);
   EXPECT_GT(stopped, 100u);
 }
 

@@ -695,8 +695,10 @@ TEST(AllocationRegression, DatalogCycleStagesWithoutPerApplicationHeap) {
   EXPECT_EQ(run.result.stats.TotalStaged(), 283'500u);
   EXPECT_EQ(run.result.stats.TotalDeduped(), 279'900u);
   // Three heap objects per staged application (binding vector, memo key
-  // string, memo node) would put this well above 2.
-  EXPECT_LE(run.ratio, 0.5) << "allocations per staged application";
+  // string, memo node) would put this well above 2, and a seed
+  // substitution per delta fact above 0.2.  Measured: 0.042 with one
+  // seeded match plan per unit.
+  EXPECT_LE(run.ratio, 0.1) << "allocations per staged application";
 }
 
 TEST(AllocationRegression, Example39StarStagesWithLittlePerApplicationHeap) {
@@ -708,7 +710,9 @@ TEST(AllocationRegression, Example39StarStagesWithLittlePerApplicationHeap) {
   options.max_rounds = 4;
   const AllocationsPerStaged run = MeasureRun(vocab, theory, db, options);
   ASSERT_GT(run.result.stats.TotalStaged(), 0u);
-  EXPECT_LE(run.ratio, 6.0) << "allocations per staged application";
+  // Measured: 4.16 with match plans (5.56 with a seed substitution and a
+  // compiled search per delta fact).
+  EXPECT_LE(run.ratio, 5.0) << "allocations per staged application";
 }
 
 }  // namespace

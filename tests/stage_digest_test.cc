@@ -1,0 +1,312 @@
+// Golden stage digests: one 64-bit hash per (workload family, chase mode)
+// over everything a chase run commits, in index order — every atom with its
+// TermIds and depth, its derivations, every vocabulary term (names and
+// Skolem structure), the per-round counters and the stop.  The parity and
+// shard suites compare the engine with itself, and the end-to-end digests
+// hash sorted answers, so neither notices a change in atom order, TermId
+// assignment or staging counts that every path shares.  These constants do.
+//
+// A mismatch means the chase's observable output moved.  That is only
+// acceptable for a change that means to move it; such a change re-pins the
+// constants and says why.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <vector>
+
+#include "base/fact_set.h"
+#include "base/vocabulary.h"
+#include "catalog/instances.h"
+#include "catalog/theories.h"
+#include "chase/chase.h"
+#include "testing/generator.h"
+#include "tgd/parser.h"
+
+namespace frontiers {
+namespace {
+
+// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void Add(uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (word >> (8 * i)) & 0xFF;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  void Add(const std::string& text) {
+    Add(text.size());
+    for (unsigned char c : text) {
+      hash_ ^= c;
+      hash_ *= 0x100000001b3ull;
+    }
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+void AddDerivation(Digest& d, const Derivation& derivation) {
+  d.Add(derivation.rule_index);
+  d.Add(derivation.parents.size());
+  for (uint32_t p : derivation.parents) d.Add(p);
+}
+
+void AddRun(Digest& d, const Vocabulary& vocab, const ChaseResult& result) {
+  d.Add(static_cast<uint64_t>(result.stop));
+  d.Add(result.complete_rounds);
+  const std::vector<Atom>& atoms = result.facts.atoms();
+  d.Add(atoms.size());
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    d.Add(atoms[i].predicate);
+    d.Add(atoms[i].args.size());
+    for (TermId t : atoms[i].args) d.Add(t);
+    d.Add(result.depth[i]);
+    if (i < result.first_derivation.size()) {
+      const std::optional<Derivation>& first = result.first_derivation[i];
+      d.Add(first.has_value() ? 1 : 0);
+      if (first.has_value()) AddDerivation(d, *first);
+    }
+    if (i < result.all_derivations.size()) {
+      d.Add(result.all_derivations[i].size());
+      for (const Derivation& each : result.all_derivations[i]) {
+        AddDerivation(d, each);
+      }
+    }
+  }
+  d.Add(vocab.NumTerms());
+  for (TermId t = 0; t < vocab.NumTerms(); ++t) {
+    d.Add(static_cast<uint64_t>(vocab.Kind(t)));
+    if (!vocab.IsSkolem(t)) {
+      d.Add(vocab.TermName(t));
+      continue;
+    }
+    d.Add(vocab.SkolemFnSignature(vocab.SkolemFn(t)));
+    for (TermId arg : vocab.SkolemArgs(t)) d.Add(arg);
+  }
+  d.Add(result.stats.rounds.size());
+  for (const ChaseRoundStats& round : result.stats.rounds) {
+    d.Add(round.matches);
+    d.Add(round.staged);
+    d.Add(round.deduped);
+    d.Add(round.preempted);
+    d.Add(round.atoms_inserted);
+  }
+}
+
+struct Mode {
+  const char* name;
+  ChaseOptions options;
+};
+
+// Every run carries a byte budget, stepped by run so that some runs of
+// every family stop on it and some reach their fixpoint or round budget.
+size_t ByteBudget(uint64_t run) { return (8 + 3 * (run % 8)) * 1024; }
+
+std::vector<Mode> Modes(uint32_t max_rounds) {
+  ChaseOptions base;
+  base.max_rounds = max_rounds;
+  base.max_atoms = 20'000;
+  std::vector<Mode> modes;
+  modes.push_back({"semi-oblivious", base});
+  ChaseOptions naive = base;
+  naive.semi_naive = false;
+  modes.push_back({"naive", naive});
+  ChaseOptions provenance = base;
+  provenance.track_provenance = true;
+  modes.push_back({"provenance", provenance});
+  ChaseOptions all = base;
+  all.record_all_derivations = true;
+  modes.push_back({"all-derivations", all});
+  ChaseOptions restricted = provenance;
+  restricted.variant = ChaseVariant::kRestricted;
+  modes.push_back({"restricted", restricted});
+  ChaseOptions threaded = provenance;
+  threaded.threads = 4;
+  modes.push_back({"threads=4", threaded});
+  return modes;
+}
+
+// One family's digest per mode, and how many of its runs hit the byte
+// budget.
+struct FamilyDigests {
+  std::vector<uint64_t> digests;
+  size_t runs = 0;
+  size_t byte_budget_stops = 0;
+};
+
+// A catalog workload: theory, instance and round budget, built into a
+// fresh vocabulary.
+struct CatalogCase {
+  const char* name;
+  Theory (*theory)(Vocabulary&);
+  FactSet (*instance)(Vocabulary&);
+  uint32_t max_rounds;
+};
+
+FactSet GPath4(Vocabulary& vocab) { return EdgePath(vocab, "G", 4, "a"); }
+FactSet I1Path4(Vocabulary& vocab) {
+  return EdgePath(vocab, TdKPredicateName(1), 4, "a");
+}
+Theory TdK3(Vocabulary& vocab) { return TdKTheory(vocab, 3); }
+FactSet Star3(Vocabulary& vocab) { return Star39Instance(vocab, 3); }
+FactSet ECycle4(Vocabulary& vocab) { return EdgeCycle(vocab, "E", 4, "a"); }
+
+// Example 41's rule over a chain of E3 triangles sharing one colour, with
+// the colour painted on the chain's first element.
+FactSet Ex41Chain(Vocabulary& vocab) {
+  const PredicateId e3 = vocab.AddPredicate("E3", 3);
+  const PredicateId r = vocab.AddPredicate("R", 2);
+  FactSet db;
+  const TermId colour = vocab.Constant("c");
+  for (uint32_t i = 0; i < 6; ++i) {
+    db.Insert(Atom(e3, {PathConstant(vocab, "a", i),
+                        PathConstant(vocab, "a", i + 1), colour}));
+  }
+  db.Insert(Atom(r, {PathConstant(vocab, "a", 0), colour}));
+  return db;
+}
+
+// A join, an existential over the join's output, and a rule with both a
+// body and a domain variable (re-enumerated naively every round).
+Theory JoinWithDomainVar(Vocabulary& vocab) {
+  Result<Theory> theory = ParseTheory(vocab,
+                                      "E(x,y), E(y,z) -> E(x,z)\n"
+                                      "E(x,y) -> exists z . F(y,z)\n"
+                                      "F(x,y) -> G(x,w)\n",
+                                      "join-domain");
+  EXPECT_TRUE(theory.ok()) << theory.status().message();
+  return theory.ok() ? theory.value() : Theory();
+}
+FactSet EPath4(Vocabulary& vocab) { return EdgePath(vocab, "E", 4, "a"); }
+
+std::vector<CatalogCase> Catalog() {
+  return {
+      {"T_d", TdTheory, GPath4, 3},
+      {"T_d^3", TdK3, I1Path4, 3},
+      {"Ex39", StickyExample39Theory, Star3, 3},
+      {"Ex41", Example41Theory, Ex41Chain, 6},
+      {"Ex42", TcTheory, ECycle4, 3},
+      {"join-domain", JoinWithDomainVar, EPath4, 4},
+  };
+}
+
+constexpr uint64_t kGeneratedSeeds = 400;
+constexpr uint32_t kGeneratedRounds = 8;
+
+// Generated workloads of `theory_class`: the seeds below kGeneratedSeeds
+// whose class it is (GenerateWorkload cycles the four classes by seed).
+FamilyDigests GeneratedFamily(testing::TheoryClass theory_class) {
+  const std::vector<Mode> modes = Modes(kGeneratedRounds);
+  FamilyDigests out;
+  for (const Mode& mode : modes) {
+    Digest d;
+    for (uint64_t seed = 0; seed < kGeneratedSeeds; ++seed) {
+      Vocabulary vocab;
+      const testing::GeneratedWorkload w =
+          testing::GenerateWorkload(vocab, seed);
+      if (w.theory_class != theory_class) continue;
+      ChaseOptions options = mode.options;
+      options.max_bytes = ByteBudget(seed);
+      const ChaseEngine engine(vocab, w.theory);
+      const ChaseResult result = engine.Run(w.instance, options);
+      ++out.runs;
+      if (result.stop == ChaseStop::kByteBudget) ++out.byte_budget_stops;
+      AddRun(d, vocab, result);
+    }
+    out.digests.push_back(d.value());
+  }
+  return out;
+}
+
+FamilyDigests CatalogFamily() {
+  FamilyDigests out;
+  for (const Mode& mode : Modes(0)) {
+    Digest d;
+    const std::vector<CatalogCase> catalog = Catalog();
+    for (size_t i = 0; i < catalog.size(); ++i) {
+      const CatalogCase& c = catalog[i];
+      Vocabulary vocab;
+      const Theory theory = c.theory(vocab);
+      const FactSet db = c.instance(vocab);
+      ChaseOptions options = mode.options;
+      options.max_rounds = c.max_rounds;
+      options.max_bytes = ByteBudget(i);
+      const ChaseEngine engine(vocab, theory);
+      const ChaseResult result = engine.Run(db, options);
+      ++out.runs;
+      if (result.stop == ChaseStop::kByteBudget) ++out.byte_budget_stops;
+      AddRun(d, vocab, result);
+    }
+    out.digests.push_back(d.value());
+  }
+  return out;
+}
+
+std::string Hex(uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// Pinned digests, one per mode in Modes() order: semi-oblivious, naive,
+// provenance, all-derivations, restricted, threads=4.
+void ExpectPinned(const char* family, const FamilyDigests& actual,
+                  const std::vector<uint64_t>& pinned) {
+  const std::vector<Mode> modes = Modes(0);
+  ASSERT_EQ(actual.digests.size(), pinned.size()) << family;
+  for (size_t m = 0; m < pinned.size(); ++m) {
+    EXPECT_EQ(Hex(actual.digests[m]), Hex(pinned[m]))
+        << family << " under " << modes[m].name;
+  }
+  // threads=4 runs the provenance mode's options on four workers: the
+  // parallel pipeline's output is byte-identical by contract.
+  EXPECT_EQ(actual.digests[5], actual.digests[2]) << family;
+  EXPECT_GT(actual.byte_budget_stops, 0u)
+      << family << ": no run stopped on the byte budget";
+  EXPECT_LT(actual.byte_budget_stops, actual.runs)
+      << family << ": every run stopped on the byte budget";
+}
+
+TEST(StageDigest, GeneratedLinear) {
+  ExpectPinned("linear", GeneratedFamily(testing::TheoryClass::kLinear),
+               {0xde0a68c5110f6215ull, 0x79358f844d82ce00ull,
+                0x9f531be0e4caa71full, 0x7f0055b62efc608eull,
+                0x321c46cfc0e3ebbbull, 0x9f531be0e4caa71full});
+}
+
+TEST(StageDigest, GeneratedGuarded) {
+  ExpectPinned("guarded", GeneratedFamily(testing::TheoryClass::kGuarded),
+               {0x9343d3dd0e5ac698ull, 0x3873a135e2929e17ull,
+                0x138b9db4ab7797a2ull, 0x792888d44f6eb2cdull,
+                0x6cdb69a17933ac81ull, 0x138b9db4ab7797a2ull});
+}
+
+TEST(StageDigest, GeneratedSticky) {
+  ExpectPinned("sticky", GeneratedFamily(testing::TheoryClass::kSticky),
+               {0x793e60e0abd3e11bull, 0x011e3d53d669af92ull,
+                0xcd80fcfed522cc3dull, 0x68d342256429f9adull,
+                0x23f6898817f8dad6ull, 0xcd80fcfed522cc3dull});
+}
+
+TEST(StageDigest, GeneratedDatalog) {
+  ExpectPinned("datalog", GeneratedFamily(testing::TheoryClass::kDatalog),
+               {0x7f96180625696f31ull, 0xe80e24b9d3b67783ull,
+                0x361a2de7fef63673ull, 0x8a711d2fe259979full,
+                0x456171f5e81274c2ull, 0x361a2de7fef63673ull});
+}
+
+TEST(StageDigest, CatalogTheories) {
+  ExpectPinned("catalog", CatalogFamily(),
+               {0x255bf8f9b6720ddeull, 0x54947ac15a3c8f1bull,
+                0x8c2deeb187db06bdull, 0xf668de2684027c85ull,
+                0x09080bcd0737bb2full, 0x8c2deeb187db06bdull});
+}
+
+}  // namespace
+}  // namespace frontiers
