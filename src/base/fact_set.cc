@@ -112,15 +112,26 @@ void FactSet::IndexNewAtom(uint32_t index, PredicateIndex& pidx) {
   }
 }
 
+FactSet::PredicateIndex& FactSet::IndexFor(PredicateId predicate,
+                                           uint32_t arity, bool* fresh) {
+  // Look up before constructing: a PredicateIndex allocates its columns and
+  // positions, so building one per call only to discard it on a hit would
+  // cost heap traffic per row.
+  auto it = predicates_.find(predicate);
+  const bool missing = it == predicates_.end();
+  if (missing) it = predicates_.emplace(predicate, PredicateIndex(arity)).first;
+  if (fresh != nullptr) *fresh = missing;
+  FRONTIERS_CHECK(it->second.segment.arity() == arity,
+                  "FactSet: predicate used at two different arities");
+  return it->second;
+}
+
 FactSet::InsertOutcome FactSet::InsertRow(PredicateId predicate,
                                           const TermId* terms,
                                           uint32_t arity) {
-  auto [pred_it, fresh_predicate] =
-      predicates_.try_emplace(predicate, PredicateIndex(arity));
-  PredicateIndex& pidx = pred_it->second;
+  bool fresh_predicate;
+  PredicateIndex& pidx = IndexFor(predicate, arity, &fresh_predicate);
   ColumnarSegment& seg = pidx.segment;
-  FRONTIERS_CHECK(seg.arity() == arity,
-                  "FactSet: predicate used at two different arities");
   uint64_t hash = HashRow(predicate, terms, arity);
   Shard& shard = shards_[DedupShardOf(predicate, terms, arity)];
   if (!fresh_predicate) {
@@ -287,10 +298,7 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
   for (size_t row = 0; row < rows; ++row) {
     const PredicateId p = block.predicates[row];
     const uint32_t arity = block.Arity(row);
-    auto it = predicates_.try_emplace(p, PredicateIndex(arity)).first;
-    FRONTIERS_CHECK(it->second.segment.arity() == arity,
-                    "FactSet: predicate used at two different arities");
-    pidx_of[row] = &it->second;
+    pidx_of[row] = &IndexFor(p, arity);
     shard_rows[shard_of[row]].push_back(static_cast<uint32_t>(row));
   }
   std::vector<uint32_t>& active_shards = s.active_shards;

@@ -354,6 +354,12 @@ class FactSet {
            seg.RowEquals(local_row_[id], terms);
   }
 
+  /// The access paths of `predicate`, created for `arity` on first use
+  /// (`*fresh`, if given, says whether they were); aborts on an arity
+  /// clash.
+  PredicateIndex& IndexFor(PredicateId predicate, uint32_t arity,
+                           bool* fresh = nullptr);
+
   /// Shared tail of `Insert`/`InsertRow`/`InsertBatch`: index maintenance
   /// for the freshly appended atom at `index`.
   void IndexNewAtom(uint32_t index, PredicateIndex& pidx);

@@ -23,15 +23,18 @@ std::string SkolemBlockKey(const std::vector<SkolemFnId>& fns) {
 }  // namespace
 
 PredicateId Vocabulary::AddPredicate(std::string_view name, uint32_t arity) {
-  auto it = predicate_index_.find(std::string(name));
-  if (it != predicate_index_.end()) {
-    FRONTIERS_CHECK(predicates_[it->second].arity == arity,
-                    "predicate '" + std::string(name) +
-                        "' redeclared with arity " + std::to_string(arity) +
-                        " (was " +
-                        std::to_string(predicates_[it->second].arity) + ")");
-    return it->second;
-  }
+  const PredicateId id = FindOrAddPredicate(name, arity);
+  FRONTIERS_CHECK(predicates_[id].arity == arity,
+                  "predicate '" + std::string(name) +
+                      "' redeclared with arity " + std::to_string(arity) +
+                      " (was " + std::to_string(predicates_[id].arity) + ")");
+  return id;
+}
+
+PredicateId Vocabulary::FindOrAddPredicate(std::string_view name,
+                                           uint32_t arity) {
+  auto it = predicate_index_.find(name);
+  if (it != predicate_index_.end()) return it->second;
   PredicateId id = static_cast<PredicateId>(predicates_.size());
   predicates_.push_back({std::string(name), arity});
   predicate_index_.emplace(std::string(name), id);
@@ -40,7 +43,7 @@ PredicateId Vocabulary::AddPredicate(std::string_view name, uint32_t arity) {
 
 std::optional<PredicateId> Vocabulary::FindPredicate(
     std::string_view name) const {
-  auto it = predicate_index_.find(std::string(name));
+  auto it = predicate_index_.find(name);
   if (it == predicate_index_.end()) return std::nullopt;
   return it->second;
 }
@@ -54,7 +57,7 @@ uint32_t Vocabulary::PredicateArity(PredicateId p) const {
 }
 
 TermId Vocabulary::Constant(std::string_view name) {
-  auto it = constant_index_.find(std::string(name));
+  auto it = constant_index_.find(name);
   if (it != constant_index_.end()) return it->second;
   TermId id = static_cast<TermId>(terms_.size());
   TermData data;
@@ -67,7 +70,7 @@ TermId Vocabulary::Constant(std::string_view name) {
 }
 
 TermId Vocabulary::Variable(std::string_view name) {
-  auto it = variable_index_.find(std::string(name));
+  auto it = variable_index_.find(name);
   if (it != variable_index_.end()) return it->second;
   TermId id = static_cast<TermId>(terms_.size());
   TermData data;
@@ -77,6 +80,24 @@ TermId Vocabulary::Variable(std::string_view name) {
   terms_.push_back(std::move(data));
   variable_index_.emplace(std::string(name), id);
   return id;
+}
+
+void Vocabulary::RollBackNames(NameMark mark) {
+  while (terms_.size() > mark.terms) {
+    const TermData& data = terms_.back();
+    FRONTIERS_CHECK(data.kind != TermKind::kSkolem,
+                    "RollBackNames: a Skolem term was interned after the mark");
+    NameIndex<TermId>& index = data.kind == TermKind::kConstant
+                                   ? constant_index_
+                                   : variable_index_;
+    index.erase(names_[data.index]);
+    names_.pop_back();
+    terms_.pop_back();
+  }
+  while (predicates_.size() > mark.predicates) {
+    predicate_index_.erase(predicates_.back().name);
+    predicates_.pop_back();
+  }
 }
 
 TermId Vocabulary::FreshVariable(std::string_view prefix) {
@@ -195,7 +216,7 @@ const TermId* Vocabulary::FindSkolemRow(
 
 SkolemFnId Vocabulary::SkolemFunction(std::string_view signature,
                                       uint32_t arity) {
-  auto it = skolem_fn_index_.find(std::string(signature));
+  auto it = skolem_fn_index_.find(signature);
   if (it != skolem_fn_index_.end()) {
     FRONTIERS_CHECK(skolem_fns_[it->second].arity == arity,
                     "Skolem function '" + std::string(signature) +

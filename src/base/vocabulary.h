@@ -82,6 +82,11 @@ class Vocabulary {
   /// match; a mismatch aborts (it is a programming error, not input error).
   PredicateId AddPredicate(std::string_view name, uint32_t arity);
 
+  /// Interns `name` with `arity` if it is new, with one lookup.  A known
+  /// name keeps its declared arity; callers that read arities from input
+  /// compare `PredicateArity` against theirs to report a clash.
+  PredicateId FindOrAddPredicate(std::string_view name, uint32_t arity);
+
   /// Looks up a relation symbol by name.
   std::optional<PredicateId> FindPredicate(std::string_view name) const;
 
@@ -197,6 +202,20 @@ class Vocabulary {
   /// at which the term is born and is used by depth-bounded experiments.
   uint32_t TermDepth(TermId t) const { return terms_[t].depth; }
 
+  /// A point in the interning history of constants, variables and
+  /// predicates, for `RollBackNames`.
+  struct NameMark {
+    uint32_t terms;
+    uint32_t predicates;
+  };
+  NameMark MarkNames() const { return {NumTerms(), NumPredicates()}; }
+
+  /// Forgets every constant, variable and predicate interned since `mark`,
+  /// as if they had never been interned.  The parser uses it to leave the
+  /// vocabulary as it was when a text fails to lex.  Nothing else (no
+  /// Skolem term) may have been interned since `mark`.
+  void RollBackNames(NameMark mark);
+
   /// Human-readable rendering of a term (Skolem terms print as `f12(...)`).
   std::string TermToString(TermId t) const;
 
@@ -255,18 +274,31 @@ class Vocabulary {
     return true;
   }
 
+  /// Hashes `std::string` keys and `std::string_view` probes alike, so a
+  /// lookup by view builds no string.  Not noexcept: libstdc++ then caches
+  /// each node's hash code, as it does for `std::hash<std::string>`.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  template <typename Id>
+  using NameIndex =
+      std::unordered_map<std::string, Id, NameHash, std::equal_to<>>;
+
   std::vector<PredicateData> predicates_;
-  std::unordered_map<std::string, PredicateId> predicate_index_;
+  NameIndex<PredicateId> predicate_index_;
 
   std::vector<TermData> terms_;
   std::vector<std::string> names_;
   // Arguments of every Skolem term, back to back in interning order.
   std::vector<TermId> skolem_args_;
-  std::unordered_map<std::string, TermId> constant_index_;
-  std::unordered_map<std::string, TermId> variable_index_;
+  NameIndex<TermId> constant_index_;
+  NameIndex<TermId> variable_index_;
 
   std::vector<SkolemFnData> skolem_fns_;
-  std::unordered_map<std::string, SkolemFnId> skolem_fn_index_;
+  NameIndex<SkolemFnId> skolem_fn_index_;
   // Hash-consing table for Skolem terms: an id-keyed open-addressing set
   // probing (fn, args) directly against `terms_` — no key copies.
   IdHashSet skolem_term_index_;

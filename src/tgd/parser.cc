@@ -1,10 +1,10 @@
 #include "tgd/parser.h"
 
-#include <cctype>
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <vector>
+
+#include "base/columnar.h"
 
 namespace frontiers {
 
@@ -42,95 +42,76 @@ enum class TokenKind {
   kEnd,
 };
 
+/// A token is a view into the source text; no token owns a string.
 struct Token {
-  TokenKind kind;
-  std::string text;
-  size_t position;
+  TokenKind kind = TokenKind::kEnd;
+  std::string_view text;
+  size_t position = 0;
 };
 
+// Character classes of the "C" locale, in which the grammar is defined.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsAlnum(char c) {
+  return (c >= '0' && c <= '9') || (c >= 'A' && c <= 'Z') ||
+         (c >= 'a' && c <= 'z');
+}
+bool IsIdentifierChar(char c) { return IsAlnum(c) || c == '_' || c == '\''; }
+
+/// The one lexer of the DSL: a pull lexer that scans the next token on
+/// demand.  After the end of the text, or after a lexical error, `Next`
+/// returns kEnd tokens; the error stays in `error()`.
 class Lexer {
  public:
   explicit Lexer(std::string_view text) : text_(text) {}
 
-  Result<std::vector<Token>> Tokenize() {
-    std::vector<Token> tokens;
-    size_t i = 0;
-    while (i < text_.size()) {
-      char c = text_[i];
+  Token Next() {
+    while (pos_ < text_.size()) {
+      const size_t i = pos_;
+      const char c = text_[i];
       if (c == '#') {
-        while (i < text_.size() && text_[i] != '\n') ++i;
+        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
         continue;
       }
-      if (c == '\n') {
-        tokens.push_back({TokenKind::kNewline, "\n", i});
-        ++i;
+      if (c == '\n') return Emit(TokenKind::kNewline, i, 1);
+      if (IsSpace(c)) {
+        ++pos_;
         continue;
       }
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++i;
-        continue;
-      }
-      if (c == '-' && i + 1 < text_.size() && text_[i + 1] == '>') {
-        tokens.push_back({TokenKind::kArrow, "->", i});
-        i += 2;
-        continue;
-      }
-      if (c == ':' && i + 1 < text_.size() && text_[i + 1] == '-') {
-        tokens.push_back({TokenKind::kTurnstile, ":-", i});
-        i += 2;
-        continue;
-      }
+      const char after = i + 1 < text_.size() ? text_[i + 1] : '\0';
+      if (c == '-' && after == '>') return Emit(TokenKind::kArrow, i, 2);
+      if (c == ':' && after == '-') return Emit(TokenKind::kTurnstile, i, 2);
       switch (c) {
         case '(':
-          tokens.push_back({TokenKind::kLParen, "(", i});
-          ++i;
-          continue;
+          return Emit(TokenKind::kLParen, i, 1);
         case ')':
-          tokens.push_back({TokenKind::kRParen, ")", i});
-          ++i;
-          continue;
+          return Emit(TokenKind::kRParen, i, 1);
         case ',':
-          tokens.push_back({TokenKind::kComma, ",", i});
-          ++i;
-          continue;
+          return Emit(TokenKind::kComma, i, 1);
         case ':':
-          tokens.push_back({TokenKind::kColon, ":", i});
-          ++i;
-          continue;
+          return Emit(TokenKind::kColon, i, 1);
         case ';':
-          tokens.push_back({TokenKind::kSemicolon, ";", i});
-          ++i;
-          continue;
+          return Emit(TokenKind::kSemicolon, i, 1);
         case '.':
-          tokens.push_back({TokenKind::kDot, ".", i});
-          ++i;
-          continue;
+          return Emit(TokenKind::kDot, i, 1);
         default:
           break;
       }
-      if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
-        size_t start = i;
-        while (i < text_.size() &&
-               (std::isalnum(static_cast<unsigned char>(text_[i])) ||
-                text_[i] == '_' || text_[i] == '\'')) {
-          ++i;
+      if (IsAlnum(c) || c == '_') {
+        size_t end = i + 1;
+        while (end < text_.size() && IsIdentifierChar(text_[end])) ++end;
+        if (end - i > kMaxIdentifierLength) {
+          return Fail("identifier of " + std::to_string(end - i) +
+                      " characters at position " + std::to_string(i) +
+                      " exceeds the " + std::to_string(kMaxIdentifierLength) +
+                      "-character limit");
         }
-        if (i - start > kMaxIdentifierLength) {
-          return Status::Error(
-              "identifier of " + std::to_string(i - start) +
-              " characters at position " + std::to_string(start) +
-              " exceeds the " + std::to_string(kMaxIdentifierLength) +
-              "-character limit");
-        }
-        tokens.push_back({TokenKind::kIdent,
-                          std::string(text_.substr(start, i - start)), start});
-        continue;
+        return Emit(TokenKind::kIdent, i, end - i);
       }
       // Garbage bytes: render printable characters literally, everything
       // else (control bytes, UTF-8 tails, NUL) as a hex escape, so the
       // error message itself stays clean text.
       std::string shown;
-      if (std::isprint(static_cast<unsigned char>(c))) {
+      if (c >= 0x20 && c < 0x7f) {
         shown = std::string(1, c);
       } else {
         char hex[8];
@@ -138,74 +119,131 @@ class Lexer {
                       static_cast<unsigned char>(c));
         shown = hex;
       }
-      return Status::Error("unexpected character '" + shown +
-                           "' at position " + std::to_string(i));
+      return Fail("unexpected character '" + shown + "' at position " +
+                  std::to_string(i));
     }
-    tokens.push_back({TokenKind::kEnd, "", text_.size()});
-    return tokens;
+    return {TokenKind::kEnd, {}, text_.size()};
   }
 
+  /// Scans the rest of the text, so a lexical error past the point where
+  /// parsing stopped is still found.
+  void Drain() {
+    while (Next().kind != TokenKind::kEnd) {
+    }
+  }
+
+  /// OK, or the first lexical error.
+  const Status& error() const { return error_; }
+
  private:
+  Token Emit(TokenKind kind, size_t start, size_t length) {
+    pos_ = start + length;
+    return {kind, text_.substr(start, length), start};
+  }
+  Token Fail(std::string message) {
+    error_ = Status::Error(std::move(message));
+    pos_ = text_.size();
+    return {TokenKind::kEnd, {}, text_.size()};
+  }
+
   std::string_view text_;
+  size_t pos_ = 0;
+  Status error_;
 };
 
-bool IsVariableName(const std::string& name) {
+bool IsVariableName(std::string_view name) {
   return !name.empty() &&
-         (std::islower(static_cast<unsigned char>(name[0])) || name[0] == '_');
+         ((name[0] >= 'a' && name[0] <= 'z') || name[0] == '_');
 }
 
 class Parser {
  public:
-  Parser(Vocabulary& vocab, std::vector<Token> tokens)
-      : vocab_(vocab), tokens_(std::move(tokens)) {}
+  Parser(Vocabulary& vocab, std::string_view text)
+      : vocab_(vocab), lexer_(text) {}
 
   // --- token stream helpers ----------------------------------------------
 
-  const Token& Peek(size_t ahead = 0) const {
-    size_t i = pos_ + ahead;
-    return i < tokens_.size() ? tokens_[i] : tokens_.back();
+  // Two tokens of lookahead, pulled from the lexer on demand.
+  Token Peek(size_t ahead = 0) {
+    while (buffered_ <= ahead) ahead_[buffered_++] = lexer_.Next();
+    return ahead_[ahead];
   }
-  const Token& Next() {
-    const Token& t = Peek();
-    if (pos_ + 1 < tokens_.size()) ++pos_;
+  Token Next() {
+    const Token t = Peek();
+    ahead_[0] = ahead_[1];
+    --buffered_;
     return t;
   }
-  void SkipNewlines() {
-    while (Peek().kind == TokenKind::kNewline) Next();
+  // Returns true if it skipped any newline.
+  bool SkipNewlines() {
+    bool skipped = false;
+    while (Peek().kind == TokenKind::kNewline) {
+      Next();
+      skipped = true;
+    }
+    return skipped;
   }
-  bool AtEnd() const { return Peek().kind == TokenKind::kEnd; }
+  bool AtEnd() { return Peek().kind == TokenKind::kEnd; }
   Status ErrorAt(const Token& token, const std::string& what) {
     return Status::Error(what + " near position " +
-                         std::to_string(token.position) + " ('" + token.text +
-                         "')");
+                         std::to_string(token.position) + " ('" +
+                         std::string(token.text) + "')");
   }
+
+  // The lexer's position and the lookahead, for backtracking.
+  struct Checkpoint {
+    Lexer lexer;
+    Token ahead[2];
+    size_t buffered;
+  };
+  Checkpoint Save() const {
+    return {lexer_, {ahead_[0], ahead_[1]}, buffered_};
+  }
+  void Restore(const Checkpoint& checkpoint) {
+    lexer_ = checkpoint.lexer;
+    ahead_[0] = checkpoint.ahead[0];
+    ahead_[1] = checkpoint.ahead[1];
+    buffered_ = checkpoint.buffered;
+  }
+
+  /// OK, or the first lexical error anywhere in the text once `DrainLexer`
+  /// ran (or the parse reached the end).
+  const Status& LexerError() const { return lexer_.error(); }
+  void DrainLexer() { lexer_.Drain(); }
 
   // --- grammar -------------------------------------------------------------
 
   // atom := ident '(' [term {',' term}] ')'
-  Result<Atom> ParseAtom() {
-    const Token& name = Next();
+  // Interns the arguments left to right, then the predicate, and leaves the
+  // arguments in `args_`.  The first variable argument is stored into
+  // `*first_variable` if that is still kNoTerm.
+  Status ParseAtomInto(PredicateId* predicate, TermId* first_variable) {
+    const Token name = Next();
     if (name.kind != TokenKind::kIdent) {
       return ErrorAt(name, "expected predicate name");
     }
     if (Next().kind != TokenKind::kLParen) {
       return ErrorAt(Peek(), "expected '(' after predicate name");
     }
-    std::vector<TermId> args;
+    args_.clear();
     if (Peek().kind != TokenKind::kRParen) {
       for (;;) {
-        const Token& term = Next();
+        const Token term = Next();
         if (term.kind != TokenKind::kIdent) {
           return ErrorAt(term, "expected term");
         }
-        if (args.size() >= kMaxArity) {
-          return ErrorAt(term, "atom of predicate '" + name.text +
+        if (args_.size() >= kMaxArity) {
+          return ErrorAt(term, "atom of predicate '" + std::string(name.text) +
                                    "' exceeds the maximum arity of " +
                                    std::to_string(kMaxArity));
         }
-        args.push_back(IsVariableName(term.text)
-                           ? vocab_.Variable(term.text)
-                           : vocab_.Constant(term.text));
+        if (IsVariableName(term.text)) {
+          const TermId var = vocab_.Variable(term.text);
+          if (*first_variable == kNoTerm) *first_variable = var;
+          args_.push_back(var);
+        } else {
+          args_.push_back(vocab_.Constant(term.text));
+        }
         if (Peek().kind == TokenKind::kComma) {
           Next();
           continue;
@@ -216,27 +254,36 @@ class Parser {
     if (Next().kind != TokenKind::kRParen) {
       return ErrorAt(Peek(), "expected ')'");
     }
-    auto existing = vocab_.FindPredicate(name.text);
-    if (existing.has_value() &&
-        vocab_.PredicateArity(*existing) != args.size()) {
-      return ErrorAt(name, "predicate '" + name.text + "' used with arity " +
-                               std::to_string(args.size()) + " but declared " +
-                               std::to_string(vocab_.PredicateArity(*existing)));
+    const uint32_t arity = static_cast<uint32_t>(args_.size());
+    *predicate = vocab_.FindOrAddPredicate(name.text, arity);
+    const uint32_t declared = vocab_.PredicateArity(*predicate);
+    if (declared != arity) {
+      return ErrorAt(name, "predicate '" + std::string(name.text) +
+                               "' used with arity " + std::to_string(arity) +
+                               " but declared " + std::to_string(declared));
     }
-    PredicateId pred =
-        vocab_.AddPredicate(name.text, static_cast<uint32_t>(args.size()));
-    return Atom(pred, std::move(args));
+    return Status::Ok();
+  }
+
+  Result<Atom> ParseAtom() {
+    PredicateId predicate;
+    TermId first_variable = kNoTerm;
+    const Status status = ParseAtomInto(&predicate, &first_variable);
+    if (!status.ok()) return status;
+    return Atom(predicate, args_);
+  }
+
+  Status ConjunctionCapError() {
+    return ErrorAt(Peek(), "conjunction exceeds the maximum of " +
+                               std::to_string(kMaxAtomsPerConjunction) +
+                               " atoms");
   }
 
   // atoms := atom {',' atom}; newlines are not atom separators.
   Result<std::vector<Atom>> ParseAtoms() {
     std::vector<Atom> atoms;
     for (;;) {
-      if (atoms.size() >= kMaxAtomsPerConjunction) {
-        return ErrorAt(Peek(), "conjunction exceeds the maximum of " +
-                                   std::to_string(kMaxAtomsPerConjunction) +
-                                   " atoms");
-      }
+      if (atoms.size() >= kMaxAtomsPerConjunction) return ConjunctionCapError();
       Result<Atom> atom = ParseAtom();
       if (!atom.ok()) return atom.status();
       atoms.push_back(std::move(atom.value()));
@@ -255,7 +302,7 @@ class Parser {
     std::string label;
     if (Peek().kind == TokenKind::kIdent &&
         Peek(1).kind == TokenKind::kColon) {
-      label = Next().text;
+      label = std::string(Next().text);
       Next();  // ':'
       SkipNewlines();
     }
@@ -276,7 +323,7 @@ class Parser {
     if (Peek().kind == TokenKind::kIdent && Peek().text == "exists") {
       Next();
       for (;;) {
-        const Token& v = Next();
+        const Token v = Next();
         if (v.kind != TokenKind::kIdent || !IsVariableName(v.text)) {
           return ErrorAt(v, "expected existential variable name");
         }
@@ -286,7 +333,7 @@ class Parser {
         // with a positioned parse error instead.
         for (const Atom& atom : body) {
           if (atom.ContainsTerm(var)) {
-            return ErrorAt(v, "existential variable '" + v.text +
+            return ErrorAt(v, "existential variable '" + std::string(v.text) +
                                   "' occurs in the rule body");
           }
         }
@@ -338,7 +385,7 @@ class Parser {
     // Optional `name(v1,...,vk) :-` answer-variable header.  The header
     // name is arbitrary and is *not* interned as a predicate (so `q(x)`
     // and `q(x,y)` headers in the same vocabulary do not clash).
-    size_t save = pos_;
+    const Checkpoint save = Save();
     if (Peek().kind == TokenKind::kIdent &&
         Peek(1).kind == TokenKind::kLParen) {
       std::vector<TermId> header_vars;
@@ -347,7 +394,7 @@ class Parser {
       Next();  // '('
       if (Peek().kind != TokenKind::kRParen) {
         for (;;) {
-          const Token& term = Peek();
+          const Token term = Peek();
           if (term.kind != TokenKind::kIdent) {
             header_ok = false;
             break;
@@ -379,7 +426,7 @@ class Parser {
           query.answer_vars.push_back(v);
         }
       } else {
-        pos_ = save;  // Boolean query beginning with an atom.
+        Restore(save);  // Boolean query beginning with an atom.
       }
     }
     Result<std::vector<Atom>> atoms = ParseAtoms();
@@ -404,72 +451,107 @@ class Parser {
     return query;
   }
 
-  Result<FactSet> ParseWholeFacts() {
+  // facts := atom {sep atom}, where sep is ',' and any newlines after it
+  // or, when `newline_separates`, one or more newlines alone.  Atoms are
+  // interned exactly as ParseAtom interns them and appended to one
+  // RowBlock, which one InsertBatch commits once the whole text parsed.
+  // Errors keep ParseAtoms' precedence: a parse error anywhere beats a
+  // variable, which beats trailing input.  When newlines separate, the
+  // conjunction cap counts the atoms of one line.
+  Result<FactSet> ParseWholeFacts(bool newline_separates) {
     SkipNewlines();
     FactSet facts;
     if (AtEnd()) return facts;
-    Result<std::vector<Atom>> atoms = ParseAtoms();
-    if (!atoms.ok()) return atoms.status();
-    for (const Atom& atom : atoms.value()) {
-      for (TermId t : atom.args) {
-        if (vocab_.IsVariable(t)) {
-          return Status::Error("fact contains variable " +
-                               vocab_.TermToString(t));
-        }
+    RowBlock rows;
+    TermId first_variable = kNoTerm;
+    size_t conjunction = 0;
+    for (;;) {
+      if (conjunction >= kMaxAtomsPerConjunction) return ConjunctionCapError();
+      PredicateId predicate;
+      const Status atom = ParseAtomInto(&predicate, &first_variable);
+      if (!atom.ok()) return atom;
+      rows.Append(predicate, args_.data(), args_.size());
+      ++conjunction;
+      if (Peek().kind == TokenKind::kComma) {
+        Next();
+        if (SkipNewlines() && newline_separates) conjunction = 0;
+        continue;
       }
-      facts.Insert(atom);
+      if (newline_separates && SkipNewlines()) {
+        conjunction = 0;
+        if (AtEnd()) break;
+        continue;
+      }
+      break;
+    }
+    if (first_variable != kNoTerm) {
+      return Status::Error("fact contains variable " +
+                           vocab_.TermToString(first_variable));
     }
     SkipNewlines();
     if (!AtEnd()) return ErrorAt(Peek(), "trailing input after facts");
+    // Without a size cap, a batch that inserts nothing was refused at
+    // admission by its failpoint.
+    if (facts.InsertBatch(rows, nullptr) == 0) {
+      return Status::Error(
+          "injected failure at failpoint 'fact_set.insert_batch'");
+    }
     return facts;
   }
 
  private:
   Vocabulary& vocab_;
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  Lexer lexer_;
+  Token ahead_[2];
+  size_t buffered_ = 0;
+  std::vector<TermId> args_;  // ParseAtomInto's arguments, reused
 };
 
-template <typename T>
-Result<T> WithTokens(Vocabulary& vocab, std::string_view text,
-                     Result<T> (*run)(Parser&)) {
-  Result<std::vector<Token>> tokens = Lexer(text).Tokenize();
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(vocab, std::move(tokens.value()));
-  return run(parser);
+// Runs `parse` over `text`.  A lexical error anywhere in the text wins over
+// whatever `parse` returned, and leaves `vocab` as it was, exactly as if the
+// whole text had been tokenized before parsing began: after a parse error
+// the rest of the text is drained through the lexer, and a lexical error
+// rolls back every name the parse interned.
+template <typename T, typename Parse>
+Result<T> RunParser(Vocabulary& vocab, std::string_view text, Parse parse) {
+  const Vocabulary::NameMark mark = vocab.MarkNames();
+  Parser parser(vocab, text);
+  Result<T> result = parse(parser);
+  if (!result.ok()) parser.DrainLexer();
+  if (parser.LexerError().ok()) return result;
+  vocab.RollBackNames(mark);
+  return parser.LexerError();
 }
 
 }  // namespace
 
 Result<Tgd> ParseRule(Vocabulary& vocab, std::string_view text) {
-  return WithTokens<Tgd>(vocab, text, +[](Parser& p) {
+  return RunParser<Tgd>(vocab, text, [](Parser& p) -> Result<Tgd> {
     p.SkipNewlines();
     Result<Tgd> rule = p.ParseOneRule();
     if (!rule.ok()) return rule;
     p.SkipNewlines();
-    if (!p.AtEnd()) {
-      return Result<Tgd>(Status::Error("trailing input after rule"));
-    }
+    if (!p.AtEnd()) return Status::Error("trailing input after rule");
     return rule;
   });
 }
 
 Result<Theory> ParseTheory(Vocabulary& vocab, std::string_view text,
                            std::string name) {
-  Result<std::vector<Token>> tokens = Lexer(text).Tokenize();
-  if (!tokens.ok()) return tokens.status();
-  Parser parser(vocab, std::move(tokens.value()));
-  return parser.ParseWholeTheory(std::move(name));
+  return RunParser<Theory>(vocab, text, [&name](Parser& p) {
+    return p.ParseWholeTheory(std::move(name));
+  });
 }
 
 Result<ConjunctiveQuery> ParseQuery(Vocabulary& vocab, std::string_view text) {
-  return WithTokens<ConjunctiveQuery>(
-      vocab, text, +[](Parser& p) { return p.ParseWholeQuery(); });
+  return RunParser<ConjunctiveQuery>(
+      vocab, text, [](Parser& p) { return p.ParseWholeQuery(); });
 }
 
 Result<FactSet> ParseFacts(Vocabulary& vocab, std::string_view text) {
-  return WithTokens<FactSet>(vocab, text,
-                             +[](Parser& p) { return p.ParseWholeFacts(); });
+  return RunParser<FactSet>(vocab, text, [](Parser& p) {
+    return p.ParseWholeFacts(/*newline_separates=*/false);
+  });
 }
 
 namespace {
@@ -500,34 +582,9 @@ Result<Theory> LoadTheoryFile(Vocabulary& vocab, const std::string& path) {
 Result<FactSet> LoadFactsFile(Vocabulary& vocab, const std::string& path) {
   Result<std::string> contents = ReadFile(path);
   if (!contents.ok()) return contents.status();
-  // Atoms may be separated by newlines instead of commas: parse line by
-  // line and merge.
-  FactSet facts;
-  std::string line;
-  size_t start = 0;
-  const std::string& text = contents.value();
-  while (start <= text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string::npos) end = text.size();
-    line = text.substr(start, end - start);
-    start = end + 1;
-    // Strip comments and whitespace-only lines.
-    size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    bool blank = true;
-    for (char c : line) {
-      if (!std::isspace(static_cast<unsigned char>(c))) blank = false;
-    }
-    if (blank) {
-      if (end == text.size()) break;
-      continue;
-    }
-    Result<FactSet> parsed = ParseFacts(vocab, line);
-    if (!parsed.ok()) return parsed.status();
-    facts.InsertAll(parsed.value());
-    if (end == text.size()) break;
-  }
-  return facts;
+  return RunParser<FactSet>(vocab, contents.value(), [](Parser& p) {
+    return p.ParseWholeFacts(/*newline_separates=*/true);
+  });
 }
 
 }  // namespace frontiers

@@ -35,6 +35,11 @@ namespace frontiers {
 /// directly followed by `(`), so uppercase predicate names do not clash
 /// with constants.  Predicate arities are fixed at first use and checked
 /// afterwards.
+///
+/// Errors: a text that fails to lex (a stray byte, an identifier over 4,096
+/// characters) reports the first such error wherever it occurs and leaves
+/// the vocabulary as it was.  After any other error, the names interned
+/// before it stay interned.
 
 /// Parses a single rule.
 Result<Tgd> ParseRule(Vocabulary& vocab, std::string_view text);
@@ -47,14 +52,21 @@ Result<Theory> ParseTheory(Vocabulary& vocab, std::string_view text,
 Result<ConjunctiveQuery> ParseQuery(Vocabulary& vocab, std::string_view text);
 
 /// Parses a comma-separated list of ground atoms into a fact set, e.g.
-/// `E(A,B), E(B,C)`.  Variables are rejected.
+/// `E(A,B), E(B,C)`.  Newlines may follow a comma, so the rendering of
+/// `testing::FactsToText` (`E(A,B),\nE(B,C)\n`) parses, but a newline
+/// alone does not separate atoms.  Variables are rejected.  Names are
+/// interned in text order and the atoms are committed with one
+/// `FactSet::InsertBatch`.
 Result<FactSet> ParseFacts(Vocabulary& vocab, std::string_view text);
 
 /// Reads and parses a theory file (same syntax as ParseTheory).
 Result<Theory> LoadTheoryFile(Vocabulary& vocab, const std::string& path);
 
-/// Reads and parses a facts file.  Atoms may be separated by commas and/or
-/// newlines; `#` comments are allowed.
+/// Reads and parses a facts file in one pass.  Atoms are separated by a
+/// comma, by one or more newlines, or by a comma followed by newlines, so
+/// every `testing::FactsToText` rendering loads; `#` comments are allowed.
+/// Error positions count bytes from the start of the file.  The cap of
+/// 65,536 atoms per conjunction applies per line, not per file.
 Result<FactSet> LoadFactsFile(Vocabulary& vocab, const std::string& path);
 
 }  // namespace frontiers

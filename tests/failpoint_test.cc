@@ -235,6 +235,21 @@ TEST(FailpointTest, InsertBatchRefusesBatchWhenArmed) {
   EXPECT_EQ(facts.size(), 2u);
 }
 
+// ParseFacts commits its rows with one InsertBatch, so a refused batch is
+// an error status, never a silently empty fact set.
+TEST(FailpointTest, ParseFactsReportsARefusedBatch) {
+  DisarmOnExit guard;
+  Vocabulary vocab;
+  failpoint::Arm("fact_set.insert_batch");
+  Result<FactSet> refused = ParseFacts(vocab, "P(A), P(B)");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.message(),
+            "injected failure at failpoint 'fact_set.insert_batch'");
+  Result<FactSet> parsed = ParseFacts(vocab, "P(A), P(B)");
+  ASSERT_TRUE(parsed.ok()) << parsed.message();
+  EXPECT_EQ(parsed.value().size(), 2u);
+}
+
 TEST(FailpointTest, SnapshotWriteFailpointsReturnErrorStatus) {
   DisarmOnExit guard;
   ChaseRig rig;

@@ -6,7 +6,8 @@
 //    identical rendering (round-trip stability).
 //
 // Iteration budget: FRONTIERS_FUZZ_ITERS (default 100000).  Seeds come from
-// the checked-in corpus (FRONTIERS_CORPUS_DIR) plus generated theories.
+// the checked-in corpus (FRONTIERS_CORPUS_DIR) plus generated theories and
+// fact texts.
 
 #include <string>
 #include <vector>
@@ -25,6 +26,27 @@ using testing::ListCorpusFiles;
 using testing::MutateBytes;
 using testing::ReadFileBytes;
 using testing::SplitMix64;
+
+// Parse as facts, and when successful check that the FactsToText
+// rendering re-parses to itself.  Returns true if the text parsed.
+bool ParseFactsAndCheckStable(const std::string& text) {
+  Vocabulary vocab;
+  Result<FactSet> facts = ParseFacts(vocab, text);
+  if (!facts.ok()) {
+    EXPECT_FALSE(facts.message().empty());
+    return false;
+  }
+  const std::string rendered = testing::FactsToText(vocab, facts.value());
+  Vocabulary fresh;
+  Result<FactSet> again = ParseFacts(fresh, rendered);
+  EXPECT_TRUE(again.ok()) << "rendering of parsed facts must re-parse: "
+                          << again.message() << "\n"
+                          << rendered;
+  if (again.ok()) {
+    EXPECT_EQ(testing::FactsToText(fresh, again.value()), rendered);
+  }
+  return true;
+}
 
 // Parse, and when successful check render->parse->render stability.
 // Returns true if the text parsed.
@@ -112,7 +134,8 @@ TEST(ParserFuzzTest, ArityAndSizeCapsError) {
 }
 
 TEST(ParserFuzzTest, SeededMutations) {
-  // Seed pool: the corpus files plus a generated theory per class.
+  // Seed pool: the corpus files plus a generated theory and fact text per
+  // class.
   std::vector<std::string> pool;
   for (const std::string& path : ListCorpusFiles(FRONTIERS_CORPUS_DIR)) {
     std::string text;
@@ -122,12 +145,14 @@ TEST(ParserFuzzTest, SeededMutations) {
   ASSERT_FALSE(pool.empty()) << "corpus missing at " FRONTIERS_CORPUS_DIR;
   for (uint64_t seed = 0; seed < 4; ++seed) {
     Vocabulary vocab;
-    pool.push_back(testing::GenerateWorkload(vocab, seed).theory_text);
+    const testing::GeneratedWorkload w = testing::GenerateWorkload(vocab, seed);
+    pool.push_back(w.theory_text);
+    pool.push_back(w.facts_text);
   }
 
   const uint64_t iterations = FuzzIterations(100000);
   SplitMix64 rng(0xf00dull);
-  uint64_t parsed = 0;
+  uint64_t parsed = 0, parsed_facts = 0;
   std::string data = pool[0];
   for (uint64_t i = 0; i < iterations; ++i) {
     // Restart from a fresh pool entry every 16 steps so mutations both
@@ -139,11 +164,13 @@ TEST(ParserFuzzTest, SeededMutations) {
     // Cap runaway growth from repeated duplication.
     if (data.size() > 1 << 16) data.resize(1 << 16);
     if (ParseAndCheckStable(data)) ++parsed;
+    if (ParseFactsAndCheckStable(data)) ++parsed_facts;
   }
   // The mutator stays near valid inputs often enough that some iterations
   // must parse — otherwise the fuzzer is only ever exercising the lexer's
   // first-error path.
   EXPECT_GT(parsed, 0u);
+  EXPECT_GT(parsed_facts, 0u);
 }
 
 }  // namespace

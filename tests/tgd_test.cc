@@ -4,6 +4,7 @@
 #include <string>
 
 #include "base/vocabulary.h"
+#include "testing/generator.h"
 #include "tgd/classify.h"
 #include "tgd/conjunctive_query.h"
 #include "tgd/parser.h"
@@ -389,6 +390,78 @@ TEST(ParserTest, LoadTheoryAndFactsFiles) {
   Result<FactSet> facts = LoadFactsFile(vocab, facts_path);
   ASSERT_TRUE(facts.ok()) << facts.status().message();
   EXPECT_EQ(facts.value().size(), 3u);
+}
+
+// Writes `text` to a fresh file under the test temp dir; returns its path.
+std::string WriteTempFile(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f != nullptr) {
+    std::fwrite(text.data(), 1, text.size(), f);
+    std::fclose(f);
+  }
+  return path;
+}
+
+TEST(ParserTest, LoadFactsFileReadsTheCorpusInstance) {
+  // small.facts is written one atom per line with trailing commas, the
+  // FactsToText form.
+  Vocabulary vocab;
+  Result<FactSet> facts =
+      LoadFactsFile(vocab, std::string(FRONTIERS_CORPUS_DIR) + "/small.facts");
+  ASSERT_TRUE(facts.ok()) << facts.message();
+  EXPECT_EQ(facts.value().size(), 6u);
+}
+
+TEST(ParserTest, LoadFactsFileReadsWhatFactsToTextWrites) {
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Vocabulary vocab;
+    const std::string text = testing::GenerateWorkload(vocab, seed).facts_text;
+    const std::string path = WriteTempFile("roundtrip.facts", text);
+    Vocabulary loaded_vocab, parsed_vocab;
+    Result<FactSet> loaded = LoadFactsFile(loaded_vocab, path);
+    ASSERT_TRUE(loaded.ok()) << loaded.message();
+    Result<FactSet> parsed = ParseFacts(parsed_vocab, text);
+    ASSERT_TRUE(parsed.ok()) << parsed.message();
+    EXPECT_EQ(testing::FactsToText(loaded_vocab, loaded.value()), text);
+    EXPECT_EQ(loaded.value().atoms(), parsed.value().atoms());
+    std::remove(path.c_str());
+  }
+}
+
+TEST(ParserTest, LoadFactsFileCapsAtomsPerLineNotPerFile) {
+  std::string text;
+  for (int i = 0; i < 70000; ++i) {
+    if (i > 0) text += ",\n";
+    text += "P(C" + std::to_string(i) + ")";
+  }
+  text += "\n";
+  const std::string path = WriteTempFile("many.facts", text);
+  Vocabulary vocab;
+  Result<FactSet> facts = LoadFactsFile(vocab, path);
+  ASSERT_TRUE(facts.ok()) << facts.message();
+  EXPECT_EQ(facts.value().size(), 70000u);
+  // One conjunction of the same atoms still exceeds the cap.
+  Vocabulary one_line_vocab;
+  Result<FactSet> one_line = ParseFacts(one_line_vocab, text);
+  ASSERT_FALSE(one_line.ok());
+  EXPECT_NE(one_line.message().find("conjunction exceeds the maximum of "
+                                    "65536 atoms"),
+            std::string::npos)
+      << one_line.message();
+  std::remove(path.c_str());
+}
+
+TEST(ParserTest, LoadFactsFileReportsFileRelativePositions) {
+  const std::string path =
+      WriteTempFile("bad.facts", "# header\nE(A,B)\nE(B,)\n");
+  Vocabulary vocab;
+  Result<FactSet> facts = LoadFactsFile(vocab, path);
+  ASSERT_FALSE(facts.ok());
+  EXPECT_EQ(facts.message(), "expected term near position 20 (')')");
+  std::remove(path.c_str());
 }
 
 TEST(ParserTest, LoadMissingFileFails) {

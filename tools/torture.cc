@@ -23,6 +23,7 @@
 #include "chase/snapshot.h"
 #include "testing/differential.h"
 #include "testing/fuzz.h"
+#include "testing/generator.h"
 #include "testing/rng.h"
 #include "tgd/parser.h"
 
@@ -102,10 +103,21 @@ int Replay(const std::string& path) {
   return 1;
 }
 
+// True if `facts`, rendered with FactsToText, re-parses into a fresh
+// vocabulary and renders to the same text.
+bool FactsRoundTrip(const Vocabulary& vocab, const FactSet& facts) {
+  const std::string rendered = testing::FactsToText(vocab, facts);
+  Vocabulary fresh;
+  Result<FactSet> again = ParseFacts(fresh, rendered);
+  return again.ok() && testing::FactsToText(fresh, again.value()) == rendered;
+}
+
 // Feeds every corpus file, plus `rounds` seeded mutations of it, to both
 // hostile-input surfaces: the DSL parser and the FRSN snapshot decoder.
 // The invariant under test is "error Status or success, never a crash" —
-// a sanitizer finding or abort fails the process, which is the signal.
+// a sanitizer finding or abort fails the process, which is the signal —
+// plus, for every fact text that parses, a FactsToText rendering that
+// re-parses to itself; a mismatch makes the run exit 1.
 int Fuzz(uint64_t rounds, const std::string& corpus_dir) {
   const std::vector<std::string> files =
       testing::ListCorpusFiles(corpus_dir);
@@ -114,7 +126,7 @@ int Fuzz(uint64_t rounds, const std::string& corpus_dir) {
                  corpus_dir.c_str());
     return 1;
   }
-  uint64_t parses = 0, decodes = 0;
+  uint64_t parses = 0, decodes = 0, mismatches = 0;
   for (const std::string& path : files) {
     std::string base;
     if (!testing::ReadFileBytes(path, &base)) {
@@ -130,7 +142,18 @@ int Fuzz(uint64_t rounds, const std::string& corpus_dir) {
       }
       {
         Vocabulary vocab;
-        if (ParseFacts(vocab, data).ok()) ++parses;
+        Result<FactSet> facts = ParseFacts(vocab, data);
+        if (facts.ok()) {
+          ++parses;
+          if (!FactsRoundTrip(vocab, facts.value())) {
+            ++mismatches;
+            std::fprintf(stderr,
+                         "torture: %s round %" PRIu64
+                         ": parsed facts do not round-trip through "
+                         "FactsToText\n",
+                         path.c_str(), i);
+          }
+        }
       }
       if (DecodeSnapshot(data).ok()) ++decodes;
       // Alternate between drifting mutations (compounding) and fresh
@@ -141,9 +164,9 @@ int Fuzz(uint64_t rounds, const std::string& corpus_dir) {
   }
   std::printf("torture: fuzzed %zu corpus file(s) x %" PRIu64
               " rounds (%" PRIu64 " clean parses, %" PRIu64
-              " clean decodes)\n",
-              files.size(), rounds, parses, decodes);
-  return 0;
+              " clean decodes, %" PRIu64 " round-trip mismatches)\n",
+              files.size(), rounds, parses, decodes, mismatches);
+  return mismatches == 0 ? 0 : 1;
 }
 
 int Usage() {
