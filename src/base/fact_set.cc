@@ -45,6 +45,20 @@ void FactSet::InitShards(uint32_t shard_count) {
 
 FactSet::FactSet(uint32_t shard_count) { InitShards(shard_count); }
 
+FactSet::PositionIndex::PositionIndex(const PositionIndex& other)
+    : indexed(other.indexed.load(std::memory_order_relaxed)),
+      map(other.map),
+      pool(other.pool) {}
+
+FactSet::PositionIndex& FactSet::PositionIndex::operator=(
+    const PositionIndex& other) {
+  indexed.store(other.indexed.load(std::memory_order_relaxed),
+                std::memory_order_relaxed);
+  map = other.map;
+  pool = other.pool;
+  return *this;
+}
+
 FactSet::FactSet(const FactSet& other)
     : atoms_(other.atoms_),
       local_row_(other.local_row_),
@@ -52,7 +66,8 @@ FactSet::FactSet(const FactSet& other)
       shards_(other.shards_),
       shard_mask_(other.shard_mask_),
       domain_(other.domain_),
-      atom_degree_(other.atom_degree_) {
+      atom_degree_(other.atom_degree_),
+      declared_absent_(other.declared_absent_) {
   // Copies share no synchronization state: fresh, unlocked mutexes.
   InitShards(shard_count());
 }
@@ -107,9 +122,87 @@ void FactSet::IndexNewAtom(uint32_t index, PredicateIndex& pidx) {
   const uint32_t arity = static_cast<uint32_t>(atom.args.size());
   for (uint32_t pos = 0; pos < arity; ++pos) {
     PositionIndex& pi = pidx.by_position[pos];
-    pi.map.Append(atom.args[pos], index, pi.pool);
+    if (pi.indexed.load(std::memory_order_relaxed)) {
+      pi.map.Append(atom.args[pos], index, pi.pool);
+    }
     CountTermOccurrence(atom.args.data(), pos);
   }
+}
+
+void FactSet::BuildPosition(const PredicateIndex& pidx, uint32_t position,
+                            const PositionIndex& pi) {
+  // The appends the eager store made one insert at a time, in the same
+  // order: the lists, and the map and pool layouts, come out identical.
+  const std::vector<TermId>& column = pidx.segment.Column(position);
+  for (size_t row = 0; row < pidx.atom_ids.size(); ++row) {
+    pi.map.Append(column[row], pidx.atom_ids[row], pi.pool);
+  }
+  pi.indexed.store(true, std::memory_order_release);
+}
+
+void FactSet::ApplyDeclarations(PredicateId predicate, PredicateIndex& pidx) {
+  if (declared_absent_.empty()) return;
+  std::erase_if(declared_absent_, [&](const auto& declared) {
+    if (declared.first != predicate) return false;
+    if (declared.second < pidx.by_position.size()) {
+      pidx.by_position[declared.second].indexed.store(
+          true, std::memory_order_relaxed);
+    }
+    return true;
+  });
+}
+
+void FactSet::Declare(PredicateId p, uint32_t position) {
+  auto it = predicates_.find(p);
+  if (it == predicates_.end()) {
+    const std::pair<PredicateId, uint32_t> declared{p, position};
+    if (std::find(declared_absent_.begin(), declared_absent_.end(),
+                  declared) == declared_absent_.end()) {
+      declared_absent_.push_back(declared);
+    }
+    return;
+  }
+  const PredicateIndex& pidx = it->second;
+  if (position >= pidx.by_position.size()) return;
+  const PositionIndex& pi = pidx.by_position[position];
+  if (!pi.indexed.load(std::memory_order_relaxed)) {
+    BuildPosition(pidx, position, pi);
+  }
+}
+
+bool FactSet::Indexed(PredicateId p, uint32_t position) const {
+  const PredicateIndex* pidx = Predicate(p);
+  if (pidx == nullptr) {
+    return std::find(declared_absent_.begin(), declared_absent_.end(),
+                     std::make_pair(p, position)) != declared_absent_.end();
+  }
+  return position < pidx->by_position.size() &&
+         pidx->by_position[position].indexed.load(std::memory_order_acquire);
+}
+
+const FactSet::PositionIndex& FactSet::Postings(const PredicateIndex& pidx,
+                                                uint32_t position) const {
+  const PositionIndex& pi = pidx.by_position[position];
+  if (!pi.indexed.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(IndexMutex());
+    if (!pi.indexed.load(std::memory_order_relaxed)) {
+      BuildPosition(pidx, position, pi);
+      ++built_on_read_;
+    }
+  }
+  return pi;
+}
+
+uint64_t FactSet::positions_built_on_read() const {
+  std::lock_guard<std::mutex> lock(IndexMutex());
+  return built_on_read_;
+}
+
+void FactSet::ClearIndexes() {
+  for (auto& [p, pidx] : predicates_) {
+    for (PositionIndex& pi : pidx.by_position) pi = PositionIndex();
+  }
+  declared_absent_.clear();
 }
 
 FactSet::PredicateIndex& FactSet::IndexFor(PredicateId predicate,
@@ -119,7 +212,10 @@ FactSet::PredicateIndex& FactSet::IndexFor(PredicateId predicate,
   // cost heap traffic per row.
   auto it = predicates_.find(predicate);
   const bool missing = it == predicates_.end();
-  if (missing) it = predicates_.emplace(predicate, PredicateIndex(arity)).first;
+  if (missing) {
+    it = predicates_.emplace(predicate, PredicateIndex(arity)).first;
+    ApplyDeclarations(predicate, it->second);
+  }
   if (fresh != nullptr) *fresh = missing;
   FRONTIERS_CHECK(it->second.segment.arity() == arity,
                   "FactSet: predicate used at two different arities");
@@ -512,11 +608,12 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
         PredPlan& plan = plans[task.a];
         std::vector<TermId>& col = plan.pidx->segment.MutableColumn(task.b);
         PositionIndex& pi = plan.pidx->by_position[task.b];
+        const bool indexed = pi.indexed.load(std::memory_order_relaxed);
         for (uint32_t k = 0; k < plan.count; ++k) {
           const uint32_t row = plan_rows[plan.begin + k];
           const TermId term = block.Terms(row)[task.b];
           col[plan.old_rows + k] = term;
-          pi.map.Append(term, row_global[row], pi.pool);
+          if (indexed) pi.map.Append(term, row_global[row], pi.pool);
         }
         break;
       }
@@ -587,7 +684,7 @@ PostingList FactSet::ByPredicatePositionTerm(PredicateId p, uint32_t position,
   if (pidx == nullptr || position >= pidx->by_position.size()) {
     return PostingList();
   }
-  return pidx->by_position[position].Lookup(t);
+  return Postings(*pidx, position).Lookup(t);
 }
 
 bool FactSet::IsSubsetOf(const FactSet& other) const {
@@ -636,6 +733,10 @@ uint64_t FactSet::PredPostingsBytes(const PredicateIndex& pidx,
     sum += pi.map.HeapBytes(mode) + pi.pool.HeapBytes(mode);
   }
   return sum;
+}
+
+uint64_t FactSet::DeclaredAbsentBytes(MemAccounting mode) const {
+  return VectorHeapBytes(declared_absent_, mode);
 }
 
 uint64_t FactSet::DedupHeapBytes(MemAccounting mode) const {
@@ -708,7 +809,7 @@ void FactSet::AccountHeap(MemTotals& totals, MemAccounting mode) const {
     postings += PredPostingsBytes(pidx, mode);
   }
   totals.Add(MemComponent::kColumns, columns);
-  totals.Add(MemComponent::kPostings, postings);
+  totals.Add(MemComponent::kPostings, postings + DeclaredAbsentBytes(mode));
   totals.Add(MemComponent::kDedup, DedupHeapBytes(mode));
   totals.Add(MemComponent::kFactMeta, MetaHeapBytes(mode));
   totals.Add(MemComponent::kScratch, ScratchHeapBytes());
@@ -726,6 +827,11 @@ void FactSet::AccountLedger(MemLedger& ledger, MemAccounting mode) const {
   for (PredicateId p : preds) {
     ledger.Add(MemComponent::kPostings, p,
                PredPostingsBytes(predicates_.at(p), mode));
+  }
+  // Declarations waiting for their predicate's first row: not any one
+  // predicate's bytes.
+  if (const uint64_t declared = DeclaredAbsentBytes(mode); declared > 0) {
+    ledger.Add(MemComponent::kPostings, UINT32_MAX, declared);
   }
   ledger.Add(MemComponent::kDedup, UINT32_MAX, DedupHeapBytes(mode));
   ledger.Add(MemComponent::kFactMeta, UINT32_MAX, MetaHeapBytes(mode));

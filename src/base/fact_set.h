@@ -1,6 +1,7 @@
 #ifndef FRONTIERS_BASE_FACT_SET_H_
 #define FRONTIERS_BASE_FACT_SET_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -32,6 +33,30 @@ class WorkerPool;  // base/worker_pool.h
 /// join need.  Atoms are kept in insertion order, so iteration (and hence
 /// everything built on top, including chase runs) is deterministic.
 ///
+/// **Indexed positions.**  A (predicate, position) gets a posting map only
+/// once a reader asks for it, because most positions are never probed
+/// (the chase's Example 39 star reads one position of its four-place
+/// predicate).  A position is indexed when it is
+///
+///  * declared with `Declare` — the chase declares, before its first round,
+///    every position its match plans and head checks can probe; a position
+///    of a predicate with no rows yet is indexed from its first row on; or
+///  * first read through `Postings` or `ByPredicatePositionTerm` — a match
+///    plan's compile, CQ evaluation, containment and cores.  Such a
+///    *build on read* takes the store's index mutex once and publishes the
+///    position with release/acquire, so a lookup of an indexed position
+///    never locks.
+///
+/// A position indexed late is built from its column in append order, so
+/// every posting list is identical to the one the eager store kept.  From
+/// then on inserts append to it; an unindexed position fills its column
+/// only.  Indexes are derived state: copies keep them, snapshots do not.
+/// Which positions are indexed moves the postings share of the memory
+/// ledger, so a chase declares them all before its first round and checks
+/// that no round builds one on read (`positions_built_on_read`): its
+/// content-mode ledger is then a function of the theory and the data, the
+/// same at every thread count and across interrupt/resume.
+///
 /// Storage is columnar: each predicate's argument terms live in
 /// struct-of-arrays `ColumnarSegment` columns, and the dedup index keys by
 /// atom id into that store rather than holding a second copy of every atom.
@@ -44,7 +69,8 @@ class WorkerPool;  // base/worker_pool.h
 /// rows always land in the same shard (duplicates agree on both keys).
 /// Each shard owns its partition's open-addressed table and a mutex;
 /// `InsertBatchParallel` commits one block with one task per shard (dedup)
-/// plus one task per (predicate, position) pair (columns + postings), all
+/// plus one task per (predicate, position) pair (the column, and the
+/// postings of an indexed position), all
 /// writing disjoint pre-assigned slots.  *Reads take no locks anywhere*:
 /// between commit phases the segments, postings, and dedup tables are
 /// epoch-stable (nothing mutates them), which is what lets the chase's
@@ -193,25 +219,35 @@ class FactSet {
   const std::vector<uint32_t>& ByPredicate(PredicateId p) const;
 
   /// Indices of atoms with predicate `p` whose argument at `position`
-  /// equals `t`, in insertion order.  The view stays valid until the next
-  /// insert.
+  /// equals `t`, in insertion order.  Indexes the position if it is not
+  /// yet.  The view stays valid until the next insert.
   PostingList ByPredicatePositionTerm(PredicateId p, uint32_t position,
                                       TermId t) const;
 
   /// The access path of one argument position: term -> posting list.
   /// Each position owns its posting map *and* its chunk pool, so the
   /// parallel commit's per-(predicate, position) index tasks never share an
-  /// allocator.
+  /// allocator.  Until the position is indexed both stay empty; read it
+  /// only through `FactSet::Postings`, which indexes it first.
   struct PositionIndex {
-    PostingMap map;
-    PostingPool pool;
+    PositionIndex() = default;
+    PositionIndex(const PositionIndex& other);
+    PositionIndex& operator=(const PositionIndex& other);
 
-    /// `ByPredicatePositionTerm` for this position.
+    /// `ByPredicatePositionTerm` for this (indexed) position.
     PostingList Lookup(TermId t) const {
       const PostingMap::Entry* e = map.Find(t);
       if (e == nullptr) return PostingList();
       return PostingList(&pool, e->head, e->count);
     }
+
+    // Written under the store's index mutex by a build on read, which is
+    // why a const store can fill them.  `indexed` is stored with release
+    // once `map` holds every row; a reader that loads it with acquire
+    // reads `map` and `pool` without a lock.
+    mutable std::atomic<bool> indexed{false};
+    mutable PostingMap map;
+    mutable PostingPool pool;
   };
 
   /// Everything keyed by one predicate, in one struct, so an insert
@@ -234,6 +270,27 @@ class FactSet {
     auto it = predicates_.find(p);
     return it == predicates_.end() ? nullptr : &it->second;
   }
+
+  /// Indexes position `position` of `p` from now on: builds its postings
+  /// now if `p` has rows, or from `p`'s first row on if it has none.
+  /// Idempotent; a position past `p`'s arity is ignored.
+  void Declare(PredicateId p, uint32_t position);
+
+  /// True if position `position` of `p` is indexed or declared.
+  bool Indexed(PredicateId p, uint32_t position) const;
+
+  /// The postings of position `position` of `pidx` (one of this store's
+  /// predicates, `position` below its arity), indexing the position first
+  /// if it is not yet.  Safe to call from concurrent readers.
+  const PositionIndex& Postings(const PredicateIndex& pidx,
+                                uint32_t position) const;
+
+  /// How many positions a reader has indexed by reading them (as opposed
+  /// to declaring them) since this store was created or copied.
+  uint64_t positions_built_on_read() const;
+
+  /// Forgets every indexed and declared position; the rows stay.
+  void ClearIndexes();
 
   /// The active domain: every term occurring in some atom, in first-seen
   /// order.
@@ -370,6 +427,7 @@ class FactSet {
                             MemAccounting mode) const;
   uint64_t PredPostingsBytes(const PredicateIndex& pidx,
                              MemAccounting mode) const;
+  uint64_t DeclaredAbsentBytes(MemAccounting mode) const;
   uint64_t DedupHeapBytes(MemAccounting mode) const;
   uint64_t MetaHeapBytes(MemAccounting mode) const;
   uint64_t ScratchHeapBytes() const;
@@ -379,6 +437,20 @@ class FactSet {
   void CountTermOccurrence(const TermId* args, uint32_t pos);
 
   void InitShards(uint32_t shard_count);
+
+  /// Fills `pi`, position `position` of `pidx`, from the column in append
+  /// order and marks it indexed.  The caller excludes other writers.
+  static void BuildPosition(const PredicateIndex& pidx, uint32_t position,
+                            const PositionIndex& pi);
+
+  /// Serializes builds on read.  They run only between commits, when no
+  /// shard task holds a shard mutex, so shard 0's mutex serves: a store
+  /// allocates no mutex of its own for its indexes.
+  std::mutex& IndexMutex() const { return *shard_mutexes_[0]; }
+
+  /// Marks the declared positions of the fresh predicate `predicate`
+  /// indexed (it has no rows yet, so there is nothing to build).
+  void ApplyDeclarations(PredicateId predicate, PredicateIndex& pidx);
 
   std::vector<Atom> atoms_;
   std::vector<uint32_t> local_row_;  // parallel to atoms_
@@ -394,6 +466,11 @@ class FactSet {
   // indices); doubles as domain membership — a term is in the active
   // domain iff its degree is non-zero (degrees are never decremented).
   std::vector<uint32_t> atom_degree_;
+  // Positions declared for predicates that have no rows yet, as
+  // (predicate, position) pairs; moved onto the predicate at its first row.
+  std::vector<std::pair<PredicateId, uint32_t>> declared_absent_;
+  // Positions built on read, guarded by IndexMutex(); a copy starts at 0.
+  mutable uint64_t built_on_read_ = 0;
 };
 
 }  // namespace frontiers

@@ -173,10 +173,7 @@ MemTotals ChaseMemTotalsFromParts(const ChaseResult& result,
       prov_inner_bytes + VectorHeapBytes(result.depth, mode) +
           VectorHeapBytes(result.first_derivation, mode) +
           VectorHeapBytes(result.all_derivations, mode) +
-          UnorderedOverheadBytes(result.birth_atom.bucket_count(),
-                                 result.birth_atom.size(),
-                                 sizeof(std::pair<const TermId, uint32_t>),
-                                 mode));
+          VectorHeapBytes(result.birth_atom, mode));
   // The run's own diagnostics (per-round counters and timings) are real
   // heap bytes but not chase state: attribute them to kScratch so the
   // audit walk is complete over ChaseResult (the allocator oracle in
@@ -362,6 +359,19 @@ ChaseEngine::ChaseEngine(Vocabulary& vocab, const Theory& theory)
     if (!rule.body.empty() && !rule.domain_vars.empty()) {
       needs_naive_[r] = true;
     }
+    // The head checks bind the head-universal variables (`Bind` in the
+    // match phase, `initial` at commit).
+    const std::unordered_set<TermId> none;
+    const std::unordered_set<TermId> head_bound(
+        rule.head_universal_vars.begin(), rule.head_universal_vars.end());
+    ProbedPositions(rule.body, body_vars_[r], none,
+                    [&](PredicateId p, uint32_t pos) {
+                      body_read_positions_.emplace_back(p, pos);
+                    });
+    ProbedPositions(rule.head, head_vars_[r], head_bound,
+                    [&](PredicateId p, uint32_t pos) {
+                      head_read_positions_.emplace_back(p, pos);
+                    });
 
     // Flatten the skolemized head into the set-at-a-time commit layout.
     const SkolemizedHead& sh = skolemized_[r];
@@ -580,10 +590,44 @@ struct ChaseEngine::RunState {
   uint64_t prov_inner_content = 0;
 };
 
+void ChaseEngine::DeclareReadPositions(FactSet& facts,
+                                       const ChaseOptions& options) const {
+  if (options.filter) {
+    // A filter is opaque and may read any position of the stage: index
+    // every position of the theory's predicates and of the store's.
+    for (const Tgd& rule : theory_.rules) {
+      for (const std::vector<Atom>* atoms : {&rule.body, &rule.head}) {
+        for (const Atom& atom : *atoms) {
+          for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
+            facts.Declare(atom.predicate, pos);
+          }
+        }
+      }
+    }
+    for (PredicateId p = 0; p < vocab_.NumPredicates(); ++p) {
+      const FactSet::PredicateIndex* pidx = facts.Predicate(p);
+      if (pidx == nullptr) continue;
+      for (uint32_t pos = 0; pos < pidx->segment.arity(); ++pos) {
+        facts.Declare(p, pos);
+      }
+    }
+    return;
+  }
+  for (const auto& [p, pos] : body_read_positions_) facts.Declare(p, pos);
+  if (options.variant == ChaseVariant::kRestricted) {
+    for (const auto& [p, pos] : head_read_positions_) facts.Declare(p, pos);
+  }
+}
+
 ChaseResult ChaseEngine::Run(const FactSet& db,
                              const ChaseOptions& options) const {
   RunState state;
+  // The run indexes exactly the positions it reads, whatever `db` indexed:
+  // a resumed run rebuilds the store from rows and must land on the same
+  // ledger.
   state.result.facts = db;
+  state.result.facts.ClearIndexes();
+  DeclareReadPositions(state.result.facts, options);
   state.result.depth.assign(db.size(), 0);
   const bool provenance =
       options.track_provenance || options.record_all_derivations;
@@ -668,8 +712,14 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
                     "snapshot is missing derivation lists for some atoms");
     result.all_derivations = snapshot.all_derivations;
   }
+  DeclareReadPositions(result.facts, options);
   for (const auto& [term, atom] : snapshot.birth_atoms) {
-    result.birth_atom.emplace(term, atom);
+    if (term >= result.birth_atom.size()) {
+      result.birth_atom.resize(term + 1, ChaseResult::kNoAtom);
+    }
+    if (result.birth_atom[term] == ChaseResult::kNoAtom) {
+      result.birth_atom[term] = atom;
+    }
   }
   for (const std::string& key : snapshot.seen_applications) {
     result.seen_applications.InsertKey(key);
@@ -871,6 +921,9 @@ class ChaseEngine::RoundLoop {
   std::unordered_map<PredicateId, std::vector<uint32_t>> delta_by_pred_;
   size_t domain_before_ = 0;
   std::vector<uint32_t> next_delta_atoms_;
+  // The store's build-on-read count when the round started; CloseRound
+  // checks that the round built no position on read.
+  uint64_t built_on_read_ = 0;
   std::atomic<int> abort_reason_{-1};
   std::atomic<size_t> staged_bytes_{0};
 
@@ -1119,6 +1172,7 @@ std::vector<MatchUnit> ChaseEngine::RoundLoop::PlanUnits(
     uint32_t round_threads) {
   const ChaseResult& result = state_.result;
   const uint32_t round = state_.round;
+  built_on_read_ = result.facts.positions_built_on_read();
   // Group the round's delta atoms by predicate once (order-preserving), so
   // each seeded unit scans only the rows its body atom can match instead
   // of skipping wrong-predicate atoms one by one.  Grouping preserves the
@@ -1472,11 +1526,12 @@ void ChaseEngine::RoundLoop::RecordRow(const StagedApplications& staged,
     }
     const std::vector<bool>& ex =
         engine_.existential_positions_[app.rule_index][head_atom];
+    std::vector<uint32_t>& births = result.birth_atom;
     for (uint32_t pos = 0; pos < arity; ++pos) {
-      if (ex[pos] &&
-          result.birth_atom.find(terms[pos]) == result.birth_atom.end()) {
-        result.birth_atom.emplace(terms[pos], out.index);
-      }
+      if (!ex[pos]) continue;
+      const TermId t = terms[pos];
+      if (t >= births.size()) births.resize(t + 1, ChaseResult::kNoAtom);
+      if (births[t] == ChaseResult::kNoAtom) births[t] = out.index;
     }
   } else if (options_.record_all_derivations) {
     std::vector<Derivation>& list = result.all_derivations[out.index];
@@ -1784,6 +1839,12 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitSemiOblivious(
 
 std::optional<ChaseStop> ChaseEngine::RoundLoop::CloseRound(
     ChaseRoundStats& record, bool atom_budget_hit) {
+  // Every position the round read was declared before the run's first
+  // round; one built on read here would make the ledger depend on where a
+  // run was interrupted.
+  FRONTIERS_CHECK(
+      state_.result.facts.positions_built_on_read() == built_on_read_,
+      "chase: a round read the postings of an undeclared position");
   // Runs before the stop checks below so a partial last round is
   // accounted too.
   record.mem = AccountBoundary();

@@ -324,9 +324,14 @@ struct ChaseResult {
   std::vector<std::optional<Derivation>> first_derivation;
   /// All derivations per atom (empty unless record_all_derivations).
   std::vector<std::vector<Derivation>> all_derivations;
-  /// Birth atom (Observation 10) of each chase-created term: the index of
-  /// the unique atom in which the term first occurs outside the frontier.
-  std::unordered_map<TermId, uint32_t> birth_atom;
+  /// Birth atoms (Observation 10), indexed by TermId: `birth_atom[t]` is the
+  /// index of the first atom that holds the chase-created term `t` at an
+  /// existential head position, and `kNoAtom` for every other term (input
+  /// terms, and Skolem terms this run did not insert).  The table ends at
+  /// the largest term born so far, so its size is a function of the chase
+  /// state alone.  Read it through `BirthAtom`.
+  std::vector<uint32_t> birth_atom;
+  static constexpr uint32_t kNoAtom = UINT32_MAX;
   /// Per-round counters and timings.
   ChaseStats stats;
   /// Bytes of live chase state at the end of the run — the quantity
@@ -348,6 +353,11 @@ struct ChaseResult {
   /// `deduped`/`committed` counters.  Empty when record_all_derivations
   /// disabled the memo.
   FrontierMemo seen_applications;
+
+  /// The birth atom of `t`, or kNoAtom if the chase did not create `t`.
+  uint32_t BirthAtom(TermId t) const {
+    return t < birth_atom.size() ? birth_atom[t] : kNoAtom;
+  }
 
   /// True iff the chase reached a fixpoint, i.e. the (semi-oblivious) chase
   /// of this instance terminates: Ch(T,D) = Ch_{complete_rounds}(T,D).
@@ -425,6 +435,9 @@ class ChaseEngine {
   // Defined in chase.cc.
   class RoundLoop;
   ChaseResult RunFromState(RunState state, const ChaseOptions& options) const;
+  // Declares in `facts` every position a run under `options` reads the
+  // postings of, before its first round (FactSet's "Indexed positions").
+  void DeclareReadPositions(FactSet& facts, const ChaseOptions& options) const;
 
   // --- Set-at-a-time commit layout ----------------------------------------
   // The commit phase expands staged applications from a flat binding tuple
@@ -497,6 +510,10 @@ class ChaseEngine {
   // Rules that cannot be driven purely by atom deltas: nonempty body plus
   // domain variables.  They are re-enumerated naively every round.
   std::vector<bool> needs_naive_;
+  // The (predicate, position) pairs whose postings the body match plans
+  // read, and those the restricted variant's head checks read besides.
+  std::vector<std::pair<PredicateId, uint32_t>> body_read_positions_;
+  std::vector<std::pair<PredicateId, uint32_t>> head_read_positions_;
 };
 
 }  // namespace frontiers

@@ -213,8 +213,11 @@ Result<ChaseSnapshot> MakeSnapshot(const Vocabulary& vocab,
   snap.stop = result.stop;
   snap.first_derivation = result.first_derivation;
   snap.all_derivations = result.all_derivations;
-  snap.birth_atoms.assign(result.birth_atom.begin(), result.birth_atom.end());
-  std::sort(snap.birth_atoms.begin(), snap.birth_atoms.end());
+  for (TermId t = 0; t < result.birth_atom.size(); ++t) {
+    if (result.birth_atom[t] != ChaseResult::kNoAtom) {
+      snap.birth_atoms.emplace_back(t, result.birth_atom[t]);
+    }
+  }
   snap.seen_applications.reserve(result.seen_applications.size());
   result.seen_applications.ForEach([&](FrontierMemo::Entry e) {
     snap.seen_applications.push_back(result.seen_applications.Key(e));

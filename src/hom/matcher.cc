@@ -33,7 +33,8 @@ MatchPlan::MatchPlan(const FactSet& target, const std::vector<Atom>& pattern,
       args_(arg_count_),
       ops_(arg_count_),
       slot_vars_(arg_count_),
-      bindings_(arg_count_) {
+      bindings_(arg_count_),
+      slot_indexed_(arg_count_) {
   // A pattern past the inline sizes finds its slots through a map rather
   // than by scanning the slots seen so far.
   const bool large = arg_count_ > kInlineArgs;
@@ -50,6 +51,9 @@ MatchPlan::MatchPlan(const FactSet& target, const std::vector<Atom>& pattern,
     slot_vars_[slot_count_] = t;
     return slot_count_++;
   };
+  // By slot: the atom it first occurs in, or kNoSlot once a second atom
+  // holds it too (the search can then probe its positions bound).
+  InlineArray<uint32_t, kInlineArgs> slot_atom(arg_count_);
   uint32_t next_arg = 0;
   for (uint32_t i = 0; i < atom_count_; ++i) {
     const Atom& atom = pattern[i];
@@ -65,6 +69,7 @@ MatchPlan::MatchPlan(const FactSet& target, const std::vector<Atom>& pattern,
     // with the segment's leaves the atom without columns: a dead end.
     const FactSet::PredicateIndex* pidx = target.Predicate(atom.predicate);
     const bool fits = pidx != nullptr && pidx->segment.arity() == plan.arity;
+    plan.pidx = fits ? pidx : nullptr;
     plan.segment = fits ? &pidx->segment : nullptr;
     plan.all_rows = pidx != nullptr ? PostingList(pidx->atom_ids.data(),
                                                   pidx->atom_ids.size())
@@ -72,15 +77,21 @@ MatchPlan::MatchPlan(const FactSet& target, const std::vector<Atom>& pattern,
     for (uint32_t pos = 0; pos < plan.arity; ++pos) {
       const TermId t = atom.args[pos];
       Arg& arg = args_[next_arg++];
-      arg.index = fits ? &pidx->by_position[pos] : nullptr;
+      arg.index = nullptr;
       arg.column = fits ? pidx->segment.Column(pos).data() : nullptr;
       auto bound = initial.empty() ? initial.end() : initial.find(t);
       if (bound != initial.end()) {
         arg.slot = kNoSlot;
         arg.term = bound->second;
       } else if (mappable.count(t) > 0) {
+        const uint32_t fresh = slot_count_;
         arg.slot = slot_for(t);
         arg.term = kNoTerm;
+        if (arg.slot == fresh) {
+          slot_atom[arg.slot] = i;
+        } else if (slot_atom[arg.slot] != i) {
+          slot_atom[arg.slot] = kNoSlot;
+        }
       } else {
         arg.slot = kNoSlot;
         arg.term = t;  // rigid
@@ -88,6 +99,7 @@ MatchPlan::MatchPlan(const FactSet& target, const std::vector<Atom>& pattern,
       if (arg.slot != kNoSlot) continue;
       // Fixed positions never change their posting list: pick the most
       // selective one now (the first on ties, as the search would).
+      if (fits) arg.index = &target.Postings(*pidx, pos);
       PostingList list =
           arg.index != nullptr ? arg.index->Lookup(arg.term) : PostingList();
       if (plan.fixed_pos == kNoSlot || list.size() < plan.fixed_best.size()) {
@@ -103,7 +115,34 @@ MatchPlan::MatchPlan(const FactSet& target, const std::vector<Atom>& pattern,
       dead_ = true;
     }
   }
-  for (uint32_t s = 0; s < slot_count_; ++s) bindings_[s] = kNoTerm;
+  for (uint32_t s = 0; s < slot_count_; ++s) {
+    bindings_[s] = kNoTerm;
+    slot_indexed_[s] = slot_atom[s] == kNoSlot;
+  }
+  // The positions of shared slots; a slot held by one atom only is indexed
+  // if `Bind` binds it.
+  for (uint32_t i = 0; i < atom_count_; ++i) {
+    const AtomPlan& plan = atoms_[i];
+    if (plan.pidx == nullptr) continue;
+    for (uint32_t pos = 0; pos < plan.arity; ++pos) {
+      Arg& arg = args_[plan.first_arg + pos];
+      if (arg.slot != kNoSlot && slot_indexed_[arg.slot]) {
+        arg.index = &target.Postings(*plan.pidx, pos);
+      }
+    }
+  }
+}
+
+void MatchPlan::IndexSlot(uint32_t s) {
+  for (uint32_t i = 0; i < atom_count_; ++i) {
+    const AtomPlan& atom = atoms_[i];
+    if (atom.pidx == nullptr) continue;
+    for (uint32_t pos = 0; pos < atom.arity; ++pos) {
+      Arg& arg = args_[atom.first_arg + pos];
+      if (arg.slot == s) arg.index = &target_.Postings(*atom.pidx, pos);
+    }
+  }
+  slot_indexed_[s] = true;
 }
 
 uint32_t MatchPlan::SlotOf(TermId t) const {
@@ -202,8 +241,10 @@ PostingList MatchPlan::CandidatesFor(const AtomPlan& atom) const {
     if (arg.slot == kNoSlot) continue;
     const TermId value = bindings_[arg.slot];
     if (value == kNoTerm) continue;
-    PostingList list =
-        arg.index != nullptr ? arg.index->Lookup(value) : PostingList();
+    // A bound slot is shared or was bound by Bind, so its position is
+    // indexed (the atom fits: a plan with a misfit atom never searches).
+    assert(arg.index != nullptr);
+    PostingList list = arg.index->Lookup(value);
     if (best_pos == kNoSlot || list.size() < best.size() ||
         (list.size() == best.size() && pos < best_pos)) {
       best = list;

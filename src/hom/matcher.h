@@ -71,6 +71,11 @@ constexpr size_t kInlineArgs = 24;
 /// it is valid only while the target is not mutated: compile it after the
 /// last insert and drop it before the next.  A plan is single-threaded
 /// state; concurrent readers of one target each compile their own.
+///
+/// A plan reads the postings of exactly the positions `ProbedPositions`
+/// names, and indexes each one it reads (`FactSet::Postings`): the fixed
+/// positions and those of slots shared by two atoms when it compiles, and
+/// those of a slot bound by `Bind` when it is first bound.
 class MatchPlan {
  public:
   /// Slot index of a term that has no slot.
@@ -107,7 +112,10 @@ class MatchPlan {
 
   /// Binds the unbound slot `s` to `value` for the following runs, until
   /// `Unbind(s)`.
-  void Bind(uint32_t s, TermId value) { bindings_[s] = value; }
+  void Bind(uint32_t s, TermId value) {
+    if (!slot_indexed_[s]) IndexSlot(s);
+    bindings_[s] = value;
+  }
   void Unbind(uint32_t s) { bindings_[s] = kNoTerm; }
 
   /// Enumerates every complete match under the current bindings;
@@ -130,14 +138,17 @@ class MatchPlan {
   struct Arg {
     uint32_t slot;   // variable slot, or kNoSlot for a fixed term
     TermId term;     // the fixed term
-    const FactSet::PositionIndex* index;  // this position's postings
-    const TermId* column;                 // this position's column
+    // This position's postings; nullptr until the position can be probed
+    // (and always when the atom cannot match).
+    const FactSet::PositionIndex* index;
+    const TermId* column;  // this position's column
   };
 
   struct AtomPlan {
     uint32_t first_arg;  // into args_ and ops_
     uint32_t arity;
-    const ColumnarSegment* segment;  // nullptr: the atom cannot match
+    const FactSet::PredicateIndex* pidx;  // nullptr: the atom cannot match
+    const ColumnarSegment* segment;       // nullptr: the atom cannot match
     PostingList all_rows;    // the predicate's rows, for an unconstrained atom
     PostingList fixed_best;  // most selective fixed position's postings
     uint32_t fixed_pos;      // its position, or kNoSlot
@@ -160,6 +171,7 @@ class MatchPlan {
   }
 
   bool RunWith(bool (*call)(void*), void* callee);
+  void IndexSlot(uint32_t s);
   PostingList CandidatesFor(const AtomPlan& atom) const;
   bool BindsAnswer(const AtomPlan& atom) const;
   bool AnswersBound() const;
@@ -180,6 +192,9 @@ class MatchPlan {
   match_internal::InlineArray<TermId, match_internal::kInlineArgs> slot_vars_;
   // By slot; kNoTerm = unbound.
   match_internal::InlineArray<TermId, match_internal::kInlineArgs> bindings_;
+  // By slot: the postings of every position holding the slot are resolved.
+  match_internal::InlineArray<uint8_t, match_internal::kInlineArgs>
+      slot_indexed_;
   // The running enumeration's callback.
   bool (*call_)(void*) = nullptr;
   void* callee_ = nullptr;
@@ -193,6 +208,30 @@ class MatchPlan {
   std::vector<uint32_t> tuple_slots_;
   bool checking_ = false;
 };
+
+/// Calls `fn(predicate, position)` for each position of `pattern` whose
+/// postings a `MatchPlan` over it can read while the terms in `bound` are
+/// bound (by `initial`, `Seed` or `Bind`): a position holding a term outside
+/// `mappable`, a term in `bound`, or a term of `mappable` that also occurs
+/// in another atom of `pattern`.  A position of a variable that occurs in
+/// one atom only is never probed: the search binds it only while scanning
+/// that atom's candidates.  Positions repeat when the pattern repeats them.
+template <typename Fn>
+void ProbedPositions(const std::vector<Atom>& pattern,
+                     const std::unordered_set<TermId>& mappable,
+                     const std::unordered_set<TermId>& bound, Fn&& fn) {
+  for (size_t i = 0; i < pattern.size(); ++i) {
+    const Atom& atom = pattern[i];
+    for (uint32_t pos = 0; pos < atom.args.size(); ++pos) {
+      const TermId t = atom.args[pos];
+      bool probed = mappable.count(t) == 0 || bound.count(t) > 0;
+      for (size_t j = 0; j < pattern.size() && !probed; ++j) {
+        probed = j != i && pattern[j].ContainsTerm(t);
+      }
+      if (probed) fn(atom.predicate, pos);
+    }
+  }
+}
 
 /// Backtracking pattern matcher: finds assignments of the *mappable* terms
 /// of an atom pattern such that every pattern atom lands inside a target

@@ -39,8 +39,10 @@ ChaseForest BuildChaseForest(const Vocabulary& /*vocab*/, const Theory& theory,
 
   // Terms born by detached atoms.
   std::unordered_set<TermId> detached_terms;
-  for (const auto& [term, birth] : chase.birth_atom) {
-    if (forest.atom_class[birth] == AtomClass::kDetached) {
+  for (TermId term = 0; term < chase.birth_atom.size(); ++term) {
+    const uint32_t birth = chase.birth_atom[term];
+    if (birth != ChaseResult::kNoAtom &&
+        forest.atom_class[birth] == AtomClass::kDetached) {
       detached_terms.insert(term);
     }
   }
@@ -48,17 +50,12 @@ ChaseForest BuildChaseForest(const Vocabulary& /*vocab*/, const Theory& theory,
   // Parent term of each sensible-born term: the frontier term of its
   // birth atom (frontier-one theories have exactly one).
   auto parent_of = [&](TermId t) -> TermId {
-    auto birth = chase.birth_atom.find(t);
-    if (birth == chase.birth_atom.end()) return kNoTerm;  // input term
-    const Atom& atom = chase.facts.atoms()[birth->second];
+    const uint32_t birth = chase.BirthAtom(t);
+    if (birth == ChaseResult::kNoAtom) return kNoTerm;  // input term
+    const Atom& atom = chase.facts.atoms()[birth];
     for (TermId other : atom.args) {
       // The parent is any argument that was *not* born here.
-      auto other_birth = chase.birth_atom.find(other);
-      if (other == t) continue;
-      if (other_birth == chase.birth_atom.end() ||
-          other_birth->second != birth->second) {
-        return other;
-      }
+      if (other != t && chase.BirthAtom(other) != birth) return other;
     }
     return kNoTerm;  // all arguments born here: detached shape
   };
@@ -69,8 +66,8 @@ ChaseForest BuildChaseForest(const Vocabulary& /*vocab*/, const Theory& theory,
     auto cached = root_of.find(t);
     if (cached != root_of.end()) return cached->second;
     TermId root;
-    auto birth = chase.birth_atom.find(t);
-    if (birth == chase.birth_atom.end() || detached_terms.count(t) > 0) {
+    if (chase.BirthAtom(t) == ChaseResult::kNoAtom ||
+        detached_terms.count(t) > 0) {
       root = t;  // input constant or detached term
     } else {
       TermId parent = parent_of(t);
@@ -90,8 +87,7 @@ ChaseForest BuildChaseForest(const Vocabulary& /*vocab*/, const Theory& theory,
     TermId child = kNoTerm;
     int children = 0;
     for (TermId t : atom.args) {
-      auto birth = chase.birth_atom.find(t);
-      if (birth != chase.birth_atom.end() && birth->second == i) {
+      if (chase.BirthAtom(t) == i) {
         child = t;
         ++children;
       }

@@ -1,8 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "base/fact_set.h"
 #include "base/vocabulary.h"
+#include "catalog/instances.h"
+#include "catalog/theories.h"
 #include "chase/chase.h"
+#include "chase/snapshot.h"
 #include "hom/query_ops.h"
 #include "tgd/parser.h"
 
@@ -241,10 +250,15 @@ TEST_F(ChaseTest, BirthAtoms) {
   Theory t_a = ParseT("Human(y) -> exists z . Mother(y,z)");
   ChaseEngine engine(vocab_, t_a);
   ChaseResult result = engine.RunToDepth(Facts("Human(Abel)"), 1);
-  ASSERT_EQ(result.birth_atom.size(), 1u);
-  auto [term, atom_index] = *result.birth_atom.begin();
+  std::vector<TermId> born;
+  for (TermId t = 0; t < vocab_.NumTerms(); ++t) {
+    if (result.BirthAtom(t) != ChaseResult::kNoAtom) born.push_back(t);
+  }
+  ASSERT_EQ(born.size(), 1u);
+  const TermId term = born[0];
   EXPECT_TRUE(vocab_.IsSkolem(term));
-  const Atom& birth = result.facts.atoms()[atom_index];
+  EXPECT_EQ(result.BirthAtom(vocab_.Constant("Abel")), ChaseResult::kNoAtom);
+  const Atom& birth = result.facts.atoms()[result.BirthAtom(term)];
   EXPECT_EQ(vocab_.PredicateName(birth.predicate), "Mother");
   EXPECT_EQ(birth.args[1], term);
 }
@@ -385,6 +399,138 @@ TEST_F(ChaseTest, DepthOfInputAndDerivedAtoms) {
                    .DepthOf(Atom(e, {vocab_.Constant("Z"),
                                      vocab_.Constant("Z")}))
                    .has_value());
+}
+
+// --- Birth atoms ------------------------------------------------------------
+// `BirthAtom(t)` must be the first atom that holds `t` at an existential
+// head position of the rule that derived it, recomputed here by brute force
+// over the stage and its provenance, at one and four threads and after an
+// interrupt/resume.
+
+struct BirthCase {
+  const char* name;
+  Theory (*theory)(Vocabulary&);
+  FactSet (*instance)(Vocabulary&);
+  uint32_t rounds;
+};
+
+FactSet Ex41Chain(Vocabulary& vocab) {
+  const PredicateId e3 = vocab.AddPredicate("E3", 3);
+  const PredicateId r = vocab.AddPredicate("R", 2);
+  const TermId colour = vocab.Constant("c");
+  FactSet db;
+  for (uint32_t i = 0; i < 5; ++i) {
+    db.Insert(Atom(e3, {PathConstant(vocab, "a", i),
+                        PathConstant(vocab, "a", i + 1), colour}));
+  }
+  db.Insert(Atom(r, {PathConstant(vocab, "a", 0), colour}));
+  return db;
+}
+
+std::vector<uint32_t> BruteForceBirths(const Vocabulary& vocab,
+                                       const Theory& theory,
+                                       const ChaseResult& result) {
+  std::vector<uint32_t> births(vocab.NumTerms(), ChaseResult::kNoAtom);
+  for (uint32_t i = 0; i < result.facts.size(); ++i) {
+    const std::optional<Derivation>& d = result.first_derivation[i];
+    if (!d.has_value()) continue;  // an input atom
+    const Tgd& rule = theory.rules[d->rule_index];
+    const Atom& atom = result.facts.atoms()[i];
+    for (const Atom& head : rule.head) {
+      if (head.predicate != atom.predicate) continue;
+      for (uint32_t pos = 0; pos < head.args.size(); ++pos) {
+        const bool existential =
+            std::find(rule.existential_vars.begin(),
+                      rule.existential_vars.end(),
+                      head.args[pos]) != rule.existential_vars.end();
+        const TermId t = atom.args[pos];
+        if (existential && births[t] == ChaseResult::kNoAtom) births[t] = i;
+      }
+    }
+  }
+  return births;
+}
+
+TEST(BirthAtomOracle, MatchesBruteForceAcrossThreadsAndResume) {
+  const BirthCase cases[] = {
+      {"Ex39", StickyExample39Theory,
+       [](Vocabulary& v) { return Star39Instance(v, 3); }, 3},
+      {"Ex41", Example41Theory, Ex41Chain, 6},
+      {"Ex42", TcTheory,
+       [](Vocabulary& v) { return EdgeCycle(v, "E", 4, "a"); }, 3},
+      {"T_d^3", [](Vocabulary& v) { return TdKTheory(v, 3); },
+       [](Vocabulary& v) { return EdgePath(v, TdKPredicateName(1), 4, "a"); },
+       3},
+  };
+  for (const BirthCase& c : cases) {
+    Vocabulary vocab;
+    const Theory theory = c.theory(vocab);
+    const FactSet db = c.instance(vocab);
+    const ChaseEngine engine(vocab, theory);
+    ChaseOptions options;
+    options.max_rounds = c.rounds;
+    options.track_provenance = true;
+    std::vector<ChaseResult> runs;
+    for (uint32_t threads : {1u, 4u}) {
+      options.threads = threads;
+      runs.push_back(engine.Run(db, options));
+    }
+    ChaseOptions first_half = options;
+    first_half.max_rounds = c.rounds / 2;
+    const ChaseResult interrupted = engine.Run(db, first_half);
+    Result<ChaseSnapshot> snapshot =
+        MakeSnapshot(vocab, theory, interrupted, first_half);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().message();
+    runs.push_back(engine.Resume(snapshot.value(), options));
+
+    const std::vector<uint32_t> expected =
+        BruteForceBirths(vocab, theory, runs[0]);
+    size_t born = 0;
+    for (TermId t = 0; t < vocab.NumTerms(); ++t) {
+      if (expected[t] != ChaseResult::kNoAtom) ++born;
+      for (size_t run = 0; run < runs.size(); ++run) {
+        EXPECT_EQ(runs[run].BirthAtom(t), expected[t])
+            << c.name << " run " << run << " term " << t;
+      }
+    }
+    // Example 41's one rule is Datalog; every other case invents terms.
+    if (std::string(c.name) != "Ex41") {
+      EXPECT_GT(born, 0u) << c.name << ": the chase invented no term";
+    }
+    EXPECT_EQ(runs[2].birth_atom, runs[0].birth_atom) << c.name;
+  }
+}
+
+// The FRSN bytes of an Example 39 run are pinned: birth atoms, provenance,
+// the memo and every other logical part of the encoding.  Timings and the
+// two ledger figures are zeroed first, since they are measurements of the
+// run, not chase state.
+TEST(ChaseSnapshotBytes, Example39EncodingIsPinned) {
+  Vocabulary vocab;
+  const Theory theory = StickyExample39Theory(vocab);
+  const FactSet db = Star39Instance(vocab, 3);
+  ChaseOptions options;
+  options.max_rounds = 3;
+  options.track_provenance = true;
+  const ChaseResult result = ChaseEngine(vocab, theory).Run(db, options);
+  ASSERT_EQ(result.stop, ChaseStop::kRoundBudget);
+  Result<ChaseSnapshot> snapshot = MakeSnapshot(vocab, theory, result, options);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().message();
+  ChaseSnapshot& snap = snapshot.value();
+  for (ChaseRoundStats& round : snap.round_stats) {
+    round.match_seconds = 0;
+    round.commit_seconds = 0;
+  }
+  snap.total_seconds = 0;
+  snap.approx_bytes = 0;
+  snap.peak_bytes = 0;
+  uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a
+  for (unsigned char c : EncodeSnapshot(snap)) {
+    hash ^= c;
+    hash *= 0x100000001b3ull;
+  }
+  EXPECT_FALSE(snap.birth_atoms.empty());
+  EXPECT_EQ(hash, 0xab524903b63d41fdull);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Property tests for the columnar fact store: the struct-of-arrays
-// segments, id-keyed dedup, posting-list indexes, and the batch-insert
-// path must behave exactly like a naive row-store oracle, and the
-// set-at-a-time commit must keep the chase byte-identical across worker
-// thread counts.
+// segments, id-keyed dedup, posting-list indexes (however late a position
+// is indexed), and the batch-insert path must behave exactly like a naive
+// row-store oracle, and the set-at-a-time commit must keep the chase
+// byte-identical across worker thread counts.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 #include "base/columnar.h"
 #include "base/fact_set.h"
 #include "base/vocabulary.h"
+#include "base/worker_pool.h"
 #include "catalog/instances.h"
 #include "catalog/theories.h"
 #include "chase/chase.h"
@@ -292,6 +293,164 @@ TEST(ColumnarStore, BatchCommitIsByteIdenticalAcrossThreadCounts) {
           << w.name << " threads=" << threads;
     }
   }
+}
+
+// --- Indexed positions ------------------------------------------------------
+// A position gets postings only once declared or first read.  Whenever that
+// happens, and whichever insert path filled the store, every posting list
+// must be the one the row-store oracle (an eagerly indexed store) gives.
+
+enum class InsertPath { kRow, kBatch, kParallel };
+enum class DeclareAt { kBeforeFirstInsert, kBetweenBatches, kAfterLastInsert };
+
+// The positions the lazy-index tests declare: position 0 of every
+// predicate and the last position of ColC; every other position is left to
+// be built on its first read.
+void DeclareSome(FactSet& store, const Vocabulary& vocab) {
+  for (PredicateId p = 0; p < 4; ++p) store.Declare(p, 0);
+  store.Declare(2, vocab.PredicateArity(2) - 1);
+}
+
+TEST(LazyIndexes, EveryPostingListEqualsTheEagerOne) {
+  Vocabulary vocab;
+  const std::vector<Atom> workload = RandomAtoms(vocab, 1200, 0x1A2B3C);
+  RowStoreOracle oracle;
+  for (const Atom& atom : workload) oracle.Insert(atom);
+  constexpr size_t kBatches = 4;
+  std::vector<RowBlock> blocks(kBatches);
+  for (size_t i = 0; i < workload.size(); ++i) {
+    const Atom& atom = workload[i];
+    blocks[i * kBatches / workload.size()].Append(
+        atom.predicate, atom.args.data(), atom.args.size());
+  }
+  uint32_t positions = 0;
+  for (PredicateId p = 0; p < 4; ++p) positions += vocab.PredicateArity(p);
+
+  for (InsertPath path :
+       {InsertPath::kRow, InsertPath::kBatch, InsertPath::kParallel}) {
+    for (uint32_t threads : {1u, 4u}) {
+      if (path != InsertPath::kParallel && threads > 1) continue;
+      for (uint32_t shards : {1u, 8u}) {
+        for (DeclareAt at :
+             {DeclareAt::kBeforeFirstInsert, DeclareAt::kBetweenBatches,
+              DeclareAt::kAfterLastInsert}) {
+          const std::string label =
+              "path " + std::to_string(static_cast<int>(path)) + " threads " +
+              std::to_string(threads) + " shards " + std::to_string(shards) +
+              " declared at " + std::to_string(static_cast<int>(at));
+          WorkerPool pool(threads);
+          FactSet store(shards);
+          if (at == DeclareAt::kBeforeFirstInsert) DeclareSome(store, vocab);
+          for (size_t b = 0; b < kBatches; ++b) {
+            if (b == 2 && at == DeclareAt::kBetweenBatches) {
+              DeclareSome(store, vocab);
+            }
+            const RowBlock& block = blocks[b];
+            switch (path) {
+              case InsertPath::kRow:
+                for (size_t row = 0; row < block.rows(); ++row) {
+                  store.InsertRow(block.predicates[row], block.Terms(row),
+                                  block.Arity(row));
+                }
+                break;
+              case InsertPath::kBatch:
+                store.InsertBatch(block, nullptr);
+                break;
+              case InsertPath::kParallel:
+                store.InsertBatchParallel(block, nullptr, &pool);
+                break;
+            }
+          }
+          if (at == DeclareAt::kAfterLastInsert) DeclareSome(store, vocab);
+          ASSERT_EQ(store.atoms(), oracle.atoms) << label;
+          for (PredicateId p = 0; p < 4; ++p) {
+            EXPECT_TRUE(store.Indexed(p, 0)) << label;
+          }
+          EXPECT_FALSE(store.Indexed(1, 1)) << label;
+
+          // A copy keeps exactly the declared set, and nothing it builds
+          // on read reaches the original.
+          const FactSet copy = store;
+          for (PredicateId p = 0; p < 4; ++p) {
+            for (uint32_t pos = 0; pos < vocab.PredicateArity(p); ++pos) {
+              EXPECT_EQ(copy.Indexed(p, pos), store.Indexed(p, pos))
+                  << label << " p=" << p << " pos=" << pos;
+            }
+          }
+          const FactSet* readers[] = {&store, &copy};
+          for (const FactSet* reader : readers) {
+            for (PredicateId p = 0; p < 4; ++p) {
+              for (uint32_t pos = 0; pos < vocab.PredicateArity(p); ++pos) {
+                for (TermId t = 0; t < 16; ++t) {
+                  EXPECT_EQ(
+                      Materialize(reader->ByPredicatePositionTerm(p, pos, t)),
+                      oracle.ByPredicatePositionTerm(p, pos, t))
+                      << label << " p=" << p << " pos=" << pos << " t=" << t;
+                }
+              }
+            }
+            // Declared positions are never built on read; the rest once.
+            EXPECT_EQ(reader->positions_built_on_read(), positions - 5)
+                << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(LazyIndexes, ClearIndexesKeepsRowsAndForgetsPositions) {
+  Vocabulary vocab;
+  const std::vector<Atom> workload = RandomAtoms(vocab, 300, 0xD1CE);
+  FactSet store;
+  for (const Atom& atom : workload) store.Insert(atom);
+  DeclareSome(store, vocab);
+  store.Declare(vocab.AddPredicate("Absent", 2), 1);
+  const std::vector<Atom> rows = store.atoms();
+  store.ClearIndexes();
+  EXPECT_EQ(store.atoms(), rows);
+  for (PredicateId p = 0; p < 5; ++p) EXPECT_FALSE(store.Indexed(p, 0));
+  EXPECT_FALSE(store.Indexed(4, 1));
+  // Reads rebuild what they need, from the columns.
+  RowStoreOracle oracle;
+  for (const Atom& atom : workload) oracle.Insert(atom);
+  for (TermId t = 0; t < 16; ++t) {
+    EXPECT_EQ(Materialize(store.ByPredicatePositionTerm(2, 1, t)),
+              oracle.ByPredicatePositionTerm(2, 1, t));
+  }
+  EXPECT_EQ(store.positions_built_on_read(), 1u);
+}
+
+// Concurrent first reads of one unindexed position build it once, under
+// the store's index mutex, and every reader sees the whole list.
+TEST(LazyIndexes, ConcurrentFirstReadsBuildEachPositionOnce) {
+  Vocabulary vocab;
+  const std::vector<Atom> workload = RandomAtoms(vocab, 800, 0x5EED);
+  RowStoreOracle oracle;
+  FactSet store;
+  for (const Atom& atom : workload) {
+    oracle.Insert(atom);
+    store.Insert(atom);
+  }
+  uint32_t positions = 0;
+  for (PredicateId p = 0; p < 4; ++p) positions += vocab.PredicateArity(p);
+  constexpr size_t kReaders = 16;
+  std::vector<size_t> mismatches(kReaders, 0);
+  WorkerPool pool(4);
+  pool.Run(kReaders, [&](size_t reader) {
+    for (PredicateId p = 0; p < 4; ++p) {
+      for (uint32_t pos = 0; pos < vocab.PredicateArity(p); ++pos) {
+        for (TermId t = 0; t < 16; ++t) {
+          if (Materialize(store.ByPredicatePositionTerm(p, pos, t)) !=
+              oracle.ByPredicatePositionTerm(p, pos, t)) {
+            ++mismatches[reader];
+          }
+        }
+      }
+    }
+  });
+  EXPECT_EQ(mismatches, std::vector<size_t>(kReaders, 0));
+  EXPECT_EQ(store.positions_built_on_read(), positions);
 }
 
 }  // namespace

@@ -124,7 +124,9 @@ TEST_P(ChaseInvariantTest, BirthAtomsAreConsistent) {
   ChaseEngine engine(vocab, theory.value());
   FactSet db = RandomBinaryInstance(vocab, {"E", "F"}, 5, 6, seed);
   ChaseResult result = engine.RunToDepth(db, 4);
-  for (const auto& [term, atom_index] : result.birth_atom) {
+  for (TermId term = 0; term < vocab.NumTerms(); ++term) {
+    const uint32_t atom_index = result.BirthAtom(term);
+    if (atom_index == ChaseResult::kNoAtom) continue;
     EXPECT_TRUE(vocab.IsSkolem(term));
     EXPECT_TRUE(result.facts.atoms()[atom_index].ContainsTerm(term));
     // The birth atom is the first atom (in depth order) mentioning term.
