@@ -295,6 +295,87 @@ TEST(ColumnarStore, BatchCommitIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
+// --- Row access by id -------------------------------------------------------
+// Reading a row back by its id — its predicate, and its terms as an owned
+// atom — must give the oracle's row at that id, whichever insert path
+// filled the store, and after a copy or `ClearIndexes`.
+
+PredicateId PredicateOf(const FactSet& store, uint32_t id) {
+  return store.atoms()[id].predicate;
+}
+Atom ToAtom(const FactSet& store, uint32_t id) { return store.atoms()[id]; }
+
+void ExpectRowsMatchOracle(const FactSet& store, const RowStoreOracle& oracle,
+                           const std::string& label) {
+  ASSERT_EQ(store.size(), oracle.atoms.size()) << label;
+  for (uint32_t id = 0; id < store.size(); ++id) {
+    EXPECT_EQ(PredicateOf(store, id), oracle.atoms[id].predicate)
+        << label << " id " << id;
+    EXPECT_EQ(ToAtom(store, id), oracle.atoms[id]) << label << " id " << id;
+  }
+}
+
+enum class RowPath { kInsert, kInsertRow, kBatch, kParallel };
+
+TEST(RowAccess, EveryIdReadsBackTheOracleRow) {
+  Vocabulary vocab;
+  std::vector<Atom> workload = RandomAtoms(vocab, 1200, 0xA70B);
+  // Nullary rows have no column to read the predicate from.
+  const PredicateId nullary = vocab.AddPredicate("Nullary", 0);
+  for (size_t i : {0u, 400u, 401u, 1100u}) {
+    workload.insert(workload.begin() + i, Atom(nullary, {}));
+  }
+  RowStoreOracle oracle;
+  for (const Atom& atom : workload) oracle.Insert(atom);
+  constexpr size_t kBatches = 3;
+  std::vector<RowBlock> blocks(kBatches);
+  for (size_t i = 0; i < workload.size(); ++i) {
+    const Atom& atom = workload[i];
+    blocks[i * kBatches / workload.size()].Append(
+        atom.predicate, atom.args.data(), atom.args.size());
+  }
+
+  for (RowPath path : {RowPath::kInsert, RowPath::kInsertRow, RowPath::kBatch,
+                       RowPath::kParallel}) {
+    for (uint32_t threads : {1u, 4u}) {
+      if (path != RowPath::kParallel && threads > 1) continue;
+      for (uint32_t shards : {1u, 8u}) {
+        const std::string label =
+            "path " + std::to_string(static_cast<int>(path)) + " threads " +
+            std::to_string(threads) + " shards " + std::to_string(shards);
+        WorkerPool pool(threads);
+        FactSet store(shards);
+        switch (path) {
+          case RowPath::kInsert:
+            for (const Atom& atom : workload) store.Insert(atom);
+            break;
+          case RowPath::kInsertRow:
+            for (const Atom& atom : workload) {
+              store.InsertRow(atom.predicate, atom.args.data(),
+                              static_cast<uint32_t>(atom.args.size()));
+            }
+            break;
+          case RowPath::kBatch:
+            for (const RowBlock& block : blocks) {
+              store.InsertBatch(block, nullptr);
+            }
+            break;
+          case RowPath::kParallel:
+            for (const RowBlock& block : blocks) {
+              store.InsertBatchParallel(block, nullptr, &pool);
+            }
+            break;
+        }
+        ExpectRowsMatchOracle(store, oracle, label);
+        const FactSet copy = store;
+        ExpectRowsMatchOracle(copy, oracle, label + " copy");
+        store.ClearIndexes();
+        ExpectRowsMatchOracle(store, oracle, label + " cleared");
+      }
+    }
+  }
+}
+
 // --- Indexed positions ------------------------------------------------------
 // A position gets postings only once declared or first read.  Whenever that
 // happens, and whichever insert path filled the store, every posting list
