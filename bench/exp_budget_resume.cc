@@ -78,7 +78,7 @@ bool Identical(const ChaseResult& a, const ChaseResult& b) {
   // equality here is the E18 memory claim — an interrupted, snapshotted,
   // resumed run reconstructs the same ledger byte-for-byte, so byte
   // budgets meter identically on both sides.
-  return a.facts.atoms() == b.facts.atoms() && a.depth == b.depth &&
+  return a.facts.ToAtoms() == b.facts.ToAtoms() && a.depth == b.depth &&
          a.complete_rounds == b.complete_rounds && a.stop == b.stop &&
          a.first_derivation.size() == b.first_derivation.size() &&
          a.approx_bytes == b.approx_bytes &&

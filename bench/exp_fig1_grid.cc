@@ -57,7 +57,7 @@ void Run() {
     for (;;) {
       const auto& outgoing = chase.facts.ByPredicatePositionTerm(g, 0, cursor);
       if (outgoing.empty()) break;
-      cursor = chase.facts.atoms()[outgoing.front()].args[1];
+      cursor = chase.facts.ToAtom(outgoing.front()).args[1];
       ++length;
       if (length <= 3) {
         rendered += " -G-> " + vocab.TermToString(cursor);
@@ -70,7 +70,7 @@ void Run() {
     // Step the column: the red pin successor of the current column vertex.
     const auto& pins = chase.facts.ByPredicatePositionTerm(r, 0, column);
     if (pins.empty()) break;
-    column = chase.facts.atoms()[pins.front()].args[1];
+    column = chase.facts.ToAtom(pins.front()).args[1];
   }
   table.Print();
 

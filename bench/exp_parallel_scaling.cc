@@ -102,7 +102,7 @@ void Sweep(const std::string& title, Vocabulary& vocab, const Theory& theory,
                       result.peak_bytes});
     if (threads == thread_counts.front()) {
       baseline = std::move(result);
-    } else if (result.facts.atoms() != baseline.facts.atoms() ||
+    } else if (result.facts.ToAtoms() != baseline.facts.ToAtoms() ||
                result.depth != baseline.depth) {
       std::fprintf(stderr,
                    "FATAL: %u-thread result differs from %u-thread result\n",

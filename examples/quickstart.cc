@@ -38,7 +38,7 @@ int main() {
   std::printf("Ch_4(T, D) has %zu atoms:\n", chase.facts.size());
   for (size_t i = 0; i < chase.facts.size(); ++i) {
     std::printf("  depth %u: %s\n", chase.depth[i],
-                AtomToString(vocab, chase.facts.atoms()[i]).c_str());
+                AtomToString(vocab, chase.facts.ToAtom(i)).c_str());
   }
 
   // --- 2. Certain-answer check against the chase. ------------------------

@@ -65,7 +65,7 @@ void CmdChase(Session* session, uint32_t rounds) {
   std::printf("  %s\n", result.stats.Summary().c_str());
   for (size_t i = 0; i < result.facts.size() && i < 60; ++i) {
     std::printf("  depth %u: %s\n", result.depth[i],
-                AtomToString(session->vocab, result.facts.atoms()[i]).c_str());
+                AtomToString(session->vocab, result.facts.ToAtom(i)).c_str());
   }
   if (result.facts.size() > 60) {
     std::printf("  ... (%zu more)\n", result.facts.size() - 60);
@@ -153,7 +153,7 @@ void CmdExplain(Session* session, const std::string& text) {
   options.track_provenance = true;
   ChaseResult chase = engine.Run(session->facts, options);
   std::printf("%s", ExplainAtom(session->vocab, session->theory, chase,
-                                atoms.value().atoms()[0])
+                                atoms.value().ToAtom(0))
                         .c_str());
 }
 

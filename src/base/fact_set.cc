@@ -60,8 +60,7 @@ FactSet::PositionIndex& FactSet::PositionIndex::operator=(
 }
 
 FactSet::FactSet(const FactSet& other)
-    : atoms_(other.atoms_),
-      local_row_(other.local_row_),
+    : rows_(other.rows_),
       predicates_(other.predicates_),
       shards_(other.shards_),
       shard_mask_(other.shard_mask_),
@@ -116,16 +115,16 @@ void FactSet::CountTermOccurrence(const TermId* args, uint32_t pos) {
   if (++atom_degree_[t] == 1) domain_.push_back(t);
 }
 
-void FactSet::IndexNewAtom(uint32_t index, PredicateIndex& pidx) {
-  const Atom& atom = atoms_[index];
+void FactSet::IndexNewAtom(uint32_t index, PredicateIndex& pidx,
+                           const TermId* terms) {
   pidx.atom_ids.push_back(index);
-  const uint32_t arity = static_cast<uint32_t>(atom.args.size());
+  const uint32_t arity = pidx.segment.arity();
   for (uint32_t pos = 0; pos < arity; ++pos) {
     PositionIndex& pi = pidx.by_position[pos];
     if (pi.indexed.load(std::memory_order_relaxed)) {
-      pi.map.Append(atom.args[pos], index, pi.pool);
+      pi.map.Append(terms[pos], index, pi.pool);
     }
-    CountTermOccurrence(atom.args.data(), pos);
+    CountTermOccurrence(terms, pos);
   }
 }
 
@@ -236,12 +235,11 @@ FactSet::InsertOutcome FactSet::InsertRow(PredicateId predicate,
     });
     if (id != RowIdSet::kNotFound) return {id, false};
   }
-  uint32_t index = static_cast<uint32_t>(atoms_.size());
-  atoms_.push_back(Atom{predicate, std::vector<TermId>(terms, terms + arity)});
-  local_row_.push_back(static_cast<uint32_t>(seg.rows()));
+  uint32_t index = static_cast<uint32_t>(rows_.size());
+  rows_.push_back({predicate, static_cast<uint32_t>(seg.rows())});
   seg.AppendRow(terms);
   shard.dedup.FindOrInsert(hash, index, [](uint32_t) { return false; });
-  IndexNewAtom(index, pidx);
+  IndexNewAtom(index, pidx, terms);
   return {index, true};
 }
 
@@ -273,8 +271,7 @@ size_t FactSet::InsertBatch(const RowBlock& block,
       }
     }
   }
-  atoms_.reserve(atoms_.size() + block.rows());
-  local_row_.reserve(local_row_.size() + block.rows());
+  rows_.reserve(rows_.size() + block.rows());
   if (outcomes != nullptr) outcomes->reserve(outcomes->size() + block.rows());
   std::unordered_map<PredicateId, size_t> per_predicate;
   for (PredicateId p : block.predicates) ++per_predicate[p];
@@ -287,7 +284,7 @@ size_t FactSet::InsertBatch(const RowBlock& block,
   }
   size_t added = 0;
   for (size_t row = 0; row < block.rows(); ++row) {
-    if (atoms_.size() >= max_size) {
+    if (rows_.size() >= max_size) {
       // At the cap only duplicates pass; the first new row truncates the
       // batch without being consumed.
       std::optional<uint32_t> existing =
@@ -313,7 +310,7 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
   // A batch that could truncate against the cap takes the serial path: cap
   // semantics are insert-by-insert stateful (only duplicates pass once the
   // cap is hit), and hitting the cap is terminal for the caller anyway.
-  if (atoms_.size() + rows > max_size) {
+  if (rows_.size() + rows > max_size) {
     const Clock::time_point start = Clock::now();
     size_t added = InsertBatch(block, outcomes, max_size);
     if (timings != nullptr) timings->dedup_seconds += SecondsSince(start);
@@ -327,7 +324,7 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
   // runs its own copy of this check, so it fires exactly once either way).
   if (FRONTIERS_FAILPOINT("fact_set.insert_batch")) return 0;
   if (rows == 0) return 0;
-  FRONTIERS_CHECK(atoms_.size() + rows < kBatchRowBit,
+  FRONTIERS_CHECK(rows_.size() + rows < kBatchRowBit,
                   "FactSet: batch would overflow the provisional id space");
 
   const Clock::time_point dedup_start = Clock::now();
@@ -480,12 +477,10 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
 
   // --- Serial id assignment: new rows keep block order, which makes the
   // store byte-identical to the serial path at any shard/thread count.
-  const uint32_t base = static_cast<uint32_t>(atoms_.size());
+  const uint32_t base = static_cast<uint32_t>(rows_.size());
   std::vector<uint32_t>& row_global = s.row_global;
-  std::vector<uint32_t>& row_local = s.row_local;
   std::vector<uint32_t>& new_rows = s.new_rows;
   row_global.assign(rows, 0);
-  row_local.assign(rows, 0);
   uint32_t next = base;
   for (size_t row = 0; row < rows; ++row) {
     if (found[row] == (kBatchRowBit | static_cast<uint32_t>(row))) {
@@ -496,8 +491,7 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
   const size_t added = next - base;
   // Per-predicate plans in CSR form (BatchScratch::PredPlan): pass one
   // counts each predicate's new rows, pass two fills `plan_rows` —
-  // grouped by plan, block order within each group — and assigns each new
-  // row's segment slot.
+  // grouped by plan, block order within each group.
   using PredPlan = BatchScratch::PredPlan;
   std::vector<PredPlan>& plans = s.plans;
   std::vector<uint32_t>& plan_rows = s.plan_rows;
@@ -523,7 +517,6 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
   plan_rows.resize(new_rows.size());
   for (uint32_t row : new_rows) {
     PredPlan& plan = plans[plan_of_row[row]];
-    row_local[row] = plan.old_rows + plan.count;
     plan_rows[plan.begin + plan.count] = row;
     ++plan.count;
   }
@@ -541,25 +534,25 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
   }
   if (timings != nullptr) timings->dedup_seconds += SecondsSince(dedup_start);
 
-  // --- Phase B: index fill.  All growth happens here on the coordinating
-  // thread; the tasks then write disjoint pre-assigned slots — per-shard
-  // dedup fix-up, per-(predicate, position) column + postings, chunked atom
-  // materialization, and one serial-order domain/degree task.
+  // --- Phase B: index fill.  All growth, and the per-row table, happen
+  // here on the coordinating thread; the tasks then write disjoint
+  // pre-assigned slots — per-shard dedup fix-up, per-(predicate, position)
+  // column + postings, and one serial-order domain/degree task.
   const Clock::time_point index_start = Clock::now();
-  atoms_.resize(base + added);
-  local_row_.resize(base + added);
+  rows_.resize(base + added);
   for (PredPlan& plan : plans) {
     plan.pidx->segment.ResizeRows(plan.old_rows + plan.count);
     plan.pidx->atom_ids.reserve(plan.pidx->atom_ids.size() + plan.count);
     for (uint32_t k = 0; k < plan.count; ++k) {
-      plan.pidx->atom_ids.push_back(row_global[plan_rows[plan.begin + k]]);
+      const uint32_t id = row_global[plan_rows[plan.begin + k]];
+      plan.pidx->atom_ids.push_back(id);
+      rows_[id] = {plan.predicate, plan.old_rows + k};
     }
   }
-  // Task kinds for BatchScratch::IndexTask.  `a` is the shard (kFixup),
-  // plan (kColumn), or first new-row (kAtoms); `b` is the position
-  // (kColumn) or one-past-last new-row (kAtoms).
+  // Task kinds for BatchScratch::IndexTask.  `a` is the shard (kFixup) or
+  // plan (kColumn); `b` is the position (kColumn).
   using IndexTask = BatchScratch::IndexTask;
-  enum TaskKind : uint8_t { kFixup, kColumn, kAtoms, kDomain };
+  enum TaskKind : uint8_t { kFixup, kColumn, kDomain };
   std::vector<IndexTask>& tasks = s.tasks;
   for (uint32_t sh : active_shards) {
     if (!shard_new[sh].empty()) tasks.push_back({kFixup, sh, 0});
@@ -568,15 +561,6 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
     const uint32_t arity = plans[i].pidx->segment.arity();
     for (uint32_t pos = 0; pos < arity; ++pos) {
       tasks.push_back({kColumn, static_cast<uint32_t>(i), pos});
-    }
-  }
-  {
-    const size_t chunk =
-        std::max<size_t>(1, (new_rows.size() + num_threads - 1) / num_threads);
-    for (size_t begin = 0; begin < new_rows.size(); begin += chunk) {
-      tasks.push_back(
-          {kAtoms, static_cast<uint32_t>(begin),
-           static_cast<uint32_t>(std::min(new_rows.size(), begin + chunk))});
     }
   }
   if (!new_rows.empty()) tasks.push_back({kDomain, 0, 0});
@@ -617,18 +601,6 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
         }
         break;
       }
-      case kAtoms: {
-        for (uint32_t k = task.a; k < task.b; ++k) {
-          const uint32_t row = new_rows[k];
-          const uint32_t index = row_global[row];
-          const TermId* terms = block.Terms(row);
-          atoms_[index] = Atom{
-              block.predicates[row],
-              std::vector<TermId>(terms, terms + block.Arity(row))};
-          local_row_[index] = row_local[row];
-        }
-        break;
-      }
       case kDomain: {
         // Domain order is first-seen across the whole batch, so this task
         // walks every new row in block order (it reads only the block and
@@ -665,10 +637,39 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
   return added;
 }
 
+Atom FactSet::ToAtom(uint32_t id) const {
+  const RowRef row = rows_[id];
+  const ColumnarSegment& seg = predicates_.at(row.predicate).segment;
+  Atom atom;
+  atom.predicate = row.predicate;
+  atom.args.resize(seg.arity());
+  for (uint32_t pos = 0; pos < seg.arity(); ++pos) {
+    atom.args[pos] = seg.Term(row.local, pos);
+  }
+  return atom;
+}
+
+std::vector<Atom> FactSet::ToAtoms() const {
+  // Predicate by predicate, so no row pays a predicate lookup.
+  std::vector<Atom> out(size());
+  for (const auto& [p, pidx] : predicates_) {
+    const ColumnarSegment& seg = pidx.segment;
+    for (uint32_t local = 0; local < pidx.atom_ids.size(); ++local) {
+      Atom& atom = out[pidx.atom_ids[local]];
+      atom.predicate = p;
+      atom.args.resize(seg.arity());
+      for (uint32_t pos = 0; pos < seg.arity(); ++pos) {
+        atom.args[pos] = seg.Term(local, pos);
+      }
+    }
+  }
+  return out;
+}
+
 size_t FactSet::InsertAll(const FactSet& other) {
   size_t added = 0;
-  for (const Atom& atom : other.atoms_) {
-    if (Insert(atom)) ++added;
+  for (uint32_t id = 0; id < other.size(); ++id) {
+    if (Insert(other.ToAtom(id))) ++added;
   }
   return added;
 }
@@ -688,31 +689,20 @@ PostingList FactSet::ByPredicatePositionTerm(PredicateId p, uint32_t position,
 }
 
 bool FactSet::IsSubsetOf(const FactSet& other) const {
-  for (const Atom& atom : atoms_) {
-    if (!other.Contains(atom)) return false;
+  for (uint32_t id = 0; id < size(); ++id) {
+    if (!other.Contains(ToAtom(id))) return false;
   }
   return true;
 }
 
 FactSet FactSet::InducedOn(const std::unordered_set<TermId>& keep) const {
   FactSet out;
-  for (const Atom& atom : atoms_) {
-    bool all_kept = true;
-    for (TermId t : atom.args) {
-      if (keep.find(t) == keep.end()) {
-        all_kept = false;
-        break;
-      }
+  for (uint32_t id = 0; id < size(); ++id) {
+    Atom atom = ToAtom(id);
+    if (std::all_of(atom.args.begin(), atom.args.end(),
+                    [&](TermId t) { return keep.count(t) > 0; })) {
+      out.Insert(atom);
     }
-    if (all_kept) out.Insert(atom);
-  }
-  return out;
-}
-
-std::vector<Atom> FactSet::Difference(const FactSet& other) const {
-  std::vector<Atom> out;
-  for (const Atom& atom : atoms_) {
-    if (!other.Contains(atom)) out.push_back(atom);
   }
   return out;
 }
@@ -755,8 +745,7 @@ uint64_t FactSet::DedupHeapBytes(MemAccounting mode) const {
 }
 
 uint64_t FactSet::MetaHeapBytes(MemAccounting mode) const {
-  uint64_t sum = VectorHeapBytes(atoms_, mode) +
-                 VectorHeapBytes(local_row_, mode) +
+  uint64_t sum = VectorHeapBytes(rows_, mode) +
                  VectorHeapBytes(domain_, mode) +
                  VectorHeapBytes(atom_degree_, mode) +
                  UnorderedOverheadBytes(
@@ -765,12 +754,6 @@ uint64_t FactSet::MetaHeapBytes(MemAccounting mode) const {
                      mode);
   for (const auto& [p, pidx] : predicates_) {
     sum += VectorHeapBytes(pidx.atom_ids, mode);
-    // Per-atom args vectors: every construction path copy-allocates the
-    // exact arity, so capacity == size == arity in both modes and the sum
-    // falls out of the segments without walking atoms_.
-    const uint32_t arity = pidx.segment.arity();
-    sum += static_cast<uint64_t>(pidx.segment.rows()) * arity *
-           sizeof(TermId);
   }
   return sum;
 }
@@ -785,7 +768,6 @@ uint64_t FactSet::ScratchHeapBytes() const {
       VectorHeapBytes(s.hashes, mode) + VectorHeapBytes(s.shard_of, mode) +
       VectorHeapBytes(s.pidx_of, mode) + VectorHeapBytes(s.found, mode) +
       VectorHeapBytes(s.row_global, mode) +
-      VectorHeapBytes(s.row_local, mode) +
       VectorHeapBytes(s.plan_of_row, mode) +
       VectorHeapBytes(s.shard_rows, mode) +
       VectorHeapBytes(s.shard_new, mode) +
@@ -839,9 +821,9 @@ void FactSet::AccountLedger(MemLedger& ledger, MemAccounting mode) const {
 
 std::string FactSet::ToString(const Vocabulary& vocab) const {
   std::string out = "{";
-  for (size_t i = 0; i < atoms_.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += AtomToString(vocab, atoms_[i]);
+  for (uint32_t id = 0; id < size(); ++id) {
+    if (id > 0) out += ", ";
+    out += AtomToString(vocab, ToAtom(id));
   }
   out += "}";
   return out;

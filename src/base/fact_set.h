@@ -57,11 +57,13 @@ class WorkerPool;  // base/worker_pool.h
 /// content-mode ledger is then a function of the theory and the data, the
 /// same at every thread count and across interrupt/resume.
 ///
-/// Storage is columnar: each predicate's argument terms live in
-/// struct-of-arrays `ColumnarSegment` columns, and the dedup index keys by
-/// atom id into that store rather than holding a second copy of every atom.
-/// The row-oriented `atoms()` vector is kept as the iteration-order access
-/// path.
+/// Storage is columnar, and the columns are the only copy of a row: each
+/// predicate's argument terms live in struct-of-arrays `ColumnarSegment`
+/// columns, and one dense per-row table maps an atom id to its predicate
+/// and its row within that predicate's segment.  The dedup index and the
+/// posting lists key by atom id into that store.  A row is read back by id
+/// (`PredicateOf`, and `Segment`/`LocalRow` for its terms); `ToAtom` and
+/// `ToAtoms` build owned atoms for the callers that want them.
 ///
 /// **Sharding & concurrency contract.**  The dedup index is partitioned
 /// into `shard_count()` shards keyed by (predicate, first ground term), so
@@ -107,8 +109,8 @@ class FactSet {
   /// Inserts an atom; returns true if it was new.
   bool Insert(const Atom& atom);
 
-  /// Outcome of a row-level insert: the atom's index in `atoms()` (fresh or
-  /// pre-existing) and whether this call inserted it.
+  /// Outcome of a row-level insert: the atom's id (fresh or pre-existing)
+  /// and whether this call inserted it.
   struct InsertOutcome {
     uint32_t index;
     bool inserted;
@@ -136,7 +138,7 @@ class FactSet {
   /// attribution (expand / dedup / index).
   struct BatchTimings {
     double dedup_seconds = 0.0;  ///< hash + shard dedup probes + id assignment
-    double index_seconds = 0.0;  ///< column fill, postings, atoms, domain
+    double index_seconds = 0.0;  ///< column fill, postings, rows, domain
   };
 
   /// Per-batch shard occupancy and contention, for the obs layer's
@@ -192,30 +194,37 @@ class FactSet {
   /// Membership test.
   bool Contains(const Atom& atom) const { return IndexOf(atom).has_value(); }
 
-  /// Index of `atom` within `atoms()`, if present.
+  /// Id of `atom`, if present.  Ids count from 0 in insertion order.
   std::optional<uint32_t> IndexOf(const Atom& atom) const;
 
   /// Number of atoms.
-  size_t size() const { return atoms_.size(); }
+  size_t size() const { return rows_.size(); }
 
   /// True if the set has no atoms.
-  bool empty() const { return atoms_.empty(); }
+  bool empty() const { return rows_.empty(); }
 
-  /// All atoms, in insertion order.
-  const std::vector<Atom>& atoms() const { return atoms_; }
+  /// Predicate of atom `id`.
+  PredicateId PredicateOf(uint32_t id) const { return rows_[id].predicate; }
+
+  /// Atom `id` as an owned value, read from its columns.
+  Atom ToAtom(uint32_t id) const;
+
+  /// Every atom as an owned value, in id order.  For whole-set compares
+  /// and cold pattern uses; a per-row reader uses `ToAtom` or the columns.
+  std::vector<Atom> ToAtoms() const;
 
   /// The columnar term store for predicate `p`, or nullptr if no atom with
-  /// that predicate has been inserted.  Row `LocalRow(i)` of the segment
-  /// holds the terms of `atoms()[i]`.
+  /// that predicate has been inserted.  Row `LocalRow(id)` of the segment
+  /// holds the terms of atom `id`.
   const ColumnarSegment* Segment(PredicateId p) const {
     const PredicateIndex* pidx = Predicate(p);
     return pidx == nullptr ? nullptr : &pidx->segment;
   }
 
-  /// Row of `atoms()[index]` within its predicate's segment.
-  uint32_t LocalRow(uint32_t index) const { return local_row_[index]; }
+  /// Row of atom `id` within its predicate's segment.
+  uint32_t LocalRow(uint32_t id) const { return rows_[id].local; }
 
-  /// Indices (into `atoms()`) of atoms with the given predicate.
+  /// Ids of atoms with the given predicate.
   const std::vector<uint32_t>& ByPredicate(PredicateId p) const;
 
   /// Indices of atoms with predicate `p` whose argument at `position`
@@ -257,7 +266,7 @@ class FactSet {
     explicit PredicateIndex(uint32_t arity)
         : segment(arity), by_position(arity) {}
     ColumnarSegment segment;
-    std::vector<uint32_t> atom_ids;  // indices into atoms_, in order
+    std::vector<uint32_t> atom_ids;  // atom ids, in order
     std::vector<PositionIndex> by_position;  // one per argument position
   };
 
@@ -313,9 +322,6 @@ class FactSet {
   /// to `keep` (Definition 36 uses this to carve `M_F` out of a chase).
   FactSet InducedOn(const std::unordered_set<TermId>& keep) const;
 
-  /// Atoms of this set that are not in `other`.
-  std::vector<Atom> Difference(const FactSet& other) const;
-
   /// Degree of `t` in the Gaifman sense restricted to atom incidence: the
   /// number of atoms in which `t` occurs.
   uint32_t AtomDegree(TermId t) const;
@@ -361,7 +367,6 @@ class FactSet {
     std::vector<PredicateIndex*> pidx_of;  // per row
     std::vector<uint32_t> found;           // per row: resident id or marker
     std::vector<uint32_t> row_global;      // per row: assigned global id
-    std::vector<uint32_t> row_local;       // per row: assigned segment row
     std::vector<uint32_t> plan_of_row;     // per row: index into plans
     std::vector<std::vector<uint32_t>> shard_rows;  // per shard, block order
     std::vector<std::vector<uint32_t>> shard_new;   // per shard: new rows
@@ -402,13 +407,12 @@ class FactSet {
     return static_cast<uint32_t>(HashIdSpan(predicate, &t0, 1)) & shard_mask_;
   }
 
-  /// True if `atoms()[id]` is the row `predicate(terms[0..arity))`,
-  /// checked against the columnar segment `seg` of `predicate`.
+  /// True if atom `id` is the row `predicate(terms)`, checked against the
+  /// columnar segment `seg` of `predicate` (whose arity `IndexFor` fixed).
   bool RowMatches(uint32_t id, PredicateId predicate, const TermId* terms,
                   const ColumnarSegment& seg) const {
-    return atoms_[id].predicate == predicate &&
-           seg.arity() == atoms_[id].args.size() &&
-           seg.RowEquals(local_row_[id], terms);
+    return rows_[id].predicate == predicate &&
+           seg.RowEquals(rows_[id].local, terms);
   }
 
   /// The access paths of `predicate`, created for `arity` on first use
@@ -418,8 +422,8 @@ class FactSet {
                            bool* fresh = nullptr);
 
   /// Shared tail of `Insert`/`InsertRow`/`InsertBatch`: index maintenance
-  /// for the freshly appended atom at `index`.
-  void IndexNewAtom(uint32_t index, PredicateIndex& pidx);
+  /// for the freshly appended atom `index`, whose terms are `terms`.
+  void IndexNewAtom(uint32_t index, PredicateIndex& pidx, const TermId* terms);
 
   // Accounting helpers shared by AccountHeap and AccountLedger, so the
   // per-predicate ledger rows sum to exactly the component totals.
@@ -452,8 +456,13 @@ class FactSet {
   /// indexed (it has no rows yet, so there is nothing to build).
   void ApplyDeclarations(PredicateId predicate, PredicateIndex& pidx);
 
-  std::vector<Atom> atoms_;
-  std::vector<uint32_t> local_row_;  // parallel to atoms_
+  // One entry per atom, indexed by id: its predicate and its row within
+  // that predicate's segment.
+  struct RowRef {
+    PredicateId predicate;
+    uint32_t local;
+  };
+  std::vector<RowRef> rows_;
   std::unordered_map<PredicateId, PredicateIndex> predicates_;
   std::vector<Shard> shards_;
   // Parallel to shards_; unique_ptr keeps FactSet movable and lets copies

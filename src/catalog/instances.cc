@@ -95,7 +95,7 @@ std::vector<FactSet> SubsetsOfSize(const FactSet& facts, uint32_t size) {
   std::function<void(uint32_t)> choose = [&](uint32_t from) {
     if (picked.size() == size) {
       FactSet subset;
-      for (uint32_t i : picked) subset.Insert(facts.atoms()[i]);
+      for (uint32_t i : picked) subset.Insert(facts.ToAtom(i));
       out.push_back(std::move(subset));
       return;
     }

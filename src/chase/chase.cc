@@ -317,8 +317,8 @@ std::string ChaseStats::ToString() const {
 
 FactSet ChaseResult::PrefixAtDepth(uint32_t i) const {
   FactSet out;
-  for (size_t k = 0; k < facts.atoms().size(); ++k) {
-    if (depth[k] <= i) out.Insert(facts.atoms()[k]);
+  for (uint32_t k = 0; k < facts.size(); ++k) {
+    if (depth[k] <= i) out.Insert(facts.ToAtom(k));
   }
   return out;
 }
@@ -476,41 +476,6 @@ void ChaseEngine::AppendHeadRows(size_t rule_index, const TermId* bindings,
     out->predicates.push_back(atom_layout.predicate);
     out->offsets.push_back(static_cast<uint32_t>(out->terms.size()));
   }
-}
-
-std::vector<Atom> ChaseEngine::ApplyRule(size_t rule_index,
-                                         const Substitution& sigma) const {
-  const Tgd& rule = theory_.rules[rule_index];
-  const SkolemizedHead& sh = skolemized_[rule_index];
-  // Skolem argument tuple: sigma applied to the universal head variables.
-  std::vector<TermId> fn_args;
-  fn_args.reserve(sh.fn_args.size());
-  for (TermId v : sh.fn_args) fn_args.push_back(Apply(sigma, v));
-
-  std::vector<Atom> out;
-  out.reserve(rule.head.size());
-  std::unordered_map<TermId, TermId> skolem_value;
-  for (const Atom& head_atom : rule.head) {
-    Atom atom;
-    atom.predicate = head_atom.predicate;
-    atom.args.reserve(head_atom.args.size());
-    for (TermId t : head_atom.args) {
-      auto fn = sh.fn_of.find(t);
-      if (fn != sh.fn_of.end()) {
-        auto cached = skolem_value.find(t);
-        if (cached == skolem_value.end()) {
-          cached =
-              skolem_value.emplace(t, vocab_.SkolemTerm(fn->second, fn_args))
-                  .first;
-        }
-        atom.args.push_back(cached->second);
-      } else {
-        atom.args.push_back(Apply(sigma, t));
-      }
-    }
-    out.push_back(std::move(atom));
-  }
-  return out;
 }
 
 namespace {
@@ -768,10 +733,12 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
     if (result.depth[i] == state.round) state.delta_atoms.push_back(i);
   }
   std::unordered_set<TermId> known;
-  for (uint32_t i = 0; i < result.facts.atoms().size(); ++i) {
-    const Atom& atom = result.facts.atoms()[i];
+  const FactSet& facts = result.facts;
+  for (uint32_t i = 0; i < facts.size(); ++i) {
+    const ColumnarSegment& seg = *facts.Segment(facts.PredicateOf(i));
     const bool in_delta = result.depth[i] == state.round;
-    for (TermId t : atom.args) {
+    for (uint32_t pos = 0; pos < seg.arity(); ++pos) {
+      const TermId t = seg.Term(facts.LocalRow(i), pos);
       if (known.insert(t).second && in_delta) {
         state.delta_terms.push_back(t);
       }
@@ -1181,7 +1148,7 @@ std::vector<MatchUnit> ChaseEngine::RoundLoop::PlanUnits(
   delta_by_pred_.clear();
   if (options_.semi_naive && round > 0) {
     for (uint32_t idx : state_.delta_atoms) {
-      delta_by_pred_[result.facts.atoms()[idx].predicate].push_back(idx);
+      delta_by_pred_[result.facts.PredicateOf(idx)].push_back(idx);
     }
   }
   // Chunking delta seeds bounds the serial tail; the chunk size affects

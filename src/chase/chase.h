@@ -308,7 +308,7 @@ struct ChaseOptions {
 
 /// The result of a chase run: the structure plus per-atom metadata.
 ///
-/// Atoms are indexed by their position in `facts.atoms()`; input atoms come
+/// Per-atom vectors are indexed by atom id in `facts`; input atoms come
 /// first (depth 0) and every derived atom records the round that created it,
 /// so `PrefixAtDepth(i)` recovers exactly `Ch_i(T, D)` for every
 /// `i <= complete_rounds`.
@@ -420,11 +420,6 @@ class ChaseEngine {
 
   /// The theory this engine chases.
   const Theory& theory() const { return theory_; }
-
-  /// Computes `appl(rho, sigma)` (Definition 5) for rule `rule_index`: the
-  /// instantiated, skolemized head atoms under `sigma`.
-  std::vector<Atom> ApplyRule(size_t rule_index,
-                              const Substitution& sigma) const;
 
  private:
   // Mutable state threaded through the round loop; built by Run from a

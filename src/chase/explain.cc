@@ -8,7 +8,7 @@ void Render(const Vocabulary& vocab, const Theory& theory,
             const ChaseResult& chase, uint32_t atom_index,
             const ExplainOptions& options, size_t depth, std::string* out) {
   for (size_t i = 0; i < depth; ++i) *out += options.indent;
-  *out += AtomToString(vocab, chase.facts.atoms()[atom_index]);
+  *out += AtomToString(vocab, chase.facts.ToAtom(atom_index));
   if (chase.depth[atom_index] == 0) {
     *out += "   [input]\n";
     return;

@@ -24,9 +24,9 @@ struct ExplainOptions {
   std::string indent = "  ";
 };
 
-/// Renders the derivation tree of `facts.atoms()[atom_index]`.  Requires
-/// the chase to have run with `track_provenance`; atoms without recorded
-/// provenance are annotated as such.
+/// Renders the derivation tree of atom `atom_index` of `chase.facts`.
+/// Requires the chase to have run with `track_provenance`; atoms without
+/// recorded provenance are annotated as such.
 std::string ExplainAtom(const Vocabulary& vocab, const Theory& theory,
                         const ChaseResult& chase, uint32_t atom_index,
                         const ExplainOptions& options = {});

@@ -207,7 +207,7 @@ Result<ChaseSnapshot> MakeSnapshot(const Vocabulary& vocab,
     snap.terms.push_back(std::move(entry));
   }
 
-  snap.atoms = result.facts.atoms();
+  snap.atoms = result.facts.ToAtoms();
   snap.depth = result.depth;
   snap.next_round = result.complete_rounds;
   snap.stop = result.stop;

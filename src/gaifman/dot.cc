@@ -53,7 +53,8 @@ std::string ToDot(const Vocabulary& vocab, const FactSet& facts,
     }
     out += ";\n";
   }
-  for (const Atom& atom : facts.atoms()) {
+  const std::vector<Atom> atoms = facts.ToAtoms();
+  for (const Atom& atom : atoms) {
     if (atom.args.size() != 2) {
       non_binary.push_back(&atom);
       continue;

@@ -17,7 +17,7 @@ GaifmanGraph::GaifmanGraph(const FactSet& facts) {
   vertices_ = facts.Domain();
   std::unordered_map<TermId, std::unordered_set<TermId>> sets;
   for (TermId v : vertices_) sets[v];  // ensure isolated vertices exist
-  for (const Atom& atom : facts.atoms()) {
+  for (const Atom& atom : facts.ToAtoms()) {
     for (size_t i = 0; i < atom.args.size(); ++i) {
       for (size_t j = i + 1; j < atom.args.size(); ++j) {
         if (atom.args[i] == atom.args[j]) continue;

@@ -224,7 +224,7 @@ void MatchPlan::Project(const std::vector<TermId>& terms,
   answers_ = nullptr;
 }
 
-// Candidate rows (indices into target.atoms()) for `atom` under the
+// Candidate rows (atom ids of the target) for `atom` under the
 // current bindings: the posting list of its most selective fixed or bound
 // position (the first such position on ties), or the predicate's whole
 // list when no position is fixed or bound.

@@ -97,11 +97,11 @@ class MatchPlan {
   /// The slot array: `slots()[s]` is slot `s`'s binding, kNoTerm while
   /// unbound.  Complete during a match callback.
   const TermId* slots() const { return &bindings_[0]; }
-  /// Index (into the target's `atoms()`) of the fact pattern atom `atom`
-  /// is matched to: valid during a match callback, and for a seeded atom.
+  /// Id (in the target) of the fact pattern atom `atom` is matched to:
+  /// valid during a match callback, and for a seeded atom.
   uint32_t MatchedFact(uint32_t atom) const { return atoms_[atom].matched; }
 
-  /// Matches pattern atom `atom` to the fact `target.atoms()[fact_index]`,
+  /// Matches pattern atom `atom` to the target's fact `fact_index`,
   /// which must have the atom's predicate: binds its unbound slots from the
   /// fact's columns, checks its rigid positions and repeated or already
   /// bound slots, and takes the atom out of the search.  Returns false, with

@@ -16,12 +16,14 @@ std::optional<Substitution> StructureHomomorphism(
   // Fixed terms are rigid: they must occur in `target` verbatim wherever an
   // atom mentions them, which the matcher enforces automatically.
   Matcher matcher(vocab, target);
-  return matcher.Find(source.atoms(), mappable);
+  return matcher.Find(source.ToAtoms(), mappable);
 }
 
 FactSet HomomorphicImage(const Substitution& sub, const FactSet& facts) {
   FactSet image;
-  for (const Atom& atom : facts.atoms()) image.Insert(Apply(sub, atom));
+  for (uint32_t id = 0; id < facts.size(); ++id) {
+    image.Insert(Apply(sub, facts.ToAtom(id)));
+  }
   return image;
 }
 
@@ -43,7 +45,7 @@ std::optional<Substitution> FoldAway(const Vocabulary& vocab,
   {
     Matcher matcher(vocab, target);
     std::optional<Substitution> fold =
-        matcher.Find(facts.atoms(), {victim});
+        matcher.Find(facts.ToAtoms(), {victim});
     if (fold.has_value()) return fold;
   }
   // Full attempt: all non-fixed terms may move.

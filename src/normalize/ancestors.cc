@@ -53,7 +53,7 @@ void Collect(const Vocabulary& vocab, const ChaseResult& chase,
       (*derivations)[chooser(atom_index, *derivations) % derivations->size()];
   for (uint32_t parent : chosen.parents) {
     if (connected_only &&
-        vocab.PredicateArity(chase.facts.atoms()[parent].predicate) == 0) {
+        vocab.PredicateArity(chase.facts.PredicateOf(parent)) == 0) {
       continue;
     }
     Collect(vocab, chase, parent, chooser, connected_only, inputs, visited);

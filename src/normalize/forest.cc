@@ -52,7 +52,7 @@ ChaseForest BuildChaseForest(const Vocabulary& /*vocab*/, const Theory& theory,
   auto parent_of = [&](TermId t) -> TermId {
     const uint32_t birth = chase.BirthAtom(t);
     if (birth == ChaseResult::kNoAtom) return kNoTerm;  // input term
-    const Atom& atom = chase.facts.atoms()[birth];
+    const Atom atom = chase.facts.ToAtom(birth);
     for (TermId other : atom.args) {
       // The parent is any argument that was *not* born here.
       if (other != t && chase.BirthAtom(other) != birth) return other;
@@ -83,7 +83,7 @@ ChaseForest BuildChaseForest(const Vocabulary& /*vocab*/, const Theory& theory,
     if (forest.atom_class[i] != AtomClass::kSensible) continue;
     // The child is the argument born by this atom; Observation 64 needs
     // exactly one (frontier-one existential rules).
-    const Atom& atom = chase.facts.atoms()[i];
+    const Atom atom = chase.facts.ToAtom(i);
     TermId child = kNoTerm;
     int children = 0;
     for (TermId t : atom.args) {

@@ -31,7 +31,7 @@ enum class AtomClass {
 
 /// The per-atom classification plus the S(t) forest.
 struct ChaseForest {
-  std::vector<AtomClass> atom_class;  // indexed like chase.facts.atoms()
+  std::vector<AtomClass> atom_class;  // indexed by atom id in chase.facts
 
   /// For each sensible atom: the root term of the tree it belongs to (an
   /// input constant or a detached term).

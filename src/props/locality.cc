@@ -30,7 +30,7 @@ LocalityReport TestLocality(const Vocabulary& vocab, const ChaseEngine& engine,
     subset_chases.Add();
     covered.InsertAll(sub.facts);
   }
-  for (const Atom& atom : reference.atoms()) {
+  for (const Atom& atom : reference.ToAtoms()) {
     if (!covered.Contains(atom)) report.uncovered.push_back(atom);
   }
   return report;

@@ -39,7 +39,7 @@ void CompareRuns(const std::string& label, const ChaseResult& ref,
                    std::to_string(other.complete_rounds) + " != reference " +
                    std::to_string(ref.complete_rounds));
   }
-  if (ref.facts.atoms() != other.facts.atoms()) {
+  if (ref.facts.ToAtoms() != other.facts.ToAtoms()) {
     out->push_back(label + ": atom sequence differs (sizes " +
                    std::to_string(other.facts.size()) + " vs " +
                    std::to_string(ref.facts.size()) + ")");

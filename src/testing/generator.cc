@@ -307,10 +307,9 @@ ConjunctiveQuery GenerateQuery(Vocabulary& vocab,
 
 std::string FactsToText(const Vocabulary& vocab, const FactSet& facts) {
   std::string out;
-  const std::vector<Atom>& atoms = facts.atoms();
-  for (size_t i = 0; i < atoms.size(); ++i) {
+  for (uint32_t i = 0; i < facts.size(); ++i) {
     if (i > 0) out += ",\n";
-    out += AtomToString(vocab, atoms[i]);
+    out += AtomToString(vocab, facts.ToAtom(i));
   }
   out += "\n";
   return out;

@@ -188,7 +188,7 @@ ReferenceStage ReferenceChase(const Vocabulary& vocab, const Theory& theory,
                               size_t max_atoms) {
   ReferenceStage out;
   std::vector<RefAtom> stage;
-  for (const Atom& atom : db.atoms()) {
+  for (const Atom& atom : db.ToAtoms()) {
     RefAtom ref{vocab.PredicateName(atom.predicate), {}};
     for (TermId t : atom.args) ref.args.push_back(TreeOf(vocab, t));
     out.atoms.emplace(RenderAtom(ref), 0);
@@ -245,7 +245,7 @@ std::map<std::string, uint32_t> RenderEngineStage(const Vocabulary& vocab,
                                                   const ChaseResult& result,
                                                   uint32_t rounds) {
   std::map<std::string, uint32_t> out;
-  const std::vector<Atom>& atoms = result.facts.atoms();
+  const std::vector<Atom> atoms = result.facts.ToAtoms();
   for (size_t i = 0; i < atoms.size(); ++i) {
     if (result.depth[i] > rounds) continue;
     std::string text = vocab.PredicateName(atoms[i].predicate) + "(";

@@ -335,16 +335,6 @@ TEST_F(FactSetTest, InducedSubstructure) {
   EXPECT_FALSE(induced.Contains(Atom(e_, {b_, c_})));
 }
 
-TEST_F(FactSetTest, Difference) {
-  FactSet x, y;
-  x.Insert(Atom(e_, {a_, b_}));
-  x.Insert(Atom(e_, {b_, c_}));
-  y.Insert(Atom(e_, {a_, b_}));
-  std::vector<Atom> diff = x.Difference(y);
-  ASSERT_EQ(diff.size(), 1u);
-  EXPECT_EQ(diff[0], Atom(e_, {b_, c_}));
-}
-
 TEST_F(FactSetTest, AtomDegreeCountsIncidentAtomsOnce) {
   FactSet facts;
   facts.Insert(Atom(e_, {a_, a_}));  // self loop: one atom, counted once

@@ -131,7 +131,7 @@ TEST(ColumnarStore, AgreesWithRowStoreOracleUnderDuplicateHeavyInserts) {
     EXPECT_EQ(store.Insert(atom), oracle.Insert(atom));
   }
   ASSERT_EQ(store.size(), oracle.atoms.size());
-  EXPECT_EQ(store.atoms(), oracle.atoms) << "insertion order must match";
+  EXPECT_EQ(store.ToAtoms(), oracle.atoms) << "insertion order must match";
   EXPECT_EQ(store.Domain(), oracle.Domain()) << "first-occurrence order";
 
   for (TermId t = 0; t < 64; ++t) {
@@ -151,7 +151,7 @@ TEST(ColumnarStore, AgreesWithRowStoreOracleUnderDuplicateHeavyInserts) {
   // Lookup round-trips: every stored atom is found at its own index, and
   // the columnar segment mirrors the row store term for term.
   for (uint32_t i = 0; i < store.size(); ++i) {
-    const Atom& atom = store.atoms()[i];
+    const Atom atom = store.ToAtom(i);
     EXPECT_EQ(store.IndexOf(atom), std::optional<uint32_t>(i));
     const ColumnarSegment* seg = store.Segment(atom.predicate);
     ASSERT_NE(seg, nullptr);
@@ -185,7 +185,7 @@ TEST(ColumnarStore, InsertBatchMatchesSequentialInsertRow) {
   size_t batch_added = batched.InsertBatch(block, &batch_outcomes);
 
   EXPECT_EQ(batch_added, seq_added);
-  EXPECT_EQ(batched.atoms(), sequential.atoms());
+  EXPECT_EQ(batched.ToAtoms(), sequential.ToAtoms());
   EXPECT_EQ(batched.Domain(), sequential.Domain());
   ASSERT_EQ(batch_outcomes.size(), seq_outcomes.size());
   for (size_t i = 0; i < batch_outcomes.size(); ++i) {
@@ -232,7 +232,7 @@ TEST(ColumnarStore, InsertBatchStopsAtTheCapButStillRecordsDuplicates) {
     EXPECT_EQ(outcomes[i].index, ref_outcomes[i].index) << "row " << i;
     EXPECT_EQ(outcomes[i].inserted, ref_outcomes[i].inserted) << "row " << i;
   }
-  EXPECT_EQ(capped.atoms(), reference.atoms());
+  EXPECT_EQ(capped.ToAtoms(), reference.ToAtoms());
 }
 
 TEST(ColumnarStore, PostingListFrontAndOrderFollowInsertion) {
@@ -285,7 +285,7 @@ TEST(ColumnarStore, BatchCommitIsByteIdenticalAcrossThreadCounts) {
         baseline = std::move(result);
         continue;
       }
-      EXPECT_EQ(result.facts.atoms(), baseline.facts.atoms())
+      EXPECT_EQ(result.facts.ToAtoms(), baseline.facts.ToAtoms())
           << w.name << " threads=" << threads;
       EXPECT_EQ(result.depth, baseline.depth)
           << w.name << " threads=" << threads;
@@ -300,18 +300,13 @@ TEST(ColumnarStore, BatchCommitIsByteIdenticalAcrossThreadCounts) {
 // atom — must give the oracle's row at that id, whichever insert path
 // filled the store, and after a copy or `ClearIndexes`.
 
-PredicateId PredicateOf(const FactSet& store, uint32_t id) {
-  return store.atoms()[id].predicate;
-}
-Atom ToAtom(const FactSet& store, uint32_t id) { return store.atoms()[id]; }
-
 void ExpectRowsMatchOracle(const FactSet& store, const RowStoreOracle& oracle,
                            const std::string& label) {
   ASSERT_EQ(store.size(), oracle.atoms.size()) << label;
   for (uint32_t id = 0; id < store.size(); ++id) {
-    EXPECT_EQ(PredicateOf(store, id), oracle.atoms[id].predicate)
+    EXPECT_EQ(store.PredicateOf(id), oracle.atoms[id].predicate)
         << label << " id " << id;
-    EXPECT_EQ(ToAtom(store, id), oracle.atoms[id]) << label << " id " << id;
+    EXPECT_EQ(store.ToAtom(id), oracle.atoms[id]) << label << " id " << id;
   }
 }
 
@@ -443,7 +438,7 @@ TEST(LazyIndexes, EveryPostingListEqualsTheEagerOne) {
             }
           }
           if (at == DeclareAt::kAfterLastInsert) DeclareSome(store, vocab);
-          ASSERT_EQ(store.atoms(), oracle.atoms) << label;
+          ASSERT_EQ(store.ToAtoms(), oracle.atoms) << label;
           for (PredicateId p = 0; p < 4; ++p) {
             EXPECT_TRUE(store.Indexed(p, 0)) << label;
           }
@@ -487,9 +482,9 @@ TEST(LazyIndexes, ClearIndexesKeepsRowsAndForgetsPositions) {
   for (const Atom& atom : workload) store.Insert(atom);
   DeclareSome(store, vocab);
   store.Declare(vocab.AddPredicate("Absent", 2), 1);
-  const std::vector<Atom> rows = store.atoms();
+  const std::vector<Atom> rows = store.ToAtoms();
   store.ClearIndexes();
-  EXPECT_EQ(store.atoms(), rows);
+  EXPECT_EQ(store.ToAtoms(), rows);
   for (PredicateId p = 0; p < 5; ++p) EXPECT_FALSE(store.Indexed(p, 0));
   EXPECT_FALSE(store.Indexed(4, 1));
   // Reads rebuild what they need, from the columns.

@@ -135,7 +135,7 @@ TEST(Exercise17, AtomicFactsArriveWithConstantDelay) {
   // First round in which each term occurs.
   std::unordered_map<TermId, uint32_t> first_seen;
   for (size_t i = 0; i < chase.facts.size(); ++i) {
-    for (TermId t : chase.facts.atoms()[i].args) {
+    for (TermId t : chase.facts.ToAtom(i).args) {
       auto it = first_seen.find(t);
       if (it == first_seen.end() || chase.depth[i] < it->second) {
         first_seen[t] = chase.depth[i];
@@ -146,7 +146,7 @@ TEST(Exercise17, AtomicFactsArriveWithConstantDelay) {
   PredicateId human = vocab.FindPredicate("Human").value();
   for (uint32_t i : chase.facts.ByPredicate(human)) {
     if (chase.depth[i] + 0 >= chase.complete_rounds) continue;  // frontier
-    TermId t = chase.facts.atoms()[i].args[0];
+    TermId t = chase.facts.ToAtom(i).args[0];
     EXPECT_LE(chase.depth[i], first_seen[t] + kDelay)
         << "Human(" << vocab.TermToString(t) << ")";
   }
@@ -201,7 +201,7 @@ TEST(Observation49, TdChaseStructure) {
                           vocab.FindPredicate("G").value()};
   for (PredicateId pred : preds) {
     for (uint32_t i : chase.facts.ByPredicate(pred)) {
-      const Atom& atom = chase.facts.atoms()[i];
+      const Atom atom = chase.facts.ToAtom(i);
       // (i): target in dom(D) forces source in dom(D).
       if (in_db(atom.args[1])) {
         EXPECT_TRUE(in_db(atom.args[0])) << AtomToString(vocab, atom);
@@ -209,10 +209,10 @@ TEST(Observation49, TdChaseStructure) {
     }
     // (iii): two same-coloured edges into the same target.
     for (uint32_t i : chase.facts.ByPredicate(pred)) {
-      const Atom& a = chase.facts.atoms()[i];
+      const Atom a = chase.facts.ToAtom(i);
       for (uint32_t j : chase.facts.ByPredicatePositionTerm(pred, 1,
                                                             a.args[1])) {
-        const Atom& b = chase.facts.atoms()[j];
+        const Atom b = chase.facts.ToAtom(j);
         EXPECT_EQ(in_db(a.args[0]), in_db(b.args[0]))
             << AtomToString(vocab, a) << " vs " << AtomToString(vocab, b);
       }
@@ -230,7 +230,7 @@ TEST(Observation49, TdChaseStructure) {
     std::unordered_set<TermId> seen;
     for (PredicateId pred : preds) {
       for (uint32_t i : chase.facts.ByPredicatePositionTerm(pred, 0, t)) {
-        stack.push_back(chase.facts.atoms()[i].args[1]);
+        stack.push_back(chase.facts.ToAtom(i).args[1]);
       }
     }
     bool cycle = false;
@@ -245,7 +245,7 @@ TEST(Observation49, TdChaseStructure) {
       for (PredicateId pred : preds) {
         for (uint32_t i :
              chase.facts.ByPredicatePositionTerm(pred, 0, cur)) {
-          stack.push_back(chase.facts.atoms()[i].args[1]);
+          stack.push_back(chase.facts.ToAtom(i).args[1]);
         }
       }
     }

@@ -26,7 +26,7 @@ class ExplainTest : public ::testing::Test {
   Atom GroundAtom(const std::string& text) {
     Result<FactSet> atoms = ParseFacts(vocab_, text);
     EXPECT_TRUE(atoms.ok());
-    return atoms.value().atoms()[0];
+    return atoms.value().ToAtom(0);
   }
   Vocabulary vocab_;
   Theory theory_;

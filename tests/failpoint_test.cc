@@ -86,7 +86,7 @@ struct ChaseRig {
 void ExpectIdenticalRuns(const ChaseResult& a, const ChaseResult& b) {
   EXPECT_EQ(a.stop, b.stop);
   EXPECT_EQ(a.complete_rounds, b.complete_rounds);
-  EXPECT_EQ(a.facts.atoms(), b.facts.atoms());
+  EXPECT_EQ(a.facts.ToAtoms(), b.facts.ToAtoms());
   EXPECT_EQ(a.depth, b.depth);
   EXPECT_EQ(a.birth_atom, b.birth_atom);
   EXPECT_EQ(a.seen_applications, b.seen_applications);
@@ -128,7 +128,7 @@ void CheckChaseFailpoint(const char* point, uint64_t skip) {
   // uninterrupted run up to its round boundary.
   ASSERT_LE(faulted.facts.size(), full.facts.size());
   for (size_t i = 0; i < faulted.facts.size(); ++i) {
-    EXPECT_EQ(faulted.facts.atoms()[i], full.facts.atoms()[i]);
+    EXPECT_EQ(faulted.facts.ToAtom(i), full.facts.ToAtom(i));
   }
 
   Result<ChaseSnapshot> snapshot =
@@ -194,7 +194,7 @@ TEST(FailpointTest, ShardCommitFaultRollsBackAllShards) {
             fired_before + 1);
   // Every shard is back to the pre-batch state: same atoms, and retrying
   // the batch lands in exactly the state an unfaulted insert produces.
-  EXPECT_EQ(facts.atoms(), before.atoms());
+  EXPECT_EQ(facts.ToAtoms(), before.ToAtoms());
   EXPECT_EQ(facts.Domain(), before.Domain());
 
   FactSet unfaulted = before;
@@ -202,7 +202,7 @@ TEST(FailpointTest, ShardCommitFaultRollsBackAllShards) {
   unfaulted.InsertBatchParallel(block, &want_outcomes, &pool);
   const size_t added = facts.InsertBatchParallel(block, &outcomes, &pool);
   EXPECT_EQ(added, unfaulted.size() - before.size());
-  EXPECT_EQ(facts.atoms(), unfaulted.atoms());
+  EXPECT_EQ(facts.ToAtoms(), unfaulted.ToAtoms());
   ASSERT_EQ(outcomes.size(), want_outcomes.size());
   for (size_t r = 0; r < outcomes.size(); ++r) {
     EXPECT_EQ(outcomes[r].index, want_outcomes[r].index);

@@ -36,7 +36,7 @@ TEST(ForestTest, MotherChainIsASingleTree) {
   PredicateId human = vocab.FindPredicate("Human").value();
   for (uint32_t i = 0; i < chase.facts.size(); ++i) {
     if (chase.depth[i] == 0) continue;
-    const Atom& atom = chase.facts.atoms()[i];
+    const Atom atom = chase.facts.ToAtom(i);
     if (atom.predicate == mother) {
       EXPECT_EQ(forest.atom_class[i], AtomClass::kSensible);
     }

@@ -108,7 +108,7 @@ TEST(GeneratorTest, InstanceUsesTheTheorySignature) {
   const GeneratedWorkload w = GenerateWorkload(vocab, 5);
   const std::vector<PredicateId> signature =
       testing::TheorySignature(w.theory);
-  for (const Atom& fact : w.instance.atoms()) {
+  for (const Atom& fact : w.instance.ToAtoms()) {
     EXPECT_NE(std::find(signature.begin(), signature.end(), fact.predicate),
               signature.end());
     for (TermId t : fact.args) EXPECT_TRUE(vocab.IsConstant(t));

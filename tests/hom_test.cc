@@ -403,7 +403,7 @@ Emitted RunPlan(MatchPlan& plan, const FactSet& target,
       sub.emplace(plan.SlotVar(s), plan.slots()[s]);
     }
     for (uint32_t j = 0; j < pattern.size(); ++j) {
-      EXPECT_EQ(target.atoms()[plan.MatchedFact(j)], Apply(sub, pattern[j]));
+      EXPECT_EQ(target.ToAtom(plan.MatchedFact(j)), Apply(sub, pattern[j]));
     }
     out.subs.push_back(std::move(sub));
     return out.subs.size() < limit;
@@ -491,7 +491,7 @@ TEST(MatcherOrderTest, ForEachEmitsTheReferenceSequence) {
             facts.ByPredicate(pattern[p].predicate);
         for (size_t f = 0; f < facts_of_p.size(); f += 3) {
           Substitution initial;
-          const bool fits = Unify(pattern[p], facts.atoms()[facts_of_p[f]],
+          const bool fits = Unify(pattern[p], facts.ToAtom(facts_of_p[f]),
                                   mappable, initial);
           ASSERT_EQ(plan.Seed(seed_atom, facts_of_p[f]), fits)
               << "seed " << seed;

@@ -574,7 +574,7 @@ TEST(MemRegression, ContentBytesIgnoreTheDedupShardCount) {
   for (uint32_t shards : {1u, 4u, 64u}) {
     FactSet facts(shards);
     // Same insert sequence into every store.
-    for (const Atom& atom : source.atoms()) facts.Insert(atom);
+    for (const Atom& atom : source.ToAtoms()) facts.Insert(atom);
     MemTotals content_totals, capacity_totals;
     facts.AccountHeap(content_totals, MemAccounting::kContent);
     facts.AccountHeap(capacity_totals, MemAccounting::kCapacity);
@@ -699,8 +699,9 @@ TEST(AllocationRegression, DatalogCycleStagesWithoutPerApplicationHeap) {
   // string, memo node) would put this well above 2, and a seed
   // substitution per delta fact above 0.2.  Measured: 0.042 with one
   // seeded match plan per unit, 0.017 once a row's predicate index is
-  // looked up before one is constructed.
-  EXPECT_LE(run.ratio, 0.05) << "allocations per staged application";
+  // looked up before one is constructed, 0.0038 with rows kept only in
+  // the columns.
+  EXPECT_LE(run.ratio, 0.01) << "allocations per staged application";
 }
 
 TEST(AllocationRegression, Example39StarStagesWithLittlePerApplicationHeap) {
@@ -712,13 +713,14 @@ TEST(AllocationRegression, Example39StarStagesWithLittlePerApplicationHeap) {
   options.max_rounds = 4;
   const AllocationsPerStaged run = MeasureRun(vocab, theory, db, options);
   ASSERT_GT(run.result.stats.TotalStaged(), 0u);
-  // Measured: 1.15 with postings only for the positions a rule body
-  // probes and a dense birth-atom table (2.15 with postings at every
-  // position and a hash-map node per invented null; 4.16 with a throwaway
-  // predicate index per committed row; 5.56 with a seed substitution and a
-  // compiled search per delta fact).  What is left is the heap `Atom` per
-  // row in `FactSet::atoms()`.
-  EXPECT_LE(run.ratio, 1.5) << "allocations per staged application";
+  // Measured: 0.148 with rows kept only in the columns (1.15 with a heap
+  // `Atom` per row beside them; 2.15 with postings at every position and a
+  // hash-map node per invented null; 4.16 with a throwaway predicate index
+  // per committed row; 5.56 with a seed substitution and a compiled search
+  // per delta fact).  A row now costs no heap object of its own: its
+  // terms go into the predicate's columns and its id into the dense
+  // per-row table, both grown geometrically.
+  EXPECT_LE(run.ratio, 0.2) << "allocations per staged application";
 }
 
 // Heap allocations per fact parsed by `ParseFacts`, on a guarded-rewrite
@@ -752,12 +754,12 @@ TEST(AllocationRegression, ParseFactsPerFact) {
                           static_cast<double>(facts.value().size());
   ::testing::Test::RecordProperty("allocations_per_fact",
                                   std::to_string(per_fact));
-  // Measured: 1.75 once a parsed store indexes no position until one is
-  // read (1.94 with postings at every position; 5.17 with a token vector,
-  // an Atom per fact, one Insert per row and a throwaway predicate index
-  // per row).  What is left is mostly the heap `Atom` per row in
-  // `FactSet::atoms()`.
-  EXPECT_LE(per_fact, 2.0) << "allocations per parsed fact";
+  // Measured: 0.746 with rows kept only in the columns (1.75 with a heap
+  // `Atom` per row beside them; 1.94 with postings at every position; 5.17
+  // with a token vector, an Atom per fact, one Insert per row and a
+  // throwaway predicate index per row).  A parsed row costs no heap object
+  // of its own any more: the count is now below one per fact.
+  EXPECT_LE(per_fact, 0.8) << "allocations per parsed fact";
 }
 
 }  // namespace

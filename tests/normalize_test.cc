@@ -19,7 +19,7 @@ std::vector<Atom> AtomsOf(const Vocabulary& vocab, const FactSet& facts,
   auto pred = vocab.FindPredicate(predicate);
   if (!pred.has_value()) return out;
   for (uint32_t i : facts.ByPredicate(*pred)) {
-    out.push_back(facts.atoms()[i]);
+    out.push_back(facts.ToAtom(i));
   }
   return out;
 }

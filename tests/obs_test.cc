@@ -668,8 +668,8 @@ TEST(Parity, TracedChaseIsByteIdenticalToUntraced) {
     };
     ChaseResult untraced = run(false);
     ChaseResult traced = run(true);
-    ASSERT_FALSE(untraced.facts.atoms().empty());
-    EXPECT_EQ(traced.facts.atoms(), untraced.facts.atoms())
+    ASSERT_FALSE(untraced.facts.empty());
+    EXPECT_EQ(traced.facts.ToAtoms(), untraced.facts.ToAtoms())
         << "threads=" << threads;
     EXPECT_EQ(traced.depth, untraced.depth) << "threads=" << threads;
     EXPECT_EQ(traced.complete_rounds, untraced.complete_rounds);
@@ -718,8 +718,8 @@ TEST(Parity, TracedRoundStreamedChaseIsByteIdenticalToBare) {
     };
     ChaseResult bare = run(false);
     ChaseResult observed = run(true);
-    ASSERT_FALSE(bare.facts.atoms().empty());
-    EXPECT_EQ(observed.facts.atoms(), bare.facts.atoms())
+    ASSERT_FALSE(bare.facts.empty());
+    EXPECT_EQ(observed.facts.ToAtoms(), bare.facts.ToAtoms())
         << "threads=" << threads;
     EXPECT_EQ(observed.depth, bare.depth) << "threads=" << threads;
     EXPECT_EQ(observed.complete_rounds, bare.complete_rounds);

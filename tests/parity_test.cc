@@ -73,7 +73,7 @@ std::vector<ParityCase> Catalog() {
 // Byte-identical comparison of two runs over the same vocabulary.
 void ExpectIdentical(const ChaseResult& a, const ChaseResult& b,
                      const std::string& label) {
-  EXPECT_EQ(a.facts.atoms(), b.facts.atoms()) << label << ": atom order";
+  EXPECT_EQ(a.facts.ToAtoms(), b.facts.ToAtoms()) << label << ": atom order";
   EXPECT_EQ(a.depth, b.depth) << label << ": depths";
   EXPECT_EQ(a.stop, b.stop) << label << ": stop reason";
   EXPECT_EQ(a.complete_rounds, b.complete_rounds) << label << ": rounds";
@@ -98,7 +98,7 @@ void ExpectSameStages(const ChaseResult& a, const ChaseResult& b,
   EXPECT_TRUE(a.facts.SetEquals(b.facts)) << label << ": fact sets differ";
   EXPECT_EQ(a.stop, b.stop) << label << ": stop reason";
   EXPECT_EQ(a.complete_rounds, b.complete_rounds) << label << ": rounds";
-  for (const Atom& atom : a.facts.atoms()) {
+  for (const Atom& atom : a.facts.ToAtoms()) {
     EXPECT_EQ(a.DepthOf(atom), b.DepthOf(atom)) << label << ": atom depth";
   }
 }
@@ -133,7 +133,7 @@ void ExpectValidPartialResult(const ChaseResult& partial,
   ASSERT_EQ(partial.depth.size(), partial.facts.size()) << label;
   ASSERT_LE(partial.facts.size(), reference.facts.size()) << label;
   for (size_t i = 0; i < partial.facts.size(); ++i) {
-    EXPECT_EQ(partial.facts.atoms()[i], reference.facts.atoms()[i])
+    EXPECT_EQ(partial.facts.ToAtom(i), reference.facts.ToAtom(i))
         << label << ": atom " << i << " is not a prefix of the reference";
     EXPECT_EQ(partial.depth[i], reference.depth[i])
         << label << ": depth of atom " << i;

@@ -76,7 +76,7 @@ TEST_P(ChaseInvariantTest, SemiNaiveEqualsNaive) {
   ChaseResult a = engine.Run(db, naive);
   ChaseResult b = engine.Run(db, delta);
   ASSERT_TRUE(a.facts.SetEquals(b.facts)) << name << " seed " << seed;
-  for (const Atom& atom : a.facts.atoms()) {
+  for (const Atom& atom : a.facts.ToAtoms()) {
     EXPECT_EQ(a.DepthOf(atom), b.DepthOf(atom));
   }
 }
@@ -128,11 +128,11 @@ TEST_P(ChaseInvariantTest, BirthAtomsAreConsistent) {
     const uint32_t atom_index = result.BirthAtom(term);
     if (atom_index == ChaseResult::kNoAtom) continue;
     EXPECT_TRUE(vocab.IsSkolem(term));
-    EXPECT_TRUE(result.facts.atoms()[atom_index].ContainsTerm(term));
+    EXPECT_TRUE(result.facts.ToAtom(atom_index).ContainsTerm(term));
     // The birth atom is the first atom (in depth order) mentioning term.
     uint32_t birth_depth = result.depth[atom_index];
     for (size_t i = 0; i < result.facts.size(); ++i) {
-      if (result.facts.atoms()[i].ContainsTerm(term)) {
+      if (result.facts.ToAtom(i).ContainsTerm(term)) {
         EXPECT_GE(result.depth[i], birth_depth);
       }
     }
@@ -232,7 +232,7 @@ TEST_P(MinimizeInvariantTest, MinimizationPreservesEquivalence) {
   // constants read as variables.
   FactSet shape = RandomBinaryInstance(vocab, {"E", "F"}, 4, 6, seed);
   ConjunctiveQuery query;
-  for (const Atom& atom : shape.atoms()) {
+  for (const Atom& atom : shape.ToAtoms()) {
     Atom variable_atom = atom;
     for (TermId& t : variable_atom.args) {
       t = vocab.Variable("v" + vocab.TermToString(t));

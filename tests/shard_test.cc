@@ -34,13 +34,13 @@ using testing::TheorySignature;
 // and differ only in their internal dedup layout.
 FactSet Resharded(const FactSet& src, uint32_t shards) {
   FactSet out(shards);
-  for (const Atom& atom : src.atoms()) out.Insert(atom);
+  for (const Atom& atom : src.ToAtoms()) out.Insert(atom);
   return out;
 }
 
 void ExpectSameStore(const FactSet& got, const FactSet& want) {
   ASSERT_EQ(got.size(), want.size());
-  EXPECT_EQ(got.atoms(), want.atoms());
+  EXPECT_EQ(got.ToAtoms(), want.ToAtoms());
   EXPECT_EQ(got.Domain(), want.Domain());
 }
 
@@ -50,7 +50,7 @@ void ExpectSameStore(const FactSet& got, const FactSet& want) {
 RowBlock BlockWithDuplicates(const FactSet& facts, uint64_t seed) {
   SplitMix64 rng(seed);
   RowBlock block;
-  const std::vector<Atom>& atoms = facts.atoms();
+  const std::vector<Atom> atoms = facts.ToAtoms();
   for (size_t i = 0; i < atoms.size(); ++i) {
     const Atom& atom = atoms[i];
     block.Append(atom.predicate, atom.args.data(),
@@ -169,7 +169,7 @@ TEST(ShardTest, ChaseByteIdenticalAcrossThreadsAndShards) {
         continue;
       }
       EXPECT_EQ(result.stop, baseline.stop);
-      EXPECT_EQ(result.facts.atoms(), baseline.facts.atoms());
+      EXPECT_EQ(result.facts.ToAtoms(), baseline.facts.ToAtoms());
       EXPECT_EQ(result.depth, baseline.depth);
       EXPECT_EQ(result.birth_atom, baseline.birth_atom);
       EXPECT_EQ(result.seen_applications, baseline.seen_applications);
@@ -203,7 +203,7 @@ TEST(ShardTest, SerialFallbackIsPerfOnly) {
     EXPECT_EQ(r.used_threads, 4u);
   }
   EXPECT_EQ(forced.stats.ParallelRounds(), forced.stats.rounds.size());
-  EXPECT_EQ(forced.facts.atoms(), fallback.facts.atoms());
+  EXPECT_EQ(forced.facts.ToAtoms(), fallback.facts.ToAtoms());
   EXPECT_EQ(forced.depth, fallback.depth);
 }
 
@@ -254,7 +254,7 @@ TEST(ShardTest, SnapshotRoundTripAcrossShardCounts) {
         DecodeSnapshot(EncodeSnapshot(snapshot.value()));
     ASSERT_TRUE(decoded.ok()) << decoded.message();
     const ChaseResult resumed = engine.Resume(decoded.value(), full_options);
-    EXPECT_EQ(resumed.facts.atoms(), full.facts.atoms());
+    EXPECT_EQ(resumed.facts.ToAtoms(), full.facts.ToAtoms());
     EXPECT_EQ(resumed.depth, full.depth);
   }
 }
@@ -277,7 +277,7 @@ TEST(ShardTest, CopyKeepsShardLayoutAndIndependence) {
   copy.Insert(Atom(p, {b, a}));
   EXPECT_EQ(copy.size(), 2u);
   EXPECT_EQ(original.size(), 1u);
-  EXPECT_TRUE(original.FindRow(p, copy.atoms()[1].args.data(), 2) ==
+  EXPECT_TRUE(original.FindRow(p, copy.ToAtom(1).args.data(), 2) ==
               std::nullopt);
 
   FactSet assigned(1);

@@ -282,7 +282,7 @@ TEST(SnapshotTest, FreshProcessResumeMatchesUninterruptedRun) {
   }
   EXPECT_GT(restarts, 1u);
   EXPECT_EQ(resumed.stop, reference.stop);
-  EXPECT_EQ(resumed.facts.atoms(), reference.facts.atoms());
+  EXPECT_EQ(resumed.facts.ToAtoms(), reference.facts.ToAtoms());
   EXPECT_EQ(resumed.depth, reference.depth);
   EXPECT_EQ(resumed.complete_rounds, reference.complete_rounds);
   EXPECT_EQ(resumed.birth_atom, reference.birth_atom);

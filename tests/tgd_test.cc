@@ -426,7 +426,7 @@ TEST(ParserTest, LoadFactsFileReadsWhatFactsToTextWrites) {
     Result<FactSet> parsed = ParseFacts(parsed_vocab, text);
     ASSERT_TRUE(parsed.ok()) << parsed.message();
     EXPECT_EQ(testing::FactsToText(loaded_vocab, loaded.value()), text);
-    EXPECT_EQ(loaded.value().atoms(), parsed.value().atoms());
+    EXPECT_EQ(loaded.value().ToAtoms(), parsed.value().ToAtoms());
     std::remove(path.c_str());
   }
 }
