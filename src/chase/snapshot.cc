@@ -18,12 +18,15 @@ constexpr char kMagic[4] = {'F', 'R', 'S', 'N'};
 // v2 added the content-mode ledger total (approx_bytes).  v3 keeps the wire
 // layout but meters that total over the flat frontier memo and the Skolem
 // argument arena, so a v2 total no longer matches what Resume
-// reconstructs.  Capacity-mode figures (per-round MemTotals, peak_bytes)
-// are deliberately absent: they depend on the shard count, so serializing
-// them would break the format's canonicality over logical chase state.
+// reconstructs.  v4 keeps the layout again but meters the fact store with
+// postings only for declared positions and with its rows only in the
+// columns (no heap Atom per row), so a v3 total no longer matches either.
+// Capacity-mode figures (per-round MemTotals, peak_bytes) are deliberately
+// absent: they depend on the shard count, so serializing them would break
+// the format's canonicality over logical chase state.
 // Older snapshots are rejected (the codec has no compatibility promise
 // yet; see tests/corpus).
-constexpr uint16_t kVersion = 3;
+constexpr uint16_t kVersion = 4;
 
 // --- Little-endian encode helpers -----------------------------------------
 

@@ -537,7 +537,7 @@ TEST(ChaseSnapshotBytes, Example39EncodingIsPinned) {
     hash *= 0x100000001b3ull;
   }
   EXPECT_FALSE(snap.birth_atoms.empty());
-  EXPECT_EQ(hash, 0xab524903b63d41fdull);
+  EXPECT_EQ(hash, 0x0c7c7cddb0586208ull);
 }
 
 }  // namespace

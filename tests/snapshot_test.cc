@@ -136,16 +136,22 @@ TEST(SnapshotTest, EncodeDecodeRoundTripPreservesEveryField) {
 // letting Resume abort on the mismatch.
 TEST(SnapshotTest, VersionTwoHeaderIsRejectedWithAStatus) {
   Workload w;
-  std::string wire = EncodeSnapshot(InterruptedSnapshot(w));
+  const std::string wire = EncodeSnapshot(InterruptedSnapshot(w));
   ASSERT_GE(wire.size(), 6u);
-  EXPECT_EQ(static_cast<uint8_t>(wire[4]), 3u);
+  EXPECT_EQ(static_cast<uint8_t>(wire[4]), 4u);
   EXPECT_EQ(static_cast<uint8_t>(wire[5]), 0u);
-  wire[4] = '\x02';
-  Result<ChaseSnapshot> decoded = DecodeSnapshot(wire);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.message().find("unsupported snapshot version 2"),
-            std::string::npos)
-      << decoded.message();
+  // Versions 2 and 3 meter the ledger total differently, so Resume could
+  // not reproduce it: both are refused at the header.
+  for (const uint8_t version : {2, 3}) {
+    std::string old = wire;
+    old[4] = static_cast<char>(version);
+    Result<ChaseSnapshot> decoded = DecodeSnapshot(old);
+    ASSERT_FALSE(decoded.ok()) << "version " << int{version};
+    EXPECT_NE(decoded.message().find("unsupported snapshot version " +
+                                     std::to_string(version)),
+              std::string::npos)
+        << decoded.message();
+  }
 }
 
 TEST(SnapshotTest, EveryTruncationIsRejectedWithoutCrashing) {
