@@ -6,8 +6,10 @@
 //   torture --seeds=N [--start=S] [--out=DIR]   differential-check N seeds
 //   torture --replay=FILE                        re-run one repro file
 //   torture --fuzz=N --corpus=DIR                N mutation rounds per
-//                                                corpus file through parser
-//                                                and snapshot decoder
+//                                                corpus file, and of one
+//                                                interrupted run's snapshot,
+//                                                through parser and
+//                                                snapshot decoder
 //
 // Exit code 0 means every seed/replay/fuzz input behaved; 1 means at least
 // one divergence (each is minimized and written to --out, default ".").
@@ -18,8 +20,12 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "catalog/instances.h"
+#include "catalog/theories.h"
+#include "chase/chase.h"
 #include "chase/snapshot.h"
 #include "testing/differential.h"
 #include "testing/fuzz.h"
@@ -112,12 +118,29 @@ bool FactsRoundTrip(const Vocabulary& vocab, const FactSet& facts) {
   return again.ok() && testing::FactsToText(fresh, again.value()) == rendered;
 }
 
-// Feeds every corpus file, plus `rounds` seeded mutations of it, to both
-// hostile-input surfaces: the DSL parser and the FRSN snapshot decoder.
-// The invariant under test is "error Status or success, never a crash" —
-// a sanitizer finding or abort fails the process, which is the signal —
-// plus, for every fact text that parses, a FactsToText rendering that
-// re-parses to itself; a mismatch makes the run exit 1.
+// The FRSN encoding of a real interrupted run: the Example 39 star, stopped
+// by a round budget.  Built in memory, so the fuzz seed that reaches the
+// decoder's body follows every snapshot version without a committed binary.
+std::string InterruptedRunSnapshot() {
+  Vocabulary vocab;
+  const Theory theory = StickyExample39Theory(vocab);
+  const FactSet db = Star39Instance(vocab, 3);
+  ChaseOptions options;
+  options.max_rounds = 2;
+  options.track_provenance = true;
+  const ChaseResult result = ChaseEngine(vocab, theory).Run(db, options);
+  Result<ChaseSnapshot> snapshot =
+      MakeSnapshot(vocab, theory, result, options);
+  return snapshot.ok() ? EncodeSnapshot(snapshot.value()) : std::string();
+}
+
+// Feeds every corpus file and an interrupted run's snapshot, plus `rounds`
+// seeded mutations of each, to both hostile-input surfaces: the DSL parser
+// and the FRSN snapshot decoder.  The invariant under test is "error Status
+// or success, never a crash" — a sanitizer finding or abort fails the
+// process, which is the signal — plus, for every fact text that parses, a
+// FactsToText rendering that re-parses to itself; a mismatch, or a
+// snapshot that does not decode before it is mutated, makes the run exit 1.
 int Fuzz(uint64_t rounds, const std::string& corpus_dir) {
   const std::vector<std::string> files =
       testing::ListCorpusFiles(corpus_dir);
@@ -126,13 +149,24 @@ int Fuzz(uint64_t rounds, const std::string& corpus_dir) {
                  corpus_dir.c_str());
     return 1;
   }
-  uint64_t parses = 0, decodes = 0, mismatches = 0;
+  std::vector<std::pair<std::string, std::string>> inputs;  // name, bytes
   for (const std::string& path : files) {
     std::string base;
     if (!testing::ReadFileBytes(path, &base)) {
       std::fprintf(stderr, "torture: cannot read %s\n", path.c_str());
       return 1;
     }
+    inputs.emplace_back(path, std::move(base));
+  }
+  std::string snapshot = InterruptedRunSnapshot();
+  if (!DecodeSnapshot(snapshot).ok()) {
+    std::fprintf(stderr,
+                 "torture: the interrupted run's snapshot does not decode\n");
+    return 1;
+  }
+  inputs.emplace_back("interrupted-run snapshot", std::move(snapshot));
+  uint64_t parses = 0, decodes = 0, mismatches = 0;
+  for (const auto& [name, base] : inputs) {
     testing::SplitMix64 rng(0x7042u ^ base.size());
     std::string data = base;
     for (uint64_t i = 0; i <= rounds; ++i) {
@@ -151,7 +185,7 @@ int Fuzz(uint64_t rounds, const std::string& corpus_dir) {
                          "torture: %s round %" PRIu64
                          ": parsed facts do not round-trip through "
                          "FactsToText\n",
-                         path.c_str(), i);
+                         name.c_str(), i);
           }
         }
       }
@@ -162,7 +196,7 @@ int Fuzz(uint64_t rounds, const std::string& corpus_dir) {
       data = testing::MutateBytes(i % 4 == 3 ? base : data, rng);
     }
   }
-  std::printf("torture: fuzzed %zu corpus file(s) x %" PRIu64
+  std::printf("torture: fuzzed %zu corpus file(s) and a snapshot x %" PRIu64
               " rounds (%" PRIu64 " clean parses, %" PRIu64
               " clean decodes, %" PRIu64 " round-trip mismatches)\n",
               files.size(), rounds, parses, decodes, mismatches);
