@@ -640,9 +640,7 @@ size_t FactSet::InsertBatchParallel(const RowBlock& block,
 Atom FactSet::ToAtom(uint32_t id) const {
   const RowRef row = rows_[id];
   const ColumnarSegment& seg = predicates_.at(row.predicate).segment;
-  Atom atom;
-  atom.predicate = row.predicate;
-  atom.args.resize(seg.arity());
+  Atom atom(row.predicate, std::vector<TermId>(seg.arity()));
   for (uint32_t pos = 0; pos < seg.arity(); ++pos) {
     atom.args[pos] = seg.Term(row.local, pos);
   }
@@ -650,19 +648,9 @@ Atom FactSet::ToAtom(uint32_t id) const {
 }
 
 std::vector<Atom> FactSet::ToAtoms() const {
-  // Predicate by predicate, so no row pays a predicate lookup.
-  std::vector<Atom> out(size());
-  for (const auto& [p, pidx] : predicates_) {
-    const ColumnarSegment& seg = pidx.segment;
-    for (uint32_t local = 0; local < pidx.atom_ids.size(); ++local) {
-      Atom& atom = out[pidx.atom_ids[local]];
-      atom.predicate = p;
-      atom.args.resize(seg.arity());
-      for (uint32_t pos = 0; pos < seg.arity(); ++pos) {
-        atom.args[pos] = seg.Term(local, pos);
-      }
-    }
-  }
+  std::vector<Atom> out;
+  out.reserve(size());
+  for (uint32_t id = 0; id < size(); ++id) out.push_back(ToAtom(id));
   return out;
 }
 

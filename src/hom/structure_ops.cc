@@ -21,9 +21,7 @@ std::optional<Substitution> StructureHomomorphism(
 
 FactSet HomomorphicImage(const Substitution& sub, const FactSet& facts) {
   FactSet image;
-  for (uint32_t id = 0; id < facts.size(); ++id) {
-    image.Insert(Apply(sub, facts.ToAtom(id)));
-  }
+  for (const Atom& atom : facts.ToAtoms()) image.Insert(Apply(sub, atom));
   return image;
 }
 
