@@ -3,7 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <cstring>
 #include <functional>
+#if defined(__GLIBC__)
+#include <malloc.h>  // mallopt
+#endif
 
 #include "base/check.h"
 #include "base/failpoint.h"
@@ -30,6 +35,22 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
 }
+
+// A store's columns, postings and dedup table are a few large arrays freed
+// together.  With glibc's default thresholds that free trims the heap, so a
+// process running chase after chase faults each next store back in.  Start
+// the thresholds where glibc's dynamic rule settles (mmap 32 MiB, trim 64
+// MiB) so freed heap is reused; malloc tunables in GLIBC_TUNABLES win.
+[[maybe_unused]] const bool kFreedHeapKept = [] {
+#if defined(__GLIBC__)
+  const char* tunables = std::getenv("GLIBC_TUNABLES");
+  if (tunables == nullptr || !std::strstr(tunables, "glibc.malloc.")) {
+    return mallopt(M_MMAP_THRESHOLD, 32 << 20) == 1 &&
+           mallopt(M_TRIM_THRESHOLD, 64 << 20) == 1;
+  }
+#endif
+  return false;
+}();
 }  // namespace
 
 void FactSet::InitShards(uint32_t shard_count) {

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <map>
@@ -22,6 +23,7 @@
 
 #if defined(__linux__)
 #include <malloc.h>  // malloc_usable_size, for the byte-tracking oracle
+#include <sys/resource.h>  // getrusage, for the heap-reuse check
 #endif
 
 #include "base/fact_set.h"
@@ -537,6 +539,45 @@ struct ResumeWorkload {
     return options;
   }
 };
+
+// A dead chase's heap stays with the process for the next run: fact_set.cc
+// starts glibc's thresholds where its dynamic rule settles, so a repeated
+// chase reuses the pages the last one freed instead of faulting them in
+// again.  Measured on the 12-colour Example 39 star at 4 rounds (about
+// 9 MiB of heap): about 1,800 minor faults per repeat under glibc's default
+// thresholds, at most 165 with them raised.
+TEST(MemRegression, RepeatedChaseReusesTheFreedHeap) {
+#if !defined(__GLIBC__) || defined(__SANITIZE_ADDRESS__) || \
+    defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "counts page faults under glibc's own allocator";
+#else
+  const char* tunables = std::getenv("GLIBC_TUNABLES");
+  if (tunables != nullptr && std::strstr(tunables, "glibc.malloc.")) {
+    GTEST_SKIP() << "malloc tunables set in the environment win";
+  }
+  const auto chase_faults = [] {
+    rusage before{};
+    getrusage(RUSAGE_SELF, &before);
+    {
+      Vocabulary vocab;
+      const Theory theory = StickyExample39Theory(vocab);
+      const FactSet db = Star39Instance(vocab, 12);
+      ChaseOptions options;
+      options.threads = 1;
+      options.max_rounds = 4;
+      ChaseEngine engine(vocab, theory);
+      EXPECT_EQ(engine.Run(db, options).facts.size(), 22'633u);
+    }
+    rusage after{};
+    getrusage(RUSAGE_SELF, &after);
+    return after.ru_minflt - before.ru_minflt;
+  };
+  chase_faults();  // the first run grows the heap
+  long repeat_faults = 0;
+  for (int run = 0; run < 3; ++run) repeat_faults += chase_faults();
+  EXPECT_LT(repeat_faults, 1'000) << "minor faults over three repeated chases";
+#endif
+}
 
 // Regression for the Skolem-cache under-count: the vocabulary's block/row
 // caches are interned during a run but never replayed by a fresh-process
