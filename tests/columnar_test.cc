@@ -22,6 +22,8 @@
 #include "catalog/instances.h"
 #include "catalog/theories.h"
 #include "chase/chase.h"
+#include "testing/generator.h"
+#include "testing/rng.h"
 
 namespace frontiers {
 namespace {
@@ -161,78 +163,182 @@ TEST(ColumnarStore, AgreesWithRowStoreOracleUnderDuplicateHeavyInserts) {
   }
 }
 
-TEST(ColumnarStore, InsertBatchMatchesSequentialInsertRow) {
-  Vocabulary vocab;
-  std::vector<Atom> workload = RandomAtoms(vocab, 1500, 0xBEEF);
+// --- The batch insert against row-at-a-time inserts -------------------------
+// `InsertBatch` must leave the store, and report the outcomes, exactly as
+// `InsertRow` row by row would, with the cap applied the same way: at the
+// cap only duplicates pass, and the first new row ends the batch without
+// being consumed.
+
+// Row-at-a-time reference for `InsertBatch(block, &outcomes, cap)`.
+size_t ReferenceBatch(FactSet& store, const RowBlock& block, size_t cap,
+                      std::vector<FactSet::InsertOutcome>* outcomes) {
+  size_t added = 0;
+  for (size_t row = 0; row < block.rows(); ++row) {
+    const PredicateId p = block.predicates[row];
+    if (store.size() >= cap) {
+      std::optional<uint32_t> existing =
+          store.FindRow(p, block.Terms(row), block.Arity(row));
+      if (!existing.has_value()) break;
+      outcomes->push_back({*existing, false});
+      continue;
+    }
+    outcomes->push_back(store.InsertRow(p, block.Terms(row), block.Arity(row)));
+    if (outcomes->back().inserted) ++added;
+  }
+  return added;
+}
+
+// Commits `block` into a copy of `seed` with one batch and into another
+// copy row by row, and checks both copies and both outcome lists agree.
+void ExpectBatchMatchesReference(const FactSet& seed, const RowBlock& block,
+                                 size_t cap, const std::string& label) {
+  FactSet reference = seed;
+  std::vector<FactSet::InsertOutcome> ref_outcomes;
+  const size_t ref_added = ReferenceBatch(reference, block, cap, &ref_outcomes);
+
+  FactSet batched = seed;
+  std::vector<FactSet::InsertOutcome> outcomes;
+  EXPECT_EQ(batched.InsertBatch(block, &outcomes, cap), ref_added) << label;
+  ASSERT_EQ(outcomes.size(), ref_outcomes.size()) << label;
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_EQ(outcomes[i].index, ref_outcomes[i].index)
+        << label << " row " << i;
+    EXPECT_EQ(outcomes[i].inserted, ref_outcomes[i].inserted)
+        << label << " row " << i;
+  }
+  EXPECT_EQ(batched.ToAtoms(), reference.ToAtoms()) << label;
+  EXPECT_EQ(batched.Domain(), reference.Domain()) << label;
+  for (uint32_t id = 0; id < batched.size(); ++id) {
+    const Atom atom = batched.ToAtom(id);
+    EXPECT_EQ(batched.IndexOf(atom), std::optional<uint32_t>(id))
+        << label << " id " << id;
+    EXPECT_EQ(batched.ByPredicate(atom.predicate),
+              reference.ByPredicate(atom.predicate))
+        << label << " id " << id;
+  }
+}
+
+RowBlock BlockOf(const std::vector<Atom>& atoms) {
   RowBlock block;
-  for (const Atom& atom : workload) {
+  for (const Atom& atom : atoms) {
     block.Append(atom.predicate, atom.args.data(), atom.args.size());
   }
+  return block;
+}
 
-  FactSet sequential;
-  std::vector<FactSet::InsertOutcome> seq_outcomes;
-  size_t seq_added = 0;
-  for (const Atom& atom : workload) {
-    FactSet::InsertOutcome out = sequential.InsertRow(
-        atom.predicate, atom.args.data(),
-        static_cast<uint32_t>(atom.args.size()));
-    if (out.inserted) ++seq_added;
-    seq_outcomes.push_back(out);
+// A mixed-predicate block drawn from `facts` with in-batch duplicates:
+// roughly every third appended row repeats an earlier one, so a row's
+// first occurrence in the batch must hand its id to the later copies.
+RowBlock BlockWithDuplicates(const FactSet& facts, uint64_t seed) {
+  testing::SplitMix64 rng(seed);
+  RowBlock block;
+  const std::vector<Atom> atoms = facts.ToAtoms();
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    const Atom& atom = atoms[i];
+    block.Append(atom.predicate, atom.args.data(), atom.args.size());
+    if (i > 0 && rng.Chance(1, 3)) {
+      const Atom& dup = atoms[rng.Below(static_cast<uint32_t>(i))];
+      block.Append(dup.predicate, dup.args.data(), dup.args.size());
+    }
   }
+  return block;
+}
 
-  FactSet batched;
-  std::vector<FactSet::InsertOutcome> batch_outcomes;
-  size_t batch_added = batched.InsertBatch(block, &batch_outcomes);
-
-  EXPECT_EQ(batch_added, seq_added);
-  EXPECT_EQ(batched.ToAtoms(), sequential.ToAtoms());
-  EXPECT_EQ(batched.Domain(), sequential.Domain());
-  ASSERT_EQ(batch_outcomes.size(), seq_outcomes.size());
-  for (size_t i = 0; i < batch_outcomes.size(); ++i) {
-    EXPECT_EQ(batch_outcomes[i].index, seq_outcomes[i].index) << "row " << i;
-    EXPECT_EQ(batch_outcomes[i].inserted, seq_outcomes[i].inserted)
-        << "row " << i;
+TEST(ColumnarStore, InsertBatchMatchesSequentialInsertRow) {
+  {
+    Vocabulary vocab;
+    std::vector<Atom> workload = RandomAtoms(vocab, 1500, 0xBEEF);
+    // Nullary rows, the first of them new and the rest its duplicates.
+    const PredicateId nullary = vocab.AddPredicate("Nullary", 0);
+    for (size_t i : {0u, 1u, 700u, 1499u}) {
+      workload.insert(workload.begin() + i, Atom(nullary, {}));
+    }
+    const RowBlock block = BlockOf(workload);
+    ExpectBatchMatchesReference(FactSet(), block, SIZE_MAX, "random");
+    // The same block again: every row is a store hit now.
+    FactSet filled;
+    filled.InsertBatch(block, nullptr);
+    ExpectBatchMatchesReference(filled, block, SIZE_MAX, "random, again");
+  }
+  // Generated skewed blocks: odd seeds put most first arguments on the hub
+  // constant and most rows on one predicate.
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    const std::string label = "generated seed " + std::to_string(seed);
+    Vocabulary vocab;
+    testing::TheoryGenOptions theory_options;
+    theory_options.theory_class = testing::kAllTheoryClasses[seed % 4];
+    const Theory theory = testing::GenerateTheory(vocab, seed, theory_options);
+    testing::InstanceGenOptions instance_options;
+    instance_options.num_constants = 8;
+    instance_options.num_facts = 96;
+    if (seed % 2 == 1) {
+      instance_options.hub_chance = 6;
+      instance_options.dominant_predicate_chance = 6;
+    }
+    const FactSet source = testing::GenerateInstance(
+        vocab, testing::TheorySignature(theory), seed * 7919,
+        instance_options);
+    const RowBlock block = BlockWithDuplicates(source, seed * 31);
+    ExpectBatchMatchesReference(FactSet(), block, SIZE_MAX, label);
+    ExpectBatchMatchesReference(source, block, SIZE_MAX, label + ", again");
+    // Half of the rows already stored, the other half new.
+    FactSet half;
+    for (uint32_t id = 0; id < source.size(); id += 2) {
+      half.Insert(source.ToAtom(id));
+    }
+    ExpectBatchMatchesReference(half, block, SIZE_MAX, label + ", half");
+    ExpectBatchMatchesReference(half, block, half.size() + source.size() / 4,
+                                label + ", half capped");
   }
 }
 
 TEST(ColumnarStore, InsertBatchStopsAtTheCapButStillRecordsDuplicates) {
   Vocabulary vocab;
   std::vector<Atom> workload = RandomAtoms(vocab, 600, 0xFACADE);
-  RowBlock block;
-  for (const Atom& atom : workload) {
-    block.Append(atom.predicate, atom.args.data(), atom.args.size());
-  }
   const size_t cap = 40;
+  {
+    FactSet capped;
+    std::vector<FactSet::InsertOutcome> outcomes;
+    capped.InsertBatch(BlockOf(workload), &outcomes, cap);
+    EXPECT_EQ(capped.size(), cap);
+    EXPECT_LT(outcomes.size(), workload.size()) << "the batch must truncate";
+  }
+  ExpectBatchMatchesReference(FactSet(), BlockOf(workload), cap, "random");
 
-  // Reference semantics, row by row: at the cap only duplicate rows pass;
-  // the first *new* row past the cap ends the batch without being
-  // consumed.
-  FactSet reference;
-  std::vector<FactSet::InsertOutcome> ref_outcomes;
+  // In-batch duplicates on both sides of the truncation row.  The first
+  // `cap` distinct atoms fill the store; then come duplicates of rows of
+  // this same batch (they pass at the cap), a nullary row that is new (the
+  // truncation row), and more duplicates, which are never reached.
+  std::vector<Atom> distinct;
   for (const Atom& atom : workload) {
-    if (reference.size() >= cap) {
-      std::optional<uint32_t> existing = reference.IndexOf(atom);
-      if (!existing.has_value()) break;
-      ref_outcomes.push_back({*existing, false});
-      continue;
+    if (std::find(distinct.begin(), distinct.end(), atom) == distinct.end()) {
+      distinct.push_back(atom);
     }
-    ref_outcomes.push_back(reference.InsertRow(
-        atom.predicate, atom.args.data(),
-        static_cast<uint32_t>(atom.args.size())));
   }
-
-  FactSet capped;
-  std::vector<FactSet::InsertOutcome> outcomes;
-  capped.InsertBatch(block, &outcomes, cap);
-
-  EXPECT_EQ(capped.size(), cap);
-  EXPECT_LT(outcomes.size(), block.rows()) << "the batch must truncate";
-  ASSERT_EQ(outcomes.size(), ref_outcomes.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    EXPECT_EQ(outcomes[i].index, ref_outcomes[i].index) << "row " << i;
-    EXPECT_EQ(outcomes[i].inserted, ref_outcomes[i].inserted) << "row " << i;
+  ASSERT_GT(distinct.size(), cap + 1);
+  const PredicateId nullary = vocab.AddPredicate("Nullary", 0);
+  std::vector<Atom> rows;
+  for (size_t i = 0; i < cap; ++i) {
+    rows.push_back(distinct[i]);
+    if (i % 3 == 2) rows.push_back(distinct[i / 2]);  // before the cap
   }
-  EXPECT_EQ(capped.ToAtoms(), reference.ToAtoms());
+  for (size_t i = 0; i < cap; i += 7) rows.push_back(distinct[i]);  // at it
+  rows.push_back(Atom(nullary, {}));  // the truncation row
+  for (size_t i = 1; i < cap; i += 5) rows.push_back(distinct[i]);
+  rows.push_back(distinct[cap]);
+  const RowBlock block = BlockOf(rows);
+  for (size_t c : {size_t{0}, size_t{1}, cap - 1, cap, cap + 1, cap + 2}) {
+    ExpectBatchMatchesReference(FactSet(), block, c,
+                                "both sides, cap " + std::to_string(c));
+  }
+  // A store already at the cap: only duplicates of stored rows pass.
+  FactSet full;
+  for (size_t i = 0; i < cap; i += 2) full.Insert(distinct[i]);
+  ExpectBatchMatchesReference(full, block, full.size(), "store at the cap");
+  // The nullary row stored before, the truncation row is the next new one.
+  FactSet with_nullary;
+  with_nullary.Insert(Atom(nullary, {}));
+  ExpectBatchMatchesReference(with_nullary, block, cap, "nullary stored");
 }
 
 TEST(ColumnarStore, PostingListFrontAndOrderFollowInsertion) {
