@@ -28,21 +28,15 @@ struct PhaseAccum {
   double commit_expand = 0.0;
   double commit_dedup = 0.0;
   double commit_index = 0.0;
-  double shard_wait = 0.0;
-  double shard_hold = 0.0;
   void Add(const ChaseStats& stats) {
     match += stats.MatchSeconds();
     commit += stats.CommitSeconds();
-    // Commit sub-phases of the sharded pipeline (DESIGN.md §5): expansion
-    // into the pending block, shard dedup, and index maintenance.
-    // Tracking them separately lets bench_diff attribute commit-phase
-    // movement.  Shard wait/hold splits the dedup phase into contention
-    // (blocked on a shard mutex) vs productive time under it.
+    // Commit sub-phases (DESIGN.md §5): expansion into the pending block,
+    // dedup, and index maintenance.  Tracking them separately lets
+    // bench_diff attribute commit-phase movement.
     commit_expand += stats.CommitExpandSeconds();
     commit_dedup += stats.CommitDedupSeconds();
     commit_index += stats.CommitIndexSeconds();
-    shard_wait += stats.ShardWaitSeconds();
-    shard_hold += stats.ShardHoldSeconds();
   }
 };
 
@@ -56,8 +50,6 @@ void CountPhaseSeconds(benchmark::State& state, const PhaseAccum& accum) {
   avg("commit_expand_seconds", accum.commit_expand);
   avg("commit_dedup_seconds", accum.commit_dedup);
   avg("commit_index_seconds", accum.commit_index);
-  avg("shard_wait_seconds", accum.shard_wait);
-  avg("shard_hold_seconds", accum.shard_hold);
 }
 
 void BM_LinearChase(benchmark::State& state) {

@@ -39,11 +39,6 @@ struct SweepPoint {
   double commit_expand_seconds;
   double commit_dedup_seconds;
   double commit_index_seconds;
-  // Shard-mutex contention and the worst round's shard-row imbalance (max
-  // shard rows / mean shard rows).
-  double shard_wait_seconds;
-  double shard_hold_seconds;
-  double shard_imbalance;
   size_t atoms;
   uint64_t matches;
   uint64_t parallel_rounds;
@@ -83,21 +78,13 @@ void Sweep(const std::string& title, Vocabulary& vocab, const Theory& theory,
   for (uint32_t threads : thread_counts) {
     options.threads = threads;
     ChaseResult result = engine.Run(db, options);
-    double worst_imbalance = 0.0;
-    for (const ChaseRoundStats& r : result.stats.rounds) {
-      if (r.shard_imbalance > worst_imbalance) {
-        worst_imbalance = r.shard_imbalance;
-      }
-    }
     points.push_back({threads, result.stats.total_seconds,
                       result.stats.MatchSeconds(),
                       result.stats.CommitSeconds(),
                       result.stats.CommitExpandSeconds(),
                       result.stats.CommitDedupSeconds(),
-                      result.stats.CommitIndexSeconds(),
-                      result.stats.ShardWaitSeconds(),
-                      result.stats.ShardHoldSeconds(), worst_imbalance,
-                      result.facts.size(), result.stats.TotalMatches(),
+                      result.stats.CommitIndexSeconds(), result.facts.size(),
+                      result.stats.TotalMatches(),
                       result.stats.ParallelRounds(), result.approx_bytes,
                       result.peak_bytes});
     if (threads == thread_counts.front()) {
@@ -111,23 +98,21 @@ void Sweep(const std::string& title, Vocabulary& vocab, const Theory& theory,
     }
   }
   bench::Table table({"threads", "wall s", "match s", "commit s", "expand s",
-                      "dedup s", "index s", "shard wait s", "imbalance",
-                      "atoms", "matches", "par rounds", "speedup vs 1T",
-                      "identical"});
+                      "dedup s", "index s", "atoms", "matches", "par rounds",
+                      "speedup vs 1T", "identical"});
   const double base_seconds = points.front().seconds;
   for (const SweepPoint& p : points) {
     table.AddRow({std::to_string(p.threads), Fmt(p.seconds),
                   Fmt(p.match_seconds), Fmt(p.commit_seconds),
                   Fmt(p.commit_expand_seconds), Fmt(p.commit_dedup_seconds),
-                  Fmt(p.commit_index_seconds), Fmt(p.shard_wait_seconds),
-                  Fmt(p.shard_imbalance), std::to_string(p.atoms),
+                  Fmt(p.commit_index_seconds), std::to_string(p.atoms),
                   std::to_string(p.matches),
                   std::to_string(p.parallel_rounds),
                   Fmt(base_seconds / p.seconds), "yes"});
     // Structured twin of the table row, with typed fields (the table's
     // auto-emitted row carries strings only).  The commit sub-phases let
-    // bench_diff attribute commit-phase movement to expansion, shard
-    // dedup, or index maintenance.
+    // bench_diff attribute commit-phase movement to expansion, dedup, or
+    // index maintenance.
     bench::JsonRow()
         .Param("threads", uint64_t{p.threads})
         .Counter("atoms", p.atoms)
@@ -141,12 +126,7 @@ void Sweep(const std::string& title, Vocabulary& vocab, const Theory& theory,
         .Seconds("commit_expand", p.commit_expand_seconds)
         .Seconds("commit_dedup", p.commit_dedup_seconds)
         .Seconds("commit_index", p.commit_index_seconds)
-        .Seconds("shard_wait", p.shard_wait_seconds)
-        .Seconds("shard_hold", p.shard_hold_seconds)
         .Emit();
-    // shard_imbalance is run-varying, so it rides in the table auto-row
-    // (string params, never joined) — putting it in the typed row's
-    // params would make its bench_diff join key unstable.
   }
   table.Print();
   std::printf("1-thread run: %s\n\n", baseline.stats.Summary().c_str());

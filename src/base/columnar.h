@@ -35,12 +35,6 @@ class ColumnarSegment {
     ++rows_;
   }
 
-  /// Removes the most recently appended row (used by insert-then-dedup).
-  void PopRow() {
-    for (uint32_t pos = 0; pos < arity_; ++pos) columns_[pos].pop_back();
-    --rows_;
-  }
-
   TermId Term(size_t row, uint32_t pos) const { return columns_[pos][row]; }
 
   /// The full column for `pos`; contiguous, one entry per row.
@@ -59,23 +53,18 @@ class ColumnarSegment {
     for (auto& column : columns_) column.reserve(rows);
   }
 
-  // --- Bulk-fill path (sharded parallel commit) ----------------------------
-  // The pipelined batch insert pre-assigns every new row's position, grows
-  // the segment once on the coordinating thread (`ResizeRows`), and then
-  // fills each column from its own worker task (`MutableColumn`) — writes
-  // are disjoint per (column, row), so no synchronization is needed beyond
-  // the resize happening before the fill tasks start.
-
-  /// Grows the segment to `rows` total rows (new cells value-initialized).
-  /// Must not shrink.  Serial: call before any concurrent column fill.
+  /// Grows the segment to `rows` total rows (new cells value-initialized,
+  /// to be filled by `SetRow`).  Must not shrink.  A batch insert grows a
+  /// segment once for all its new rows.
   void ResizeRows(size_t rows) {
     for (auto& column : columns_) column.resize(rows);
     rows_ = rows;
   }
 
-  /// Direct mutable access to one column for disjoint parallel fills after
-  /// `ResizeRows`.
-  std::vector<TermId>& MutableColumn(uint32_t pos) { return columns_[pos]; }
+  /// Overwrites row `row` (below `rows()`) with `terms`.
+  void SetRow(size_t row, const TermId* terms) {
+    for (uint32_t pos = 0; pos < arity_; ++pos) columns_[pos][row] = terms[pos];
+  }
 
   /// Heap footprint of the column vectors (outer vector + each column).
   uint64_t HeapBytes(MemAccounting mode) const {

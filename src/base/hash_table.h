@@ -67,29 +67,10 @@ class IdHashSet {
     }
   }
 
-  /// Rewrites the id of the entry matching (`hash`, `eq`) to `new_id`;
-  /// returns true if an entry was found.  The entry keeps its slot (the
-  /// hash is unchanged), so probe chains are untouched.  Used by the
-  /// sharded batch commit to promote provisional in-batch row markers to
-  /// their final global atom ids.
-  template <typename Eq>
-  bool ReplaceId(uint64_t hash, Eq&& eq, uint32_t new_id) {
-    size_t mask = slots_.size() - 1;
-    for (size_t i = hash & mask;; i = (i + 1) & mask) {
-      Slot& slot = slots_[i];
-      if (slot.id == kNotFound) return false;
-      if (slot.hash == hash && eq(slot.id)) {
-        slot.id = new_id;
-        return true;
-      }
-    }
-  }
-
   /// Removes the entry matching (`hash`, `eq`) with backward-shift
   /// deletion (no tombstones: subsequent entries of the probe chain are
   /// moved back so every remaining entry stays reachable).  Returns true
-  /// if an entry was removed.  Used to roll provisional batch entries
-  /// back out after a mid-commit fault.
+  /// if an entry was removed.
   template <typename Eq>
   bool Erase(uint64_t hash, Eq&& eq) {
     size_t mask = slots_.size() - 1;

@@ -17,7 +17,7 @@ namespace frontiers {
 enum class MemComponent : uint32_t {
   kColumns = 0,    ///< ColumnarSegment term columns (per predicate).
   kPostings,       ///< PostingPool chunks + PostingMap slots (per predicate).
-  kDedup,          ///< Per-shard open-addressed row dedup tables.
+  kDedup,          ///< FactSet's open-addressed row dedup table.
   kFactMeta,       ///< FactSet atom/row bookkeeping, domain, degrees.
   kVocabTerms,     ///< Vocabulary term table, names, constant/variable maps.
   kVocabSkolem,    ///< Skolem fns, hash-consing tables, blocks, rows.
@@ -139,8 +139,8 @@ struct MemTotals {
 };
 
 /// One (component, predicate) attribution row.  `predicate` is
-/// UINT32_MAX for components not owned by a single predicate (dedup
-/// shards, vocabulary, provenance, scratch).
+/// UINT32_MAX for components not owned by a single predicate (dedup,
+/// vocabulary, provenance, scratch).
 struct MemLedgerRow {
   MemComponent component = MemComponent::kCount;
   uint32_t predicate = UINT32_MAX;

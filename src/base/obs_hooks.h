@@ -14,7 +14,7 @@
 ///     one relaxed load of it, the overhead budget DESIGN.md §7 commits
 ///     to), defined here so base code can test the same word instead of
 ///     paying a second load;
-///   * the steady clock the spans and FactSet's shard timings read;
+///   * the steady clock the spans read;
 ///   * the worker-thread exit hooks, through which the trace layer drains
 ///     a pool thread's span buffer before the pool joins it.
 ///

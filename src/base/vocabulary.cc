@@ -199,21 +199,6 @@ const TermId* Vocabulary::SkolemRow(uint32_t block,
   return skolem_row_terms_.data() + offset;
 }
 
-const TermId* Vocabulary::FindSkolemRow(
-    uint32_t block, std::span<const TermId> args) const {
-  const SkolemBlockData& data = skolem_blocks_[block];
-  FRONTIERS_CHECK(data.arity == args.size(),
-                  "Skolem row arity mismatch for block");
-  uint64_t hash = HashIdSpan(block, args.data(), args.size());
-  uint32_t row = skolem_row_index_.Find(hash, [&](uint32_t r) {
-    const SkolemRowData& existing = skolem_rows_[r];
-    return existing.block == block &&
-           SkolemArgsEqual(skolem_row_terms_[existing.terms_offset], args);
-  });
-  if (row == IdHashSet::kNotFound) return nullptr;
-  return skolem_row_terms_.data() + skolem_rows_[row].terms_offset;
-}
-
 SkolemFnId Vocabulary::SkolemFunction(std::string_view signature,
                                       uint32_t arity) {
   auto it = skolem_fn_index_.find(signature);

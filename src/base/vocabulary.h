@@ -148,15 +148,6 @@ class Vocabulary {
   /// call on this vocabulary — copy out what you need.
   const TermId* SkolemRow(uint32_t block, std::span<const TermId> args);
 
-  /// Pure lookup twin of `SkolemRow`: returns the interned row, or nullptr
-  /// if `(block, args)` was never interned.  Const, so safe to call
-  /// concurrently from many threads while nothing mutates the vocabulary —
-  /// the chase's parallel commit expansion probes here and defers all
-  /// misses to per-thread arenas resolved by a serial renumbering pass
-  /// (DESIGN.md §5, "Sharded commit pipeline").
-  const TermId* FindSkolemRow(uint32_t block,
-                              std::span<const TermId> args) const;
-
   /// Kind of a term.
   TermKind Kind(TermId t) const { return terms_[t].kind; }
 

@@ -33,8 +33,7 @@ namespace frontiers {
 /// Determinism contract: the pool never influences *what* is computed, only
 /// *who* computes it.  Callers must make each task write to its own
 /// disjoint output slot (indexed by task id) and merge in task order, which
-/// is exactly how the chase's match buffers and the fact store's per-shard
-/// commit use it.
+/// is exactly how the chase's match buffers use it.
 class WorkerPool {
  public:
   /// `threads` is the total worker count including the calling thread;

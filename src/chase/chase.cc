@@ -45,11 +45,7 @@ struct ChaseMetrics {
   obs::Counter& deduped;
   obs::Counter& atoms_inserted;
   obs::Counter& budget_stops;
-  // Sharded-commit observability: batches committed through the pipelined
-  // path, rounds the small-round serial fallback kept on one thread, and
-  // per-batch shard occupancy (rows routed to the busiest dedup shard /
-  // shards touched — the contention picture of DESIGN.md §5).
-  obs::Counter& shard_commits;
+  // Rounds the small-round serial fallback kept on one thread.
   obs::Counter& serial_rounds;
   // Thread-usage decisions per round, so metrics-only consumers see the
   // serial_round_threshold fallback engaging without reading
@@ -63,19 +59,11 @@ struct ChaseMetrics {
   // per-component gauges below.
   obs::Gauge& mem_total_bytes;
   obs::Gauge& mem_peak_bytes;
-  // Shard contention per batch commit (wait = blocked acquiring a shard
-  // mutex, hold = productive time under it) and the latest batch's
-  // max/mean shard-row imbalance.
-  obs::Gauge& shard_imbalance;
   obs::Histogram& match_seconds;
   obs::Histogram& commit_seconds;
   obs::Histogram& commit_expand_seconds;
   obs::Histogram& commit_dedup_seconds;
   obs::Histogram& commit_index_seconds;
-  obs::Histogram& shard_max_rows;
-  obs::Histogram& shards_touched;
-  obs::Histogram& shard_wait_seconds;
-  obs::Histogram& shard_hold_seconds;
   obs::Histogram& run_seconds;
   // One gauge per ledger component (`frontiers.mem.<component>_bytes`),
   // capacity mode, set at every round boundary.  Filled after the
@@ -87,10 +75,6 @@ struct ChaseMetrics {
       obs::Registry& reg = obs::DefaultRegistry();
       const std::vector<double> phase_buckets = {1e-4, 1e-3, 1e-2, 0.1,
                                                  1.0,  10.0, 100.0};
-      const std::vector<double> row_buckets = {1.0,  10.0, 100.0, 1e3,
-                                               1e4,  1e5,  1e6};
-      const std::vector<double> shard_buckets = {1.0, 2.0, 4.0, 8.0, 16.0,
-                                                 32.0, 64.0, 128.0, 256.0};
       ChaseMetrics* m = new ChaseMetrics{
           reg.GetCounter("frontiers.chase.runs"),
           reg.GetCounter("frontiers.chase.rounds"),
@@ -101,14 +85,12 @@ struct ChaseMetrics {
           reg.GetCounter("frontiers.chase.deduped"),
           reg.GetCounter("frontiers.chase.atoms_inserted"),
           reg.GetCounter("frontiers.chase.budget_stops"),
-          reg.GetCounter("frontiers.chase.shard_commits"),
           reg.GetCounter("frontiers.chase.serial_rounds"),
           reg.GetCounter("frontiers.chase.rounds_parallel"),
           reg.GetCounter("frontiers.chase.rounds_serial"),
           reg.GetGauge("frontiers.chase.live_bytes"),
           reg.GetGauge("frontiers.mem.total_bytes"),
           reg.GetGauge("frontiers.mem.peak_bytes"),
-          reg.GetGauge("frontiers.chase.shard_imbalance"),
           reg.GetHistogram("frontiers.chase.match_seconds", phase_buckets),
           reg.GetHistogram("frontiers.chase.commit_seconds", phase_buckets),
           reg.GetHistogram("frontiers.chase.commit_expand_seconds",
@@ -116,12 +98,6 @@ struct ChaseMetrics {
           reg.GetHistogram("frontiers.chase.commit_dedup_seconds",
                            phase_buckets),
           reg.GetHistogram("frontiers.chase.commit_index_seconds",
-                           phase_buckets),
-          reg.GetHistogram("frontiers.chase.shard_max_rows", row_buckets),
-          reg.GetHistogram("frontiers.chase.shards_touched", shard_buckets),
-          reg.GetHistogram("frontiers.chase.shard_wait_seconds",
-                           phase_buckets),
-          reg.GetHistogram("frontiers.chase.shard_hold_seconds",
                            phase_buckets),
           reg.GetHistogram("frontiers.chase.run_seconds", phase_buckets)};
       for (size_t c = 0; c < kMemComponentCount; ++c) {
@@ -447,12 +423,6 @@ void ChaseEngine::ExpandHead(size_t rule_index, const TermId* bindings,
     // mutates the vocabulary until the next ExpandHead call.
     nulls = vocab_.SkolemRow(layout.skolem_block, fn_args_scratch);
   }
-  AppendHeadRows(rule_index, bindings, nulls, out);
-}
-
-void ChaseEngine::AppendHeadRows(size_t rule_index, const TermId* bindings,
-                                 const TermId* nulls, RowBlock* out) const {
-  const CommitLayout& layout = commit_layouts_[rule_index];
   for (const HeadAtomLayout& atom_layout : layout.head) {
     const size_t arity = atom_layout.slots.size();
     const size_t offset = out->terms.size();
@@ -480,16 +450,16 @@ void ChaseEngine::AppendHeadRows(size_t rule_index, const TermId* bindings,
 
 namespace {
 
-// The rule applications staged while scanning one round — per match unit,
-// then merged into one round-wide set.  The head is *not* yet instantiated:
-// committing interns Skolem terms in the shared Vocabulary, so it is
-// deferred to the single-threaded commit phase (see DESIGN.md, "Parallel
-// round pipeline").  The match substitution is projected onto the rule's
-// head-universal variables (`commit_vars`), which is all the commit phase
-// needs: the frontier memo entry, the Skolem arguments, the head expansion
-// and the restricted recheck.  Each application is three words; its
-// binding tuple and (with provenance) its body-atom parents live in two
-// flat arenas, so staging allocates nothing per application.
+// The rule applications staged while scanning one round — per match unit, then
+// merged into one round-wide set.  The head is *not* yet instantiated:
+// committing interns Skolem terms in the shared Vocabulary, so it is deferred
+// to the single-threaded commit phase (see DESIGN.md §5).  The match
+// substitution is projected onto the rule's head-universal variables
+// (`commit_vars`), which is all the commit phase needs: the frontier memo
+// entry, the Skolem arguments, the head expansion and the restricted
+// recheck.  Each application is three words; its binding tuple and (with
+// provenance) its body-atom parents live in two flat arenas, so staging
+// allocates nothing per application.
 struct StagedApplications {
   struct App {
     uint32_t rule_index;
@@ -526,10 +496,6 @@ struct UnitBuffer {
   StagedApplications staged;
   uint64_t matches = 0;
 };
-
-// Placeholder TermIds for Skolem rows not yet interned during a parallel
-// head expansion live above this bit; real ids stay below it.
-constexpr uint32_t kLocalTermBit = 0x80000000u;
 
 }  // namespace
 
@@ -747,15 +713,14 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
   return RunFromState(std::move(state), options);
 }
 
-// The round loop of one Run/Resume call.  RunFromState drives the phases
-// of DESIGN.md §5 — PlanUnits, MatchRound, CommitSemiOblivious or
-// CommitRestricted, CloseRound — once per round; everything runs on the
-// calling thread except the match units and commit tasks handed to the
-// pool.  The round boundary is the only place that reports a round:
-// CloseRound appends the round's record to ChaseStats and feeds the same
-// record to the registry and the round stream, and Finish reuses the
-// boundary accounting (without a record) for the state the run returns
-// and writes the stream's stop row.
+// The round loop of one Run/Resume call.  RunFromState drives the phases of
+// DESIGN.md §5 — PlanUnits, MatchRound, CommitSemiOblivious or
+// CommitRestricted, CloseRound — once per round; everything runs on the calling
+// thread except the match units handed to the pool.  The round boundary is the
+// only place that reports a round: CloseRound appends the round's record to
+// ChaseStats and feeds the same record to the registry and the round stream,
+// and Finish reuses the boundary accounting (without a record) for the state
+// the run returns and writes the stream's stop row.
 //
 // Tracing and metrics are pure observation: workers never publish spans
 // into shared chase state and the registry is write-only here, so the
@@ -830,9 +795,6 @@ class ChaseEngine::RoundLoop {
   // One match unit, run by exactly one worker into its own buffer.
   void RunUnit(const MatchUnit& unit,
                const std::unordered_set<TermId>& new_terms, UnitBuffer& out);
-  // Parallel head expansion of the surviving applications into `pending_`.
-  void ExpandParallel(const StagedApplications& staged,
-                      uint32_t round_threads);
   // Bookkeeping for one head row's insert outcome — depth, delta,
   // provenance, births — shared by both commit paths.
   void RecordRow(const StagedApplications& staged,
@@ -872,8 +834,8 @@ class ChaseEngine::RoundLoop {
   // One persistent worker pool per run (not per round): spawning threads
   // every round cost more than the match work itself on thin-round
   // workloads (the E17a 2-thread regression), so workers park on a
-  // condition variable between rounds.  The pool executes both the match
-  // units and the commit pipeline's shard/index tasks.
+  // condition variable between rounds.  The pool executes the match units
+  // only.
   std::optional<WorkerPool> pool_;
   // Round-stream run ordinal; 0 when no RoundStreamSession is active.
   const uint64_t stream_run_;
@@ -949,8 +911,7 @@ MemTotals ChaseEngine::RoundLoop::AccountBoundary() {
   const Vocabulary& vocab = engine_.vocab_;
   MemTotals cap = ChaseMemTotalsFromParts(
       result, vocab, MemAccounting::kCapacity, state_.prov_inner_capacity);
-  // The chase's own persistent scratch, on top of FactSet's batch scratch
-  // (already under kScratch): thread-dependent, diagnostic only.
+  // The chase's own persistent scratch: diagnostic only.
   cap.Add(MemComponent::kScratch,
           pending_.HeapBytes(MemAccounting::kCapacity) +
               VectorHeapBytes(surviving_, MemAccounting::kCapacity) +
@@ -1002,15 +963,6 @@ void ChaseEngine::RoundLoop::PublishRound(const ChaseRoundStats& record) {
   metrics_.commit_expand_seconds.Observe(record.commit_expand_seconds);
   metrics_.commit_dedup_seconds.Observe(record.commit_dedup_seconds);
   metrics_.commit_index_seconds.Observe(record.commit_index_seconds);
-  if (options_.variant == ChaseVariant::kSemiOblivious) {
-    // Every semi-oblivious round commits through one batch insert.
-    metrics_.shard_commits.Add();
-    metrics_.shard_max_rows.Observe(static_cast<double>(record.shard_max_rows));
-    metrics_.shards_touched.Observe(static_cast<double>(record.shards_touched));
-    metrics_.shard_wait_seconds.Observe(record.shard_wait_seconds);
-    metrics_.shard_hold_seconds.Observe(record.shard_hold_seconds);
-    metrics_.shard_imbalance.Set(record.shard_imbalance);
-  }
   if (num_threads_ > 1 && record.used_threads == 1) {
     metrics_.serial_rounds.Add();
   }
@@ -1593,124 +1545,24 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitRestricted(
   return std::nullopt;
 }
 
-void ChaseEngine::RoundLoop::ExpandParallel(const StagedApplications& staged,
-                                            uint32_t round_threads) {
-  const Vocabulary& vocab = engine_.vocab_;
-  // Workers expand contiguous chunks of the surviving order with the const
-  // Skolem-row probe; an application tuple never interned before gets a
-  // chunk-local placeholder row recorded in the chunk's arena.  Nothing
-  // mutates the vocabulary until the serial renumbering pass below.
-  struct ExpandChunk {
-    struct Miss {
-      uint32_t block;        // Skolem block
-      uint32_t args;         // offset of its fn args in `miss_args`
-      uint32_t arity;        // number of fn args
-      uint32_t placeholder;  // placeholder base
-    };
-    RowBlock rows;
-    std::vector<Miss> misses;
-    std::vector<TermId> miss_args;
-    uint32_t placeholder_count = 0;
-  };
-  const size_t chunk_size = std::max<size_t>(
-      1, (surviving_.size() + round_threads * 4 - 1) / (round_threads * 4));
-  const size_t num_chunks = (surviving_.size() + chunk_size - 1) / chunk_size;
-  std::vector<ExpandChunk> chunks(num_chunks);
-  pool_->Run(num_chunks, [&](size_t c) {
-    ExpandChunk& chunk = chunks[c];
-    std::vector<TermId> fn_args;
-    std::vector<TermId> placeholder_row;
-    const size_t begin = c * chunk_size;
-    const size_t end = std::min(surviving_.size(), begin + chunk_size);
-    for (size_t k = begin; k < end; ++k) {
-      const StagedApplications::App& app = staged.apps[surviving_[k]];
-      const TermId* bindings = staged.bindings.data() + app.bindings;
-      const CommitLayout& layout = engine_.commit_layouts_[app.rule_index];
-      const TermId* nulls = nullptr;
-      if (layout.skolem_block != kNoSkolemBlock) {
-        fn_args.clear();
-        for (uint32_t slot : layout.fn_arg_slots) {
-          fn_args.push_back(bindings[slot]);
-        }
-        nulls = vocab.FindSkolemRow(layout.skolem_block, fn_args);
-        if (nulls == nullptr) {
-          const uint32_t size = vocab.SkolemBlockSize(layout.skolem_block);
-          chunk.misses.push_back(
-              {layout.skolem_block,
-               static_cast<uint32_t>(chunk.miss_args.size()),
-               static_cast<uint32_t>(fn_args.size()),
-               chunk.placeholder_count});
-          chunk.miss_args.insert(chunk.miss_args.end(), fn_args.begin(),
-                                 fn_args.end());
-          placeholder_row.clear();
-          for (uint32_t i = 0; i < size; ++i) {
-            placeholder_row.push_back(kLocalTermBit |
-                                      (chunk.placeholder_count + i));
-          }
-          chunk.placeholder_count += size;
-          nulls = placeholder_row.data();
-        }
-      }
-      engine_.AppendHeadRows(app.rule_index, bindings, nulls, &chunk.rows);
-    }
-  });
-  // Serial renumbering: chunks partition the staged order contiguously, so
-  // interning each chunk's misses in chunk order reproduces exactly the
-  // lazy intern order of the serial engine — identical TermIds at every
-  // thread count.  (SkolemRow is idempotent, so a tuple missed by several
-  // chunks interns once, at its first staged occurrence.)
-  for (ExpandChunk& chunk : chunks) {
-    std::vector<TermId> resolved(chunk.placeholder_count);
-    for (const ExpandChunk::Miss& miss : chunk.misses) {
-      const TermId* row = engine_.vocab_.SkolemRow(
-          miss.block, std::span<const TermId>(
-                          chunk.miss_args.data() + miss.args, miss.arity));
-      const uint32_t size = vocab.SkolemBlockSize(miss.block);
-      for (uint32_t i = 0; i < size; ++i) {
-        resolved[miss.placeholder + i] = row[i];
-      }
-    }
-    for (TermId& t : chunk.rows.terms) {
-      if (t & kLocalTermBit) t = resolved[t & ~kLocalTermBit];
-    }
-    if (pending_.offsets.empty()) pending_.offsets.push_back(0);
-    const uint32_t term_base = static_cast<uint32_t>(pending_.terms.size());
-    pending_.predicates.insert(pending_.predicates.end(),
-                               chunk.rows.predicates.begin(),
-                               chunk.rows.predicates.end());
-    pending_.terms.insert(pending_.terms.end(), chunk.rows.terms.begin(),
-                          chunk.rows.terms.end());
-    for (size_t r = 1; r < chunk.rows.offsets.size(); ++r) {
-      pending_.offsets.push_back(term_base + chunk.rows.offsets[r]);
-    }
-  }
-  FRONTIERS_CHECK(vocab.NumTerms() < kLocalTermBit,
-                  "chase: TermId space reached the placeholder bit");
-}
-
 std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitSemiOblivious(
     const StagedApplications& staged, ChaseRoundStats& record) {
-  // Set-at-a-time, pipelined (DESIGN.md §5, "Sharded commit pipeline").
-  // Phase 1a (serial) walks the merged staging order through the frontier
-  // memo; phase 1b expands surviving applications into one columnar
-  // pending block — in parallel chunks when the round is wide, probing
-  // interned Skolem rows through the const lookup and renumbering misses
-  // serially so TermId assignment stays in staged order; phase 2
-  // bulk-inserts the block through the sharded parallel commit; phase 3
-  // replays the per-row outcomes for depth/provenance/birth bookkeeping.
-  // Every phase preserves the merged staging order, so the result is
-  // byte-identical to committing one atom at a time, at every thread and
-  // shard count.
+  // Set-at-a-time (DESIGN.md §5, "Serial commit").  Phase 1a walks the
+  // merged staging order through the frontier memo; phase 1b expands the
+  // surviving applications into one columnar pending block, interning
+  // Skolem rows in staged order; phase 2 bulk-inserts the block with one
+  // batch insert; phase 3 replays the per-row outcomes for depth,
+  // provenance and birth bookkeeping.  Every phase preserves the merged
+  // staging order, so the result is byte-identical to committing one atom
+  // at a time.
   ChaseResult& result = state_.result;
-  const uint32_t round_threads = record.used_threads;
-  WorkerPool* pool = round_threads > 1 && pool_.has_value() ? &*pool_ : nullptr;
   const Clock::time_point expand_start = Clock::now();
   std::optional<obs::Span> commit_sub_span;
   commit_sub_span.emplace("chase.commit.expand", "chase");
   pending_.Clear();
   surviving_.clear();
   surviving_.reserve(staged.apps.size());
-  // The memo's size before this round's inserts: a faulted batch truncates
+  // The memo's size before this round's inserts: a refused batch truncates
   // back to it.
   const size_t memo_before = result.seen_applications.size();
   for (uint32_t s = 0; s < staged.apps.size(); ++s) {
@@ -1725,66 +1577,33 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitSemiOblivious(
     }
     surviving_.push_back(s);
   }
-  if (pool != nullptr && surviving_.size() >= 512 &&
-      engine_.vocab_.NumTerms() < kLocalTermBit) {
-    ExpandParallel(staged, round_threads);
-  } else {
-    for (uint32_t s : surviving_) {
-      const StagedApplications::App& app = staged.apps[s];
-      engine_.ExpandHead(app.rule_index, staged.bindings.data() + app.bindings,
-                         fn_args_scratch_, &pending_);
-    }
+  for (uint32_t s : surviving_) {
+    const StagedApplications::App& app = staged.apps[s];
+    engine_.ExpandHead(app.rule_index, staged.bindings.data() + app.bindings,
+                       fn_args_scratch_, &pending_);
   }
   record.commit_expand_seconds = Seconds(Clock::now() - expand_start);
 
   outcomes_.clear();
-  // A fired `fact_set.insert_batch` failpoint makes the batch insert refuse
-  // the whole batch (store untouched, outcomes empty) — which would
-  // otherwise be indistinguishable from an atom-budget truncation at row
-  // zero; `fact_set.shard_commit` aborts the batch from inside a shard task
-  // with the same contract (provisional dedup entries rolled back).  Detect
-  // both by their fired-count deltas and classify the stop as a resumable
-  // injected fault instead of kAtomBudget.  The EverArmed() guard keeps
-  // unarmed runs at one relaxed load.
-  const bool fault_detect = failpoint::EverArmed();
-  const uint64_t batch_fired_before =
-      fault_detect ? failpoint::FiredCount("fact_set.insert_batch") : 0;
-  const uint64_t shard_fired_before =
-      fault_detect ? failpoint::FiredCount("fact_set.shard_commit") : 0;
   commit_sub_span.emplace("chase.commit.insert", "chase");
   FactSet::BatchTimings batch_timings;
-  FactSet::BatchStats batch_stats;
-  const size_t added = result.facts.InsertBatchParallel(
-      pending_, &outcomes_, pool, options_.max_atoms, &batch_timings,
-      &batch_stats);
+  const std::optional<size_t> added = result.facts.InsertBatch(
+      pending_, &outcomes_, options_.max_atoms, &batch_timings);
   commit_sub_span.reset();
   record.commit_dedup_seconds = batch_timings.dedup_seconds;
   record.commit_index_seconds = batch_timings.index_seconds;
-  record.shards_touched = batch_stats.shards_touched;
-  record.shard_max_rows = batch_stats.max_shard_rows;
-  record.shard_wait_seconds =
-      static_cast<double>(batch_stats.shard_wait_ns) * 1e-9;
-  record.shard_hold_seconds =
-      static_cast<double>(batch_stats.shard_hold_ns) * 1e-9;
-  if (batch_stats.rows > 0 && batch_stats.shards_touched > 0) {
-    record.shard_imbalance =
-        static_cast<double>(batch_stats.max_shard_rows) /
-        (static_cast<double>(batch_stats.rows) /
-         static_cast<double>(batch_stats.shards_touched));
-  }
-  if (fault_detect &&
-      (failpoint::FiredCount("fact_set.insert_batch") != batch_fired_before ||
-       failpoint::FiredCount("fact_set.shard_commit") != shard_fired_before)) {
-    // Roll back phase 1's dedup-memo inserts so the state is exactly the
-    // previous round boundary.  (Skolem rows interned by ExpandHead stay in
-    // the vocabulary; hash-consing re-interns them to identical TermIds on
+  if (!added.has_value()) {
+    // The `fact_set.insert_batch` failpoint refused the batch.  Roll back
+    // phase 1's dedup-memo inserts so the state is exactly the previous
+    // round boundary.  (Skolem rows interned by ExpandHead stay in the
+    // vocabulary; hash-consing re-interns them to identical TermIds on
     // resume, so they are harmless.)  The memo keeps its grown arena and
     // table capacity, which Finish accounts.
     result.seen_applications.Truncate(memo_before);
     return ChaseStop::kInjectedFault;
   }
-  result.depth.reserve(result.depth.size() + added);
-  next_delta_atoms_.reserve(added);
+  result.depth.reserve(result.depth.size() + *added);
+  next_delta_atoms_.reserve(*added);
   // Replay outcomes app by app.  `outcomes_` is truncated exactly at the
   // first new atom past the budget; an application reached before the
   // truncation point still counts as committed (mirroring the per-atom

@@ -133,7 +133,7 @@ struct ChaseRoundStats {
   // from parity comparisons, like all timings.
   /// Frontier-memo dedup + head expansion + Skolem row interning.
   double commit_expand_seconds = 0.0;
-  /// Batch insert: hashing + per-shard dedup probes + id assignment.
+  /// Batch insert: hashing + dedup probes + id assignment.
   double commit_dedup_seconds = 0.0;
   /// Batch insert: column fill, posting appends, domain/degree updates.
   double commit_index_seconds = 0.0;
@@ -141,18 +141,6 @@ struct ChaseRoundStats {
   /// fallback engaged; see ChaseOptions::serial_round_threshold).  Purely
   /// an execution record — results are byte-identical either way.
   uint32_t used_threads = 1;
-  // Shard occupancy and contention of this round's batch insert
-  // (semi-oblivious variant only; diagnostics like the sub-timings above:
-  // excluded from snapshots and parity comparisons).
-  /// Shards that saw at least one row, and the rows routed to the busiest.
-  uint32_t shards_touched = 0;
-  uint64_t shard_max_rows = 0;
-  /// Total time commit tasks spent blocked on (vs holding) shard mutexes.
-  double shard_wait_seconds = 0.0;
-  double shard_hold_seconds = 0.0;
-  /// Batch imbalance: busiest shard's rows over the mean rows per touched
-  /// shard (1.0 = perfectly balanced; 0 when nothing was batch-inserted).
-  double shard_imbalance = 0.0;
   /// Ledger snapshot at this round's boundary: capacity-mode bytes per
   /// component (base/mem_ledger.h), including the chase's own scratch.
   /// A diagnostic like the timings above — excluded from snapshots and
@@ -193,12 +181,6 @@ struct ChaseStats {
   }
   double CommitIndexSeconds() const {
     return Sum(&ChaseRoundStats::commit_index_seconds);
-  }
-  double ShardWaitSeconds() const {
-    return Sum(&ChaseRoundStats::shard_wait_seconds);
-  }
-  double ShardHoldSeconds() const {
-    return Sum(&ChaseRoundStats::shard_hold_seconds);
   }
   /// Rounds that ran with more than one worker (i.e. where the small-round
   /// serial fallback did *not* engage).
@@ -250,14 +232,15 @@ struct ChaseOptions {
   /// 1 (default) runs fully sequentially on the calling thread; 0 asks for
   /// one worker per hardware thread.  Results are byte-identical across
   /// thread counts: workers only *enumerate* matches into per-task buffers
-  /// which are merged in a fixed order, and all vocabulary mutation
-  /// (Skolem interning) happens on the calling thread during commit (see
-  /// DESIGN.md §"Parallel round pipeline").
+  /// which are merged in a fixed order, and the commit phase — Skolem
+  /// interning and the batch insert — always runs on the calling thread
+  /// (see DESIGN.md §5).
   uint32_t threads = 1;
   /// Small-round serial fallback: when the round's work hint (the input
   /// delta for the first round, the previous round's matches + staged
-  /// applications after that) falls below this threshold, both the match
-  /// and commit phases stay on the calling thread even with `threads > 1`.
+  /// applications after that) falls below this threshold, the match phase
+  /// stays on the calling thread even with `threads > 1`.  Commit runs on
+  /// the calling thread either way.
   /// Dispatching a handful of matches to a pool costs more than the work
   /// itself (the E17a 2-thread regression), so thin rounds run serially;
   /// the decision is recorded in ChaseRoundStats::used_threads and never
@@ -479,15 +462,6 @@ class ChaseEngine {
   /// caller-provided scratch to keep the hot path allocation-free.
   void ExpandHead(size_t rule_index, const TermId* bindings,
                   std::vector<TermId>& fn_args_scratch, RowBlock* out) const;
-
-  /// The pure-layout tail of ExpandHead: appends the head rows with the
-  /// application's Skolem nulls already resolved to `nulls` (null for
-  /// Datalog rules).  The parallel commit pipeline calls this with either
-  /// a row found via the const `Vocabulary::FindSkolemRow` probe or a
-  /// per-chunk arena placeholder row, then renumbers placeholders in a
-  /// serial pass (DESIGN.md §5, "Sharded commit pipeline").
-  void AppendHeadRows(size_t rule_index, const TermId* bindings,
-                      const TermId* nulls, RowBlock* out) const;
 
   Vocabulary& vocab_;
   Theory theory_;

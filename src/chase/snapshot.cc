@@ -22,8 +22,9 @@ constexpr char kMagic[4] = {'F', 'R', 'S', 'N'};
 // postings only for declared positions and with its rows only in the
 // columns (no heap Atom per row), so a v3 total no longer matches either.
 // Capacity-mode figures (per-round MemTotals, peak_bytes) are deliberately
-// absent: they depend on the shard count, so serializing them would break
-// the format's canonicality over logical chase state.
+// absent: they depend on the growth history of the containers, so
+// serializing them would break the format's canonicality over logical
+// chase state.
 // Older snapshots are rejected (the codec has no compatibility promise
 // yet; see tests/corpus).
 constexpr uint16_t kVersion = 4;
@@ -243,9 +244,7 @@ Result<ChaseSnapshot> MakeSnapshot(const Vocabulary& vocab,
 
 // The wire format is canonical over the logical chase state: it serializes
 // atoms in insertion order plus round stats, never the store's internal
-// dedup layout.  In particular FactSet's shard count is a pure performance
-// knob — a snapshot taken from an N-shard store decodes into an M-shard
-// store byte-identically (shard_test covers the round-trip).
+// dedup layout.
 std::string EncodeSnapshot(const ChaseSnapshot& snapshot) {
   obs::Span span("snapshot.encode", "snapshot");
   std::string out;

@@ -79,9 +79,9 @@ struct ChaseSnapshot {
   /// Capacity-mode high-water mark over all round boundaries of the source
   /// run, carried through so a same-process resume's peak covers the whole
   /// logical run rather than restarting from zero.  Deliberately *not*
-  /// serialized: capacity figures depend on the shard count and the
-  /// reconstruction path, and the wire format is canonical over logical
-  /// chase state only (EncodeSnapshot's doc; shard_test pins this down).
+  /// serialized: capacity figures depend on the reconstruction path, and
+  /// the wire format is canonical over logical chase state only
+  /// (EncodeSnapshot's doc).
   /// A decoded snapshot therefore resumes with peak restarting from the
   /// reconstructed store's footprint.
   uint64_t peak_bytes = 0;

@@ -229,10 +229,10 @@ void MatchPlan::Project(const std::vector<TermId>& terms,
 // position (the first such position on ties), or the predicate's whole
 // list when no position is fixed or bound.
 //
-// Concurrency contract with the sharded store (DESIGN.md §5): posting
-// lists and segments are epoch-stable — FactSet only mutates them inside
-// a commit phase, and match workers only read them between commits.
-// Reads therefore take no locks here, at any thread or shard count.
+// Concurrency contract with the store (DESIGN.md §5): posting lists and
+// segments are epoch-stable — FactSet only mutates them inside a commit
+// phase, and match workers only read them between commits.  Reads
+// therefore take no locks here, at any thread count.
 PostingList MatchPlan::CandidatesFor(const AtomPlan& atom) const {
   PostingList best = atom.fixed_best;
   uint32_t best_pos = atom.fixed_pos;

@@ -46,19 +46,13 @@ struct BenchCompareOptions {
   /// sub-millisecond values are meaningful there.
   double min_seconds = 1e-6;
   /// Metrics whose name contains one of these substrings are always
-  /// classified as stable — present in the report, never a gate.  Mutex
-  /// wait/hold are scheduler-dependent diagnostics: on an oversubscribed
-  /// box, hold time includes preemption, and identical binaries swing by
-  /// ±20% between idle runs at any magnitude (adjacent thread counts in
-  /// one sweep routinely move in opposite directions).  A real lock
-  /// convoy still trips the gate through the wall/commit metrics it
-  /// inflates.  `rss` covers the sampled `rss_bytes` figures benches may
-  /// report alongside the deterministic ledger totals: resident size
-  /// depends on the allocator's page reuse and the machine, so it is
-  /// informative but never a gate (the deterministic `mem_*` counters
-  /// are what a memory regression shows up in).
-  std::vector<std::string> diagnostic_metrics = {"shard_wait", "shard_hold",
-                                                 "rss"};
+  /// classified as stable — present in the report, never a gate.  `rss`
+  /// covers the sampled `rss_bytes` figures benches may report alongside
+  /// the deterministic ledger totals: resident size depends on the
+  /// allocator's page reuse and the machine, so it is informative but
+  /// never a gate (the deterministic `mem_*` counters are what a memory
+  /// regression shows up in).
+  std::vector<std::string> diagnostic_metrics = {"rss"};
 };
 
 /// One joined (row, seconds-metric) pair with both measurements.

@@ -66,10 +66,11 @@ struct InstanceGenOptions {
   /// Fact draws; duplicates collapse, so the instance may be smaller.
   uint32_t num_facts = 16;
   /// Chance (out of 8) that a fact's first argument is the hub constant
-  /// C0.  FactSet shards its dedup tables by (predicate, first term), so a
-  /// high hub bias concentrates commits onto few shards — the imbalanced
-  /// regime shard_test exercises.  0 (default) draws uniformly and keeps
-  /// the rng stream of existing seeds unchanged.
+  /// C0: a high hub bias gives one term a long posting list and makes
+  /// many rows agree on their first argument, the skewed blocks the batch
+  /// insert oracle (columnar_test) and the matcher tests draw.  0
+  /// (default) draws uniformly and keeps the rng stream of existing seeds
+  /// unchanged.
   uint32_t hub_chance = 0;
   /// Chance (out of 8) that a fact uses the signature's first predicate
   /// instead of a uniform draw — the dominant-predicate skew.  0 (default)

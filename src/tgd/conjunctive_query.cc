@@ -70,9 +70,7 @@ bool IsConnected(const Vocabulary& vocab, const ConjunctiveQuery& query) {
 }
 
 FactSet QueryAsFactSet(const ConjunctiveQuery& query) {
-  // One dedup shard: a query is a handful of atoms, and shards partition
-  // only the dedup tables, never atom or posting-list order.
-  FactSet out(1);
+  FactSet out;
   for (const Atom& atom : query.atoms) out.Insert(atom);
   return out;
 }

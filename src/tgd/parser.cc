@@ -490,9 +490,7 @@ class Parser {
     }
     SkipNewlines();
     if (!AtEnd()) return ErrorAt(Peek(), "trailing input after facts");
-    // Without a size cap, a batch that inserts nothing was refused at
-    // admission by its failpoint.
-    if (facts.InsertBatch(rows, nullptr) == 0) {
+    if (!facts.InsertBatch(rows, nullptr).has_value()) {
       return Status::Error(
           "injected failure at failpoint 'fact_set.insert_batch'");
     }

@@ -416,7 +416,7 @@ void ExpectRowsMatchOracle(const FactSet& store, const RowStoreOracle& oracle,
   }
 }
 
-enum class RowPath { kInsert, kInsertRow, kBatch, kParallel };
+enum class RowPath { kInsert, kInsertRow, kBatch };
 
 TEST(RowAccess, EveryIdReadsBackTheOracleRow) {
   Vocabulary vocab;
@@ -436,44 +436,29 @@ TEST(RowAccess, EveryIdReadsBackTheOracleRow) {
         atom.predicate, atom.args.data(), atom.args.size());
   }
 
-  for (RowPath path : {RowPath::kInsert, RowPath::kInsertRow, RowPath::kBatch,
-                       RowPath::kParallel}) {
-    for (uint32_t threads : {1u, 4u}) {
-      if (path != RowPath::kParallel && threads > 1) continue;
-      for (uint32_t shards : {1u, 8u}) {
-        const std::string label =
-            "path " + std::to_string(static_cast<int>(path)) + " threads " +
-            std::to_string(threads) + " shards " + std::to_string(shards);
-        WorkerPool pool(threads);
-        FactSet store(shards);
-        switch (path) {
-          case RowPath::kInsert:
-            for (const Atom& atom : workload) store.Insert(atom);
-            break;
-          case RowPath::kInsertRow:
-            for (const Atom& atom : workload) {
-              store.InsertRow(atom.predicate, atom.args.data(),
-                              static_cast<uint32_t>(atom.args.size()));
-            }
-            break;
-          case RowPath::kBatch:
-            for (const RowBlock& block : blocks) {
-              store.InsertBatch(block, nullptr);
-            }
-            break;
-          case RowPath::kParallel:
-            for (const RowBlock& block : blocks) {
-              store.InsertBatchParallel(block, nullptr, &pool);
-            }
-            break;
+  for (RowPath path :
+       {RowPath::kInsert, RowPath::kInsertRow, RowPath::kBatch}) {
+    const std::string label = "path " + std::to_string(static_cast<int>(path));
+    FactSet store;
+    switch (path) {
+      case RowPath::kInsert:
+        for (const Atom& atom : workload) store.Insert(atom);
+        break;
+      case RowPath::kInsertRow:
+        for (const Atom& atom : workload) {
+          store.InsertRow(atom.predicate, atom.args.data(),
+                          static_cast<uint32_t>(atom.args.size()));
         }
-        ExpectRowsMatchOracle(store, oracle, label);
-        const FactSet copy = store;
-        ExpectRowsMatchOracle(copy, oracle, label + " copy");
-        store.ClearIndexes();
-        ExpectRowsMatchOracle(store, oracle, label + " cleared");
-      }
+        break;
+      case RowPath::kBatch:
+        for (const RowBlock& block : blocks) store.InsertBatch(block, nullptr);
+        break;
     }
+    ExpectRowsMatchOracle(store, oracle, label);
+    const FactSet copy = store;
+    ExpectRowsMatchOracle(copy, oracle, label + " copy");
+    store.ClearIndexes();
+    ExpectRowsMatchOracle(store, oracle, label + " cleared");
   }
 }
 
@@ -482,7 +467,7 @@ TEST(RowAccess, EveryIdReadsBackTheOracleRow) {
 // happens, and whichever insert path filled the store, every posting list
 // must be the one the row-store oracle (an eagerly indexed store) gives.
 
-enum class InsertPath { kRow, kBatch, kParallel };
+enum class InsertPath { kRow, kBatch };
 enum class DeclareAt { kBeforeFirstInsert, kBetweenBatches, kAfterLastInsert };
 
 // The positions the lazy-index tests declare: position 0 of every
@@ -508,74 +493,61 @@ TEST(LazyIndexes, EveryPostingListEqualsTheEagerOne) {
   uint32_t positions = 0;
   for (PredicateId p = 0; p < 4; ++p) positions += vocab.PredicateArity(p);
 
-  for (InsertPath path :
-       {InsertPath::kRow, InsertPath::kBatch, InsertPath::kParallel}) {
-    for (uint32_t threads : {1u, 4u}) {
-      if (path != InsertPath::kParallel && threads > 1) continue;
-      for (uint32_t shards : {1u, 8u}) {
-        for (DeclareAt at :
-             {DeclareAt::kBeforeFirstInsert, DeclareAt::kBetweenBatches,
-              DeclareAt::kAfterLastInsert}) {
-          const std::string label =
-              "path " + std::to_string(static_cast<int>(path)) + " threads " +
-              std::to_string(threads) + " shards " + std::to_string(shards) +
-              " declared at " + std::to_string(static_cast<int>(at));
-          WorkerPool pool(threads);
-          FactSet store(shards);
-          if (at == DeclareAt::kBeforeFirstInsert) DeclareSome(store, vocab);
-          for (size_t b = 0; b < kBatches; ++b) {
-            if (b == 2 && at == DeclareAt::kBetweenBatches) {
-              DeclareSome(store, vocab);
+  for (InsertPath path : {InsertPath::kRow, InsertPath::kBatch}) {
+    for (DeclareAt at :
+         {DeclareAt::kBeforeFirstInsert, DeclareAt::kBetweenBatches,
+          DeclareAt::kAfterLastInsert}) {
+      const std::string label =
+          "path " + std::to_string(static_cast<int>(path)) + " declared at " +
+          std::to_string(static_cast<int>(at));
+      FactSet store;
+      if (at == DeclareAt::kBeforeFirstInsert) DeclareSome(store, vocab);
+      for (size_t b = 0; b < kBatches; ++b) {
+        if (b == 2 && at == DeclareAt::kBetweenBatches) {
+          DeclareSome(store, vocab);
+        }
+        const RowBlock& block = blocks[b];
+        switch (path) {
+          case InsertPath::kRow:
+            for (size_t row = 0; row < block.rows(); ++row) {
+              store.InsertRow(block.predicates[row], block.Terms(row),
+                              block.Arity(row));
             }
-            const RowBlock& block = blocks[b];
-            switch (path) {
-              case InsertPath::kRow:
-                for (size_t row = 0; row < block.rows(); ++row) {
-                  store.InsertRow(block.predicates[row], block.Terms(row),
-                                  block.Arity(row));
-                }
-                break;
-              case InsertPath::kBatch:
-                store.InsertBatch(block, nullptr);
-                break;
-              case InsertPath::kParallel:
-                store.InsertBatchParallel(block, nullptr, &pool);
-                break;
-            }
-          }
-          if (at == DeclareAt::kAfterLastInsert) DeclareSome(store, vocab);
-          ASSERT_EQ(store.ToAtoms(), oracle.atoms) << label;
-          for (PredicateId p = 0; p < 4; ++p) {
-            EXPECT_TRUE(store.Indexed(p, 0)) << label;
-          }
-          EXPECT_FALSE(store.Indexed(1, 1)) << label;
+            break;
+          case InsertPath::kBatch:
+            store.InsertBatch(block, nullptr);
+            break;
+        }
+      }
+      if (at == DeclareAt::kAfterLastInsert) DeclareSome(store, vocab);
+      ASSERT_EQ(store.ToAtoms(), oracle.atoms) << label;
+      for (PredicateId p = 0; p < 4; ++p) {
+        EXPECT_TRUE(store.Indexed(p, 0)) << label;
+      }
+      EXPECT_FALSE(store.Indexed(1, 1)) << label;
 
-          // A copy keeps exactly the declared set, and nothing it builds
-          // on read reaches the original.
-          const FactSet copy = store;
-          for (PredicateId p = 0; p < 4; ++p) {
-            for (uint32_t pos = 0; pos < vocab.PredicateArity(p); ++pos) {
-              EXPECT_EQ(copy.Indexed(p, pos), store.Indexed(p, pos))
-                  << label << " p=" << p << " pos=" << pos;
+      // A copy keeps exactly the declared set, and nothing it builds on
+      // read reaches the original.
+      const FactSet copy = store;
+      for (PredicateId p = 0; p < 4; ++p) {
+        for (uint32_t pos = 0; pos < vocab.PredicateArity(p); ++pos) {
+          EXPECT_EQ(copy.Indexed(p, pos), store.Indexed(p, pos))
+              << label << " p=" << p << " pos=" << pos;
+        }
+      }
+      const FactSet* readers[] = {&store, &copy};
+      for (const FactSet* reader : readers) {
+        for (PredicateId p = 0; p < 4; ++p) {
+          for (uint32_t pos = 0; pos < vocab.PredicateArity(p); ++pos) {
+            for (TermId t = 0; t < 16; ++t) {
+              EXPECT_EQ(Materialize(reader->ByPredicatePositionTerm(p, pos, t)),
+                        oracle.ByPredicatePositionTerm(p, pos, t))
+                  << label << " p=" << p << " pos=" << pos << " t=" << t;
             }
-          }
-          const FactSet* readers[] = {&store, &copy};
-          for (const FactSet* reader : readers) {
-            for (PredicateId p = 0; p < 4; ++p) {
-              for (uint32_t pos = 0; pos < vocab.PredicateArity(p); ++pos) {
-                for (TermId t = 0; t < 16; ++t) {
-                  EXPECT_EQ(
-                      Materialize(reader->ByPredicatePositionTerm(p, pos, t)),
-                      oracle.ByPredicatePositionTerm(p, pos, t))
-                      << label << " p=" << p << " pos=" << pos << " t=" << t;
-                }
-              }
-            }
-            // Declared positions are never built on read; the rest once.
-            EXPECT_EQ(reader->positions_built_on_read(), positions - 5)
-                << label;
           }
         }
+        // Declared positions are never built on read; the rest once.
+        EXPECT_EQ(reader->positions_built_on_read(), positions - 5) << label;
       }
     }
   }

@@ -9,7 +9,6 @@
 
 #include "base/failpoint.h"
 #include "base/fact_set.h"
-#include "base/worker_pool.h"
 #include "chase/chase.h"
 #include "chase/snapshot.h"
 #include "gtest/gtest.h"
@@ -154,62 +153,6 @@ TEST(FailpointTest, InsertBatchFaultIsResumableNotAtomBudget) {
   CheckChaseFailpoint("fact_set.insert_batch", /*skip=*/2);
 }
 
-TEST(FailpointTest, ShardCommitFaultIsResumable) {
-  // Fires inside a per-shard commit task of InsertBatchParallel, after the
-  // shard lock is taken — the deepest point of the pipelined commit.
-  CheckChaseFailpoint("fact_set.shard_commit", /*skip=*/0);
-  CheckChaseFailpoint("fact_set.shard_commit", /*skip=*/2);
-}
-
-TEST(FailpointTest, ShardCommitFaultRollsBackAllShards) {
-  DisarmOnExit guard;
-  Vocabulary vocab;
-  const PredicateId p = vocab.AddPredicate("P", 1);
-  const PredicateId q = vocab.AddPredicate("Q", 2);
-  std::vector<TermId> constants;
-  for (uint32_t i = 0; i < 24; ++i) {
-    constants.push_back(vocab.Constant("C" + std::to_string(i)));
-  }
-  // A mixed-predicate block spread over many shards, plus a seeded store so
-  // rollback must erase exactly the provisional entries and nothing else.
-  RowBlock block;
-  for (uint32_t i = 0; i < 24; ++i) {
-    block.Append(p, &constants[i], 1);
-    const TermId pair[2] = {constants[i], constants[(i + 1) % 24]};
-    block.Append(q, pair, 2);
-  }
-  FactSet facts(8);
-  facts.InsertRow(p, &constants[0], 1);
-  const TermId seeded_pair[2] = {constants[3], constants[4]};
-  facts.InsertRow(q, seeded_pair, 2);
-  const FactSet before = facts;  // snapshot of the pre-batch state
-
-  WorkerPool pool(4);
-  const uint64_t fired_before = failpoint::FiredCount("fact_set.shard_commit");
-  failpoint::Arm("fact_set.shard_commit", /*fire_count=*/1);
-  std::vector<FactSet::InsertOutcome> outcomes;
-  EXPECT_EQ(facts.InsertBatchParallel(block, &outcomes, &pool), 0u);
-  EXPECT_TRUE(outcomes.empty());
-  EXPECT_EQ(failpoint::FiredCount("fact_set.shard_commit"),
-            fired_before + 1);
-  // Every shard is back to the pre-batch state: same atoms, and retrying
-  // the batch lands in exactly the state an unfaulted insert produces.
-  EXPECT_EQ(facts.ToAtoms(), before.ToAtoms());
-  EXPECT_EQ(facts.Domain(), before.Domain());
-
-  FactSet unfaulted = before;
-  std::vector<FactSet::InsertOutcome> want_outcomes;
-  unfaulted.InsertBatchParallel(block, &want_outcomes, &pool);
-  const size_t added = facts.InsertBatchParallel(block, &outcomes, &pool);
-  EXPECT_EQ(added, unfaulted.size() - before.size());
-  EXPECT_EQ(facts.ToAtoms(), unfaulted.ToAtoms());
-  ASSERT_EQ(outcomes.size(), want_outcomes.size());
-  for (size_t r = 0; r < outcomes.size(); ++r) {
-    EXPECT_EQ(outcomes[r].index, want_outcomes[r].index);
-    EXPECT_EQ(outcomes[r].inserted, want_outcomes[r].inserted);
-  }
-}
-
 TEST(FailpointTest, InsertBatchRefusesBatchWhenArmed) {
   DisarmOnExit guard;
   Vocabulary vocab;
@@ -225,7 +168,7 @@ TEST(FailpointTest, InsertBatchRefusesBatchWhenArmed) {
       failpoint::FiredCount("fact_set.insert_batch");
   failpoint::Arm("fact_set.insert_batch");
   std::vector<FactSet::InsertOutcome> outcomes;
-  EXPECT_EQ(facts.InsertBatch(block, &outcomes), 0u);
+  EXPECT_FALSE(facts.InsertBatch(block, &outcomes).has_value());
   EXPECT_TRUE(outcomes.empty());
   EXPECT_TRUE(facts.empty());  // store untouched
   EXPECT_EQ(failpoint::FiredCount("fact_set.insert_batch"),

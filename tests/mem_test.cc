@@ -4,7 +4,7 @@
 // its agreement with ChaseStats and its ETA rule, the counting-allocator
 // oracle that audits ledger coverage, the disabled-cost guarantee, and
 // regression tests for the content-mode invariance bugs the round-boundary
-// asserts flushed out (Skolem caches, dedup shard skeleton).
+// asserts flushed out (Skolem caches).
 
 #include <gtest/gtest.h>
 
@@ -602,34 +602,6 @@ TEST(MemRegression, SkolemRowCachesAreCapacityOnly) {
          "and invisible to content mode";
 }
 
-// Regression for the shard-skeleton over-count: the dedup shard array and
-// its mutexes scale with the shard count — a pure performance knob — so a
-// resume that reconstructs the store under a different shard count
-// reported a different "content" total (5564 vs 6124 across a 1->16 shard
-// change).  Content mode now excludes the skeleton: two stores with equal
-// rows but different shard counts must report identical content bytes.
-TEST(MemRegression, ContentBytesIgnoreTheDedupShardCount) {
-  Vocabulary vocab;
-  const FactSet source = EdgePath(vocab, "E", 40, "a");
-  uint64_t reference = 0;
-  for (uint32_t shards : {1u, 4u, 64u}) {
-    FactSet facts(shards);
-    // Same insert sequence into every store.
-    for (const Atom& atom : source.ToAtoms()) facts.Insert(atom);
-    MemTotals content_totals, capacity_totals;
-    facts.AccountHeap(content_totals, MemAccounting::kContent);
-    facts.AccountHeap(capacity_totals, MemAccounting::kCapacity);
-    const uint64_t content = content_totals.TrackedTotal();
-    const uint64_t capacity = capacity_totals.TrackedTotal();
-    EXPECT_GE(capacity, content);
-    if (shards == 1) {
-      reference = content;
-    } else {
-      EXPECT_EQ(content, reference) << "shards=" << shards;
-    }
-  }
-}
-
 // The E18 satellite: an interrupted, serialized, fresh-process-resumed
 // run must reconstruct the same content-mode ledger byte-for-byte — both
 // against the snapshot's own figure (asserted inside Resume) and against
@@ -741,7 +713,7 @@ TEST(AllocationRegression, DatalogCycleStagesWithoutPerApplicationHeap) {
   // substitution per delta fact above 0.2.  Measured: 0.042 with one
   // seeded match plan per unit, 0.017 once a row's predicate index is
   // looked up before one is constructed, 0.0038 with rows kept only in
-  // the columns.
+  // the columns, 0.0028 with one serial batch insert.
   EXPECT_LE(run.ratio, 0.01) << "allocations per staged application";
 }
 
@@ -754,13 +726,14 @@ TEST(AllocationRegression, Example39StarStagesWithLittlePerApplicationHeap) {
   options.max_rounds = 4;
   const AllocationsPerStaged run = MeasureRun(vocab, theory, db, options);
   ASSERT_GT(run.result.stats.TotalStaged(), 0u);
-  // Measured: 0.148 with rows kept only in the columns (1.15 with a heap
-  // `Atom` per row beside them; 2.15 with postings at every position and a
-  // hash-map node per invented null; 4.16 with a throwaway predicate index
-  // per committed row; 5.56 with a seed substitution and a compiled search
-  // per delta fact).  A row now costs no heap object of its own: its
-  // terms go into the predicate's columns and its id into the dense
-  // per-row table, both grown geometrically.
+  // Measured: 0.138 with one serial batch insert (0.148 through the
+  // pipelined twin; 1.15 with a heap `Atom` per row beside them; 2.15
+  // with postings at every position and a hash-map node per invented
+  // null; 4.16 with a throwaway predicate index per committed row; 5.56
+  // with a seed substitution and a compiled search per delta fact).  A row
+  // now costs no heap object of its own: its terms go into the
+  // predicate's columns and its id into the dense per-row table, both
+  // grown geometrically.
   EXPECT_LE(run.ratio, 0.2) << "allocations per staged application";
 }
 
@@ -795,10 +768,11 @@ TEST(AllocationRegression, ParseFactsPerFact) {
                           static_cast<double>(facts.value().size());
   ::testing::Test::RecordProperty("allocations_per_fact",
                                   std::to_string(per_fact));
-  // Measured: 0.746 with rows kept only in the columns (1.75 with a heap
-  // `Atom` per row beside them; 1.94 with postings at every position; 5.17
-  // with a token vector, an Atom per fact, one Insert per row and a
-  // throwaway predicate index per row).  A parsed row costs no heap object
+  // Measured: 0.483 with the batch grown once per predicate (0.746 with a
+  // reserve per dedup shard; 1.75 with a heap `Atom` per row beside them;
+  // 1.94 with postings at every position; 5.17 with a token vector, an
+  // Atom per fact, one Insert per row and a throwaway predicate index per
+  // row).  A parsed row costs no heap object
   // of its own any more: the count is now below one per fact.
   EXPECT_LE(per_fact, 0.8) << "allocations per parsed fact";
 }

@@ -24,6 +24,8 @@
 #include "catalog/theories.h"
 #include "chase/chase.h"
 #include "chase/snapshot.h"
+#include "testing/generator.h"
+#include "tgd/parser.h"
 
 namespace frontiers {
 namespace {
@@ -244,6 +246,94 @@ TEST(ParityTest, ThreadsZeroResolvesToAtLeastOneWorker) {
   ChaseResult all =
       engine.Run(db, Options(pc, true, 0, ChaseVariant::kSemiOblivious));
   ExpectIdentical(one, all, "threads=0");
+}
+
+// Wide rounds with the serial fallback off, so every round's match phase
+// runs on the pool: a 1,500-atom input that each rule fires on once per
+// atom, and generated hub-heavy, dominant-predicate instances of every
+// theory class, where most rows agree on their predicate and first term.
+TEST(ParityTest, WideAndSkewedRoundsAreByteIdenticalAcrossThreads) {
+  const auto check = [](Vocabulary& vocab, const Theory& theory,
+                        const FactSet& db, ChaseOptions options,
+                        const std::string& name) {
+    options.track_provenance = true;
+    options.serial_round_threshold = 0;
+    ChaseEngine engine(vocab, theory);
+    options.threads = 1;
+    const ChaseResult one = engine.Run(db, options);
+    for (uint32_t threads : {2u, 4u, 8u}) {
+      options.threads = threads;
+      const ChaseResult many = engine.Run(db, options);
+      const std::string label = name + "/threads=" + std::to_string(threads);
+      ExpectIdentical(one, many, label);
+      EXPECT_EQ(one.seen_applications, many.seen_applications) << label;
+    }
+  };
+  {
+    Vocabulary vocab;
+    const Theory theory = ParseTheory(vocab,
+                                      "P(x) -> exists z . Q(x,z)\n"
+                                      "Q(x,z) -> R(z,x)\n"
+                                      "R(z,x), P(x) -> S(z)",
+                                      "wide")
+                              .value();
+    const PredicateId p = vocab.FindPredicate("P").value();
+    FactSet db;
+    for (uint32_t i = 0; i < 1500; ++i) {
+      db.Insert(Atom(p, {vocab.Constant("C" + std::to_string(i))}));
+    }
+    ChaseOptions options;
+    options.max_rounds = 6;
+    check(vocab, theory, db, options, "wide");
+  }
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    Vocabulary vocab;
+    testing::TheoryGenOptions theory_options;
+    theory_options.theory_class = testing::kAllTheoryClasses[seed % 4];
+    const Theory theory = testing::GenerateTheory(vocab, seed, theory_options);
+    testing::InstanceGenOptions instance_options;
+    instance_options.num_constants = 8;
+    instance_options.num_facts = 96;
+    instance_options.hub_chance = 6;
+    instance_options.dominant_predicate_chance = 6;
+    const FactSet db = testing::GenerateInstance(
+        vocab, testing::TheorySignature(theory), seed * 7919,
+        instance_options);
+    ChaseOptions options;
+    options.max_rounds = 4;
+    options.max_atoms = 20'000;
+    check(vocab, theory, db, options, "skewed seed " + std::to_string(seed));
+  }
+}
+
+// The serial-fallback heuristic (ChaseOptions::serial_round_threshold)
+// changes only ChaseRoundStats::used_threads, never the result.
+TEST(ParityTest, SerialFallbackIsPerfOnly) {
+  Vocabulary vocab;
+  const Theory theory =
+      ParseTheory(vocab, "E(x,y) -> exists z . E(y,z)", "rig").value();
+  const FactSet db = ParseFacts(vocab, "E(A,B)").value();
+  ChaseEngine engine(vocab, theory);
+
+  ChaseOptions options;
+  options.max_rounds = 8;
+  options.threads = 4;
+  // One staged application per round: far below the default threshold, so
+  // every round must have fallen back to the calling thread.
+  const ChaseResult fallback = engine.Run(db, options);
+  for (const ChaseRoundStats& r : fallback.stats.rounds) {
+    EXPECT_EQ(r.used_threads, 1u);
+  }
+  EXPECT_EQ(fallback.stats.ParallelRounds(), 0u);
+
+  options.serial_round_threshold = 0;
+  const ChaseResult forced = engine.Run(db, options);
+  for (const ChaseRoundStats& r : forced.stats.rounds) {
+    EXPECT_EQ(r.used_threads, 4u);
+  }
+  EXPECT_EQ(forced.stats.ParallelRounds(), forced.stats.rounds.size());
+  EXPECT_EQ(forced.facts.ToAtoms(), fallback.facts.ToAtoms());
+  EXPECT_EQ(forced.depth, fallback.depth);
 }
 
 TEST(ParityTest, RoundBudgetChainedResumeMatchesSingleRun) {
