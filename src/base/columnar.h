@@ -49,10 +49,6 @@ class ColumnarSegment {
     return true;
   }
 
-  void Reserve(size_t rows) {
-    for (auto& column : columns_) column.reserve(rows);
-  }
-
   /// Grows the segment to `rows` total rows (new cells value-initialized,
   /// to be filled by `SetRow`).  Must not shrink.  A batch insert grows a
   /// segment once for all its new rows.
@@ -292,12 +288,6 @@ struct RowBlock {
     predicates.push_back(predicate);
     terms.insert(terms.end(), row_terms, row_terms + arity);
     offsets.push_back(static_cast<uint32_t>(terms.size()));
-  }
-
-  void Reserve(size_t row_count, size_t term_count) {
-    predicates.reserve(row_count);
-    offsets.reserve(row_count + 1);
-    terms.reserve(term_count);
   }
 
   void Clear() {

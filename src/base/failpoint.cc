@@ -10,7 +10,6 @@ namespace frontiers::failpoint {
 namespace internal {
 
 std::atomic<uint32_t> g_armed_points{0};
-std::atomic<bool> g_ever_armed{false};
 
 namespace {
 
@@ -77,7 +76,6 @@ void Arm(std::string_view name, uint64_t fire_count, uint64_t skip) {
   }
   state.skip = skip;
   state.remaining = fire_count;
-  internal::g_ever_armed.store(true, std::memory_order_relaxed);
 }
 
 void Disarm(std::string_view name) {
@@ -110,10 +108,6 @@ uint64_t HitCount(std::string_view name) {
   std::lock_guard<std::mutex> lock(internal::RegistryMutex());
   auto it = internal::Registry().find(std::string(name));
   return it == internal::Registry().end() ? 0 : it->second.hits;
-}
-
-bool EverArmed() {
-  return internal::g_ever_armed.load(std::memory_order_relaxed);
 }
 
 size_t ArmFromSpec(std::string_view spec) {

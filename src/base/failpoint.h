@@ -62,11 +62,6 @@ uint64_t FiredCount(std::string_view name);
 /// Total times `name` was evaluated while armed (fired or skipped).
 uint64_t HitCount(std::string_view name);
 
-/// True if any failpoint was ever armed in this process.  Engine code uses
-/// this to guard fault-detection bookkeeping that would otherwise cost a
-/// map lookup per call on unarmed runs.
-bool EverArmed();
-
 /// Arms points from a spec string: `name[=fire_count[@skip]]` entries
 /// separated by `;` or `,` — e.g. `"snapshot.write_io;chase.commit=2@1"`.
 /// Returns the number of points armed; malformed entries are skipped.

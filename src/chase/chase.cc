@@ -5,8 +5,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <exception>
-#include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_set>

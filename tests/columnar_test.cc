@@ -341,6 +341,30 @@ TEST(ColumnarStore, InsertBatchStopsAtTheCapButStillRecordsDuplicates) {
   ExpectBatchMatchesReference(with_nullary, block, cap, "nullary stored");
 }
 
+// A copy is fully independent: inserting into it never writes through to
+// the original, and the original's lookups keep their answers.
+TEST(ColumnarStore, CopiesAreIndependent) {
+  Vocabulary vocab;
+  const PredicateId p = vocab.AddPredicate("P", 2);
+  const TermId a = vocab.Constant("A");
+  const TermId b = vocab.Constant("B");
+  FactSet original;
+  original.Insert(Atom(p, {a, b}));
+
+  FactSet copy(original);
+  EXPECT_EQ(copy.ToAtoms(), original.ToAtoms());
+  copy.Insert(Atom(p, {b, a}));
+  EXPECT_EQ(copy.size(), 2u);
+  EXPECT_EQ(original.size(), 1u);
+  EXPECT_EQ(original.FindRow(p, copy.ToAtom(1).args.data(), 2),
+            std::nullopt);
+
+  FactSet assigned;
+  assigned = original;
+  EXPECT_EQ(assigned.ToAtoms(), original.ToAtoms());
+  EXPECT_EQ(assigned.Domain(), original.Domain());
+}
+
 TEST(ColumnarStore, PostingListFrontAndOrderFollowInsertion) {
   Vocabulary vocab;
   PredicateId e = vocab.AddPredicate("E", 2);

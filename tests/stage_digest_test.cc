@@ -1,8 +1,8 @@
 // Golden stage digests: one 64-bit hash per (workload family, chase mode)
 // over everything a chase run commits, in index order — every atom with its
 // TermIds and depth, its derivations, every vocabulary term (names and
-// Skolem structure), the per-round counters and the stop.  The parity and
-// shard suites compare the engine with itself, and the end-to-end digests
+// Skolem structure), the per-round counters and the stop.  The parity
+// suite compares the engine with itself, and the end-to-end digests
 // hash sorted answers, so neither notices a change in atom order, TermId
 // assignment or staging counts that every path shares.  These constants do.
 //
