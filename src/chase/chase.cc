@@ -1545,9 +1545,9 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitRestricted(
 
 std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitSemiOblivious(
     const StagedApplications& staged, ChaseRoundStats& record) {
-  // Set-at-a-time (DESIGN.md §5, "Serial commit").  Phase 1a walks the
-  // merged staging order through the frontier memo; phase 1b expands the
-  // surviving applications into one columnar pending block, interning
+  // Set-at-a-time (DESIGN.md §5, "Serial commit").  Phase 1 walks the
+  // merged staging order through the frontier memo and expands each
+  // surviving application into one columnar pending block, interning
   // Skolem rows in staged order; phase 2 bulk-inserts the block with one
   // batch insert; phase 3 replays the per-row outcomes for depth,
   // provenance and birth bookkeeping.  Every phase preserves the merged
@@ -1565,20 +1565,17 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitSemiOblivious(
   const size_t memo_before = result.seen_applications.size();
   for (uint32_t s = 0; s < staged.apps.size(); ++s) {
     const StagedApplications::App& app = staged.apps[s];
+    const TermId* bindings = staged.bindings.data() + app.bindings;
     if (!options_.record_all_derivations &&
         !result.seen_applications.Insert(
-            app.rule_index, staged.bindings.data() + app.bindings,
+            app.rule_index, bindings,
             static_cast<uint32_t>(
                 engine_.commit_layouts_[app.rule_index].commit_vars.size()))) {
       ++record.deduped;
       continue;
     }
     surviving_.push_back(s);
-  }
-  for (uint32_t s : surviving_) {
-    const StagedApplications::App& app = staged.apps[s];
-    engine_.ExpandHead(app.rule_index, staged.bindings.data() + app.bindings,
-                       fn_args_scratch_, &pending_);
+    engine_.ExpandHead(app.rule_index, bindings, fn_args_scratch_, &pending_);
   }
   record.commit_expand_seconds = Seconds(Clock::now() - expand_start);
 
