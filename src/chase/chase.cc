@@ -5,6 +5,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <exception>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_set>

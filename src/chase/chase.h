@@ -137,8 +137,9 @@ struct ChaseRoundStats {
   double commit_dedup_seconds = 0.0;
   /// Batch insert: column fill, posting appends, domain/degree updates.
   double commit_index_seconds = 0.0;
-  /// Workers this round actually used (1 when the small-round serial
-  /// fallback engaged; see ChaseOptions::serial_round_threshold).  Purely
+  /// Workers this round's match phase actually used (1 when the
+  /// small-round serial fallback engaged; see
+  /// ChaseOptions::serial_round_threshold).  Purely
   /// an execution record — results are byte-identical either way.
   uint32_t used_threads = 1;
   /// Ledger snapshot at this round's boundary: capacity-mode bytes per
@@ -239,12 +240,12 @@ struct ChaseOptions {
   /// Small-round serial fallback: when the round's work hint (the input
   /// delta for the first round, the previous round's matches + staged
   /// applications after that) falls below this threshold, the match phase
-  /// stays on the calling thread even with `threads > 1`.  Commit runs on
-  /// the calling thread either way.
-  /// Dispatching a handful of matches to a pool costs more than the work
-  /// itself (the E17a 2-thread regression), so thin rounds run serially;
-  /// the decision is recorded in ChaseRoundStats::used_threads and never
-  /// affects results (byte-identity holds at every thread count anyway).
+  /// stays on the calling thread even with `threads > 1`; commit runs on
+  /// the calling thread either way.  Dispatching a handful of matches to
+  /// a pool costs more than the work itself (the E17a 2-thread
+  /// regression), so thin rounds run serially; the decision is recorded in
+  /// ChaseRoundStats::used_threads and never affects results (byte-identity
+  /// holds at every thread count anyway).
   uint64_t serial_round_threshold = 2048;
   /// Record the first derivation of every produced atom.
   bool track_provenance = false;
