@@ -247,8 +247,7 @@ std::optional<size_t> FactSet::InsertBatch(const RowBlock& block,
   // batch admission.  The store is left untouched and no outcome is
   // appended.
   if (FRONTIERS_FAILPOINT("fact_set.insert_batch")) return std::nullopt;
-  const std::chrono::steady_clock::time_point dedup_start =
-      std::chrono::steady_clock::now();
+  const auto dedup_start = std::chrono::steady_clock::now();
   const size_t rows = block.rows();
   const uint32_t base = static_cast<uint32_t>(rows_.size());
   dedup_.Reserve(dedup_.size() + rows);
@@ -303,12 +302,8 @@ std::optional<size_t> FactSet::InsertBatch(const RowBlock& block,
     }
     if (outcomes != nullptr) outcomes->push_back({id, inserted});
   }
-  const std::chrono::steady_clock::time_point index_start =
-      std::chrono::steady_clock::now();
-  if (timings != nullptr) {
-    timings->dedup_seconds +=
-        std::chrono::duration<double>(index_start - dedup_start).count();
-  }
+  if (timings != nullptr) timings->dedup_seconds += SecondsSince(dedup_start);
+  const auto index_start = std::chrono::steady_clock::now();
 
   // --- Index pass: every array grows once, then each new row fills its
   // slots in id order, so the postings and the domain see the rows in the

@@ -450,16 +450,16 @@ void ChaseEngine::ExpandHead(size_t rule_index, const TermId* bindings,
 
 namespace {
 
-// The rule applications staged while scanning one round — per match unit, then
-// merged into one round-wide set.  The head is *not* yet instantiated:
-// committing interns Skolem terms in the shared Vocabulary, so it is deferred
-// to the single-threaded commit phase (see DESIGN.md §5).  The match
-// substitution is projected onto the rule's head-universal variables
-// (`commit_vars`), which is all the commit phase needs: the frontier memo
-// entry, the Skolem arguments, the head expansion and the restricted
-// recheck.  Each application is three words; its binding tuple and (with
-// provenance) its body-atom parents live in two flat arenas, so staging
-// allocates nothing per application.
+// The rule applications staged while scanning one round — per match unit,
+// then merged into one round-wide set.  The head is *not* yet instantiated:
+// committing interns Skolem terms in the shared Vocabulary, so it is
+// deferred to the single-threaded commit phase (see DESIGN.md, "Parallel
+// round pipeline").  The match substitution is projected onto the rule's
+// head-universal variables (`commit_vars`), which is all the commit phase
+// needs: the frontier memo entry, the Skolem arguments, the head expansion
+// and the restricted recheck.  Each application is three words; its
+// binding tuple and (with provenance) its body-atom parents live in two
+// flat arenas, so staging allocates nothing per application.
 struct StagedApplications {
   struct App {
     uint32_t rule_index;
@@ -713,14 +713,15 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
   return RunFromState(std::move(state), options);
 }
 
-// The round loop of one Run/Resume call.  RunFromState drives the phases of
-// DESIGN.md §5 — PlanUnits, MatchRound, CommitSemiOblivious or
-// CommitRestricted, CloseRound — once per round; everything runs on the calling
-// thread except the match units handed to the pool.  The round boundary is the
-// only place that reports a round: CloseRound appends the round's record to
-// ChaseStats and feeds the same record to the registry and the round stream,
-// and Finish reuses the boundary accounting (without a record) for the state
-// the run returns and writes the stream's stop row.
+// The round loop of one Run/Resume call.  RunFromState drives the phases
+// of DESIGN.md §5 — PlanUnits, MatchRound, CommitSemiOblivious or
+// CommitRestricted, CloseRound — once per round; everything runs on the
+// calling thread except the match units, which are handed to the
+// pool.  The round boundary is the only place that reports a round:
+// CloseRound appends the round's record to ChaseStats and feeds the same
+// record to the registry and the round stream, and Finish reuses the
+// boundary accounting (without a record) for the state the run returns
+// and writes the stream's stop row.
 //
 // Tracing and metrics are pure observation: workers never publish spans
 // into shared chase state and the registry is write-only here, so the
