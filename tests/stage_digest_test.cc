@@ -6,15 +6,21 @@
 // hash sorted answers, so neither notices a change in atom order, TermId
 // assignment or staging counts that every path shares.  These constants do.
 //
+// Every family also runs its semi-oblivious modes interrupted and resumed
+// in a fresh vocabulary, the way a restarted process would; those runs must
+// digest exactly like the uninterrupted ones.
+//
 // A mismatch means the chase's observable output moved.  That is only
 // acceptable for a change that means to move it; such a change re-pins the
 // constants and says why.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/fact_set.h"
@@ -22,6 +28,7 @@
 #include "catalog/instances.h"
 #include "catalog/theories.h"
 #include "chase/chase.h"
+#include "chase/snapshot.h"
 #include "testing/generator.h"
 #include "tgd/parser.h"
 
@@ -104,6 +111,9 @@ struct Mode {
   // Runs without a byte budget: their digests do not depend on how the
   // ledger counts bytes, only on what the chase commits.
   bool budget_free = false;
+  // Also run interrupted and resumed (AddResumedRun), digesting like the
+  // uninterrupted runs.
+  bool resumed = false;
 };
 
 // Every budgeted run carries a byte budget, stepped by the run's index
@@ -118,7 +128,7 @@ std::vector<Mode> Modes(uint32_t max_rounds) {
   base.max_rounds = max_rounds;
   base.max_atoms = 20'000;
   std::vector<Mode> modes;
-  modes.push_back({"semi-oblivious", base});
+  modes.push_back({"semi-oblivious", base, false, true});
   ChaseOptions naive = base;
   naive.semi_naive = false;
   modes.push_back({"naive", naive});
@@ -134,18 +144,73 @@ std::vector<Mode> Modes(uint32_t max_rounds) {
   ChaseOptions threaded = provenance;
   threaded.threads = 4;
   modes.push_back({"threads=4", threaded});
-  modes.push_back({"semi-oblivious, no byte budget", base, true});
+  modes.push_back({"semi-oblivious, no byte budget", base, true, true});
   modes.push_back({"provenance, no byte budget", provenance, true});
   return modes;
 }
 
-// One family's digest per mode, and how many of its budgeted runs hit the
+// One family's digest per mode, the digest of each resumed mode's resumed
+// runs (0 for the other modes), and how many of its budgeted runs hit the
 // byte budget.
 struct FamilyDigests {
   std::vector<uint64_t> digests;
+  std::vector<uint64_t> resumed;
+  // Resumed runs that went on to execute at least one round.
+  size_t resumed_rounds = 0;
   size_t runs = 0;
   size_t byte_budget_stops = 0;
 };
+
+// A theory and an instance, built into a given vocabulary.
+struct Workload {
+  Theory theory;
+  FactSet db;
+};
+
+// The round after which a resumed run is interrupted.
+constexpr uint32_t kInterruptRound = 1;
+
+// Adds the run of `options` over `build`'s workload to `d`, reached the way
+// a restarted process reaches it: a round budget interrupts the run after
+// kInterruptRound, its snapshot goes through the wire format, and a fresh
+// vocabulary (the workload rebuilt, then the snapshot's vocabulary
+// replayed) resumes it under `options`.  A run that stops on the atom
+// budget by then is not resumable and is added as it stands, since the
+// uninterrupted run stops in the same place.  Returns true if the resumed
+// run executed at least one round.
+template <typename Build>
+bool AddResumedRun(Digest& d, const Build& build, const ChaseOptions& options) {
+  std::string wire;
+  {
+    ChaseOptions interrupted = options;
+    interrupted.max_rounds = std::min(options.max_rounds, kInterruptRound);
+    Vocabulary vocab;
+    const Workload w = build(vocab);
+    const ChaseEngine engine(vocab, w.theory);
+    const ChaseResult result = engine.Run(w.db, interrupted);
+    if (!IsResumableStop(result.stop)) {
+      AddRun(d, vocab, result);
+      return false;
+    }
+    Result<ChaseSnapshot> snapshot =
+        MakeSnapshot(vocab, w.theory, result, interrupted);
+    EXPECT_TRUE(snapshot.ok()) << snapshot.message();
+    if (!snapshot.ok()) return false;
+    wire = EncodeSnapshot(snapshot.value());
+  }
+  Result<ChaseSnapshot> snapshot = DecodeSnapshot(wire);
+  EXPECT_TRUE(snapshot.ok()) << snapshot.message();
+  if (!snapshot.ok()) return false;
+  Vocabulary vocab;
+  const Workload w = build(vocab);
+  const Status replayed = ApplySnapshotVocabulary(snapshot.value(), vocab);
+  EXPECT_TRUE(replayed.ok()) << replayed.message();
+  if (!replayed.ok()) return false;
+  const ChaseEngine engine(vocab, w.theory);
+  const ChaseResult result = engine.Resume(snapshot.value(), options);
+  AddRun(d, vocab, result);
+  return result.stats.rounds.size() > snapshot.value().round_stats.size();
+}
 
 // A catalog workload: theory, instance and round budget, built into a
 // fresh vocabulary.
@@ -213,6 +278,7 @@ FamilyDigests GeneratedFamily(testing::TheoryClass theory_class) {
   FamilyDigests out;
   for (const Mode& mode : modes) {
     Digest d;
+    Digest resumed;
     for (uint64_t seed = 0; seed < kGeneratedSeeds; ++seed) {
       Vocabulary vocab;
       const testing::GeneratedWorkload w =
@@ -229,16 +295,30 @@ FamilyDigests GeneratedFamily(testing::TheoryClass theory_class) {
         if (result.stop == ChaseStop::kByteBudget) ++out.byte_budget_stops;
       }
       AddRun(d, vocab, result);
+      if (mode.resumed) {
+        out.resumed_rounds += AddResumedRun(
+            resumed,
+            [seed](Vocabulary& fresh) {
+              testing::GeneratedWorkload g =
+                  testing::GenerateWorkload(fresh, seed);
+              return Workload{std::move(g.theory), std::move(g.instance)};
+            },
+            options);
+      }
     }
     out.digests.push_back(d.value());
+    out.resumed.push_back(mode.resumed ? resumed.value() : 0);
   }
   return out;
 }
 
 FamilyDigests CatalogFamily() {
   FamilyDigests out;
-  for (const Mode& mode : Modes(0)) {
+  bool td_resumed_round = false;
+  const std::vector<Mode> modes = Modes(0);
+  for (const Mode& mode : modes) {
     Digest d;
+    Digest resumed;
     const std::vector<CatalogCase> catalog = Catalog();
     for (size_t i = 0; i < catalog.size(); ++i) {
       const CatalogCase& c = catalog[i];
@@ -255,9 +335,27 @@ FamilyDigests CatalogFamily() {
         if (result.stop == ChaseStop::kByteBudget) ++out.byte_budget_stops;
       }
       AddRun(d, vocab, result);
+      if (mode.resumed) {
+        const bool resumed_round = AddResumedRun(
+            resumed,
+            [&c](Vocabulary& fresh) {
+              Theory theory = c.theory(fresh);
+              return Workload{std::move(theory), c.instance(fresh)};
+            },
+            options);
+        out.resumed_rounds += resumed_round;
+        if (std::string_view(c.name) == "T_d") {
+          td_resumed_round |= resumed_round;
+        }
+      }
     }
     out.digests.push_back(d.value());
+    out.resumed.push_back(mode.resumed ? resumed.value() : 0);
   }
+  // T_d's body-free (pins) rules enumerate the active domain in every
+  // round, and a resumed round stages only the tuples with a term the
+  // previous round added.
+  EXPECT_TRUE(td_resumed_round) << "T_d never resumed into a round";
   return out;
 }
 
@@ -283,6 +381,15 @@ void ExpectPinned(const char* family, const FamilyDigests& actual,
   // threads=4 runs the provenance mode's options on four workers: the
   // parallel pipeline's output is byte-identical by contract.
   EXPECT_EQ(actual.digests[5], actual.digests[2]) << family;
+  // Interrupting and resuming a run never changes what it commits.
+  for (size_t m = 0; m < modes.size(); ++m) {
+    if (!modes[m].resumed) continue;
+    EXPECT_EQ(Hex(actual.resumed[m]), Hex(actual.digests[m]))
+        << family << " under " << modes[m].name << ", resumed after round "
+        << kInterruptRound;
+  }
+  EXPECT_GT(actual.resumed_rounds, 0u)
+      << family << ": no resumed run executed a round";
   EXPECT_GT(actual.byte_budget_stops, 0u)
       << family << ": no run stopped on the byte budget";
   EXPECT_LT(actual.byte_budget_stops, actual.runs)
