@@ -164,7 +164,9 @@ class FactSet {
   /// Row of atom `id` within its predicate's segment.
   uint32_t LocalRow(uint32_t id) const { return rows_[id].local; }
 
-  /// Ids of atoms with the given predicate.
+  /// Ids of atoms with the given predicate, in ascending order: an insert
+  /// appends its id.  The chase finds a round's atoms of `p` as a suffix
+  /// of this list.
   const std::vector<uint32_t>& ByPredicate(PredicateId p) const;
 
   /// Indices of atoms with predicate `p` whose argument at `position`
@@ -240,8 +242,11 @@ class FactSet {
   /// Forgets every indexed and declared position; the rows stay.
   void ClearIndexes();
 
-  /// The active domain: every term occurring in some atom, in first-seen
-  /// order.
+  /// The active domain: every term occurring in some atom, in
+  /// first-occurrence order.  It only appends (an insert adds the terms it
+  /// introduces at the end), so the terms a batch of inserts introduced are
+  /// the suffix past the size before them; the chase reads a round's new
+  /// terms this way.
   const std::vector<TermId>& Domain() const { return domain_; }
 
   /// True if `t` occurs in some atom.

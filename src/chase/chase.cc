@@ -292,10 +292,11 @@ std::string ChaseStats::ToString() const {
 }
 
 FactSet ChaseResult::PrefixAtDepth(uint32_t i) const {
+  // Depths never decrease along the atom ids, so Ch_i is an id prefix.
+  const size_t end =
+      std::upper_bound(depth.begin(), depth.end(), i) - depth.begin();
   FactSet out;
-  for (uint32_t k = 0; k < facts.size(); ++k) {
-    if (depth[k] <= i) out.Insert(facts.ToAtom(k));
-  }
+  for (uint32_t k = 0; k < end; ++k) out.Insert(facts.ToAtom(k));
   return out;
 }
 
@@ -484,11 +485,12 @@ struct MatchUnit {
   Kind kind = kNaive;
   bool use_delta = false;  // kDomain: only stage tuples touching new terms
   size_t seed_pos = 0;     // kDelta: which body atom is seeded
-  // kDelta: the round's delta atom ids of the seed's predicate (grouped
-  // once per round, order-preserving), and the chunk this unit covers.
-  const std::vector<uint32_t>* seed_list = nullptr;
-  size_t delta_begin = 0;
-  size_t delta_end = 0;
+  // kDelta: the atom ids of the seed's predicate (`FactSet::ByPredicate`),
+  // and the chunk [seed_begin, seed_end) of them this unit covers, within
+  // the suffix the previous round added.
+  const std::vector<uint32_t>* seeds = nullptr;
+  size_t seed_begin = 0;
+  size_t seed_end = 0;
 };
 
 // Output of one MatchUnit, written by exactly one worker.
@@ -502,13 +504,16 @@ struct UnitBuffer {
 // Mutable chase state threaded through the round loop.  `Run` builds it
 // from a database, `Resume` from a snapshot; `RunFromState` consumes it.
 // `result.facts`/`depth`/provenance always describe a complete chase stage
-// on entry, `round` is the next round to execute, `delta_*` the previous
-// round's additions, and `live_bytes` the content-mode ledger total at the
-// last round boundary (the byte-budget quantity).
+// on entry, `round` is the next round to execute, and `live_bytes` the
+// content-mode ledger total at the last round boundary (the byte-budget
+// quantity).  The store and its active domain only append, in round order,
+// so the previous round's additions are their suffixes from
+// `delta_atom_begin` (an atom id) and `delta_domain_begin` (an index into
+// `Domain()`); both are 0 before round 0, whose delta is the whole input.
 struct ChaseEngine::RunState {
   ChaseResult result;
-  std::vector<uint32_t> delta_atoms;
-  std::vector<TermId> delta_terms;
+  uint32_t delta_atom_begin = 0;
+  size_t delta_domain_begin = 0;
   uint32_t round = 0;
   size_t live_bytes = 0;
   // Capacity-mode high-water over all round boundaries of the *logical*
@@ -568,9 +573,6 @@ ChaseResult ChaseEngine::Run(const FactSet& db,
   if (options.record_all_derivations) {
     state.result.all_derivations.assign(db.size(), {});
   }
-  state.delta_atoms.resize(db.size());
-  for (uint32_t i = 0; i < db.size(); ++i) state.delta_atoms[i] = i;
-  state.delta_terms = db.Domain();
   // live_bytes and the ledger counters are zero here; RunFromState accounts
   // the initial boundary (the input database) before the first round.
   return RunFromState(std::move(state), options);
@@ -626,9 +628,20 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
 
   RunState state;
   ChaseResult& result = state.result;
-  for (const Atom& atom : snapshot.atoms) {
-    const bool inserted = result.facts.Insert(atom);
+  state.round = snapshot.next_round;
+  // Atoms go back in insertion order, so the previous round's atoms (depth
+  // == next_round) are again the store's suffix, and the terms they added
+  // its domain's suffix.  The decoder rejects decreasing depths; a snapshot
+  // built in process is checked here.
+  for (uint32_t i = 0; i < snapshot.atoms.size(); ++i) {
+    FRONTIERS_CHECK(i == 0 || snapshot.depth[i - 1] <= snapshot.depth[i],
+                    "snapshot depths decrease at atom " + std::to_string(i));
+    const bool inserted = result.facts.Insert(snapshot.atoms[i]);
     FRONTIERS_CHECK(inserted, "snapshot contains a duplicate atom");
+    if (snapshot.depth[i] < state.round) {
+      state.delta_atom_begin = i + 1;
+      state.delta_domain_begin = result.facts.Domain().size();
+    }
   }
   result.depth = snapshot.depth;
   const bool provenance =
@@ -657,7 +670,6 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
   }
   result.stats.rounds = snapshot.round_stats;
   result.stats.total_seconds = snapshot.total_seconds;
-  state.round = snapshot.next_round;
 
   // Rebuild the incremental provenance counters from the reconstructed
   // state with one walk each (kept in sync incrementally from here on), and
@@ -690,25 +702,6 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
             .TrackedTotal();
     result.peak_bytes = std::max(state.peak_bytes, cap_total);
     return std::move(result);
-  }
-
-  // Reconstruct the previous round's delta from the depths: atoms inserted
-  // during round r-1 carry depth r == next_round, and depth is monotone in
-  // atom index, so index order here matches the original insertion order.
-  for (uint32_t i = 0; i < result.depth.size(); ++i) {
-    if (result.depth[i] == state.round) state.delta_atoms.push_back(i);
-  }
-  std::unordered_set<TermId> known;
-  const FactSet& facts = result.facts;
-  for (uint32_t i = 0; i < facts.size(); ++i) {
-    const ColumnarSegment& seg = *facts.Segment(facts.PredicateOf(i));
-    const bool in_delta = result.depth[i] == state.round;
-    for (uint32_t pos = 0; pos < seg.arity(); ++pos) {
-      const TermId t = seg.Term(facts.LocalRow(i), pos);
-      if (known.insert(t).second && in_delta) {
-        state.delta_terms.push_back(t);
-      }
-    }
   }
   return RunFromState(std::move(state), options);
 }
@@ -794,10 +787,9 @@ class ChaseEngine::RoundLoop {
                       const ChaseRoundStats& record);
 
   // One match unit, run by exactly one worker into its own buffer.
-  void RunUnit(const MatchUnit& unit,
-               const std::unordered_set<TermId>& new_terms, UnitBuffer& out);
-  // Bookkeeping for one head row's insert outcome — depth, delta,
-  // provenance, births — shared by both commit paths.
+  void RunUnit(const MatchUnit& unit, UnitBuffer& out);
+  // Bookkeeping for one head row's insert outcome — depth, provenance,
+  // births — shared by both commit paths.
   void RecordRow(const StagedApplications& staged,
                  const StagedApplications::App& app, size_t head_atom,
                  FactSet::InsertOutcome out, const TermId* terms,
@@ -845,14 +837,12 @@ class ChaseEngine::RoundLoop {
   // A pure execution heuristic — it gates *who* computes, never what.
   uint64_t work_hint_;
 
-  // Per-round state.  The delta atoms grouped by predicate (order-
-  // preserving; the planned units point into it), the domain size before
-  // commit, the atoms this round inserted, and the governance flags.
-  std::unordered_map<PredicateId, std::vector<uint32_t>> delta_by_pred_;
+  // Per-round state: the store's size, its domain's size and its
+  // build-on-read count when the round started, and the governance flags.
+  // CloseRound makes the sizes the next round's delta offsets and checks
+  // that the round built no position on read.
+  uint32_t atoms_before_ = 0;
   size_t domain_before_ = 0;
-  std::vector<uint32_t> next_delta_atoms_;
-  // The store's build-on-read count when the round started; CloseRound
-  // checks that the round built no position on read.
   uint64_t built_on_read_ = 0;
   std::atomic<int> abort_reason_{-1};
   std::atomic<size_t> staged_bytes_{0};
@@ -888,7 +878,7 @@ ChaseEngine::RoundLoop::RoundLoop(const ChaseEngine& engine, RunState state,
                 options.cancel != nullptr),
       num_threads_(ResolveWorkerCount(options.threads)),
       stream_run_(obs::RoundStreamSession::BeginRun()),
-      work_hint_(state_.delta_atoms.size()),
+      work_hint_(state_.result.facts.size() - state_.delta_atom_begin),
       last_boundary_time_(run_start_) {
   metrics_.runs.Add();
   if (num_threads_ > 1) pool_.emplace(num_threads_);
@@ -917,9 +907,7 @@ MemTotals ChaseEngine::RoundLoop::AccountBoundary() {
           pending_.HeapBytes(MemAccounting::kCapacity) +
               VectorHeapBytes(surviving_, MemAccounting::kCapacity) +
               VectorHeapBytes(outcomes_, MemAccounting::kCapacity) +
-              VectorHeapBytes(fn_args_scratch_, MemAccounting::kCapacity) +
-              VectorHeapBytes(state_.delta_atoms, MemAccounting::kCapacity) +
-              VectorHeapBytes(state_.delta_terms, MemAccounting::kCapacity));
+              VectorHeapBytes(fn_args_scratch_, MemAccounting::kCapacity));
   const MemTotals con = ChaseMemTotalsFromParts(
       result, vocab, MemAccounting::kContent, state_.prov_inner_content);
   state_.live_bytes = con.TrackedTotal();
@@ -1090,20 +1078,11 @@ void ChaseEngine::RoundLoop::PollGovernor() {
 
 std::vector<MatchUnit> ChaseEngine::RoundLoop::PlanUnits(
     uint32_t round_threads) {
-  const ChaseResult& result = state_.result;
+  const FactSet& facts = state_.result.facts;
   const uint32_t round = state_.round;
-  built_on_read_ = result.facts.positions_built_on_read();
-  // Group the round's delta atoms by predicate once (order-preserving), so
-  // each seeded unit scans only the rows its body atom can match instead
-  // of skipping wrong-predicate atoms one by one.  Grouping preserves the
-  // per-predicate delta order, so the concatenated staging order is
-  // unchanged.
-  delta_by_pred_.clear();
-  if (options_.semi_naive && round > 0) {
-    for (uint32_t idx : state_.delta_atoms) {
-      delta_by_pred_[result.facts.PredicateOf(idx)].push_back(idx);
-    }
-  }
+  atoms_before_ = static_cast<uint32_t>(facts.size());
+  domain_before_ = facts.Domain().size();
+  built_on_read_ = facts.positions_built_on_read();
   // Chunking delta seeds bounds the serial tail; the chunk size affects
   // only unit *boundaries*, never the concatenated staging order.
   std::vector<MatchUnit> units;
@@ -1140,23 +1119,28 @@ std::vector<MatchUnit> ChaseEngine::RoundLoop::PlanUnits(
     }
     // Semi-naive: seed each body atom with each delta atom of its predicate
     // in turn, then complete the match against the full current stage.
-    // Matches seen through several seeds stage duplicate applications,
-    // which collapse at insertion.
+    // The predicate's ids ascend, so its delta atoms are the suffix from
+    // the first id at or past `delta_atom_begin`.  Matches seen through
+    // several seeds stage duplicate applications, which collapse at
+    // insertion.
     unit.kind = MatchUnit::kDelta;
     for (size_t j = 0; j < rule.body.size(); ++j) {
-      auto seeds = delta_by_pred_.find(rule.body[j].predicate);
-      if (seeds == delta_by_pred_.end()) continue;
-      const std::vector<uint32_t>& seed_list = seeds->second;
+      const std::vector<uint32_t>& ids =
+          facts.ByPredicate(rule.body[j].predicate);
+      const size_t first =
+          std::lower_bound(ids.begin(), ids.end(), state_.delta_atom_begin) -
+          ids.begin();
+      const size_t count = ids.size() - first;
       const size_t chunk =
           round_threads > 1
-              ? std::max<size_t>(1, (seed_list.size() + round_threads * 4 - 1) /
+              ? std::max<size_t>(1, (count + round_threads * 4 - 1) /
                                         (round_threads * 4))
-              : seed_list.size();
+              : count;
       unit.seed_pos = j;
-      unit.seed_list = &seed_list;
-      for (size_t begin = 0; begin < seed_list.size(); begin += chunk) {
-        unit.delta_begin = begin;
-        unit.delta_end = std::min(begin + chunk, seed_list.size());
+      unit.seeds = &ids;
+      for (size_t begin = first; begin < ids.size(); begin += chunk) {
+        unit.seed_begin = begin;
+        unit.seed_end = std::min(begin + chunk, ids.size());
         units.push_back(unit);
       }
     }
@@ -1164,9 +1148,7 @@ std::vector<MatchUnit> ChaseEngine::RoundLoop::PlanUnits(
   return units;
 }
 
-void ChaseEngine::RoundLoop::RunUnit(
-    const MatchUnit& unit, const std::unordered_set<TermId>& new_terms,
-    UnitBuffer& out) {
+void ChaseEngine::RoundLoop::RunUnit(const MatchUnit& unit, UnitBuffer& out) {
   // Per-unit span, recorded into the worker's own trace buffer.
   obs::Span unit_span("chase.unit", "chase");
   const ChaseResult& result = state_.result;
@@ -1257,28 +1239,22 @@ void ChaseEngine::RoundLoop::RunUnit(
   // Domain-variable assignments over the active domain, in odometer order
   // (the first variable slowest), written after the body slots in `values`
   // and staged one by one.  With `only_new`, only tuples touching a term
-  // the previous round introduced are fresh.  Returns false when staging
-  // stopped the enumeration.
+  // the previous round introduced — the domain's suffix from
+  // `delta_domain_begin` — are fresh.  Returns false when staging stopped
+  // the enumeration.
   const size_t k = rule.domain_vars.size();
   std::vector<TermId> values(k == 0 ? 0 : body_slots + k);
   std::vector<uint32_t> pick(k);
-  std::vector<uint8_t> is_new;
   auto stage_domain_tuples = [&](const MatchPlan* body, bool only_new) {
     const std::vector<TermId>& domain = result.facts.Domain();
     if (k > 0 && domain.empty()) return true;
-    if (only_new && is_new.empty()) {
-      is_new.resize(domain.size());
-      for (size_t i = 0; i < domain.size(); ++i) {
-        is_new[i] = new_terms.count(domain[i]) > 0;
-      }
-    }
     TermId* tuple = values.data() + body_slots;
     std::fill(pick.begin(), pick.end(), 0);
     while (true) {
       bool fresh = !only_new;
       for (size_t d = 0; d < k; ++d) {
         tuple[d] = domain[pick[d]];
-        if (only_new) fresh |= is_new[pick[d]] != 0;
+        fresh |= pick[d] >= state_.delta_domain_begin;
       }
       if (fresh && !stage(values.data(), body)) return false;
       size_t d = k;
@@ -1311,10 +1287,10 @@ void ChaseEngine::RoundLoop::RunUnit(
       // against the full current stage.
       MatchPlan plan(result.facts, rule.body, engine_.body_vars_[r]);
       const uint32_t seed = static_cast<uint32_t>(unit.seed_pos);
-      for (size_t di = unit.delta_begin; di < unit.delta_end; ++di) {
+      for (size_t di = unit.seed_begin; di < unit.seed_end; ++di) {
         if (governed_ && Aborting()) break;
-        // seed_list holds only atoms of the seed's predicate.
-        if (!plan.Seed(seed, (*unit.seed_list)[di])) continue;
+        // `seeds` holds only atoms of the seed's predicate.
+        if (!plan.Seed(seed, (*unit.seeds)[di])) continue;
         plan.Run([&] { return stage(plan.slots(), &plan); });
         plan.Unseed(seed);
       }
@@ -1325,15 +1301,11 @@ void ChaseEngine::RoundLoop::RunUnit(
 
 std::variant<StagedApplications, ChaseStop> ChaseEngine::RoundLoop::MatchRound(
     const std::vector<MatchUnit>& units, ChaseRoundStats& record) {
-  const ChaseResult& result = state_.result;
-  // Workers only read: the stage, the vocabulary and the delta are all
-  // frozen until commit.  Each unit compiles its own match plans against
-  // the frozen stage — plans cache posting lists and columns, so they are
-  // built here, never kept across a commit — and writes to its own buffer,
-  // so no synchronization beyond the unit counter is needed.
-  domain_before_ = result.facts.Domain().size();
-  const std::unordered_set<TermId> new_terms(state_.delta_terms.begin(),
-                                             state_.delta_terms.end());
+  // Workers only read: the stage and the vocabulary are frozen until
+  // commit.  Each unit compiles its own match plans against the frozen
+  // stage — plans cache posting lists and columns, so they are built here,
+  // never kept across a commit — and writes to its own buffer, so no
+  // synchronization beyond the unit counter is needed.
   abort_reason_.store(-1, std::memory_order_relaxed);
   staged_bytes_.store(0, std::memory_order_relaxed);
 
@@ -1345,12 +1317,12 @@ std::variant<StagedApplications, ChaseStop> ChaseEngine::RoundLoop::MatchRound(
     // worker exception after every thread quiesced.
     pool_->Run(units.size(), [&](size_t i) {
       if (governed_ && Aborting()) return;
-      RunUnit(units[i], new_terms, buffers[i]);
+      RunUnit(units[i], buffers[i]);
     });
   } else {
     for (size_t i = 0; i < units.size(); ++i) {
       if (governed_ && Aborting()) break;
-      RunUnit(units[i], new_terms, buffers[i]);
+      RunUnit(units[i], buffers[i]);
     }
   }
   if (governed_) {
@@ -1425,7 +1397,6 @@ void ChaseEngine::RoundLoop::RecordRow(const StagedApplications& staged,
   if (out.inserted) {
     ++record.atoms_inserted;
     result.depth.push_back(state_.round + 1);
-    next_delta_atoms_.push_back(out.index);
     // Every Derivation construction below copy-allocates the parents
     // vector at exactly its size, so one figure serves both ledger modes
     // (the row/store bytes are recomputed at the boundary).
@@ -1601,7 +1572,6 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitSemiOblivious(
     return ChaseStop::kInjectedFault;
   }
   result.depth.reserve(result.depth.size() + *added);
-  next_delta_atoms_.reserve(*added);
   // Replay outcomes app by app.  `outcomes_` is truncated exactly at the
   // first new atom past the budget; an application reached before the
   // truncation point still counts as committed (mirroring the per-atom
@@ -1637,14 +1607,11 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CloseRound(
   PublishRound(record);
   // A truncated last round is partial: complete_rounds stays at `round`.
   if (atom_budget_hit) return ChaseStop::kAtomBudget;
-  if (next_delta_atoms_.empty()) return ChaseStop::kFixpoint;
-  // The active domain grows in first-occurrence order, so this round's new
-  // terms are exactly the domain suffix appended during commit — no
-  // per-round known-terms set.
-  const std::vector<TermId>& domain = state_.result.facts.Domain();
-  state_.delta_terms =
-      std::vector<TermId>(domain.begin() + domain_before_, domain.end());
-  state_.delta_atoms = std::exchange(next_delta_atoms_, {});
+  if (state_.result.facts.size() == atoms_before_) return ChaseStop::kFixpoint;
+  // The store and its domain only append, so this round's atoms and new
+  // terms are their suffixes past the sizes the round started from.
+  state_.delta_atom_begin = atoms_before_;
+  state_.delta_domain_begin = domain_before_;
   // The next round's staged volume tracks this round's match output far
   // better than the delta size alone; both feed the serial-fallback
   // decision (ChaseOptions::serial_round_threshold).

@@ -122,9 +122,10 @@ struct ChaseRoundStats {
   uint64_t deduped = 0;
   /// New atoms inserted this round.
   uint64_t atoms_inserted = 0;
-  /// Wall time of the match-enumeration phase.
+  /// Wall time of the match phase: planning, enumeration and the merge of
+  /// the per-unit buffers.
   double match_seconds = 0.0;
-  /// Wall time of the merge + commit phase.
+  /// Wall time of the commit phase.
   double commit_seconds = 0.0;
   // Sub-phases of commit_seconds, so bench_diff can attribute commit-phase
   // movement (the remainder of commit_seconds is outcome replay and
@@ -190,8 +191,8 @@ struct ChaseStats {
   /// Wall time of the whole run.  In debug builds (NDEBUG undefined) this
   /// checks the phase accounting invariant: the summed match + commit
   /// phase times never exceed the run's wall time (up to measurement
-  /// slack); the gap is the "other" time Summary() reports (planning,
-  /// merging, governance polls).
+  /// slack); the gap is the "other" time Summary() reports (round-boundary
+  /// accounting and governance checks).
   double TotalSeconds() const;
 
   /// One row per round: `round matches staged committed preempted ...`.
@@ -293,8 +294,9 @@ struct ChaseOptions {
 /// The result of a chase run: the structure plus per-atom metadata.
 ///
 /// Per-atom vectors are indexed by atom id in `facts`; input atoms come
-/// first (depth 0) and every derived atom records the round that created it,
-/// so `PrefixAtDepth(i)` recovers exactly `Ch_i(T, D)` for every
+/// first (depth 0) and every derived atom records the round that created it.
+/// Rounds append, so depths never decrease along the atom ids: `Ch_i(T, D)`
+/// is an id prefix, which `PrefixAtDepth(i)` recovers exactly for every
 /// `i <= complete_rounds`.
 struct ChaseResult {
   FactSet facts;

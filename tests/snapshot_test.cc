@@ -247,6 +247,20 @@ TEST(SnapshotTest, VocabularyReplayRejectsDivergentPopulation) {
   EXPECT_FALSE(ApplySnapshotVocabulary(snapshot, bad_predicate).ok());
 }
 
+TEST(SnapshotDeathTest, ResumeRefusesDecreasingDepths) {
+  // Resume finds the previous round's atoms as the store's suffix, which
+  // holds only if depths never decrease.  The decoder rejects such bytes; a
+  // snapshot built in process never passes through it, so Resume checks.
+  Workload w;
+  ChaseSnapshot snapshot = InterruptedSnapshot(w);
+  ASSERT_GT(snapshot.depth.size(), 1u);
+  ASSERT_EQ(snapshot.depth[1], 0u);
+  snapshot.depth.front() = snapshot.next_round;
+  ChaseEngine engine(w.vocab, w.theory);
+  EXPECT_DEATH(engine.Resume(snapshot, Workload::Options(4)),
+               "snapshot depths decrease at atom 1");
+}
+
 TEST(SnapshotTest, FreshProcessResumeMatchesUninterruptedRun) {
   // The full workflow: interrupt, serialize, "restart" (fresh vocabulary,
   // theory and instance rebuilt from scratch), replay, resume — chained
