@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <random>
+#include <set>
 #include <unordered_set>
 #include <vector>
 
 #include "base/fact_set.h"
 #include "base/vocabulary.h"
+#include "hom/answer_table.h"
 #include "hom/matcher.h"
 #include "hom/query_ops.h"
 #include "hom/structure_ops.h"
@@ -693,6 +697,85 @@ TEST_F(HomTest, FindViolationReportsRule) {
 TEST_F(HomTest, EmptySetIsModelOfBodyRules) {
   Theory t = ParseT("E(x,y) -> exists z . E(y,z)");
   EXPECT_TRUE(IsModelOf(vocab_, FactSet(), t));
+}
+
+// AnswerTable::Sorted against a std::set oracle: the answers come out in
+// std::vector's lexicographic order on unsigned TermIds, each once,
+// whatever the insertion order.  The column kinds span the value ranges
+// the sort has to handle: one value, a dense small range, a range that
+// needs two byte digits, and one up to UINT32_MAX - 1 that needs all four.
+enum class ColumnKind { kConstant, kDense, kMedium, kWide };
+
+std::vector<std::vector<TermId>> MakeTuples(size_t width, size_t count,
+                                            ColumnKind kind, uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::vector<TermId>> tuples(count, std::vector<TermId>(width));
+  for (size_t c = 0; c < width; ++c) {
+    // Wide tables put a dense column beside each wide one.
+    const ColumnKind column = kind == ColumnKind::kWide && c % 2 == 1
+                                  ? ColumnKind::kDense
+                                  : kind;
+    for (size_t i = 0; i < count; ++i) {
+      TermId& t = tuples[i][c];
+      switch (column) {
+        case ColumnKind::kConstant: t = 7; break;
+        case ColumnKind::kDense: t = 1000 + rng() % 40; break;
+        case ColumnKind::kMedium: t = 300 + rng() % 5000; break;
+        case ColumnKind::kWide:
+          // The extremes first, so every table of two or more tuples has
+          // max - min == UINT32_MAX - 1 in this column.
+          t = i == 0   ? 0u
+              : i == 1 ? UINT32_MAX - 1
+                       : static_cast<TermId>(rng() % UINT32_MAX);
+          break;
+      }
+    }
+  }
+  // Repeat every fifth tuple, so inserts of tuples already present are
+  // interleaved with new ones.
+  for (size_t i = 0; i < count; i += 5) tuples.push_back(tuples[i]);
+  return tuples;
+}
+
+std::vector<std::vector<TermId>> SortedByTable(
+    size_t width, const std::vector<std::vector<TermId>>& tuples) {
+  AnswerTable table(width);
+  std::set<std::vector<TermId>> seen;
+  size_t wrong_inserts = 0;
+  for (const std::vector<TermId>& tuple : tuples) {
+    if (table.Insert(tuple.data()) != seen.insert(tuple).second ||
+        !table.Contains(tuple.data())) {
+      ++wrong_inserts;
+    }
+  }
+  EXPECT_EQ(wrong_inserts, 0u);
+  return table.Sorted();
+}
+
+TEST(AnswerTableTest, SortedMatchesSetOracle) {
+  for (size_t width = 0; width <= 4; ++width) {
+    for (size_t count : {0u, 1u, 2u, 53u, 50'000u}) {
+      for (ColumnKind kind : {ColumnKind::kConstant, ColumnKind::kDense,
+                              ColumnKind::kMedium, ColumnKind::kWide}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "width " << width << " count " << count << " kind "
+                     << static_cast<int>(kind));
+        std::vector<std::vector<TermId>> tuples =
+            MakeTuples(width, count, kind, static_cast<uint32_t>(count));
+        const std::set<std::vector<TermId>> oracle(tuples.begin(),
+                                                   tuples.end());
+        const std::vector<std::vector<TermId>> expected(oracle.begin(),
+                                                        oracle.end());
+        EXPECT_EQ(SortedByTable(width, tuples), expected);
+        // Two shuffled insertion orders give the same output.
+        for (uint32_t shuffle_seed : {1u, 2u}) {
+          std::mt19937 rng(shuffle_seed);
+          std::shuffle(tuples.begin(), tuples.end(), rng);
+          EXPECT_EQ(SortedByTable(width, tuples), expected);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
