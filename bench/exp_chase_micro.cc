@@ -1,6 +1,6 @@
 // Experiment E14: chase engine micro-benchmarks (google-benchmark).
-// Measures raw engine throughput on the paper's workloads and the two
-// design ablations called out in DESIGN.md:
+// Measures raw engine throughput on the paper's workloads, CQ evaluation
+// over a chain, and the two design ablations called out in DESIGN.md:
 //   * semi-naive delta evaluation vs naive re-evaluation,
 //   * the T_d witness strategy vs the unfiltered exploding chase.
 
@@ -12,6 +12,7 @@
 #include "catalog/strategies.h"
 #include "catalog/theories.h"
 #include "chase/chase.h"
+#include "hom/query_ops.h"
 #include "tgd/parser.h"
 
 namespace frontiers {
@@ -151,6 +152,30 @@ void BM_Example39Chase(benchmark::State& state) {
   CountPhaseSeconds(state, phases);
 }
 BENCHMARK(BM_Example39Chase)->Arg(3)->Arg(4)->Arg(5);
+
+// The hom layer behind the chase route's last step: one CQ evaluated over
+// a chain of `path` E-edges, projected to its first variable (width 1) or
+// to both ends (width 2).  Collecting the answers and ordering them are
+// both inside the timed loop; the instance is built once.
+void BM_EvaluateQuery(benchmark::State& state) {
+  const bool width_two = state.range(0) == 2;
+  const uint32_t path = static_cast<uint32_t>(state.range(1));
+  Vocabulary vocab;
+  FactSet db = EdgePath(vocab, "E", path, "a");
+  Result<ConjunctiveQuery> query =
+      ParseQuery(vocab, width_two ? "q(x,z) :- E(x,y), E(y,z)"
+                                  : "q(x) :- E(x,y), E(y,z)");
+  for (auto _ : state) {
+    std::vector<std::vector<TermId>> answers =
+        EvaluateQuery(vocab, query.value(), db);
+    benchmark::DoNotOptimize(answers.data());
+    state.counters["answers"] = static_cast<double>(answers.size());
+  }
+}
+BENCHMARK(BM_EvaluateQuery)
+    ->Args({1, 4096})
+    ->Args({2, 4096})
+    ->ArgNames({"width", "path"});
 
 // Console reporter that additionally emits one frontiers-bench-v1 JSONL
 // row per measured run (through bench/report.h's JsonSink, so only when

@@ -2,6 +2,7 @@
 #define FRONTIERS_HOM_ANSWER_TABLE_H_
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
@@ -16,7 +17,10 @@ namespace frontiers {
 /// every disjunct of a UCQ.  Tuples are stored flat, one after another, and
 /// deduplicated by an open-addressed table of tuple ids (`IdHashSet`), so an
 /// insert allocates no per-tuple node.  Width 0 holds at most the empty
-/// tuple (a Boolean query's "true").
+/// tuple (a Boolean query's "true").  The hash set stays even though the
+/// order is made by a column radix in `Sorted()`, not by the table:
+/// `Contains` lets the matcher skip the witness search for a tuple it
+/// already has.
 class AnswerTable {
  public:
   explicit AnswerTable(size_t width) : width_(width) {}
@@ -39,14 +43,37 @@ class AnswerTable {
     return true;
   }
 
-  /// Every tuple, in lexicographic order.
+  /// Every tuple, in lexicographic order.  A stable LSD radix sort of the
+  /// tuple ids: the last column first and the first column last, each by
+  /// byte digits of `t - min(column)`, skipping the digits that the
+  /// column's `max - min` does not reach.  TermIds are dense indices, so a
+  /// column usually takes one or two counting passes.
   std::vector<std::vector<TermId>> Sorted() const {
     std::vector<uint32_t> order(count_);
+    std::vector<uint32_t> next(count_);
     std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [this](uint32_t a, uint32_t b) {
-      return std::lexicographical_compare(At(a), At(a) + width_, At(b),
-                                          At(b) + width_);
-    });
+    for (size_t c = width_; c-- > 0;) {
+      TermId lo = UINT32_MAX;
+      TermId hi = 0;
+      for (uint32_t id = 0; id < count_; ++id) {
+        lo = std::min(lo, At(id)[c]);
+        hi = std::max(hi, At(id)[c]);
+      }
+      const uint32_t range = count_ == 0 ? 0 : hi - lo;
+      for (uint32_t shift = 0; shift < 32 && (range >> shift) != 0;
+           shift += 8) {
+        const auto digit = [&](uint32_t id) {
+          return ((At(id)[c] - lo) >> shift) & 0xffu;
+        };
+        // A digit's histogram does not depend on the order, so it is
+        // counted in id order; only the scatter follows `order`.
+        std::array<uint32_t, 257> start{};
+        for (uint32_t id = 0; id < count_; ++id) ++start[digit(id) + 1];
+        std::partial_sum(start.begin(), start.end(), start.begin());
+        for (uint32_t id : order) next[start[digit(id)]++] = id;
+        order.swap(next);
+      }
+    }
     std::vector<std::vector<TermId>> out;
     out.reserve(count_);
     for (uint32_t id : order) out.emplace_back(At(id), At(id) + width_);

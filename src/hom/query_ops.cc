@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "hom/matcher.h"
+#include "obs/trace.h"
 
 namespace frontiers {
 
@@ -91,6 +92,7 @@ std::vector<std::vector<TermId>> EvaluateQuery(const Vocabulary& vocab,
                                                const FactSet& facts) {
   AnswerTable answers(query.answer_vars.size());
   CollectAnswers(vocab, query, facts, answers);
+  obs::Span span("hom.sort", "hom");
   return answers.Sorted();
 }
 

@@ -44,6 +44,7 @@ std::vector<std::vector<TermId>> EvaluateUcq(const Vocabulary& vocab,
   for (const ConjunctiveQuery& q : ucq.disjuncts) {
     CollectAnswers(vocab, q, facts, answers);
   }
+  obs::Span sort_span("hom.sort", "hom");
   return answers.Sorted();
 }
 
