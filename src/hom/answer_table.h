@@ -17,10 +17,10 @@ namespace frontiers {
 /// every disjunct of a UCQ.  Tuples are stored flat, one after another, and
 /// deduplicated by an open-addressed table of tuple ids (`IdHashSet`), so an
 /// insert allocates no per-tuple node.  Width 0 holds at most the empty
-/// tuple (a Boolean query's "true").  The hash set stays even though the
-/// order is made by a column radix in `Sorted()`, not by the table:
-/// `Contains` lets the matcher skip the witness search for a tuple it
-/// already has.
+/// tuple (a Boolean query's "true").  `Sorted()` orders the tuples itself,
+/// by a radix over the columns; the hash set is there for `Contains`,
+/// which lets the matcher skip the witness search for a tuple it already
+/// has.
 class AnswerTable {
  public:
   explicit AnswerTable(size_t width) : width_(width) {}
