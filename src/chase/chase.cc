@@ -300,6 +300,16 @@ FactSet ChaseResult::PrefixAtDepth(uint32_t i) const {
   return out;
 }
 
+std::vector<std::string> ChaseResult::AppliedKeys() const {
+  std::vector<std::string> keys;
+  keys.reserve(seen_applications.size());
+  seen_applications.ForEach([&](FrontierMemo::Entry e) {
+    keys.push_back(seen_applications.Key(e));
+  });
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
 std::optional<uint32_t> ChaseResult::DepthOf(const Atom& atom) const {
   std::optional<uint32_t> idx = facts.IndexOf(atom);
   if (!idx.has_value()) return std::nullopt;

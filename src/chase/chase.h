@@ -340,6 +340,10 @@ struct ChaseResult {
   /// disabled the memo.
   FrontierMemo seen_applications;
 
+  /// Every application committed so far, as sorted `FrontierMemo::Key`
+  /// strings: the set snapshots carry and parity checks compare.
+  std::vector<std::string> AppliedKeys() const;
+
   /// The birth atom of `t`, or kNoAtom if the chase did not create `t`.
   uint32_t BirthAtom(TermId t) const {
     return t < birth_atom.size() ? birth_atom[t] : kNoAtom;

@@ -222,11 +222,7 @@ Result<ChaseSnapshot> MakeSnapshot(const Vocabulary& vocab,
       snap.birth_atoms.emplace_back(t, result.birth_atom[t]);
     }
   }
-  snap.seen_applications.reserve(result.seen_applications.size());
-  result.seen_applications.ForEach([&](FrontierMemo::Entry e) {
-    snap.seen_applications.push_back(result.seen_applications.Key(e));
-  });
-  std::sort(snap.seen_applications.begin(), snap.seen_applications.end());
+  snap.seen_applications = result.AppliedKeys();
   snap.round_stats = result.stats.rounds;
   snap.total_seconds = result.stats.total_seconds;
   snap.approx_bytes = result.approx_bytes;

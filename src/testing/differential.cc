@@ -50,7 +50,7 @@ void CompareRuns(const std::string& label, const ChaseResult& ref,
   if (ref.birth_atom != other.birth_atom) {
     out->push_back(label + ": birth atoms differ");
   }
-  if (ref.seen_applications != other.seen_applications) {
+  if (ref.AppliedKeys() != other.AppliedKeys()) {
     out->push_back(label + ": semi-oblivious dedup memo differs");
   }
   if (ref.first_derivation.size() != other.first_derivation.size()) {

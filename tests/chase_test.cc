@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "base/failpoint.h"
 #include "base/fact_set.h"
 #include "base/vocabulary.h"
 #include "catalog/instances.h"
@@ -13,6 +14,7 @@
 #include "chase/chase.h"
 #include "chase/snapshot.h"
 #include "hom/query_ops.h"
+#include "rewriting/rewriter.h"
 #include "tgd/parser.h"
 
 namespace frontiers {
@@ -538,6 +540,215 @@ TEST(ChaseSnapshotBytes, Example39EncodingIsPinned) {
   }
   EXPECT_FALSE(snap.birth_atoms.empty());
   EXPECT_EQ(hash, 0x0c7c7cddb0586208ull);
+}
+
+
+// The applied set of the semi-oblivious chase (Definition 6) is one
+// application per (rule, frontier) pair.  The cases below pin what the
+// commit phase's dedup must keep exact, whatever structure records it.
+
+// Two rules with isomorphic existential heads share their Skolem
+// functions (Definition 4), so they name the same nulls; each rule still
+// fires once per frontier tuple, and the second rule's R(a, null) is a
+// duplicate atom, not a deduped application.
+TEST_F(ChaseTest, RulesSharingASkolemBlockDedupPerRule) {
+  Theory t = ParseT(
+      "E(x,y) -> exists z . R(x,z)\n"
+      "F(x,y) -> exists z . R(x,z)\n"
+      "R(x,z) -> E(z,x)");
+  ChaseEngine engine(vocab_, t);
+  ASSERT_EQ(vocab_.NumSkolemFns(), 1u);  // both heads name one function
+  ChaseResult result =
+      engine.RunToDepth(Facts("E(A,B), E(A,C), F(A,B), F(B,C), F(A,C)"), 4);
+  const std::vector<uint64_t> deduped = {2, 0, 0, 0};
+  const std::vector<uint64_t> committed = {3, 2, 2, 2};
+  const std::vector<uint64_t> inserted = {2, 2, 2, 2};
+  ASSERT_EQ(result.stats.rounds.size(), 4u);
+  for (size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(result.stats.rounds[r].deduped, deduped[r]) << "round " << r;
+    EXPECT_EQ(result.stats.rounds[r].committed, committed[r])
+        << "round " << r;
+    EXPECT_EQ(result.stats.rounds[r].atoms_inserted, inserted[r])
+        << "round " << r;
+  }
+  EXPECT_EQ(result.AppliedKeys().size(), result.stats.TotalCommitted());
+}
+
+// A vocabulary outlives runs and is shared with the rewriter, so a row
+// already interned by an earlier run (or by anything else) must not count
+// as applied in a later one: the second run commits every application
+// again and reaches the same stage.
+TEST_F(ChaseTest, SecondRunOverASharedVocabularyCommitsEveryApplication) {
+  const Theory theory = StickyExample39Theory(vocab_);
+  const FactSet db = Star39Instance(vocab_, 3);
+  const ChaseEngine engine(vocab_, theory);
+  ChaseOptions options;
+  options.max_rounds = 3;
+  const ChaseResult first = engine.Run(db, options);
+
+  Rewriter rewriter(vocab_, theory);
+  RewritingOptions rewriting;
+  rewriting.max_queries = 50;
+  rewriting.max_iterations = 50;
+  rewriter.RewriteAtomicQuery(theory.rules[0].head[0].predicate, rewriting);
+
+  const uint32_t terms_before_second = vocab_.NumTerms();
+  const ChaseResult second = engine.Run(db, options);
+  // Every null the second run needs is already interned.
+  EXPECT_EQ(vocab_.NumTerms(), terms_before_second);
+  ASSERT_EQ(second.stats.rounds.size(), first.stats.rounds.size());
+  EXPECT_GT(first.stats.TotalCommitted(), 0u);
+  for (size_t r = 0; r < first.stats.rounds.size(); ++r) {
+    EXPECT_EQ(second.stats.rounds[r].committed,
+              first.stats.rounds[r].committed)
+        << "round " << r;
+    EXPECT_EQ(second.stats.rounds[r].deduped, first.stats.rounds[r].deduped)
+        << "round " << r;
+  }
+  EXPECT_EQ(second.facts.ToAtoms(), first.facts.ToAtoms());
+  EXPECT_EQ(second.AppliedKeys(), first.AppliedKeys());
+}
+
+// A batch refused mid-run rolls the applied set back to the previous
+// round boundary, and resuming from that state (in the same vocabulary and
+// in a fresh one rebuilt from the snapshot) reaches the uninterrupted run,
+// applied set included.
+TEST(AppliedSetTest, RefusedBatchRollsBackAndResumes) {
+  struct DisarmOnExit {
+    ~DisarmOnExit() { failpoint::DisarmAll(); }
+  } guard;
+  Vocabulary vocab;
+  const Theory theory = StickyExample39Theory(vocab);
+  const FactSet db = Star39Instance(vocab, 3);
+  const ChaseEngine engine(vocab, theory);
+  ChaseOptions options;
+  options.max_rounds = 4;
+  options.track_provenance = true;
+  const ChaseResult full = engine.Run(db, options);
+  ASSERT_EQ(full.stop, ChaseStop::kRoundBudget);
+
+  failpoint::Arm("fact_set.insert_batch", /*fire_count=*/1, /*skip=*/2);
+  const ChaseResult faulted = engine.Run(db, options);
+  failpoint::DisarmAll();
+  ASSERT_EQ(faulted.stop, ChaseStop::kInjectedFault);
+  ASSERT_EQ(faulted.complete_rounds, 2u);
+
+  // The faulted state is the two-round stage, applied set and content
+  // bytes included.
+  ChaseOptions two_rounds = options;
+  two_rounds.max_rounds = 2;
+  const ChaseResult stage = engine.Run(db, two_rounds);
+  EXPECT_EQ(faulted.facts.ToAtoms(), stage.facts.ToAtoms());
+  EXPECT_EQ(faulted.AppliedKeys(), stage.AppliedKeys());
+  EXPECT_EQ(faulted.approx_bytes, stage.approx_bytes);
+
+  Result<ChaseSnapshot> snapshot =
+      MakeSnapshot(vocab, theory, faulted, options);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.message();
+  const ChaseResult resumed = engine.Resume(snapshot.value(), options);
+  EXPECT_EQ(resumed.stop, full.stop);
+  EXPECT_EQ(resumed.facts.ToAtoms(), full.facts.ToAtoms());
+  EXPECT_EQ(resumed.depth, full.depth);
+  EXPECT_EQ(resumed.AppliedKeys(), full.AppliedKeys());
+  EXPECT_EQ(resumed.approx_bytes, full.approx_bytes);
+  ASSERT_EQ(resumed.stats.rounds.size(), full.stats.rounds.size());
+  for (size_t r = 0; r < full.stats.rounds.size(); ++r) {
+    EXPECT_EQ(resumed.stats.rounds[r].committed, full.stats.rounds[r].committed)
+        << "round " << r;
+    EXPECT_EQ(resumed.stats.rounds[r].deduped, full.stats.rounds[r].deduped)
+        << "round " << r;
+  }
+
+  Result<ChaseSnapshot> decoded =
+      DecodeSnapshot(EncodeSnapshot(snapshot.value()));
+  ASSERT_TRUE(decoded.ok()) << decoded.message();
+  Vocabulary fresh;
+  ASSERT_TRUE(ApplySnapshotVocabulary(decoded.value(), fresh).ok());
+  const Theory fresh_theory = StickyExample39Theory(fresh);
+  const ChaseResult fresh_resumed =
+      ChaseEngine(fresh, fresh_theory).Resume(decoded.value(), options);
+  EXPECT_EQ(fresh_resumed.facts.ToAtoms(), full.facts.ToAtoms());
+  EXPECT_EQ(fresh_resumed.AppliedKeys(), full.AppliedKeys());
+  EXPECT_EQ(fresh_resumed.approx_bytes, full.approx_bytes);
+}
+
+// FNV-1a over the sorted applied keys, each preceded by its length.
+uint64_t AppliedKeysDigest(const std::vector<std::string>& keys) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  const auto mix = [&](const char* data, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      hash ^= static_cast<unsigned char>(data[i]);
+      hash *= 0x100000001b3ull;
+    }
+  };
+  for (const std::string& key : keys) {
+    const uint64_t size = key.size();
+    mix(reinterpret_cast<const char*>(&size), sizeof(size));
+    mix(key.data(), key.size());
+  }
+  return hash;
+}
+
+// The applied set of every catalog workload is pinned (key count and
+// digest), at one and four threads.
+TEST(AppliedSetTest, CatalogAppliedKeysArePinned) {
+  struct Case {
+    const char* name;
+    Theory (*theory)(Vocabulary&);
+    FactSet (*instance)(Vocabulary&);
+    uint32_t rounds;
+    size_t keys;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"mother", MotherTheory,
+       [](Vocabulary& v) {
+         FactSet db;
+         db.Insert(Atom(v.AddPredicate("Human", 1), {v.Constant("Abel")}));
+         return db;
+       },
+       4, 4, 0xdcf8f695bf8319c3ull},
+      {"forward-path", ForwardPathTheory,
+       [](Vocabulary& v) { return EdgePath(v, "E", 6, "a"); },
+       4, 24, 0x8757786f66e5dc85ull},
+      {"exercise23", Exercise23Theory,
+       [](Vocabulary& v) { return EdgePath(v, "E", 6, "a"); },
+       3, 30, 0x96098cdad7359814ull},
+      {"tc-cycle", TcTheory,
+       [](Vocabulary& v) { return EdgeCycle(v, "E", 4, "a"); },
+       3, 12, 0x1e8822f0131a1dbdull},
+      {"sticky39", StickyExample39Theory,
+       [](Vocabulary& v) { return Star39Instance(v, 3); },
+       3, 39, 0x8828a46571ea60e7ull},
+      {"example66", Example66Theory,
+       [](Vocabulary& v) { return Example66Instance(v, 3); },
+       3, 7, 0x01925701452abfe0ull},
+      {"td-grid", TdTheory,
+       [](Vocabulary& v) { return EdgePath(v, "G", 4, "a"); },
+       3, 120, 0x6cf337d9fd702ab5ull},
+      {"tdk3-tower", [](Vocabulary& v) { return TdKTheory(v, 3); },
+       [](Vocabulary& v) {
+         return EdgePath(v, TdKPredicateName(1), 4, "a");
+       },
+       3, 282, 0x84857f0cff8ef124ull},
+  };
+  for (const Case& c : cases) {
+    for (uint32_t threads : {1u, 4u}) {
+      Vocabulary vocab;
+      const Theory theory = c.theory(vocab);
+      const FactSet db = c.instance(vocab);
+      ChaseOptions options;
+      options.max_rounds = c.rounds;
+      options.max_atoms = 20'000;
+      options.threads = threads;
+      const ChaseResult result = ChaseEngine(vocab, theory).Run(db, options);
+      const std::vector<std::string> keys = result.AppliedKeys();
+      EXPECT_EQ(keys.size(), c.keys) << c.name << " threads=" << threads;
+      EXPECT_EQ(AppliedKeysDigest(keys), c.digest)
+          << c.name << " threads=" << threads << " digest 0x" << std::hex
+          << AppliedKeysDigest(keys);
+    }
+  }
 }
 
 }  // namespace

@@ -87,7 +87,7 @@ void ExpectIdenticalRuns(const ChaseResult& a, const ChaseResult& b) {
   EXPECT_EQ(a.facts.ToAtoms(), b.facts.ToAtoms());
   EXPECT_EQ(a.depth, b.depth);
   EXPECT_EQ(a.birth_atom, b.birth_atom);
-  EXPECT_EQ(a.seen_applications, b.seen_applications);
+  EXPECT_EQ(a.AppliedKeys(), b.AppliedKeys());
   ASSERT_EQ(a.first_derivation.size(), b.first_derivation.size());
   for (size_t i = 0; i < a.first_derivation.size(); ++i) {
     ASSERT_EQ(a.first_derivation[i].has_value(),

@@ -266,7 +266,7 @@ TEST(ParityTest, WideAndSkewedRoundsAreByteIdenticalAcrossThreads) {
       const ChaseResult many = engine.Run(db, options);
       const std::string label = name + "/threads=" + std::to_string(threads);
       ExpectIdentical(one, many, label);
-      EXPECT_EQ(one.seen_applications, many.seen_applications) << label;
+      EXPECT_EQ(one.AppliedKeys(), many.AppliedKeys()) << label;
     }
   };
   {
