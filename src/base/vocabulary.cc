@@ -162,7 +162,7 @@ uint32_t Vocabulary::SkolemBlock(const std::vector<SkolemFnId>& fns) {
   return id;
 }
 
-const TermId* Vocabulary::SkolemRow(uint32_t block,
+uint32_t Vocabulary::SkolemRowIndex(uint32_t block,
                                     std::span<const TermId> args) {
   const SkolemBlockData& data = skolem_blocks_[block];
   FRONTIERS_CHECK(data.arity == args.size(),
@@ -177,9 +177,7 @@ const TermId* Vocabulary::SkolemRow(uint32_t block,
     return existing.block == block &&
            SkolemArgsEqual(skolem_row_terms_[existing.terms_offset], args);
   });
-  if (row != next) {
-    return skolem_row_terms_.data() + skolem_rows_[row].terms_offset;
-  }
+  if (row != next) return row;
   // Miss: intern each null through the per-term hash-consing table, so the
   // row agrees with any prior `SkolemTerm` calls (isomorphic heads in
   // other rules may already have created some of these terms).
@@ -196,7 +194,7 @@ const TermId* Vocabulary::SkolemRow(uint32_t block,
     skolem_row_terms_.push_back(InternSkolem(fns[i], args));
   }
   skolem_rows_.push_back({block, offset});
-  return skolem_row_terms_.data() + offset;
+  return next;
 }
 
 SkolemFnId Vocabulary::SkolemFunction(std::string_view signature,

@@ -143,10 +143,31 @@ class Vocabulary {
   }
 
   /// Interns (or finds) the row of Skolem nulls `f_i(args)` for every
-  /// `f_i` of `block`, with one probe on the hit path.  Returns a pointer
-  /// to `SkolemBlockSize(block)` TermIds, valid until the next mutating
-  /// call on this vocabulary — copy out what you need.
-  const TermId* SkolemRow(uint32_t block, std::span<const TermId> args);
+  /// `f_i` of `block`, with one probe on the hit path, and returns its row
+  /// id.  Row ids are dense, in interning order.
+  uint32_t SkolemRowIndex(uint32_t block, std::span<const TermId> args);
+
+  /// The `SkolemBlockSize` nulls of row `row`, valid until the next
+  /// mutating call on this vocabulary — copy out what you need.
+  const TermId* SkolemRowTerms(uint32_t row) const {
+    return skolem_row_terms_.data() + skolem_rows_[row].terms_offset;
+  }
+
+  /// `SkolemRowTerms(SkolemRowIndex(block, args))`.
+  const TermId* SkolemRow(uint32_t block, std::span<const TermId> args) {
+    return SkolemRowTerms(SkolemRowIndex(block, args));
+  }
+
+  /// The block of row `row`.
+  uint32_t SkolemRowBlock(uint32_t row) const {
+    return skolem_rows_[row].block;
+  }
+
+  /// The arguments of row `row`, shared by all its nulls (a `SkolemArgs`
+  /// span).
+  std::span<const TermId> SkolemRowArgs(uint32_t row) const {
+    return SkolemArgs(SkolemRowTerms(row)[0]);
+  }
 
   /// Kind of a term.
   TermKind Kind(TermId t) const { return terms_[t].kind; }

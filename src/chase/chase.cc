@@ -115,7 +115,7 @@ struct ChaseMetrics {
 // Every owning container self-reports exact bytes from its own bookkeeping
 // (base/mem_ledger.h); the chase rolls them up at round boundaries.  Two
 // components live outside FactSet/Vocabulary and are accounted here: the
-// frontier memo (seen_applications), which reports its own bytes, and
+// applied set (the memo and the row marks), which report their own bytes, and
 // provenance.  Provenance's *inner* heap — Derivation::parents vectors — is
 // carried by running counters in RunState (a walk per boundary would be
 // O(atoms)); the walk below recomputes it from scratch for Resume
@@ -143,7 +143,8 @@ MemTotals ChaseMemTotalsFromParts(const ChaseResult& result,
   result.facts.AccountHeap(totals, mode);
   vocab.AccountHeap(totals, mode);
   totals.Add(MemComponent::kFrontierMemo,
-             result.seen_applications.HeapBytes(mode));
+             result.seen_applications.HeapBytes(mode) +
+                 result.applied_rows.HeapBytes(mode));
   totals.Add(
       MemComponent::kProvenance,
       prov_inner_bytes + VectorHeapBytes(result.depth, mode) +
@@ -302,10 +303,12 @@ FactSet ChaseResult::PrefixAtDepth(uint32_t i) const {
 
 std::vector<std::string> ChaseResult::AppliedKeys() const {
   std::vector<std::string> keys;
-  keys.reserve(seen_applications.size());
+  keys.reserve(seen_applications.size() + applied_rows.size());
   seen_applications.ForEach([&](FrontierMemo::Entry e) {
     keys.push_back(seen_applications.Key(e));
   });
+  applied_rows.ForEachKey(
+      [&](std::string key) { keys.push_back(std::move(key)); });
   std::sort(keys.begin(), keys.end());
   return keys;
 }
@@ -379,14 +382,10 @@ ChaseEngine::ChaseEngine(Vocabulary& vocab, const Theory& theory)
           std::find(match_vars.begin(), match_vars.end(), v) -
           match_vars.begin()));
     }
-    layout.fn_arg_slots.reserve(sh.fn_args.size());
-    for (TermId v : sh.fn_args) {
-      auto it = slot_of.find(v);
-      FRONTIERS_CHECK(it != slot_of.end(),
-                      "Skolem argument of rule '" + rule.name +
-                          "' is not a head-universal variable");
-      layout.fn_arg_slots.push_back(it->second);
-    }
+    // The binding tuple is the Skolem row key as it stands.
+    FRONTIERS_CHECK(sh.fn_args == layout.commit_vars,
+                    "Skolem arguments of rule '" + rule.name +
+                        "' are not its head-universal variables");
     // Existential order = first occurrence in the head, the same order the
     // lazy per-atom interning produced, so TermId assignment is unchanged.
     std::unordered_map<TermId, uint32_t> ex_index;
@@ -417,23 +416,39 @@ ChaseEngine::ChaseEngine(Vocabulary& vocab, const Theory& theory)
     }
     commit_layouts_.push_back(std::move(layout));
   }
+  // A block no other rule uses names its rule's applications one to one.
+  std::unordered_map<uint32_t, uint32_t> rules_per_block;
+  for (const CommitLayout& layout : commit_layouts_) {
+    if (layout.skolem_block != kNoSkolemBlock) {
+      ++rules_per_block[layout.skolem_block];
+    }
+  }
+  for (uint32_t r = 0; r < commit_layouts_.size(); ++r) {
+    CommitLayout& layout = commit_layouts_[r];
+    if (layout.skolem_block == kNoSkolemBlock ||
+        rules_per_block[layout.skolem_block] != 1) {
+      continue;
+    }
+    layout.row_memo = true;
+    if (layout.skolem_block >= row_memo_rules_.size()) {
+      row_memo_rules_.resize(layout.skolem_block + 1, AppliedRows::kNoRule);
+    }
+    row_memo_rules_[layout.skolem_block] = r;
+  }
+}
+
+const TermId* ChaseEngine::SkolemNulls(size_t rule_index,
+                                       const TermId* bindings) const {
+  const CommitLayout& layout = commit_layouts_[rule_index];
+  if (layout.skolem_block == kNoSkolemBlock) return nullptr;
+  // One probe interns (or finds) every null of this application.
+  return vocab_.SkolemRow(layout.skolem_block,
+                          {bindings, layout.commit_vars.size()});
 }
 
 void ChaseEngine::ExpandHead(size_t rule_index, const TermId* bindings,
-                             std::vector<TermId>& fn_args_scratch,
-                             RowBlock* out) const {
+                             const TermId* nulls, RowBlock* out) const {
   const CommitLayout& layout = commit_layouts_[rule_index];
-  const TermId* nulls = nullptr;
-  if (layout.skolem_block != kNoSkolemBlock) {
-    fn_args_scratch.clear();
-    for (uint32_t slot : layout.fn_arg_slots) {
-      fn_args_scratch.push_back(bindings[slot]);
-    }
-    // One probe interns (or finds) every null of this application.  The
-    // returned pointer stays valid through the row appends below: nothing
-    // mutates the vocabulary until the next ExpandHead call.
-    nulls = vocab_.SkolemRow(layout.skolem_block, fn_args_scratch);
-  }
   for (const HeadAtomLayout& atom_layout : layout.head) {
     const size_t arity = atom_layout.slots.size();
     const size_t offset = out->terms.size();
@@ -583,6 +598,7 @@ ChaseResult ChaseEngine::Run(const FactSet& db,
   if (options.record_all_derivations) {
     state.result.all_derivations.assign(db.size(), {});
   }
+  state.result.applied_rows = AppliedRows(vocab_, row_memo_rules_);
   // live_bytes and the ledger counters are zero here; RunFromState accounts
   // the initial boundary (the input database) before the first round.
   return RunFromState(std::move(state), options);
@@ -675,8 +691,22 @@ ChaseResult ChaseEngine::Resume(const ChaseSnapshot& snapshot,
       result.birth_atom[term] = atom;
     }
   }
+  // Each key goes back where the commit phase records it: a `row_memo`
+  // rule's as a mark on its Skolem row, interned here if this vocabulary
+  // has not seen it; every other key, and any key whose shape does not fit
+  // its rule, as a memo entry.
+  result.applied_rows = AppliedRows(vocab_, row_memo_rules_);
   for (const std::string& key : snapshot.seen_applications) {
-    result.seen_applications.InsertKey(key);
+    const uint32_t rule = FrontierMemo::KeyRule(key);
+    const std::vector<TermId> bindings = FrontierMemo::KeyBindings(key);
+    if (options.variant == ChaseVariant::kSemiOblivious &&
+        rule < commit_layouts_.size() && commit_layouts_[rule].row_memo &&
+        bindings.size() == commit_layouts_[rule].commit_vars.size()) {
+      result.applied_rows.Mark(
+          vocab_.SkolemRowIndex(commit_layouts_[rule].skolem_block, bindings));
+    } else {
+      result.seen_applications.InsertKey(key);
+    }
   }
   result.stats.rounds = snapshot.round_stats;
   result.stats.total_seconds = snapshot.total_seconds;
@@ -863,7 +893,6 @@ class ChaseEngine::RoundLoop {
   RowBlock pending_;
   std::vector<uint32_t> surviving_;
   std::vector<FactSet::InsertOutcome> outcomes_;
-  std::vector<TermId> fn_args_scratch_;
 
   // The previous streamed boundary, for the diag row's rates.
   Clock::time_point last_boundary_time_;
@@ -916,8 +945,7 @@ MemTotals ChaseEngine::RoundLoop::AccountBoundary() {
   cap.Add(MemComponent::kScratch,
           pending_.HeapBytes(MemAccounting::kCapacity) +
               VectorHeapBytes(surviving_, MemAccounting::kCapacity) +
-              VectorHeapBytes(outcomes_, MemAccounting::kCapacity) +
-              VectorHeapBytes(fn_args_scratch_, MemAccounting::kCapacity));
+              VectorHeapBytes(outcomes_, MemAccounting::kCapacity));
   const MemTotals con = ChaseMemTotalsFromParts(
       result, vocab, MemAccounting::kContent, state_.prov_inner_content);
   state_.live_bytes = con.TrackedTotal();
@@ -1506,7 +1534,9 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitRestricted(
     }
     ++record.committed;
     app_rows.Clear();
-    engine_.ExpandHead(app.rule_index, bindings, fn_args_scratch_, &app_rows);
+    engine_.ExpandHead(app.rule_index, bindings,
+                       engine_.SkolemNulls(app.rule_index, bindings),
+                       &app_rows);
     for (size_t a = 0; a < app_rows.rows(); ++a) {
       const TermId* terms = app_rows.Terms(a);
       const uint32_t arity = app_rows.Arity(a);
@@ -1530,36 +1560,53 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitRestricted(
 std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitSemiOblivious(
     const StagedApplications& staged, ChaseRoundStats& record) {
   // Set-at-a-time (DESIGN.md §5, "Serial commit").  Phase 1 walks the
-  // merged staging order through the frontier memo and expands each
-  // surviving application into one columnar pending block, interning
-  // Skolem rows in staged order; phase 2 bulk-inserts the block with one
-  // batch insert; phase 3 replays the per-row outcomes for depth,
+  // merged staging order, drops the applications this run already applied
+  // and expands each surviving one into one columnar pending block,
+  // interning Skolem rows in staged order; phase 2 bulk-inserts the block
+  // with one batch insert; phase 3 replays the per-row outcomes for depth,
   // provenance and birth bookkeeping.  Every phase preserves the merged
   // staging order, so the result is byte-identical to committing one atom
   // at a time.
   ChaseResult& result = state_.result;
+  Vocabulary& vocab = engine_.vocab_;
   const Clock::time_point expand_start = Clock::now();
   std::optional<obs::Span> commit_sub_span;
   commit_sub_span.emplace("chase.commit.expand", "chase");
   pending_.Clear();
   surviving_.clear();
   surviving_.reserve(staged.apps.size());
+  const bool dedup = !options_.record_all_derivations;
   // The memo's size before this round's inserts: a refused batch truncates
   // back to it.
   const size_t memo_before = result.seen_applications.size();
   for (uint32_t s = 0; s < staged.apps.size(); ++s) {
     const StagedApplications::App& app = staged.apps[s];
+    const CommitLayout& layout = engine_.commit_layouts_[app.rule_index];
     const TermId* bindings = staged.bindings.data() + app.bindings;
-    if (!options_.record_all_derivations &&
-        !result.seen_applications.Insert(
-            app.rule_index, bindings,
-            static_cast<uint32_t>(
-                engine_.commit_layouts_[app.rule_index].commit_vars.size()))) {
-      ++record.deduped;
-      continue;
+    const TermId* nulls;
+    if (dedup && layout.row_memo) {
+      // The Skolem row is the trigger memo: one probe finds or interns
+      // the nulls and names the application.
+      const uint32_t row = vocab.SkolemRowIndex(
+          layout.skolem_block, {bindings, layout.commit_vars.size()});
+      if (!result.applied_rows.Mark(row)) {
+        ++record.deduped;
+        continue;
+      }
+      nulls = vocab.SkolemRowTerms(row);
+    } else {
+      if (dedup && !result.seen_applications.Insert(
+                       app.rule_index, bindings,
+                       static_cast<uint32_t>(layout.commit_vars.size()))) {
+        ++record.deduped;
+        continue;
+      }
+      nulls = engine_.SkolemNulls(app.rule_index, bindings);
     }
     surviving_.push_back(s);
-    engine_.ExpandHead(app.rule_index, bindings, fn_args_scratch_, &pending_);
+    // `nulls` stays valid through the row appends: nothing mutates the
+    // vocabulary until the next application's probe.
+    engine_.ExpandHead(app.rule_index, bindings, nulls, &pending_);
   }
   record.commit_expand_seconds = Seconds(Clock::now() - expand_start);
 
@@ -1573,12 +1620,20 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitSemiOblivious(
   record.commit_index_seconds = batch_timings.index_seconds;
   if (!added.has_value()) {
     // The `fact_set.insert_batch` failpoint refused the batch.  Roll back
-    // phase 1's dedup-memo inserts so the state is exactly the previous
-    // round boundary.  (Skolem rows interned by ExpandHead stay in the
-    // vocabulary; hash-consing re-interns them to identical TermIds on
-    // resume, so they are harmless.)  The memo keeps its grown arena and
-    // table capacity, which Finish accounts.
+    // phase 1's memo inserts and row marks so the state is exactly the
+    // previous round boundary.  (Skolem rows interned in phase 1 stay in
+    // the vocabulary; hash-consing re-interns them to identical TermIds on
+    // resume, so they are harmless.)  The memo and the marks keep their
+    // grown capacity, which Finish accounts.
     result.seen_applications.Truncate(memo_before);
+    for (uint32_t s : surviving_) {
+      const StagedApplications::App& app = staged.apps[s];
+      const CommitLayout& layout = engine_.commit_layouts_[app.rule_index];
+      if (!dedup || !layout.row_memo) continue;
+      result.applied_rows.Unmark(vocab.SkolemRowIndex(
+          layout.skolem_block,
+          {staged.bindings.data() + app.bindings, layout.commit_vars.size()}));
+    }
     return ChaseStop::kInjectedFault;
   }
   result.depth.reserve(result.depth.size() + *added);

@@ -334,14 +334,19 @@ struct ChaseResult {
   /// run, not just the tail.
   size_t peak_bytes = 0;
   /// The semi-oblivious dedup memo: (rule index, head-universal
-  /// projection) of every application committed so far.  Carried in the
-  /// result so snapshots can resume with identical per-round
-  /// `deduped`/`committed` counters.  Empty when record_all_derivations
-  /// disabled the memo.
+  /// projection) of every application committed so far by a Datalog rule
+  /// or by a rule sharing its Skolem block with another rule (every rule's,
+  /// under the restricted variant).  Empty when record_all_derivations
+  /// disabled dedup.
   FrontierMemo seen_applications;
+  /// The applications of every other semi-oblivious rule, as marks on
+  /// their Skolem rows (see `AppliedRows`).
+  AppliedRows applied_rows;
 
-  /// Every application committed so far, as sorted `FrontierMemo::Key`
-  /// strings: the set snapshots carry and parity checks compare.
+  /// Every application committed so far — the memo's entries and the
+  /// marked rows — as sorted `FrontierMemo::Key` strings: the set
+  /// snapshots carry (so a resumed run has identical per-round
+  /// `deduped`/`committed` counters) and parity checks compare.
   std::vector<std::string> AppliedKeys() const;
 
   /// The birth atom of `t`, or kNoAtom if the chase did not create `t`.
@@ -453,27 +458,37 @@ class ChaseEngine {
     // plan's slot (< body_vars.size(); the plan numbers slots in
     // `body_vars` order), or domain variable `source - body_vars.size()`.
     std::vector<uint32_t> commit_sources;
-    // Skolem argument positions within `commit_vars` (sh.fn_args order).
-    std::vector<uint32_t> fn_arg_slots;
     std::vector<HeadAtomLayout> head;
     // Skolem block for the head's existential tuple, in head-first-
     // occurrence order (the same order the lazy per-atom interning used),
-    // or kNoSkolemBlock for Datalog rules.
+    // or kNoSkolemBlock for Datalog rules.  Its arguments are
+    // `commit_vars` (sh.fn_args), so a binding tuple is the row key as it
+    // stands.
     uint32_t skolem_block = UINT32_MAX;
+    // True if no other rule of the theory uses `skolem_block`: the
+    // semi-oblivious commit then records this rule's applications as
+    // `AppliedRows` marks instead of `FrontierMemo` entries.
+    bool row_memo = false;
   };
   static constexpr uint32_t kNoSkolemBlock = UINT32_MAX;
 
+  /// The Skolem nulls of `rule_index` under `bindings` (values of the
+  /// rule's `commit_vars`), interned as one block row; nullptr for a
+  /// Datalog rule.  Valid until the vocabulary next mutates.
+  const TermId* SkolemNulls(size_t rule_index, const TermId* bindings) const;
+
   /// Appends the instantiated head rows of `rule_index` under `bindings`
-  /// (values of the rule's `commit_vars`) to `out`, interning the
-  /// application's Skolem nulls as one block row.  `fn_args_scratch` is
-  /// caller-provided scratch to keep the hot path allocation-free.
+  /// and the application's Skolem `nulls` to `out`.
   void ExpandHead(size_t rule_index, const TermId* bindings,
-                  std::vector<TermId>& fn_args_scratch, RowBlock* out) const;
+                  const TermId* nulls, RowBlock* out) const;
 
   Vocabulary& vocab_;
   Theory theory_;
   std::vector<SkolemizedHead> skolemized_;
   std::vector<CommitLayout> commit_layouts_;
+  // Skolem block id -> the rule whose `row_memo` block it is, or
+  // AppliedRows::kNoRule; every run's `AppliedRows` reads it.
+  std::vector<uint32_t> row_memo_rules_;
   // Per-rule, per-head-atom: which argument positions hold existential
   // variables (freshly-invented terms after skolemization).
   std::vector<std::vector<std::vector<bool>>> existential_positions_;

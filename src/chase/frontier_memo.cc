@@ -20,12 +20,12 @@ void FrontierMemo::Truncate(size_t n) {
   words_.resize(cut);
 }
 
-std::string FrontierMemo::Key(Entry e) const {
-  const size_t rule = Rule(e);
-  const std::span<const TermId> bindings = Bindings(e);
+std::string FrontierMemo::EncodeKey(uint32_t rule,
+                                    std::span<const TermId> bindings) {
+  const size_t wide_rule = rule;
   std::string key;
-  key.reserve(sizeof(rule) + sizeof(TermId) * bindings.size());
-  key.append(reinterpret_cast<const char*>(&rule), sizeof(rule));
+  key.reserve(sizeof(wide_rule) + sizeof(TermId) * bindings.size());
+  key.append(reinterpret_cast<const char*>(&wide_rule), sizeof(wide_rule));
   key.append(reinterpret_cast<const char*>(bindings.data()),
              sizeof(TermId) * bindings.size());
   return key;
@@ -41,20 +41,30 @@ bool FrontierMemo::WellFormedKey(std::string_view key) {
   return rule <= UINT32_MAX;
 }
 
-bool FrontierMemo::InsertKey(std::string_view key) {
+uint32_t FrontierMemo::KeyRule(std::string_view key) {
   FRONTIERS_CHECK(WellFormedKey(key), "malformed frontier memo key of " +
                                           std::to_string(key.size()) +
                                           " bytes");
   size_t rule = 0;
   std::memcpy(&rule, key.data(), sizeof(rule));
-  const uint32_t n =
-      static_cast<uint32_t>((key.size() - sizeof(rule)) / sizeof(TermId));
-  std::vector<TermId> bindings(n);
-  if (n > 0) {  // an empty vector's data() may be null, which memcpy rejects
-    std::memcpy(bindings.data(), key.data() + sizeof(rule),
-                n * sizeof(TermId));
+  return static_cast<uint32_t>(rule);
+}
+
+std::vector<TermId> FrontierMemo::KeyBindings(std::string_view key) {
+  std::vector<TermId> bindings((key.size() - sizeof(size_t)) /
+                               sizeof(TermId));
+  // An empty vector's data() may be null, which memcpy rejects.
+  if (!bindings.empty()) {
+    std::memcpy(bindings.data(), key.data() + sizeof(size_t),
+                bindings.size() * sizeof(TermId));
   }
-  return Insert(static_cast<uint32_t>(rule), bindings.data(), n);
+  return bindings;
+}
+
+bool FrontierMemo::InsertKey(std::string_view key) {
+  const uint32_t rule = KeyRule(key);
+  const std::vector<TermId> bindings = KeyBindings(key);
+  return Insert(rule, bindings.data(), static_cast<uint32_t>(bindings.size()));
 }
 
 bool operator==(const FrontierMemo& a, const FrontierMemo& b) {

@@ -6,6 +6,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/check.h"
@@ -20,6 +21,12 @@ namespace frontiers {
 /// the match projected onto the rule's head-universal variables.  Two
 /// applications with equal entries produce identical skolemized heads, so
 /// the commit phase keeps only the first.
+///
+/// The memo holds the applications of Datalog rules and of rules that
+/// share their Skolem block with another rule, and the restricted chase's
+/// applications of every rule.  Every other semi-oblivious rule records its
+/// applications as `AppliedRows` marks instead; `ChaseResult::AppliedKeys`
+/// is the union of both, the run's full applied set.
 ///
 /// Storage is flat: every entry is `[rule, n, bindings...]` appended to one
 /// word arena, and an id-keyed `IdHashSet` indexes entries by their arena
@@ -73,7 +80,10 @@ class FrontierMemo {
   /// The entry as a byte string: the rule index as an 8-byte `size_t`, then
   /// the bindings as raw `TermId`s — the snapshot wire encoding of a memo
   /// key.
-  std::string Key(Entry e) const;
+  std::string Key(Entry e) const { return EncodeKey(Rule(e), Bindings(e)); }
+
+  /// The key of `(rule, bindings)` in `Key`'s encoding.
+  static std::string EncodeKey(uint32_t rule, std::span<const TermId> bindings);
 
   /// Inserts an entry given in `Key`'s encoding; returns false if it was
   /// already present.  The key must be well formed (8 + 4n bytes, rule
@@ -82,6 +92,10 @@ class FrontierMemo {
 
   /// True if `key` has the shape `InsertKey` accepts.
   static bool WellFormedKey(std::string_view key);
+
+  /// The rule index and the bindings of a well-formed key.
+  static uint32_t KeyRule(std::string_view key);
+  static std::vector<TermId> KeyBindings(std::string_view key);
 
   /// Set equality: the same entries, in any insertion order.
   friend bool operator==(const FrontierMemo& a, const FrontierMemo& b);
@@ -118,6 +132,76 @@ inline bool FrontierMemo::Insert(uint32_t rule, const TermId* bindings,
   words_.insert(words_.end(), bindings, bindings + n);
   return true;
 }
+
+/// The applied set of the semi-oblivious rules whose Skolem block no other
+/// rule of the theory uses.  `Skolemize` makes a rule's Skolem arguments its
+/// head-universal tuple, so for such a rule the Skolem row
+/// `(block, frontier)` and the application `(rule, frontier)` name each
+/// other one to one: the row the commit phase interns anyway identifies
+/// the trigger, and one byte per row id records whether this run applied
+/// it.  The marks belong to the run, not to the vocabulary, which outlives
+/// runs and is shared with the rewriter: a row interned before the run
+/// started is still unapplied.
+///
+/// Not synchronized; the chase touches it from its serial commit phase only.
+class AppliedRows {
+ public:
+  static constexpr uint32_t kNoRule = UINT32_MAX;
+
+  AppliedRows() = default;
+  /// Marks rows of `vocab`; `rule_of_block[b]` is the rule that owns
+  /// Skolem block `b`, or kNoRule.  `vocab` must outlive every `Key` call.
+  AppliedRows(const Vocabulary& vocab, std::vector<uint32_t> rule_of_block)
+      : vocab_(&vocab), rule_of_block_(std::move(rule_of_block)) {}
+
+  /// Number of marked rows.
+  size_t size() const { return count_; }
+
+  /// Marks `row` applied; returns false if it already was.
+  bool Mark(uint32_t row) {
+    if (row >= marks_.size()) marks_.resize(row + 1);
+    if (marks_[row] != 0) return false;
+    marks_[row] = 1;
+    ++count_;
+    return true;
+  }
+
+  /// Clears the mark of `row` (the fault rollback of one round).
+  void Unmark(uint32_t row) {
+    FRONTIERS_CHECK(row < marks_.size() && marks_[row] != 0,
+                    "unmarking a Skolem row that is not applied");
+    marks_[row] = 0;
+    --count_;
+  }
+
+  /// Heap bytes.  Content mode counts one byte per marked row, so it
+  /// depends on the applied set alone, not on the row ids (a resumed run
+  /// interns rows in key order, so its ids differ from the uninterrupted
+  /// run's); capacity mode reports the tables as allocated.
+  uint64_t HeapBytes(MemAccounting mode) const {
+    if (mode == MemAccounting::kContent) return count_;
+    return VectorHeapBytes(marks_, mode) +
+           VectorHeapBytes(rule_of_block_, mode);
+  }
+
+  /// Calls `f(key)` for every marked row, in row order, with the row's
+  /// `FrontierMemo::Key` encoding: its owning rule and its Skolem
+  /// arguments.
+  template <typename F>
+  void ForEachKey(F&& f) const {
+    for (uint32_t row = 0; row < marks_.size(); ++row) {
+      if (marks_[row] == 0) continue;
+      f(FrontierMemo::EncodeKey(rule_of_block_[vocab_->SkolemRowBlock(row)],
+                                vocab_->SkolemRowArgs(row)));
+    }
+  }
+
+ private:
+  const Vocabulary* vocab_ = nullptr;
+  std::vector<uint32_t> rule_of_block_;
+  std::vector<uint8_t> marks_;  // by Skolem row id
+  size_t count_ = 0;
+};
 
 }  // namespace frontiers
 
