@@ -1,6 +1,7 @@
 #ifndef FRONTIERS_CHASE_FRONTIER_MEMO_H_
 #define FRONTIERS_CHASE_FRONTIER_MEMO_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -159,7 +160,10 @@ class AppliedRows {
 
   /// Marks `row` applied; returns false if it already was.
   bool Mark(uint32_t row) {
-    if (row >= marks_.size()) marks_.resize(row + 1);
+    if (row >= marks_.size()) {
+      // Doubling keeps the resize off the per-row path.
+      marks_.resize(std::max<size_t>(row + 1, 2 * marks_.size()));
+    }
     if (marks_[row] != 0) return false;
     marks_[row] = 1;
     ++count_;

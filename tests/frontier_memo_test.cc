@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -135,6 +136,69 @@ TEST(FrontierMemoTest, EqualityAndContentBytesIgnoreInsertionOrder) {
   Insert(other, {99, {1, 2, 3}});
   EXPECT_EQ(other.size(), forward.size());
   EXPECT_FALSE(other == forward);
+}
+
+// Row marks: set semantics, rollback, keys in the memo's encoding, and
+// content bytes that depend on the marked set alone, not on the row ids a
+// vocabulary happened to give the rows.
+TEST(AppliedRowsTest, MarksKeysAndContentBytesFollowTheAppliedSet) {
+  struct Rows {
+    Vocabulary vocab;
+    uint32_t block = 0;
+    explicit Rows(bool reversed) {
+      for (int c = 0; c <= 40; ++c) vocab.Constant("c" + std::to_string(c));
+      const SkolemFnId f = vocab.SkolemFunction("f", 2);
+      const SkolemFnId g = vocab.SkolemFunction("g", 2);
+      block = vocab.SkolemBlock({f, g});
+      // Rows interned before any run: a later run still sees them unmarked.
+      for (TermId a = 0; a < 40; ++a) {
+        const TermId t = reversed ? 39 - a : a;
+        vocab.SkolemRowIndex(block, std::vector<TermId>{t, t + 1});
+      }
+    }
+    uint32_t Row(TermId a) {
+      return vocab.SkolemRowIndex(block, std::vector<TermId>{a, a + 1});
+    }
+  };
+  Rows forward(false);
+  Rows backward(true);
+  ASSERT_NE(forward.Row(3), backward.Row(3));
+  std::vector<uint32_t> rule_of_block(forward.block + 1,
+                                      AppliedRows::kNoRule);
+  rule_of_block[forward.block] = 7;
+  AppliedRows a(forward.vocab, rule_of_block);
+  AppliedRows b(backward.vocab, rule_of_block);
+  for (TermId t : {3u, 11u, 30u}) {
+    EXPECT_TRUE(a.Mark(forward.Row(t)));
+    EXPECT_TRUE(b.Mark(backward.Row(t)));
+  }
+  EXPECT_FALSE(a.Mark(forward.Row(11)));
+  EXPECT_EQ(a.size(), 3u);
+  EXPECT_EQ(a.HeapBytes(MemAccounting::kContent), 3u);
+  EXPECT_EQ(a.HeapBytes(MemAccounting::kContent),
+            b.HeapBytes(MemAccounting::kContent));
+  EXPECT_LE(a.HeapBytes(MemAccounting::kContent),
+            a.HeapBytes(MemAccounting::kCapacity));
+
+  std::vector<std::string> keys_a;
+  std::vector<std::string> keys_b;
+  a.ForEachKey([&](std::string key) { keys_a.push_back(std::move(key)); });
+  b.ForEachKey([&](std::string key) { keys_b.push_back(std::move(key)); });
+  std::sort(keys_a.begin(), keys_a.end());
+  std::sort(keys_b.begin(), keys_b.end());
+  EXPECT_EQ(keys_a, keys_b);
+  FrontierMemo memo;
+  for (TermId t : {3u, 11u, 30u}) ASSERT_TRUE(Insert(memo, {7, {t, t + 1}}));
+  std::vector<std::string> memo_keys;
+  memo.ForEach(
+      [&](FrontierMemo::Entry e) { memo_keys.push_back(memo.Key(e)); });
+  std::sort(memo_keys.begin(), memo_keys.end());
+  EXPECT_EQ(keys_a, memo_keys);
+
+  a.Unmark(forward.Row(11));
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_EQ(a.HeapBytes(MemAccounting::kContent), 2u);
+  EXPECT_TRUE(a.Mark(forward.Row(11)));
 }
 
 }  // namespace
