@@ -1583,7 +1583,7 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitSemiOblivious(
     const StagedApplications::App& app = staged.apps[s];
     const CommitLayout& layout = engine_.commit_layouts_[app.rule_index];
     const TermId* bindings = staged.bindings.data() + app.bindings;
-    const TermId* nulls;
+    const TermId* nulls = nullptr;
     if (dedup && layout.row_memo) {
       // The Skolem row is the trigger memo: one probe finds or interns
       // the nulls and names the application.

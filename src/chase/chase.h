@@ -487,7 +487,7 @@ class ChaseEngine {
   std::vector<SkolemizedHead> skolemized_;
   std::vector<CommitLayout> commit_layouts_;
   // Skolem block id -> the rule whose `row_memo` block it is, or
-  // AppliedRows::kNoRule; every run's `AppliedRows` reads it.
+  // AppliedRows::kNoRule; each run's `AppliedRows` keeps a copy.
   std::vector<uint32_t> row_memo_rules_;
   // Per-rule, per-head-atom: which argument positions hold existential
   // variables (freshly-invented terms after skolemization).
