@@ -523,6 +523,18 @@ Result<ChaseSnapshot> DecodeSnapshot(std::string_view bytes) {
               " is malformed");
       break;
     }
+    // Resume interns a row-memo rule's key as a Skolem row, which reads
+    // every binding's term.
+    if (!in.failed) {
+      for (TermId t : FrontierMemo::KeyBindings(key)) {
+        if (t >= num_terms) {
+          in.Fail("snapshot frontier memo key " + std::to_string(i) +
+                  " names an unknown term");
+          break;
+        }
+      }
+      if (in.failed) break;
+    }
     snap.seen_applications.push_back(std::move(key));
   }
   const uint32_t num_rounds = in.Count(64);

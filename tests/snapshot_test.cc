@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -152,6 +153,23 @@ TEST(SnapshotTest, VersionTwoHeaderIsRejectedWithAStatus) {
               std::string::npos)
         << decoded.message();
   }
+}
+
+// A memo key whose bindings name a term the snapshot does not have is
+// rejected with a Status: Resume would intern it as a Skolem row.
+TEST(SnapshotTest, MemoKeyWithAnUnknownTermIsRejectedWithAStatus) {
+  Workload w;
+  ChaseSnapshot snapshot = InterruptedSnapshot(w);
+  ASSERT_FALSE(snapshot.seen_applications.empty());
+  std::string& key = snapshot.seen_applications.back();
+  ASSERT_GT(key.size(), sizeof(size_t));
+  const TermId unknown = static_cast<TermId>(snapshot.terms.size());
+  std::memcpy(key.data() + sizeof(size_t), &unknown, sizeof(unknown));
+  Result<ChaseSnapshot> decoded = DecodeSnapshot(EncodeSnapshot(snapshot));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.message().find("names an unknown term"),
+            std::string::npos)
+      << decoded.message();
 }
 
 TEST(SnapshotTest, EveryTruncationIsRejectedWithoutCrashing) {
