@@ -67,20 +67,4 @@ bool FrontierMemo::InsertKey(std::string_view key) {
   return Insert(rule, bindings.data(), static_cast<uint32_t>(bindings.size()));
 }
 
-bool operator==(const FrontierMemo& a, const FrontierMemo& b) {
-  if (a.size() != b.size() || a.words_.size() != b.words_.size()) {
-    return false;
-  }
-  // Entries are unique within each memo, so equal sizes plus a ⊆ b is
-  // set equality.
-  bool equal = true;
-  a.ForEach([&](FrontierMemo::Entry e) {
-    if (!equal) return;
-    const std::span<const TermId> bindings = a.Bindings(e);
-    equal = b.Contains(a.Rule(e), bindings.data(),
-                       static_cast<uint32_t>(bindings.size()));
-  });
-  return equal;
-}
-
 }  // namespace frontiers

@@ -98,9 +98,6 @@ class FrontierMemo {
   static uint32_t KeyRule(std::string_view key);
   static std::vector<TermId> KeyBindings(std::string_view key);
 
-  /// Set equality: the same entries, in any insertion order.
-  friend bool operator==(const FrontierMemo& a, const FrontierMemo& b);
-
  private:
   bool Equals(Entry e, uint32_t rule, const TermId* bindings,
               uint32_t n) const;
