@@ -142,6 +142,16 @@ class Vocabulary {
     return skolem_blocks_[block].size;
   }
 
+  /// The `i`-th function of block `block`.
+  SkolemFnId SkolemBlockFn(uint32_t block, uint32_t i) const {
+    return skolem_block_fns_[skolem_blocks_[block].fns_offset + i];
+  }
+
+  /// Number of interned Skolem rows; row ids are `0 .. NumSkolemRows()-1`.
+  uint32_t NumSkolemRows() const {
+    return static_cast<uint32_t>(skolem_rows_.size());
+  }
+
   /// Interns (or finds) the row of Skolem nulls `f_i(args)` for every
   /// `f_i` of `block`, with one probe on the hit path, and returns its row
   /// id.  Row ids are dense, in interning order.

@@ -751,5 +751,112 @@ TEST(AppliedSetTest, CatalogAppliedKeysArePinned) {
   }
 }
 
+// FNV-1a over the term table: each term's kind, then its name, or its
+// function and arguments.
+uint64_t TermTableDigest(const Vocabulary& vocab) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  const auto mix = [&](uint32_t value) {
+    for (int i = 0; i < 4; ++i) {
+      hash ^= (value >> (8 * i)) & 0xffu;
+      hash *= 0x100000001b3ull;
+    }
+  };
+  for (TermId t = 0; t < vocab.NumTerms(); ++t) {
+    mix(static_cast<uint32_t>(vocab.Kind(t)));
+    if (vocab.IsSkolem(t)) {
+      mix(vocab.SkolemFn(t));
+      for (TermId a : vocab.SkolemArgs(t)) mix(a);
+    } else {
+      mix(static_cast<uint32_t>(vocab.TermName(t).size()));
+      for (char ch : vocab.TermName(t)) mix(static_cast<unsigned char>(ch));
+    }
+  }
+  return hash;
+}
+
+// Every interned Skolem row agrees with its terms: each null's arguments
+// are the row's, and `SkolemTerm` of the block's i-th function over them
+// finds the row's i-th null without interning anything.  Rows cover every
+// Skolem term, and the term table (count and digest) is pinned, over the
+// catalog workloads at one and four threads.
+TEST(SkolemRowTest, CatalogRowsAgreeWithTheirTerms) {
+  struct Case {
+    const char* name;
+    Theory (*theory)(Vocabulary&);
+    FactSet (*instance)(Vocabulary&);
+    uint32_t rounds;
+    uint32_t terms;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {"mother", MotherTheory,
+       [](Vocabulary& v) {
+         FactSet db;
+         db.Insert(Atom(v.AddPredicate("Human", 1), {v.Constant("Abel")}));
+         return db;
+       },
+       4, 6, 0x7d031e7c7b870047ull},
+      {"forward-path", ForwardPathTheory,
+       [](Vocabulary& v) { return EdgePath(v, "E", 6, "a"); },
+       4, 34, 0xa66776575c61d5faull},
+      {"exercise23", Exercise23Theory,
+       [](Vocabulary& v) { return EdgePath(v, "E", 6, "a"); },
+       3, 30, 0x7349e83b21638f98ull},
+      {"tc-cycle", TcTheory,
+       [](Vocabulary& v) { return EdgeCycle(v, "E", 4, "a"); },
+       3, 26, 0x20f87a6402f5780bull},
+      {"sticky39", StickyExample39Theory,
+       [](Vocabulary& v) { return Star39Instance(v, 3); },
+       3, 51, 0x2d258656c67b4833ull},
+      {"example66", Example66Theory,
+       [](Vocabulary& v) { return Example66Instance(v, 3); },
+       3, 10, 0xeee87d5e4c20d5deull},
+      {"td-grid", TdTheory,
+       [](Vocabulary& v) { return EdgePath(v, "G", 4, "a"); },
+       3, 131, 0x603338e4bd9e1da8ull},
+      {"tdk3-tower", [](Vocabulary& v) { return TdKTheory(v, 3); },
+       [](Vocabulary& v) {
+         return EdgePath(v, TdKPredicateName(1), 4, "a");
+       },
+       3, 292, 0x6427a352eb62a5a1ull},
+  };
+  for (const Case& c : cases) {
+    for (uint32_t threads : {1u, 4u}) {
+      Vocabulary vocab;
+      const Theory theory = c.theory(vocab);
+      const FactSet db = c.instance(vocab);
+      ChaseOptions options;
+      options.max_rounds = c.rounds;
+      options.max_atoms = 20'000;
+      options.threads = threads;
+      ChaseEngine(vocab, theory).Run(db, options);
+      const uint32_t terms = vocab.NumTerms();
+      uint32_t row_nulls = 0;
+      for (uint32_t r = 0; r < vocab.NumSkolemRows(); ++r) {
+        const uint32_t block = vocab.SkolemRowBlock(r);
+        const std::vector<TermId> args(vocab.SkolemRowArgs(r).begin(),
+                                       vocab.SkolemRowArgs(r).end());
+        for (uint32_t i = 0; i < vocab.SkolemBlockSize(block); ++i) {
+          const TermId null = vocab.SkolemRowTerms(r)[i];
+          EXPECT_TRUE(std::ranges::equal(vocab.SkolemArgs(null), args))
+              << c.name << " row " << r << " null " << i;
+          EXPECT_EQ(vocab.SkolemTerm(vocab.SkolemBlockFn(block, i), args),
+                    null)
+              << c.name << " row " << r << " null " << i;
+          ++row_nulls;
+        }
+      }
+      uint32_t skolem_terms = 0;
+      for (TermId t = 0; t < terms; ++t) skolem_terms += vocab.IsSkolem(t);
+      EXPECT_EQ(row_nulls, skolem_terms) << c.name;
+      EXPECT_EQ(vocab.NumTerms(), terms) << c.name << ": SkolemTerm interned";
+      EXPECT_EQ(terms, c.terms) << c.name << " threads=" << threads;
+      EXPECT_EQ(TermTableDigest(vocab), c.digest)
+          << c.name << " threads=" << threads << " digest 0x" << std::hex
+          << TermTableDigest(vocab);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace frontiers
