@@ -8,16 +8,29 @@ namespace frontiers {
 
 namespace {
 
-// Encodes a Skolem block key: the raw function-id tuple.  Block
-// registration is once-per-rule cold path, so a string key is fine here;
-// the per-row and per-term hot paths probe id-keyed tables instead.
-std::string SkolemBlockKey(const std::vector<SkolemFnId>& fns) {
-  std::string key;
-  key.reserve(4 * fns.size());
-  for (SkolemFnId f : fns) {
-    key.append(reinterpret_cast<const char*>(&f), sizeof(f));
+// A `Skolemize` signature `"<type>#e<i>"`, split into its type and i.
+struct SkolemSignature {
+  std::string_view type;
+  uint32_t index;
+};
+
+// Splits `signature` at its last "#e" if a canonical decimal index (as
+// `Skolemize` writes it) follows; nullopt for any other signature.
+std::optional<SkolemSignature> SplitSkolemSignature(
+    std::string_view signature) {
+  const size_t at = signature.rfind("#e");
+  if (at == std::string_view::npos) return std::nullopt;
+  const std::string_view digits = signature.substr(at + 2);
+  if (digits.empty() || digits.size() > 9 ||
+      (digits.size() > 1 && digits[0] == '0')) {
+    return std::nullopt;
   }
-  return key;
+  uint32_t index = 0;
+  for (char c : digits) {
+    if (c < '0' || c > '9') return std::nullopt;
+    index = index * 10 + static_cast<uint32_t>(c - '0');
+  }
+  return SkolemSignature{signature.substr(0, at), index};
 }
 
 }  // namespace
@@ -116,85 +129,98 @@ TermId Vocabulary::SkolemTerm(SkolemFnId fn, const std::vector<TermId>& args) {
       "Skolem term arity mismatch for function " + skolem_fns_[fn].signature +
           ": got " + std::to_string(args.size()) + " arguments, expected " +
           std::to_string(skolem_fns_[fn].arity));
-  return InternSkolem(fn, args);
-}
-
-TermId Vocabulary::InternSkolem(SkolemFnId fn, std::span<const TermId> args) {
-  uint64_t hash = HashIdSpan(fn, args.data(), args.size());
-  TermId next = static_cast<TermId>(terms_.size());
-  TermId id = skolem_term_index_.FindOrInsert(hash, next, [&](TermId t) {
-    const TermData& data = terms_[t];
-    return data.kind == TermKind::kSkolem && data.fn == fn &&
-           SkolemArgsEqual(t, args);
-  });
-  if (id != next) return id;
-  uint32_t depth = 0;
-  for (TermId a : args) depth = std::max(depth, terms_[a].depth);
-  TermData data;
-  data.kind = TermKind::kSkolem;
-  data.fn = fn;
-  data.index = static_cast<uint32_t>(skolem_args_.size());
-  data.depth = depth + 1;
-  // Growing the arena would invalidate a `SkolemArgs` span passed back in;
-  // `SkolemRow` copies such spans out before calling here.
-  FRONTIERS_CHECK(!AliasesSkolemArgs(args),
-                  "InternSkolem: args point into the Skolem argument arena");
-  skolem_args_.insert(skolem_args_.end(), args.begin(), args.end());
-  terms_.push_back(data);
-  return id;
+  const uint32_t block = skolem_fns_[fn].block;
+  const uint32_t row = SkolemRowIndex(block, args);
+  return skolem_rows_[row].first_term + (fn - skolem_blocks_[block].first_fn);
 }
 
 uint32_t Vocabulary::SkolemBlock(const std::vector<SkolemFnId>& fns) {
   FRONTIERS_CHECK(!fns.empty(), "Skolem block must have at least one fn");
-  uint32_t arity = skolem_fns_[fns[0]].arity;
+  const uint32_t block = skolem_fns_[fns[0]].block;
   for (SkolemFnId f : fns) {
-    FRONTIERS_CHECK(skolem_fns_[f].arity == arity,
-                    "Skolem block functions must share one arity");
+    FRONTIERS_CHECK(skolem_fns_[f].block == block,
+                    "Skolem function '" + skolem_fns_[f].signature +
+                        "' cannot join two blocks: it belongs to block " +
+                        std::to_string(skolem_fns_[f].block) +
+                        ", the tuple's first function to block " +
+                        std::to_string(block));
   }
-  std::string key = SkolemBlockKey(fns);
-  auto it = skolem_block_index_.find(key);
-  if (it != skolem_block_index_.end()) return it->second;
-  uint32_t id = static_cast<uint32_t>(skolem_blocks_.size());
-  skolem_blocks_.push_back({static_cast<uint32_t>(skolem_block_fns_.size()),
-                            static_cast<uint32_t>(fns.size()), arity});
-  skolem_block_fns_.insert(skolem_block_fns_.end(), fns.begin(), fns.end());
-  skolem_block_index_.emplace(std::move(key), id);
-  return id;
+  const SkolemBlockData& data = skolem_blocks_[block];
+  bool implied = fns.size() == data.size;
+  for (uint32_t i = 0; implied && i < fns.size(); ++i) {
+    implied = fns[i] == data.first_fn + i;
+  }
+  FRONTIERS_CHECK(implied,
+                  "Skolem block of '" + skolem_fns_[fns[0]].signature +
+                      "' differs from the block its signatures imply (" +
+                      std::to_string(fns.size()) + " functions registered, " +
+                      std::to_string(data.size) + " implied)");
+  return block;
 }
 
 uint32_t Vocabulary::SkolemRowIndex(uint32_t block,
                                     std::span<const TermId> args) {
-  const SkolemBlockData& data = skolem_blocks_[block];
+  SkolemBlockData& data = skolem_blocks_[block];
   FRONTIERS_CHECK(data.arity == args.size(),
                   "Skolem row arity mismatch for block");
-  // One probe keyed by (block, args).  Rows of the same block share the
-  // argument tuple across all their terms, so equality checks the block id
-  // and the first term's arguments.
+  // One probe keyed by (block, args): a row keeps its arguments' offset,
+  // so a compare reads `skolem_rows_` and then `skolem_args_`.
   uint64_t hash = HashIdSpan(block, args.data(), args.size());
   uint32_t next = static_cast<uint32_t>(skolem_rows_.size());
   uint32_t row = skolem_row_index_.FindOrInsert(hash, next, [&](uint32_t r) {
     const SkolemRowData& existing = skolem_rows_[r];
-    return existing.block == block &&
-           SkolemArgsEqual(skolem_row_terms_[existing.terms_offset], args);
+    if (existing.block != block) return false;
+    const TermId* own = skolem_args_.data() + existing.args_offset;
+    for (size_t i = 0; i < args.size(); ++i) {
+      if (own[i] != args[i]) return false;
+    }
+    return true;
   });
   if (row != next) return row;
-  // Miss: intern each null through the per-term hash-consing table, so the
-  // row agrees with any prior `SkolemTerm` calls (isomorphic heads in
-  // other rules may already have created some of these terms).
-  // Every `InternSkolem` below may grow `skolem_args_`, so a `SkolemArgs`
-  // span into it is copied out first.
+  // Miss: store the arguments once and append the row's nulls, one per
+  // function of the block, as consecutive terms.  Growing the arena would
+  // invalidate a `SkolemArgs` span passed back in, so copy one out first.
   std::vector<TermId> own_args;
   if (AliasesSkolemArgs(args)) {
     own_args.assign(args.begin(), args.end());
     args = own_args;
   }
-  uint32_t offset = static_cast<uint32_t>(skolem_row_terms_.size());
-  const SkolemFnId* fns = skolem_block_fns_.data() + data.fns_offset;
+  uint32_t depth = 0;
+  for (TermId a : args) depth = std::max(depth, terms_[a].depth);
+  const uint32_t args_offset = static_cast<uint32_t>(skolem_args_.size());
+  const TermId first_term = static_cast<TermId>(terms_.size());
+  skolem_args_.insert(skolem_args_.end(), args.begin(), args.end());
   for (uint32_t i = 0; i < data.size; ++i) {
-    skolem_row_terms_.push_back(InternSkolem(fns[i], args));
+    TermData term;
+    term.kind = TermKind::kSkolem;
+    term.index = args_offset;
+    term.fn = data.first_fn + i;
+    term.depth = depth + 1;
+    terms_.push_back(term);
   }
-  skolem_rows_.push_back({block, offset});
+  skolem_rows_.push_back({block, args_offset, first_term});
+  data.has_rows = true;
   return next;
+}
+
+bool Vocabulary::ExtendsLastSkolemBlock(std::string_view signature,
+                                        uint32_t arity) const {
+  const std::optional<SkolemSignature> sig = SplitSkolemSignature(signature);
+  if (!sig.has_value() || sig->index == 0 || skolem_blocks_.empty()) {
+    return false;
+  }
+  const SkolemBlockData& last = skolem_blocks_.back();
+  const std::optional<SkolemSignature> first =
+      SplitSkolemSignature(skolem_fns_[last.first_fn].signature);
+  return last.arity == arity && last.size == sig->index &&
+         first.has_value() && first->index == 0 && first->type == sig->type;
+}
+
+bool Vocabulary::SkolemFunctionJoinsUsedBlock(std::string_view signature,
+                                              uint32_t arity) const {
+  return skolem_fn_index_.find(signature) == skolem_fn_index_.end() &&
+         ExtendsLastSkolemBlock(signature, arity) &&
+         skolem_blocks_.back().has_rows;
 }
 
 SkolemFnId Vocabulary::SkolemFunction(std::string_view signature,
@@ -209,7 +235,18 @@ SkolemFnId Vocabulary::SkolemFunction(std::string_view signature,
     return it->second;
   }
   SkolemFnId id = static_cast<SkolemFnId>(skolem_fns_.size());
-  skolem_fns_.push_back({std::string(signature), arity});
+  if (ExtendsLastSkolemBlock(signature, arity)) {
+    // A block's rows hold one null per function, so it cannot grow once
+    // it has rows.
+    FRONTIERS_CHECK(!skolem_blocks_.back().has_rows,
+                    "Skolem function '" + std::string(signature) +
+                        "' would join a block that already has rows");
+    ++skolem_blocks_.back().size;
+  } else {
+    skolem_blocks_.push_back({id, 1, arity});
+  }
+  skolem_fns_.push_back({std::string(signature), arity,
+                         static_cast<uint32_t>(skolem_blocks_.size() - 1)});
   skolem_fn_index_.emplace(std::string(signature), id);
   return id;
 }
@@ -247,30 +284,25 @@ void Vocabulary::AccountHeap(MemTotals& totals, MemAccounting mode) const {
                       sizeof(std::pair<const std::string, TermId>));
   totals.Add(MemComponent::kVocabTerms, terms);
 
+  // Every Skolem term belongs to exactly one row, and a snapshot replay
+  // interns the same blocks and rows in the same order from the function
+  // table and the term list, so content mode counts the functions, the
+  // blocks, each row's one copy of its arguments and the row records.  The
+  // row index's slots are one per row too, a probe structure over the same
+  // rows; content mode counts each row once, so only capacity mode adds
+  // the index.
   uint64_t skolem =
-      VectorHeapBytes(skolem_args_, mode) +
-      skolem_term_index_.HeapBytes(mode) +
       VectorHeapBytes(skolem_fns_, mode) +
       strings(skolem_fns_, [](const SkolemFnData& f) -> const std::string& {
         return f.signature;
       }) +
       string_map(skolem_fn_index_,
-                 sizeof(std::pair<const std::string, SkolemFnId>));
+                 sizeof(std::pair<const std::string, SkolemFnId>)) +
+      VectorHeapBytes(skolem_blocks_, mode) +
+      VectorHeapBytes(skolem_args_, mode) +
+      VectorHeapBytes(skolem_rows_, mode);
   if (mode == MemAccounting::kCapacity) {
-    // The block/row tables are derived caches: they memoize (block, args)
-    // probes and are rebuilt lazily after a process restart, so a resumed
-    // vocabulary holds a different row population than the original's even
-    // though the logical term state is identical.  Content mode — defined
-    // as a pure function of logical state — therefore excludes them; they
-    // are real bytes, so capacity mode (the stream / RSS-coverage figure)
-    // keeps them.
-    skolem += VectorHeapBytes(skolem_blocks_, mode) +
-              VectorHeapBytes(skolem_block_fns_, mode) +
-              string_map(skolem_block_index_,
-                         sizeof(std::pair<const std::string, uint32_t>)) +
-              VectorHeapBytes(skolem_rows_, mode) +
-              VectorHeapBytes(skolem_row_terms_, mode) +
-              skolem_row_index_.HeapBytes(mode);
+    skolem += skolem_row_index_.HeapBytes(mode);
   }
   totals.Add(MemComponent::kVocabSkolem, skolem);
 }

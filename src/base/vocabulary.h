@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <ranges>
 #include <span>
 #include <string>
 #include <string_view>
@@ -41,13 +42,17 @@ enum class TermKind : uint8_t {
 /// interact with each other.  Two design points matter for faithfulness to
 /// the paper:
 ///
-///  1. **Skolem terms are hash-consed.**  `SkolemTerm(f, args)` returns the
-///     *same* `TermId` for the same function symbol and arguments, so chases
-///     of different instances over the same vocabulary produce literally
-///     identical atoms where the paper's Skolem naming convention says they
-///     must (Observation 8: `Ch(T,F) = Ch(T,D)` literally, not up to
-///     isomorphism).  This is what makes "unions of chases" (Definition 30,
-///     locality) a meaningful set operation.
+///  1. **Skolem terms are hash-consed, a row at a time.**  Every Skolem
+///     function belongs to exactly one *block* (see "Skolem blocks"), and
+///     the block's nulls over one argument tuple are interned together as
+///     a *row*: one hash-consing table keyed by `(block, args)`.
+///     `SkolemTerm(f, args)` therefore returns the *same* `TermId` for the
+///     same function symbol and arguments, so chases of different instances
+///     over the same vocabulary produce literally identical atoms where the
+///     paper's Skolem naming convention says they must (Observation 8:
+///     `Ch(T,F) = Ch(T,D)` literally, not up to isomorphism).  This is what
+///     makes "unions of chases" (Definition 30, locality) a meaningful set
+///     operation.
 ///
 ///  2. **Skolem function symbols are keyed by isomorphism type.**  Section 3
 ///     (Definition 3/4) requires `f_i^tau` to depend only on the isomorphism
@@ -113,29 +118,52 @@ class Vocabulary {
   /// variable (of the form `prefix#k`).
   TermId FreshVariable(std::string_view prefix);
 
-  /// Interns (hash-consing) the Skolem term `fn(args...)`.
+  /// Interns (hash-consing) the Skolem term `fn(args...)`: the `fn`
+  /// null of the row of `fn`'s block over `args`, interning the whole row
+  /// if it is new.
   TermId SkolemTerm(SkolemFnId fn, const std::vector<TermId>& args);
 
   /// Interns a Skolem function symbol under a canonical `signature` string.
   /// Callers (the `tgd` module) are responsible for making `signature`
   /// canonical for the head isomorphism type + position, per Definition 4.
+  /// A new function joins or starts a Skolem block (see below); joining a
+  /// block that already has rows aborts.
   SkolemFnId SkolemFunction(std::string_view signature, uint32_t arity);
+
+  /// True if interning the new function `signature` would add it to a
+  /// Skolem block that already has rows, which `SkolemFunction` refuses.
+  /// Lets a snapshot replay reject such a function table with a Status.
+  bool SkolemFunctionJoinsUsedBlock(std::string_view signature,
+                                    uint32_t arity) const;
 
   // --- Skolem blocks --------------------------------------------------------
   //
   // A rule head with k > 0 existentials owns the Skolem function tuple
-  // (f_1, ..., f_k), all applied to the same frontier argument tuple.  The
-  // chase's commit phase registers that tuple once as a *block* and then
-  // interns each application's k nulls as one row — a single hash probe per
-  // application instead of one string-keyed lookup per null.  Rows are
-  // hash-consed against the per-term table too, so `SkolemTerm(f_i, args)`
-  // and `SkolemRow(block, args)[i]` always agree (Observation 8 still
-  // holds across blocks and rules sharing isomorphic heads).
+  // (f_1, ..., f_k), all applied to the same frontier argument tuple.
+  // `Skolemize` names f_i `"<type>#e<i-1>"` after the head's isomorphism
+  // type (Definition 4) and interns the k functions one after another, so
+  // the function table alone fixes each function's *block*: a function
+  // `"<type>#e<i>"` with i > 0 joins the block of the function interned
+  // just before it if that block is `"<type>#e0"`, ..., `"<type>#e<i-1>"`
+  // of the same arity, and every other function starts a block of its own.
+  // A block's functions therefore have consecutive ids, and every rule with
+  // that head type uses the same block.
+  //
+  // Each application's k nulls are interned as one *row* `(block, args)`,
+  // with one hash probe, and get k consecutive TermIds.  The row table is
+  // the only Skolem hash-consing table: `SkolemTerm(f_i, args)` goes
+  // through the row of f_i's block, so it and `SkolemRowTerms(row)[i]`
+  // always agree (Observation 8 still holds across rules sharing
+  // isomorphic heads).  The row's arguments are stored once, and each of
+  // its nulls' `SkolemArgs` reads that copy.
 
-  /// Registers the Skolem function tuple `fns` (all arities must match) as
-  /// a block; tuples with identical contents share a block id.  `fns` must
-  /// be non-empty.
+  /// The block of the Skolem function tuple `fns` — the block its first
+  /// function belongs to.  Aborts unless `fns` is exactly that block's
+  /// functions in order: no function joins a second block.
   uint32_t SkolemBlock(const std::vector<SkolemFnId>& fns);
+
+  /// The block Skolem function `f` belongs to.
+  uint32_t SkolemFnBlock(SkolemFnId f) const { return skolem_fns_[f].block; }
 
   /// Number of functions in a block.
   uint32_t SkolemBlockSize(uint32_t block) const {
@@ -144,7 +172,7 @@ class Vocabulary {
 
   /// The `i`-th function of block `block`.
   SkolemFnId SkolemBlockFn(uint32_t block, uint32_t i) const {
-    return skolem_block_fns_[skolem_blocks_[block].fns_offset + i];
+    return skolem_blocks_[block].first_fn + i;
   }
 
   /// Number of interned Skolem rows; row ids are `0 .. NumSkolemRows()-1`.
@@ -153,18 +181,22 @@ class Vocabulary {
   }
 
   /// Interns (or finds) the row of Skolem nulls `f_i(args)` for every
-  /// `f_i` of `block`, with one probe on the hit path, and returns its row
-  /// id.  Row ids are dense, in interning order.
+  /// `f_i` of `block`, with one probe, and returns its row id.  A new row
+  /// is one hash insert and `SkolemBlockSize(block)` term appends.  Row ids
+  /// are dense, in interning order.
   uint32_t SkolemRowIndex(uint32_t block, std::span<const TermId> args);
 
-  /// The `SkolemBlockSize` nulls of row `row`, valid until the next
-  /// mutating call on this vocabulary — copy out what you need.
-  const TermId* SkolemRowTerms(uint32_t row) const {
-    return skolem_row_terms_.data() + skolem_rows_[row].terms_offset;
+  /// The `SkolemBlockSize` nulls of row `row`: consecutive TermIds, the
+  /// i-th named by the block's i-th function.
+  std::ranges::iota_view<TermId, TermId> SkolemRowTerms(uint32_t row) const {
+    const SkolemRowData& data = skolem_rows_[row];
+    return std::views::iota(data.first_term,
+                            data.first_term + skolem_blocks_[data.block].size);
   }
 
   /// `SkolemRowTerms(SkolemRowIndex(block, args))`.
-  const TermId* SkolemRow(uint32_t block, std::span<const TermId> args) {
+  std::ranges::iota_view<TermId, TermId> SkolemRow(
+      uint32_t block, std::span<const TermId> args) {
     return SkolemRowTerms(SkolemRowIndex(block, args));
   }
 
@@ -176,7 +208,9 @@ class Vocabulary {
   /// The arguments of row `row`, shared by all its nulls (a `SkolemArgs`
   /// span).
   std::span<const TermId> SkolemRowArgs(uint32_t row) const {
-    return SkolemArgs(SkolemRowTerms(row)[0]);
+    const SkolemRowData& data = skolem_rows_[row];
+    return {skolem_args_.data() + data.args_offset,
+            skolem_blocks_[data.block].arity};
   }
 
   /// Kind of a term.
@@ -243,17 +277,19 @@ class Vocabulary {
 
   /// Adds the vocabulary's heap footprint into `totals`: the term table,
   /// names and name indexes under kVocabTerms, and everything the chase's
-  /// Skolem interning grows — the argument arena, hash-consing tables,
-  /// blocks, rows — under kVocabSkolem.  O(predicates + named terms +
-  /// skolem fns/blocks), i.e. independent of the number of Skolem terms
-  /// (all their arguments live in one arena vector).
+  /// Skolem interning grows — functions, blocks, the argument arena (one
+  /// copy per row), the rows and their hash-consing table — under
+  /// kVocabSkolem.  O(predicates + named terms + skolem fns), i.e.
+  /// independent of the number of Skolem terms (they live in flat
+  /// vectors).
   void AccountHeap(MemTotals& totals, MemAccounting mode) const;
 
  private:
   struct TermData {
     TermKind kind;
     // Constants/variables: index into names_.  Skolem terms: offset of the
-    // arguments in skolem_args_ (their count is the function's arity).
+    // arguments in skolem_args_ (their count is the function's arity),
+    // shared by every null of the term's row.
     uint32_t index = 0;
     SkolemFnId fn = 0;  // for Skolem terms
     uint32_t depth = 0;
@@ -265,19 +301,24 @@ class Vocabulary {
   struct SkolemFnData {
     std::string signature;
     uint32_t arity;
+    uint32_t block;
   };
   struct SkolemBlockData {
-    uint32_t fns_offset;  // into skolem_block_fns_
+    SkolemFnId first_fn;  // the block's fns are first_fn .. first_fn+size-1
     uint32_t size;
     uint32_t arity;  // shared arity of every fn in the block
+    bool has_rows = false;
   };
   struct SkolemRowData {
     uint32_t block;
-    uint32_t terms_offset;  // into skolem_row_terms_
+    uint32_t args_offset;  // into skolem_args_
+    TermId first_term;     // the row's nulls are first_term .. +size-1
   };
 
-  /// Interns `fn(args...)`; `SkolemTerm` and `SkolemRow` share it.
-  TermId InternSkolem(SkolemFnId fn, std::span<const TermId> args);
+  /// True if a new function `signature` of `arity` joins the last block
+  /// (see "Skolem blocks") instead of starting one.
+  bool ExtendsLastSkolemBlock(std::string_view signature,
+                              uint32_t arity) const;
 
   /// True iff `args` points into `skolem_args_` (e.g. a `SkolemArgs` span),
   /// so appending to the arena could invalidate it.
@@ -286,14 +327,6 @@ class Vocabulary {
     const TermId* begin = skolem_args_.data();
     return !args.empty() && !before(args.data(), begin) &&
            before(args.data(), begin + skolem_args_.size());
-  }
-  /// True if the arguments of Skolem term `t` are `args`.
-  bool SkolemArgsEqual(TermId t, std::span<const TermId> args) const {
-    const TermId* own = skolem_args_.data() + terms_[t].index;
-    for (size_t i = 0; i < args.size(); ++i) {
-      if (own[i] != args[i]) return false;
-    }
-    return true;
   }
 
   /// Hashes `std::string` keys and `std::string_view` probes alike, so a
@@ -314,23 +347,20 @@ class Vocabulary {
 
   std::vector<TermData> terms_;
   std::vector<std::string> names_;
-  // Arguments of every Skolem term, back to back in interning order.
+  // Arguments of every Skolem row, back to back in interning order.
   std::vector<TermId> skolem_args_;
   NameIndex<TermId> constant_index_;
   NameIndex<TermId> variable_index_;
 
   std::vector<SkolemFnData> skolem_fns_;
   NameIndex<SkolemFnId> skolem_fn_index_;
-  // Hash-consing table for Skolem terms: an id-keyed open-addressing set
-  // probing (fn, args) directly against `terms_` — no key copies.
-  IdHashSet skolem_term_index_;
 
   // Skolem blocks (rule-head existential tuples) and their interned rows.
+  // The row index is the Skolem hash-consing table: an id-keyed
+  // open-addressing set probing (block, args) directly against
+  // `skolem_rows_` and `skolem_args_` — no key copies.
   std::vector<SkolemBlockData> skolem_blocks_;
-  std::vector<SkolemFnId> skolem_block_fns_;
-  std::unordered_map<std::string, uint32_t> skolem_block_index_;
   std::vector<SkolemRowData> skolem_rows_;
-  std::vector<TermId> skolem_row_terms_;
   IdHashSet skolem_row_index_;
 
   uint64_t fresh_counter_ = 0;

@@ -437,17 +437,18 @@ ChaseEngine::ChaseEngine(Vocabulary& vocab, const Theory& theory)
   }
 }
 
-const TermId* ChaseEngine::SkolemNulls(size_t rule_index,
-                                       const TermId* bindings) const {
+TermId ChaseEngine::FirstSkolemNull(size_t rule_index,
+                                const TermId* bindings) const {
   const CommitLayout& layout = commit_layouts_[rule_index];
-  if (layout.skolem_block == kNoSkolemBlock) return nullptr;
+  if (layout.skolem_block == kNoSkolemBlock) return kNoTerm;
   // One probe interns (or finds) every null of this application.
-  return vocab_.SkolemRow(layout.skolem_block,
-                          {bindings, layout.commit_vars.size()});
+  return vocab_
+      .SkolemRow(layout.skolem_block, {bindings, layout.commit_vars.size()})
+      .front();
 }
 
 void ChaseEngine::ExpandHead(size_t rule_index, const TermId* bindings,
-                             const TermId* nulls, RowBlock* out) const {
+                             TermId first_null, RowBlock* out) const {
   const CommitLayout& layout = commit_layouts_[rule_index];
   for (const HeadAtomLayout& atom_layout : layout.head) {
     const size_t arity = atom_layout.slots.size();
@@ -464,7 +465,7 @@ void ChaseEngine::ExpandHead(size_t rule_index, const TermId* bindings,
           row[pos] = slot.index;
           break;
         case HeadSlot::kExistential:
-          row[pos] = nulls[slot.index];
+          row[pos] = first_null + slot.index;
           break;
       }
     }
@@ -1535,7 +1536,7 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitRestricted(
     ++record.committed;
     app_rows.Clear();
     engine_.ExpandHead(app.rule_index, bindings,
-                       engine_.SkolemNulls(app.rule_index, bindings),
+                       engine_.FirstSkolemNull(app.rule_index, bindings),
                        &app_rows);
     for (size_t a = 0; a < app_rows.rows(); ++a) {
       const TermId* terms = app_rows.Terms(a);
@@ -1583,7 +1584,7 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitSemiOblivious(
     const StagedApplications::App& app = staged.apps[s];
     const CommitLayout& layout = engine_.commit_layouts_[app.rule_index];
     const TermId* bindings = staged.bindings.data() + app.bindings;
-    const TermId* nulls = nullptr;
+    TermId first_null = kNoTerm;
     if (dedup && layout.row_memo) {
       // The Skolem row is the trigger memo: one probe finds or interns
       // the nulls and names the application.
@@ -1593,7 +1594,7 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitSemiOblivious(
         ++record.deduped;
         continue;
       }
-      nulls = vocab.SkolemRowTerms(row);
+      first_null = vocab.SkolemRowTerms(row).front();
     } else {
       if (dedup && !result.seen_applications.Insert(
                        app.rule_index, bindings,
@@ -1601,12 +1602,10 @@ std::optional<ChaseStop> ChaseEngine::RoundLoop::CommitSemiOblivious(
         ++record.deduped;
         continue;
       }
-      nulls = engine_.SkolemNulls(app.rule_index, bindings);
+      first_null = engine_.FirstSkolemNull(app.rule_index, bindings);
     }
     surviving_.push_back(s);
-    // `nulls` stays valid through the row appends: nothing mutates the
-    // vocabulary until the next application's probe.
-    engine_.ExpandHead(app.rule_index, bindings, nulls, &pending_);
+    engine_.ExpandHead(app.rule_index, bindings, first_null, &pending_);
   }
   record.commit_expand_seconds = Seconds(Clock::now() - expand_start);
 

@@ -440,7 +440,7 @@ class ChaseEngine {
     enum Kind : uint8_t {
       kBinding,      // value = bindings[index]
       kRigid,        // value = the TermId `index` itself (constants)
-      kExistential,  // value = skolem row term `index`
+      kExistential,  // value = skolem row null `index` (first null + index)
     };
     Kind kind;
     uint32_t index;
@@ -472,15 +472,15 @@ class ChaseEngine {
   };
   static constexpr uint32_t kNoSkolemBlock = UINT32_MAX;
 
-  /// The Skolem nulls of `rule_index` under `bindings` (values of the
-  /// rule's `commit_vars`), interned as one block row; nullptr for a
-  /// Datalog rule.  Valid until the vocabulary next mutates.
-  const TermId* SkolemNulls(size_t rule_index, const TermId* bindings) const;
+  /// The first Skolem null of `rule_index` under `bindings` (values of
+  /// the rule's `commit_vars`), interned as one block row whose nulls are
+  /// consecutive TermIds; kNoTerm for a Datalog rule.
+  TermId FirstSkolemNull(size_t rule_index, const TermId* bindings) const;
 
   /// Appends the instantiated head rows of `rule_index` under `bindings`
-  /// and the application's Skolem `nulls` to `out`.
+  /// and the application's Skolem nulls (from `first_null` on) to `out`.
   void ExpandHead(size_t rule_index, const TermId* bindings,
-                  const TermId* nulls, RowBlock* out) const;
+                  TermId first_null, RowBlock* out) const;
 
   Vocabulary& vocab_;
   Theory theory_;

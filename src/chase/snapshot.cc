@@ -577,6 +577,41 @@ Result<ChaseSnapshot> DecodeSnapshot(std::string_view bytes) {
   return snap;
 }
 
+namespace {
+
+// The vocabulary interns Skolem terms a row at a time, so a term list
+// replays only as whole rows: the new Skolem term `first` must open a row
+// of its function's block, followed by the rest of the block's functions
+// in order, over identical arguments.
+Status CheckWholeSkolemRow(const ChaseSnapshot& snapshot, uint32_t first,
+                           const Vocabulary& vocab) {
+  const ChaseSnapshot::TermEntry& entry = snapshot.terms[first];
+  const uint32_t block = vocab.SkolemFnBlock(entry.fn);
+  const uint32_t size = vocab.SkolemBlockSize(block);
+  const auto broken = [&](const std::string& why) {
+    return Status::Error("snapshot skolem term " + std::to_string(first) +
+                         " does not start a whole row of its block (" +
+                         std::to_string(size) + " nulls): " + why);
+  };
+  if (entry.fn != vocab.SkolemBlockFn(block, 0)) {
+    return broken("its function is not the block's first");
+  }
+  if (snapshot.terms.size() - first < size) {
+    return broken("the term list ends inside the row");
+  }
+  for (uint32_t j = 1; j < size; ++j) {
+    const ChaseSnapshot::TermEntry& next = snapshot.terms[first + j];
+    if (next.kind != TermKind::kSkolem ||
+        next.fn != vocab.SkolemBlockFn(block, j) || next.args != entry.args) {
+      return broken("term " + std::to_string(first + j) +
+                    " is not the row's null " + std::to_string(j));
+    }
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 Status ApplySnapshotVocabulary(const ChaseSnapshot& snapshot,
                                Vocabulary& vocab) {
   for (uint32_t i = 0; i < snapshot.predicates.size(); ++i) {
@@ -632,6 +667,11 @@ Status ApplySnapshotVocabulary(const ChaseSnapshot& snapshot,
           std::to_string(i) + " is occupied, snapshot expects '" +
           entry.signature + "'");
     }
+    if (vocab.SkolemFunctionJoinsUsedBlock(entry.signature, entry.arity)) {
+      return Status::Error("vocabulary diverges from snapshot: skolem "
+                           "function '" + entry.signature +
+                           "' would join a block that already has rows");
+    }
     vocab.SkolemFunction(entry.signature, entry.arity);
   }
 
@@ -674,7 +714,10 @@ Status ApplySnapshotVocabulary(const ChaseSnapshot& snapshot,
           return Status::Error("snapshot term " + std::to_string(i) +
                                " has wrong skolem arity");
         }
-        id = vocab.SkolemTerm(entry.fn, entry.args);
+        const Status row = CheckWholeSkolemRow(snapshot, i, vocab);
+        if (!row.ok()) return row;
+        id = vocab.SkolemRow(vocab.SkolemFnBlock(entry.fn), entry.args)
+                 .front();
         break;
       }
     }

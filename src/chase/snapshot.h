@@ -123,7 +123,9 @@ Result<ChaseSnapshot> DecodeSnapshot(std::string_view bytes);
 /// path) and on one already holding a prefix-compatible population (the
 /// same-process path, where it just verifies).  Returns an error if `vocab`
 /// has diverged — a name at the wrong id, an arity conflict — without
-/// mutating further.
+/// mutating further.  Skolem terms replay a row at a time, so a term list
+/// that does not come as whole rows (each row the block's functions in
+/// order, over identical arguments, on consecutive ids) is rejected too.
 Status ApplySnapshotVocabulary(const ChaseSnapshot& snapshot,
                                Vocabulary& vocab);
 

@@ -145,8 +145,8 @@ TEST(VocabularyTest, SkolemTermsAreHashConsed) {
 TEST(VocabularyTest, SkolemRowAcceptsSkolemArgsSpan) {
   Vocabulary vocab;
   SkolemFnId g = vocab.SkolemFunction("g", 2);
-  SkolemFnId f1 = vocab.SkolemFunction("f1", 2);
-  SkolemFnId f2 = vocab.SkolemFunction("f2", 2);
+  SkolemFnId f1 = vocab.SkolemFunction("R(u0,u1,e0,e1)#e0", 2);
+  SkolemFnId f2 = vocab.SkolemFunction("R(u0,u1,e0,e1)#e1", 2);
   uint32_t block = vocab.SkolemBlock({f1, f2});
   std::vector<TermId> constants;
   for (int i = 0; i < 40; ++i) {
@@ -156,7 +156,7 @@ TEST(VocabularyTest, SkolemRowAcceptsSkolemArgsSpan) {
     const TermId x = constants[i];
     const TermId y = constants[i + 1];
     const TermId t = vocab.SkolemTerm(g, {x, y});
-    const TermId* row = vocab.SkolemRow(block, vocab.SkolemArgs(t));
+    const auto row = vocab.SkolemRow(block, vocab.SkolemArgs(t));
     const TermId r0 = row[0];
     const TermId r1 = row[1];
     for (TermId r : {r0, r1}) {
@@ -169,13 +169,63 @@ TEST(VocabularyTest, SkolemRowAcceptsSkolemArgsSpan) {
     EXPECT_EQ(vocab.SkolemTerm(f2, {x, y}), r1);
     // Interning the row again is idempotent: the same nulls, no new term.
     const size_t terms_before = vocab.NumTerms();
-    const TermId* again = vocab.SkolemRow(block, vocab.SkolemArgs(t));
+    const auto again = vocab.SkolemRow(block, vocab.SkolemArgs(t));
     EXPECT_EQ(again[0], r0);
     EXPECT_EQ(again[1], r1);
     EXPECT_EQ(vocab.NumTerms(), terms_before);
     // A hit through an aliasing span returns the same row.
     EXPECT_EQ(vocab.SkolemRow(block, vocab.SkolemArgs(r1))[0], r0);
   }
+}
+
+// A function's block follows from the function table alone: `Skolemize`'s
+// "<type>#e<i>" signatures of one type, interned in order, share a block;
+// any other signature starts its own.
+TEST(VocabularyTest, SkolemBlocksFollowSignatures) {
+  Vocabulary vocab;
+  const SkolemFnId e0 = vocab.SkolemFunction("R(u0,e0,e1)#e0", 1);
+  const SkolemFnId e1 = vocab.SkolemFunction("R(u0,e0,e1)#e1", 1);
+  const SkolemFnId plain = vocab.SkolemFunction("plain", 1);
+  const SkolemFnId late = vocab.SkolemFunction("R(u0,e0,e1)#e2", 1);
+  const SkolemFnId orphan = vocab.SkolemFunction("S(e0,e1)#e1", 0);
+  const SkolemFnId wide0 = vocab.SkolemFunction("T(u0,e0,e1)#e0", 1);
+  const SkolemFnId wide1 = vocab.SkolemFunction("T(u0,e0,e1)#e1", 2);
+  const uint32_t block = vocab.SkolemBlock({e0, e1});
+  EXPECT_EQ(vocab.SkolemBlockSize(block), 2u);
+  EXPECT_EQ(vocab.SkolemBlockFn(block, 1), e1);
+  for (SkolemFnId f : {plain, late, orphan, wide0, wide1}) {
+    EXPECT_EQ(vocab.SkolemBlockSize(vocab.SkolemFnBlock(f)), 1u)
+        << vocab.SkolemFnSignature(f);
+  }
+  EXPECT_NE(vocab.SkolemFnBlock(plain), vocab.SkolemFnBlock(late));
+  // The block's second null interns the whole row, on consecutive ids.
+  const TermId a = vocab.Constant("a");
+  const uint32_t terms_before = vocab.NumTerms();
+  const TermId second = vocab.SkolemTerm(e1, {a});
+  EXPECT_EQ(vocab.NumTerms(), terms_before + 2);
+  EXPECT_EQ(second, terms_before + 1);
+  EXPECT_EQ(vocab.SkolemTerm(e0, {a}), terms_before);
+  EXPECT_EQ(vocab.NumSkolemRows(), 1u);
+  EXPECT_EQ(vocab.SkolemRowBlock(0), block);
+}
+
+TEST(VocabularyDeathTest, SkolemBlockChecksTheBlockItsSignaturesImply) {
+  Vocabulary vocab;
+  const SkolemFnId r0 = vocab.SkolemFunction("R(u0,e0,e1)#e0", 1);
+  const SkolemFnId r1 = vocab.SkolemFunction("R(u0,e0,e1)#e1", 1);
+  const SkolemFnId s0 = vocab.SkolemFunction("S(u0,e0)#e0", 1);
+  // No function joins two blocks.
+  EXPECT_DEATH(vocab.SkolemBlock({r0, r1, s0}), "cannot join two blocks");
+  // A registered block is the whole implied block, in order.
+  EXPECT_DEATH(vocab.SkolemBlock({r0}), "differs from the block its "
+                                        "signatures imply");
+  EXPECT_DEATH(vocab.SkolemBlock({r1, r0}), "differs from the block its "
+                                            "signatures imply");
+  // A block with rows cannot grow.
+  vocab.SkolemTerm(s0, {vocab.Constant("a")});
+  EXPECT_TRUE(vocab.SkolemFunctionJoinsUsedBlock("S(u0,e0)#e1", 1));
+  EXPECT_DEATH(vocab.SkolemFunction("S(u0,e0)#e1", 1),
+               "would join a block that already has rows");
 }
 
 TEST(VocabularyTest, SkolemFunctionInterningBySignature) {

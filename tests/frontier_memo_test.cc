@@ -156,8 +156,8 @@ TEST(AppliedRowsTest, MarksKeysAndContentBytesFollowTheAppliedSet) {
     uint32_t block = 0;
     explicit Rows(bool reversed) {
       for (int c = 0; c <= 40; ++c) vocab.Constant("c" + std::to_string(c));
-      const SkolemFnId f = vocab.SkolemFunction("f", 2);
-      const SkolemFnId g = vocab.SkolemFunction("g", 2);
+      const SkolemFnId f = vocab.SkolemFunction("R(u0,u1,e0,e1)#e0", 2);
+      const SkolemFnId g = vocab.SkolemFunction("R(u0,u1,e0,e1)#e1", 2);
       block = vocab.SkolemBlock({f, g});
       // Rows interned before any run: a later run still sees them unmarked.
       for (TermId a = 0; a < 40; ++a) {

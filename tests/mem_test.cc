@@ -579,13 +579,16 @@ TEST(MemRegression, RepeatedChaseReusesTheFreedHeap) {
 #endif
 }
 
-// Regression for the Skolem-cache under-count: the vocabulary's block/row
-// caches are interned during a run but never replayed by a fresh-process
-// resume, so counting them in content mode broke the resume-equivalence
-// assert (snapshot approx_bytes 5168 vs reconstructed 5140 — exactly one
-// arity-1 Skolem row).  Content mode must therefore exclude them:
-// capacity > content on kVocabSkolem for any run that interned rows, and
-// content still covers the replayable part (> 0 with Skolem terms live).
+// The Skolem ledger's two modes.  Every Skolem term belongs to exactly one
+// row and a snapshot replay interns whole rows, so a fresh-process resume
+// rebuilds the blocks and rows exactly: content mode counts each row's one
+// copy of its arguments and its row record.  The row index holds one slot
+// per row, a probe structure over the same rows, so only capacity mode
+// counts it (content mode counts each row once).  Capacity > content on
+// kVocabSkolem for any run that interned rows, and content covers the
+// replayable part (> 0 with Skolem terms live).  Regression: rows that a
+// resume did not replay once broke the resume-equivalence assert
+// (snapshot approx_bytes 5168 vs reconstructed 5140, one arity-1 row).
 TEST(MemRegression, SkolemRowCachesAreCapacityOnly) {
   ResumeWorkload w;
   ChaseEngine engine(w.vocab, w.theory);
@@ -598,8 +601,8 @@ TEST(MemRegression, SkolemRowCachesAreCapacityOnly) {
   EXPECT_GT(content.Get(MemComponent::kVocabSkolem), 0u);
   EXPECT_GT(capacity.Get(MemComponent::kVocabSkolem),
             content.Get(MemComponent::kVocabSkolem))
-      << "the interned block/row caches must be visible to capacity mode "
-         "and invisible to content mode";
+      << "the row index must be visible to capacity mode and invisible to "
+         "content mode";
 }
 
 // The E18 satellite: an interrupted, serialized, fresh-process-resumed

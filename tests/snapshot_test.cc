@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/fact_set.h"
@@ -263,6 +264,68 @@ TEST(SnapshotTest, VocabularyReplayRejectsDivergentPopulation) {
   Vocabulary bad_predicate;
   bad_predicate.AddPredicate("WrongName", 1);
   EXPECT_FALSE(ApplySnapshotVocabulary(snapshot, bad_predicate).ok());
+}
+
+// An interrupted T_c run: its `start` rule's two nulls form one Skolem
+// row.  Returns the snapshot and the id of the first null of such a row.
+ChaseSnapshot TwoNullRowSnapshot(uint32_t* row_start) {
+  Vocabulary vocab;
+  const Theory theory = TcTheory(vocab);
+  const FactSet db = EdgePath(vocab, "E", 4, "a");
+  const ChaseOptions options = Workload::Options(2);
+  const ChaseResult result = ChaseEngine(vocab, theory).Run(db, options);
+  Result<ChaseSnapshot> snapshot =
+      MakeSnapshot(vocab, theory, result, options);
+  EXPECT_TRUE(snapshot.ok()) << snapshot.message();
+  *row_start = 0;
+  for (uint32_t t = 0; t < vocab.NumTerms(); ++t) {
+    if (vocab.IsSkolem(t) &&
+        vocab.SkolemBlockSize(vocab.SkolemFnBlock(vocab.SkolemFn(t))) == 2) {
+      *row_start = t;
+      break;
+    }
+  }
+  EXPECT_GT(*row_start, 0u);
+  return snapshot.value();
+}
+
+// A replay interns Skolem terms a row at a time, so a term list whose row
+// is split (another term between its nulls, or the list ending inside it)
+// is rejected with a Status.
+TEST(SnapshotTest, SplitSkolemRowIsRejectedWithAStatus) {
+  uint32_t first = 0;
+  const ChaseSnapshot snapshot = TwoNullRowSnapshot(&first);
+  {
+    Vocabulary fresh;
+    ASSERT_TRUE(ApplySnapshotVocabulary(snapshot, fresh).ok());
+  }
+  ChaseSnapshot split = snapshot;
+  ChaseSnapshot::TermEntry wedge;
+  wedge.kind = TermKind::kConstant;
+  wedge.name = "wedge";
+  split.terms.insert(split.terms.begin() + first + 1, wedge);
+  Vocabulary fresh;
+  const Status applied = ApplySnapshotVocabulary(split, fresh);
+  ASSERT_FALSE(applied.ok());
+  EXPECT_NE(applied.message().find("whole row"), std::string::npos)
+      << applied.message();
+
+  ChaseSnapshot truncated = snapshot;
+  truncated.terms.resize(first + 1);
+  Vocabulary again;
+  EXPECT_FALSE(ApplySnapshotVocabulary(truncated, again).ok());
+}
+
+// A row's nulls must come in the order of their block's functions.
+TEST(SnapshotTest, ReorderedSkolemRowIsRejectedWithAStatus) {
+  uint32_t first = 0;
+  ChaseSnapshot snapshot = TwoNullRowSnapshot(&first);
+  std::swap(snapshot.terms[first], snapshot.terms[first + 1]);
+  Vocabulary fresh;
+  const Status applied = ApplySnapshotVocabulary(snapshot, fresh);
+  ASSERT_FALSE(applied.ok());
+  EXPECT_NE(applied.message().find("whole row"), std::string::npos)
+      << applied.message();
 }
 
 TEST(SnapshotDeathTest, ResumeRefusesDecreasingDepths) {

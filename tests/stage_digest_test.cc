@@ -414,8 +414,8 @@ TEST(StageDigest, GeneratedGuarded) {
 
 TEST(StageDigest, GeneratedSticky) {
   ExpectPinned("sticky", GeneratedFamily(testing::TheoryClass::kSticky),
-               {0x51009994f6d5a1f9ull, 0x2e25f37fdc6869f0ull,
-                0xe96da938659c8199ull, 0xe25f961e84c12814ull,
+               {0x51009994f6d5a1f9ull, 0x42e0890d94a540c7ull,
+                0xe96da938659c8199ull, 0x39ea4476dbee35f8ull,
                 0xbcec44cec57be1e5ull, 0xe96da938659c8199ull,
                 0x40ca00c5d306d871ull, 0xf3cc3a462b64780aull});
 }

@@ -6,10 +6,11 @@
 //   torture --seeds=N [--start=S] [--out=DIR]   differential-check N seeds
 //   torture --replay=FILE                        re-run one repro file
 //   torture --fuzz=N --corpus=DIR                N mutation rounds per
-//                                                corpus file, and of one
-//                                                interrupted run's snapshot,
-//                                                through parser and
-//                                                snapshot decoder
+//                                                corpus file, and of two
+//                                                interrupted runs'
+//                                                snapshots, through parser,
+//                                                snapshot decoder and
+//                                                vocabulary replay
 //
 // Exit code 0 means every seed/replay/fuzz input behaved; 1 means at least
 // one divergence (each is minimized and written to --out, default ".").
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -118,29 +120,34 @@ bool FactsRoundTrip(const Vocabulary& vocab, const FactSet& facts) {
   return again.ok() && testing::FactsToText(fresh, again.value()) == rendered;
 }
 
-// The FRSN encoding of a real interrupted run: the Example 39 star, stopped
-// by a round budget.  Built in memory, so the fuzz seed that reaches the
-// decoder's body follows every snapshot version without a committed binary.
-std::string InterruptedRunSnapshot() {
+// The FRSN encoding of a real interrupted run of `theory` over `db`,
+// stopped by a round budget.  Built in memory, so the fuzz seeds that reach
+// the decoder's body follow every snapshot version without a committed
+// binary.
+std::string InterruptedRunSnapshot(Theory (*theory_of)(Vocabulary&),
+                                   FactSet (*db_of)(Vocabulary&),
+                                   bool provenance) {
   Vocabulary vocab;
-  const Theory theory = StickyExample39Theory(vocab);
-  const FactSet db = Star39Instance(vocab, 3);
+  const Theory theory = theory_of(vocab);
+  const FactSet db = db_of(vocab);
   ChaseOptions options;
   options.max_rounds = 2;
-  options.track_provenance = true;
+  options.track_provenance = provenance;
   const ChaseResult result = ChaseEngine(vocab, theory).Run(db, options);
   Result<ChaseSnapshot> snapshot =
       MakeSnapshot(vocab, theory, result, options);
   return snapshot.ok() ? EncodeSnapshot(snapshot.value()) : std::string();
 }
 
-// Feeds every corpus file and an interrupted run's snapshot, plus `rounds`
-// seeded mutations of each, to both hostile-input surfaces: the DSL parser
-// and the FRSN snapshot decoder.  The invariant under test is "error Status
-// or success, never a crash" — a sanitizer finding or abort fails the
-// process, which is the signal — plus, for every fact text that parses, a
-// FactsToText rendering that re-parses to itself; a mismatch, or a
-// snapshot that does not decode before it is mutated, makes the run exit 1.
+// Feeds every corpus file and two interrupted runs' snapshots, plus
+// `rounds` seeded mutations of each, to both hostile-input surfaces: the
+// DSL parser and the FRSN snapshot decoder, whose every clean decode is
+// also replayed into a fresh vocabulary.  The invariant under test is
+// "error Status or success, never a crash" — a sanitizer finding or abort
+// fails the process, which is the signal — plus, for every fact text that
+// parses, a FactsToText rendering that re-parses to itself; a mismatch, or
+// a snapshot that does not decode before it is mutated, makes the run
+// exit 1.
 int Fuzz(uint64_t rounds, const std::string& corpus_dir) {
   const std::vector<std::string> files =
       testing::ListCorpusFiles(corpus_dir);
@@ -158,14 +165,26 @@ int Fuzz(uint64_t rounds, const std::string& corpus_dir) {
     }
     inputs.emplace_back(path, std::move(base));
   }
-  std::string snapshot = InterruptedRunSnapshot();
-  if (!DecodeSnapshot(snapshot).ok()) {
-    std::fprintf(stderr,
-                 "torture: the interrupted run's snapshot does not decode\n");
-    return 1;
+  // The Example 39 star, and T_c over a path, whose `start` rule has a
+  // two-null Skolem block, so mutations reach the replay's whole-row check.
+  const std::pair<const char*, std::string> snapshots[] = {
+      {"Ex. 39 interrupted-run snapshot",
+       InterruptedRunSnapshot(
+           StickyExample39Theory,
+           [](Vocabulary& v) { return Star39Instance(v, 3); }, true)},
+      {"T_c interrupted-run snapshot",
+       InterruptedRunSnapshot(
+           TcTheory, [](Vocabulary& v) { return EdgePath(v, "E", 4, "a"); },
+           false)},
+  };
+  for (const auto& [name, snapshot] : snapshots) {
+    if (!DecodeSnapshot(snapshot).ok()) {
+      std::fprintf(stderr, "torture: the %s does not decode\n", name);
+      return 1;
+    }
+    inputs.emplace_back(name, snapshot);
   }
-  inputs.emplace_back("interrupted-run snapshot", std::move(snapshot));
-  uint64_t parses = 0, decodes = 0, mismatches = 0;
+  uint64_t parses = 0, decodes = 0, replays = 0, mismatches = 0;
   for (const auto& [name, base] : inputs) {
     testing::SplitMix64 rng(0x7042u ^ base.size());
     std::string data = base;
@@ -189,17 +208,24 @@ int Fuzz(uint64_t rounds, const std::string& corpus_dir) {
           }
         }
       }
-      if (DecodeSnapshot(data).ok()) ++decodes;
+      Result<ChaseSnapshot> decoded = DecodeSnapshot(data);
+      if (decoded.ok()) {
+        ++decodes;
+        Vocabulary vocab;
+        if (ApplySnapshotVocabulary(decoded.value(), vocab).ok()) ++replays;
+      }
       // Alternate between drifting mutations (compounding) and fresh
       // single-step mutations of the original, so both deep and shallow
       // corruption get coverage.
       data = testing::MutateBytes(i % 4 == 3 ? base : data, rng);
     }
   }
-  std::printf("torture: fuzzed %zu corpus file(s) and a snapshot x %" PRIu64
+  std::printf("torture: fuzzed %zu corpus file(s) and %zu snapshots x %" PRIu64
               " rounds (%" PRIu64 " clean parses, %" PRIu64
-              " clean decodes, %" PRIu64 " round-trip mismatches)\n",
-              files.size(), rounds, parses, decodes, mismatches);
+              " clean decodes, %" PRIu64 " clean replays, %" PRIu64
+              " round-trip mismatches)\n",
+              files.size(), std::size(snapshots), rounds, parses, decodes,
+              replays, mismatches);
   return mismatches == 0 ? 0 : 1;
 }
 
