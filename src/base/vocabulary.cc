@@ -6,35 +6,6 @@
 
 namespace frontiers {
 
-namespace {
-
-// A `Skolemize` signature `"<type>#e<i>"`, split into its type and i.
-struct SkolemSignature {
-  std::string_view type;
-  uint32_t index;
-};
-
-// Splits `signature` at its last "#e" if a canonical decimal index (as
-// `Skolemize` writes it) follows; nullopt for any other signature.
-std::optional<SkolemSignature> SplitSkolemSignature(
-    std::string_view signature) {
-  const size_t at = signature.rfind("#e");
-  if (at == std::string_view::npos) return std::nullopt;
-  const std::string_view digits = signature.substr(at + 2);
-  if (digits.empty() || digits.size() > 9 ||
-      (digits.size() > 1 && digits[0] == '0')) {
-    return std::nullopt;
-  }
-  uint32_t index = 0;
-  for (char c : digits) {
-    if (c < '0' || c > '9') return std::nullopt;
-    index = index * 10 + static_cast<uint32_t>(c - '0');
-  }
-  return SkolemSignature{signature.substr(0, at), index};
-}
-
-}  // namespace
-
 PredicateId Vocabulary::AddPredicate(std::string_view name, uint32_t arity) {
   const PredicateId id = FindOrAddPredicate(name, arity);
   FRONTIERS_CHECK(predicates_[id].arity == arity,
@@ -205,15 +176,15 @@ uint32_t Vocabulary::SkolemRowIndex(uint32_t block,
 
 bool Vocabulary::ExtendsLastSkolemBlock(std::string_view signature,
                                         uint32_t arity) const {
-  const std::optional<SkolemSignature> sig = SplitSkolemSignature(signature);
-  if (!sig.has_value() || sig->index == 0 || skolem_blocks_.empty()) {
-    return false;
-  }
+  if (skolem_blocks_.empty()) return false;
   const SkolemBlockData& last = skolem_blocks_.back();
-  const std::optional<SkolemSignature> first =
-      SplitSkolemSignature(skolem_fns_[last.first_fn].signature);
-  return last.arity == arity && last.size == sig->index &&
-         first.has_value() && first->index == 0 && first->type == sig->type;
+  const std::string_view first = skolem_fns_[last.first_fn].signature;
+  if (last.arity != arity || !first.ends_with("#e0")) return false;
+  // The last block is "<type>#e0" .. "<type>#e<size-1>"; the next joins.
+  const std::string_view type = first.substr(0, first.size() - 3);
+  const std::string index = "#e" + std::to_string(last.size);
+  return signature.size() == type.size() + index.size() &&
+         signature.starts_with(type) && signature.ends_with(index);
 }
 
 bool Vocabulary::SkolemFunctionJoinsUsedBlock(std::string_view signature,

@@ -438,7 +438,7 @@ ChaseEngine::ChaseEngine(Vocabulary& vocab, const Theory& theory)
 }
 
 TermId ChaseEngine::FirstSkolemNull(size_t rule_index,
-                                const TermId* bindings) const {
+                                    const TermId* bindings) const {
   const CommitLayout& layout = commit_layouts_[rule_index];
   if (layout.skolem_block == kNoSkolemBlock) return kNoTerm;
   // One probe interns (or finds) every null of this application.

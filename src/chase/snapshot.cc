@@ -716,8 +716,7 @@ Status ApplySnapshotVocabulary(const ChaseSnapshot& snapshot,
         }
         const Status row = CheckWholeSkolemRow(snapshot, i, vocab);
         if (!row.ok()) return row;
-        id = vocab.SkolemRow(vocab.SkolemFnBlock(entry.fn), entry.args)
-                 .front();
+        id = vocab.SkolemTerm(entry.fn, entry.args);
         break;
       }
     }

@@ -586,9 +586,9 @@ TEST(MemRegression, RepeatedChaseReusesTheFreedHeap) {
 // per row, a probe structure over the same rows, so only capacity mode
 // counts it (content mode counts each row once).  Capacity > content on
 // kVocabSkolem for any run that interned rows, and content covers the
-// replayable part (> 0 with Skolem terms live).  Regression: rows that a
-// resume did not replay once broke the resume-equivalence assert
-// (snapshot approx_bytes 5168 vs reconstructed 5140, one arity-1 row).
+// replayable part (> 0 with Skolem terms live).  Counting anything a
+// fresh-process resume does not rebuild exactly in content mode breaks the
+// resume-equivalence assert.
 TEST(MemRegression, SkolemRowCachesAreCapacityOnly) {
   ResumeWorkload w;
   ChaseEngine engine(w.vocab, w.theory);

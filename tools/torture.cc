@@ -120,19 +120,18 @@ bool FactsRoundTrip(const Vocabulary& vocab, const FactSet& facts) {
   return again.ok() && testing::FactsToText(fresh, again.value()) == rendered;
 }
 
-// The FRSN encoding of a real interrupted run of `theory` over `db`,
-// stopped by a round budget.  Built in memory, so the fuzz seeds that reach
+// The FRSN encoding of a real interrupted run, with provenance, of
+// `theory_of`'s theory over `db_of`'s instance, stopped by a round budget.  Built in memory, so the fuzz seeds that reach
 // the decoder's body follow every snapshot version without a committed
 // binary.
 std::string InterruptedRunSnapshot(Theory (*theory_of)(Vocabulary&),
-                                   FactSet (*db_of)(Vocabulary&),
-                                   bool provenance) {
+                                   FactSet (*db_of)(Vocabulary&)) {
   Vocabulary vocab;
   const Theory theory = theory_of(vocab);
   const FactSet db = db_of(vocab);
   ChaseOptions options;
   options.max_rounds = 2;
-  options.track_provenance = provenance;
+  options.track_provenance = true;
   const ChaseResult result = ChaseEngine(vocab, theory).Run(db, options);
   Result<ChaseSnapshot> snapshot =
       MakeSnapshot(vocab, theory, result, options);
@@ -171,11 +170,10 @@ int Fuzz(uint64_t rounds, const std::string& corpus_dir) {
       {"Ex. 39 interrupted-run snapshot",
        InterruptedRunSnapshot(
            StickyExample39Theory,
-           [](Vocabulary& v) { return Star39Instance(v, 3); }, true)},
+           [](Vocabulary& v) { return Star39Instance(v, 3); })},
       {"T_c interrupted-run snapshot",
        InterruptedRunSnapshot(
-           TcTheory, [](Vocabulary& v) { return EdgePath(v, "E", 4, "a"); },
-           false)},
+           TcTheory, [](Vocabulary& v) { return EdgePath(v, "E", 4, "a"); })},
   };
   for (const auto& [name, snapshot] : snapshots) {
     if (!DecodeSnapshot(snapshot).ok()) {
