@@ -328,6 +328,21 @@ TEST(SnapshotTest, ReorderedSkolemRowIsRejectedWithAStatus) {
       << applied.message();
 }
 
+// A snapshot whose function table would grow a block that already has rows
+// in the target vocabulary is rejected with a Status, not an abort.
+TEST(SnapshotTest, FunctionJoiningAUsedBlockIsRejectedWithAStatus) {
+  Vocabulary vocab;
+  const SkolemFnId e0 = vocab.SkolemFunction("R(u0,e0,e1)#e0", 1);
+  vocab.SkolemTerm(e0, {vocab.Constant("a")});
+  ChaseSnapshot snapshot;
+  snapshot.skolem_fns = {{"R(u0,e0,e1)#e0", 1}, {"R(u0,e0,e1)#e1", 1}};
+  const Status applied = ApplySnapshotVocabulary(snapshot, vocab);
+  ASSERT_FALSE(applied.ok());
+  EXPECT_NE(applied.message().find("already has rows"), std::string::npos)
+      << applied.message();
+  EXPECT_EQ(vocab.NumSkolemFns(), 1u);
+}
+
 TEST(SnapshotDeathTest, ResumeRefusesDecreasingDepths) {
   // Resume finds the previous round's atoms as the store's suffix, which
   // holds only if depths never decrease.  The decoder rejects such bytes; a
